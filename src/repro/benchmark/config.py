@@ -84,10 +84,6 @@ class BenchmarkConfig:
     #: would survive a simulated crash.
     io_scheduler: bool = False
 
-    #: Worker threads for running independent models concurrently
-    #: (each model builds its own engine, so runs are isolated).
-    jobs: int = 1
-
     #: Build-once/clone-many extension snapshots (default on): the
     #: runner builds each (model, data knobs, page size) extension once
     #: in a process-wide :class:`~repro.benchmark.snapshots.SnapshotStore`
@@ -193,8 +189,6 @@ class BenchmarkConfig:
             raise BenchmarkError(
                 f"unknown backend {self.backend!r} (known: {', '.join(BACKEND_NAMES)})"
             )
-        if self.jobs < 1:
-            raise BenchmarkError("jobs must be at least 1")
         if self.online_move_pages < 0:
             raise BenchmarkError("online_move_pages must be non-negative")
         if self.online_trigger_ops < 1:

@@ -11,8 +11,7 @@ accesses (Section 5.1's accounting rules).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.benchmark.config import BenchmarkConfig, DEFAULT_CONFIG
@@ -102,19 +101,31 @@ class BenchmarkRunner:
         """
         if self.config.shards > 1:
             return self._build_sharded(name)
+        return self._build_replica(name, self.config, name)
+
+    def _build_replica(
+        self, name: str, config: BenchmarkConfig, file_stem: str
+    ) -> StorageModel:
+        """One loaded model over one fresh engine sized by ``config``.
+
+        The single construction both the unsharded model and every
+        shard replica go through; ``file_stem`` names the engine's
+        backing file under ``backend_path``.
+        """
+        backend_path = self._backend_path_for(file_stem)
         if self.snapshots_active:
+            # Keyed (and, on a miss, built) under the runner's own config:
+            # the image is buffer-independent, so a shard's slice only
+            # sizes the clone.
             snapshot = DEFAULT_STORE.get(
                 self.config, name, lambda: self.stations, self.fmt
             )
             return DEFAULT_STORE.clone(
-                snapshot,
-                self.config,
-                fmt=self.fmt,
-                backend_path=self._backend_path_for(name),
+                snapshot, config, fmt=self.fmt, backend_path=backend_path
             )
-        backend: str | object = self.config.backend
+        backend: str | object = config.backend
         plan = None
-        if self.config.faults != "none":
+        if config.faults != "none":
             # Fault-injecting stack: the plan-driven wrapper goes
             # *outside* any trace backend, so recorded traces show the
             # post-fault reality the engine actually saw.  The plan
@@ -124,31 +135,30 @@ class BenchmarkRunner:
             from repro.fault.plan import FaultPlan
             from repro.storage.backends import make_backend
 
-            plan = FaultPlan.parse(self.config.faults)
+            plan = FaultPlan.parse(config.faults)
             backend = FaultyBackend(
-                make_backend(
-                    self.config.backend,
-                    self.config.page_size,
-                    path=self._backend_path_for(name),
-                ),
+                make_backend(config.backend, config.page_size, path=backend_path),
                 plan,
             )
+            backend_path = None
         engine = StorageEngine(
-            page_size=self.config.page_size,
-            buffer_pages=self.config.buffer_pages,
-            policy=self.config.policy,
+            page_size=config.page_size,
+            buffer_pages=config.buffer_pages,
+            policy=config.policy,
             backend=backend,
-            backend_path=(
-                self._backend_path_for(name) if plan is None else None
-            ),
-            io_scheduler=self.config.io_scheduler,
+            backend_path=backend_path,
+            io_scheduler=config.io_scheduler,
         )
-        if plan is not None:
-            engine.enable_journaling()
-            engine.enable_checksums()
-            engine.fault_plan = plan
-        model = create_model(name, engine, self.fmt)
-        model.load(self.stations)
+        try:
+            if plan is not None:
+                engine.enable_journaling()
+                engine.enable_checksums()
+                engine.fault_plan = plan
+            model = create_model(name, engine, self.fmt)
+            model.load(self.stations)
+        except Exception:
+            engine.close()
+            raise
         return model
 
     def _build_sharded(self, name: str) -> StorageModel:
@@ -161,7 +171,6 @@ class BenchmarkRunner:
         snapshots each replica is rebuilt independently — bit-identical
         pages either way, as the snapshot parity suite guarantees.
         """
-        from repro.models.registry import create_model as _create
         from repro.sharding import (
             ShardRouter,
             ShardedEngine,
@@ -176,37 +185,18 @@ class BenchmarkRunner:
             policy=config.shard_policy,
             seed=config.seed,
         )
-        buffers = split_buffer_pages(config.buffer_pages, config.shards)
         replicas: list[StorageModel] = []
         try:
-            for index in range(config.shards):
-                backend_path = self._backend_path_for(f"{name}-shard{index}")
-                if self.snapshots_active:
-                    snapshot = DEFAULT_STORE.get(
-                        config, name, lambda: self.stations, self.fmt
+            for index, pages in enumerate(
+                split_buffer_pages(config.buffer_pages, config.shards)
+            ):
+                replicas.append(
+                    self._build_replica(
+                        name,
+                        config.with_changes(buffer_pages=pages),
+                        f"{name}-shard{index}",
                     )
-                    replica = DEFAULT_STORE.clone(
-                        snapshot,
-                        config.with_changes(buffer_pages=buffers[index]),
-                        fmt=self.fmt,
-                        backend_path=backend_path,
-                    )
-                else:
-                    engine = StorageEngine(
-                        page_size=config.page_size,
-                        buffer_pages=buffers[index],
-                        policy=config.policy,
-                        backend=config.backend,
-                        backend_path=backend_path,
-                        io_scheduler=config.io_scheduler,
-                    )
-                    try:
-                        replica = _create(name, engine, self.fmt)
-                        replica.load(self.stations)
-                    except Exception:
-                        engine.close()
-                        raise
-                replicas.append(replica)
+                )
             sharded_engine = ShardedEngine([r.engine for r in replicas])
             return ShardedModel(replicas, sharded_engine, router)
         except Exception:
@@ -217,8 +207,6 @@ class BenchmarkRunner:
     @staticmethod
     def _attach_sharding(model: StorageModel, result: WorkloadResult) -> WorkloadResult:
         """Attach the per-shard drill-down to a sharded run's result."""
-        from dataclasses import replace
-
         from repro.sharding import ShardedModel
 
         if isinstance(model, ShardedModel):
@@ -242,8 +230,8 @@ class BenchmarkRunner:
         """Per-model backend path under ``config.backend_path``.
 
         Each model gets its own engine, so each gets its own backing
-        file / trace file; distinct paths also keep concurrent model
-        runs (``jobs > 1``) from interleaving one file.  When the same
+        file / trace file; distinct paths also keep the shard replicas
+        of one model from interleaving one file.  When the same
         model runs again into the same directory (several experiments
         or config variants in one invocation), a ``-2``/``-3``/...
         suffix keeps the earlier file instead of clobbering it.
@@ -363,12 +351,9 @@ class BenchmarkRunner:
             )
             with self._armed(model):
                 serving = executor.run()
-            attached = self._attach_sharding(model, serving.result)
-            if attached is not serving.result:
-                from dataclasses import replace
-
-                serving = replace(serving, result=attached)
-            return serving
+            return replace(
+                serving, result=self._attach_sharding(model, serving.result)
+            )
         finally:
             model.engine.close()
 
@@ -460,23 +445,6 @@ class BenchmarkRunner:
         self,
         names: Sequence[str] = MEASURED_MODELS,
         queries: Sequence[str] = QUERY_NAMES,
-        jobs: int | None = None,
     ) -> dict[str, ModelRun]:
-        """Run several models over the same extension.
-
-        ``jobs`` (default: ``config.jobs``) > 1 runs independent models
-        concurrently via :class:`~concurrent.futures.ThreadPoolExecutor`
-        — every model builds its own engine over the shared, already
-        generated extension, so runs are isolated and the result is
-        identical to the sequential order (the dict preserves ``names``
-        order either way).
-        """
-        if jobs is None:
-            jobs = self.config.jobs
-        names = list(names)
-        if jobs <= 1 or len(names) <= 1:
-            return {name: self.run_model(name, queries) for name in names}
-        self.stations  # materialise once, outside the worker threads
-        with ThreadPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-            futures = {name: pool.submit(self.run_model, name, queries) for name in names}
-            return {name: futures[name].result() for name in names}
+        """Run several models over the same extension, in ``names`` order."""
+        return {name: self.run_model(name, queries) for name in names}

@@ -406,7 +406,7 @@ class WorkloadExecutor:
         self.engine = model.engine
         #: Optional clustering statistics collector.  When present, the
         #: executor reports every operation's touched OIDs to it and
-        #: attaches it to the buffer manager's ``fix_listener`` for the
+        #: registers it as a fix listener of the buffer manager for the
         #: duration of the replay.  Collection is purely observational:
         #: the metrics of a replay with and without a collector are
         #: identical.

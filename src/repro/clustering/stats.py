@@ -16,7 +16,7 @@ measurement machinery instead of adding a second instrumentation layer:
   OIDs each replayed operation touches (``stats=`` parameter), which
   feeds heat and affinity;
 * the :class:`~repro.storage.buffer.BufferManager` reports every page
-  fix through its ``fix_listener`` hook, which feeds the page-level
+  fix to its registered fix listeners, which feeds the page-level
   touch counters — the physical-layout view of the same replay.
 
 Everything here is deterministic: the collector only counts, the trace
@@ -85,7 +85,7 @@ class AccessStats:
     # -- buffer-side recording ----------------------------------------------
 
     def page_fixed(self, page_id: int) -> None:
-        """``BufferManager.fix_listener`` hook: one page fix observed."""
+        """``BufferManager.add_fix_listener`` hook: one page fix observed."""
         self.page_fixes += 1
         self.page_touches[page_id] = self.page_touches.get(page_id, 0) + 1
 

@@ -5,8 +5,8 @@ Usage::
     repro-experiments                 # everything, full scale (slow)
     repro-experiments --fast          # everything, reduced scale
     repro-experiments table3 table4   # selected experiments
-    repro-experiments table4 --fast --backend file --jobs 4
-                                      # real file I/O, 4 models in parallel
+    repro-experiments table4 --fast --backend file
+                                      # real file I/O
     repro-experiments sweep --fast --workloads uniform "zipf(1.0)" \
         --capacities 300 1200 4800 --policies lru lru-k 2q
                                       # buffer-sensitivity grid
@@ -28,10 +28,8 @@ from typing import Callable
 from repro.benchmark.config import BenchmarkConfig, DEFAULT_CONFIG
 from repro.benchmark.workload import parse_workload
 from repro.errors import ReproError
-from repro.models.registry import resolve_models
 from repro.storage.backends import BACKEND_NAMES
 from repro.storage.buffer import POLICY_NAMES
-from repro.clustering.placement import RECLUSTER_MODES
 from repro.serving.scheduler import SCHEDULER_NAMES
 from repro.sharding.router import SHARD_POLICIES
 from repro.experiments import (
@@ -94,7 +92,11 @@ def main(argv: list[str] | None = None) -> int:
         help="reduced database scale (300 objects, scaled buffer)",
     )
     parser.add_argument(
-        "--objects", type=int, default=None, help="override the database size"
+        "--objects",
+        dest="n_objects",
+        type=int,
+        default=None,
+        help="override the database size",
     )
     parser.add_argument(
         "--backend",
@@ -132,13 +134,6 @@ def main(argv: list[str] | None = None) -> int:
             "writes): fewer, larger real calls, bit-identical counters "
             "and sweep JSON (default: off; incompatible with --faults)"
         ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run independent storage models with N worker threads (default 1)",
     )
     parser.add_argument(
         "--snapshots",
@@ -219,37 +214,15 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="override the operation count of every workload spec",
     )
-    group.add_argument(
-        "--recluster",
-        nargs="+",
-        default=list(sweep.DEFAULT_RECLUSTERS),
-        metavar="MODE",
-        choices=RECLUSTER_MODES,
-        help=(
-            "trace-driven placement axis of the sweep: 'none' "
-            "(insertion order, default), 'affinity' (greedy co-access "
-            "chaining), 'hotcold' (heat segregation) and/or 'online' "
-            "(no pre-training: bounded page-move batches during the "
-            "measured replay, their I/O landing in the counters); "
-            "offline cells train on the cell's own trace, rewrite the "
-            "shared pages, then replay measured (with only 'none' the "
-            "output is byte-identical to a sweep without the axis)"
-        ),
-    )
-    group.add_argument(
-        "--clients",
-        nargs="+",
-        type=int,
-        default=list(sweep.DEFAULT_CLIENTS),
-        metavar="N",
-        help=(
-            "concurrent-session axis of the sweep: each cell serves N "
-            "client sessions of its workload over one shared engine "
-            "(default: 1, the single-stream replay with byte-identical "
-            "output; any other axis adds simulated-time p50/p99 latency "
-            "and requests/second per cell)"
-        ),
-    )
+    for axis in sweep.AXES:
+        group.add_argument(
+            axis.flag,
+            dest=axis.keyword,
+            nargs="+",
+            default=list(axis.default),
+            help=axis.help,
+            **axis.argparse,
+        )
     group.add_argument(
         "--scheduler",
         default=sweep.DEFAULT_SCHEDULER,
@@ -273,21 +246,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     group.add_argument(
-        "--shards",
-        nargs="+",
-        type=int,
-        default=list(sweep.DEFAULT_SHARDS),
-        metavar="N",
-        help=(
-            "shard axis of the sweep: each cell partitions the OID space "
-            "across N replica engines (own buffer, disk and counters) and "
-            "scatter-gathers scans and navigation across them (default: 1, "
-            "the single-engine path with byte-identical output; any other "
-            "axis adds a cross-shard-hop column and per-shard counter "
-            "drill-downs to the JSON)"
-        ),
-    )
-    group.add_argument(
         "--shard-policy",
         default=sweep.DEFAULT_SHARD_POLICY,
         choices=SHARD_POLICIES,
@@ -302,11 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "run sweep cells in N worker processes instead of threads "
-            "(CPU-bound grids scale past the GIL; each worker regenerates "
-            "the deterministic extension once, results are identical); "
-            "takes precedence over --jobs for the sweep — other "
-            "experiments keep using the --jobs thread pool"
+            "run sweep cells in N worker processes instead of one after "
+            "another (CPU-bound grids scale past the GIL; workers clone "
+            "from extensions the parent spills once, results are identical)"
         ),
     )
     group.add_argument(
@@ -342,68 +298,45 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    config = FAST_CONFIG if args.fast else DEFAULT_CONFIG
-    if args.objects:
-        config = config.with_changes(n_objects=args.objects)
     if args.backend == "trace" and not args.backend_path:
         # Without a destination the recorded trace would be buffered in
         # RAM and discarded when each engine closes.
         parser.error("--backend trace requires --backend-path DIR for the JSONL traces")
-    if args.backend:
-        config = config.with_changes(backend=args.backend)
-    if args.backend_path:
-        config = config.with_changes(backend_path=args.backend_path)
-    if args.io_scheduler is not None:
-        config = config.with_changes(io_scheduler=args.io_scheduler)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            parser.error("--jobs must be at least 1")
-        config = config.with_changes(jobs=args.jobs)
-    if args.snapshots is not None:
-        config = config.with_changes(snapshots=args.snapshots)
-    if args.faults is not None:
-        try:
-            config = config.with_changes(faults=args.faults)
-        except ReproError as exc:
-            parser.error(str(exc))
-
-    if any(capacity < 1 for capacity in args.capacities):
-        parser.error("--capacities must be positive page counts")
-    if args.ops is not None and args.ops < 1:
-        parser.error("--ops must be at least 1")
     if args.processes is not None and args.processes < 1:
         parser.error("--processes must be at least 1")
-    if any(n < 1 for n in args.clients):
-        parser.error("--clients must be positive session counts")
-    if any(n < 1 for n in args.shards):
-        parser.error("--shards must be positive shard counts")
-    if args.serving_workers < 1:
-        parser.error("--serving-workers must be at least 1")
     if args.perf_repeats is not None and args.perf_repeats < 1:
         parser.error("--perf-repeats must be at least 1")
+    # Every other range check and refusal is the config's, the workload
+    # spec's and the sweep's own, made here — the whole grid is laid
+    # out — so a bad flag is a usage error before any experiment starts.
+    config_flags = ("n_objects", "backend", "backend_path", "io_scheduler", "snapshots", "faults")
+    overrides = {
+        name: getattr(args, name)
+        for name in config_flags
+        if getattr(args, name) is not None
+    }
     try:
+        config = (FAST_CONFIG if args.fast else DEFAULT_CONFIG).with_changes(**overrides)
         workloads = [parse_workload(text) for text in args.workloads]
-        models = resolve_models(args.models)
+        if args.ops is not None:
+            workloads = [spec.with_changes(n_ops=args.ops) for spec in workloads]
+        grid = dict(
+            workloads=workloads,
+            capacities=args.capacities,
+            policies=args.policies,
+            models=args.models,
+            scheduler=args.scheduler,
+            serving_workers=args.serving_workers,
+            shard_policy=args.shard_policy,
+            **{axis.keyword: getattr(args, axis.keyword) for axis in sweep.AXES},
+        )
+        sweep.plan_sweep(config, **grid)
     except ReproError as exc:
         parser.error(str(exc))
-    if args.ops is not None:
-        workloads = [spec.with_changes(n_ops=args.ops) for spec in workloads]
 
     runners = dict(EXPERIMENTS)
     runners["sweep"] = lambda cfg: sweep.render(
-        cfg,
-        workloads=workloads,
-        capacities=args.capacities,
-        policies=args.policies,
-        models=models,
-        json_path=args.sweep_json,
-        processes=args.processes,
-        reclusters=args.recluster,
-        clients=args.clients,
-        scheduler=args.scheduler,
-        serving_workers=args.serving_workers,
-        shards=args.shards,
-        shard_policy=args.shard_policy,
+        cfg, json_path=args.sweep_json, processes=args.processes, **grid
     )
     runners["perf"] = lambda cfg: perf.render(
         cfg,

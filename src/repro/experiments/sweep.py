@@ -15,23 +15,27 @@ out as aligned text (:func:`render`) and as deterministic JSON
 (:meth:`SweepResult.to_json`): the same seed yields byte-identical
 output, which CI exploits.
 
-Cells run concurrently on the thread-pooled runner machinery: each cell
-builds its own engine (its own disk and buffer), so parallel execution
-is observationally identical to sequential.
+Cells run one after another in the calling process or, with
+``processes``, fanned out over worker processes.  Both go through the
+same cell function (:func:`run_cell`) and every cell builds its own
+engine (its own disk and buffer), so the two are observationally
+identical.  The optional axes beyond the four core ones — placement,
+concurrent sessions, shards — are declared once, in :data:`AXES`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from repro.benchmark.config import BenchmarkConfig, DEFAULT_CONFIG
 from repro.benchmark.runner import BenchmarkRunner
-from repro.benchmark.snapshots import DEFAULT_STORE
+from repro.benchmark.snapshots import DEFAULT_STORE, snapshot_key
 from repro.benchmark.workload import (
     WorkloadResult,
     WorkloadSpec,
@@ -39,14 +43,13 @@ from repro.benchmark.workload import (
     compile_trace,
     parse_workload,
 )
-from repro.clustering.placement import validate_mode
+from repro.clustering.placement import RECLUSTER_MODES, validate_mode
 from repro.clustering.stats import trace_stats
 from repro.errors import BenchmarkError
 from repro.models.registry import MEASURED_MODELS, resolve_models
 from repro.experiments.report import render_table
 from repro.serving.scheduler import SCHEDULER_NAMES
 from repro.serving.server import ServingStats
-from repro.sharding.router import SHARD_POLICIES
 from repro.storage.disk import DiskGeometry
 
 #: Default grid of the sweep experiment: the paper's buffer (1200)
@@ -56,35 +59,13 @@ DEFAULT_CAPACITIES = (300, 1200, 4800)
 DEFAULT_POLICIES = ("lru", "lru-k", "2q")
 DEFAULT_WORKLOADS = ("uniform", "zipf(1.0)")
 
-#: Default recluster axis: insertion-order placement only.  With
-#: exactly this axis the sweep's text and JSON output are byte-for-byte
-#: what they were before the axis existed — the extended fields (the
-#: per-cell ``recluster`` coordinate and the per-workload trace stats)
-#: only appear once a real policy enters the grid.
-DEFAULT_RECLUSTERS = ("none",)
-
-#: Default client axis: one session, the single-stream replay.  As with
-#: the recluster axis, exactly this axis keeps the sweep's text and
-#: JSON byte-for-byte what they were before the serving layer existed;
-#: any other axis routes *every* cell (including the 1-client cells)
-#: through the serving executor, whose 1-client counters are identical
-#: to the single-stream executor's — so the extra columns appear
-#: uniformly and the counters never move.
-DEFAULT_CLIENTS = (1,)
-
 #: Default admission scheduler and worker-thread count of the serving
 #: cells (worker count can never move a counter; it exists so CI can
 #: prove exactly that by byte-diffing sweep JSON across thread counts).
 DEFAULT_SCHEDULER = "fifo"
 DEFAULT_SERVING_WORKERS = 1
 
-#: Default shard axis: one shard, the single-engine path.  Same byte-
-#: parity contract as the recluster and client axes: with exactly this
-#: axis the sweep's text and JSON are byte-for-byte what they were
-#: before sharding existed; a non-default axis adds the ``shards``
-#: coordinate, a cross-shard-hop column and each cell's per-shard
-#: counter drill-down.
-DEFAULT_SHARDS = (1,)
+#: Default OID-to-shard assignment of sharded cells.
 DEFAULT_SHARD_POLICY = "hash"
 
 #: Geometry behind the sweep's service-time estimates (the paper-era
@@ -94,26 +75,221 @@ DEFAULT_SHARD_POLICY = "hash"
 #: wall-clock terms on the reference disk.
 SWEEP_GEOMETRY = DiskGeometry()
 
+#: Config fields that tag the whole grid rather than cross it, with the
+#: value at which they stay out of the JSON: a fault-free sweep must
+#: stay byte-identical to a build that predates fault injection
+#: ("counters are sacred").
+GRID_TAGS = {"faults": "none"}
+
+
+#: One table column: its header and the value it shows for a cell.
+Column = tuple[str, Callable[["SweepCell"], object]]
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One optional grid axis, declared once in :data:`AXES`.
+
+    The output rule is generic.  An axis left at ``default`` is *absent*
+    from the text and the JSON — byte-for-byte what the sweep emitted
+    before the axis existed.  Any other value list adds the axis itself
+    (``keyword`` in the grid JSON, ``field`` in every cell and as a
+    coordinate column) plus whatever ``grid``, ``cell``, ``columns`` and
+    ``note`` declare, uniformly to every cell.  Execution knobs —
+    ``processes``, ``serving_workers``, the disk backend,
+    ``io_scheduler`` — reach neither because they are not in the table:
+    runs that differ only in *how* the bytes move must produce
+    byte-identical output, which is what lets CI byte-diff them.
+    """
+
+    #: ``run_sweep`` keyword carrying the value list; also its grid key.
+    keyword: str
+    #: Name of the per-cell coordinate — and, where
+    #: :class:`BenchmarkConfig` has a field of that name, the field the
+    #: coordinate sets on the cell's configuration.
+    field: str
+    #: The value list under which the axis changes nothing.
+    default: tuple
+    #: Normalises one value or raises :class:`BenchmarkError`.
+    check: Callable[[object], object]
+    #: CLI flag, its help text and extra ``add_argument`` keywords.
+    flag: str
+    help: str
+    argparse: Mapping[str, object]
+    #: Further grid / cell JSON keys the axis adds when non-default.
+    grid: Callable[[SweepResult], dict] = lambda result: {}
+    cell: Callable[[SweepCell], dict] = lambda cell: {}
+    #: Further metric columns, after the ones every table carries.
+    columns: tuple[Column, ...] = ()
+    #: Sentence(s) appended to each table's note.
+    note: Callable[[SweepResult], str] = lambda result: ""
+
+
+#: The metric columns of every table; :attr:`Axis.columns` extend them.
+METRIC_COLUMNS: tuple[Column, ...] = (
+    ("calls/op", lambda cell: cell.result.per_op.io_calls),
+    ("pages/op", lambda cell: cell.result.per_op.io_pages),
+    ("hit rate", lambda cell: cell.result.hit_rate),
+    ("evict/op", lambda cell: cell.result.per_op.evictions),
+    ("svc ms/op", lambda cell: cell.service_time_ms / cell.result.n_ops),
+)
+
+
+def _columns(axes: Sequence[Axis]) -> list[Column]:
+    return [*METRIC_COLUMNS, *(column for axis in axes for column in axis.columns)]
+
+
+def _count(noun: str) -> Callable[[object], int]:
+    def check(value: object) -> int:
+        count = int(value)
+        if count < 1:
+            raise BenchmarkError(f"{noun} counts must be at least 1, got {value!r}")
+        return count
+
+    return check
+
+
+def _cross_shard_hops(cell: SweepCell) -> int:
+    sharding = cell.result.sharding
+    return sharding.cross_shard_hops if sharding is not None else 0
+
+
+AXES: tuple[Axis, ...] = (
+    # Placement.  Offline policies run under their trained layout
+    # (trained on the cell's own trace, see BenchmarkRunner.
+    # build_model_for_trace); "online" cells start in insertion order
+    # and reorganise incrementally during the measured replay.  The
+    # per-workload trace statistics put the skew next to the counters
+    # it explains.
+    Axis(
+        keyword="reclusters",
+        field="recluster",
+        default=("none",),
+        check=validate_mode,
+        flag="--recluster",
+        argparse={"metavar": "MODE", "choices": RECLUSTER_MODES},
+        help=(
+            "trace-driven placement axis of the sweep: 'none' "
+            "(insertion order, default), 'affinity' (greedy co-access "
+            "chaining), 'hotcold' (heat segregation) and/or 'online' "
+            "(no pre-training: bounded page-move batches during the "
+            "measured replay, their I/O landing in the counters); "
+            "offline cells train on the cell's own trace, rewrite the "
+            "shared pages, then replay measured (with only 'none' the "
+            "output is byte-identical to a sweep without the axis)"
+        ),
+        grid=lambda result: {
+            "workload_stats": {
+                spec.name: trace_stats(
+                    compile_trace(spec, result.config.n_objects)
+                ).to_dict()
+                for spec in result.workloads
+            }
+        },
+        note=lambda result: (
+            "  Offline reclustered cells train on the cell's own "
+            "trace (unmeasured), rewrite the shared pages, then "
+            "replay measured; 'online' cells start in insertion "
+            "order and move bounded page batches during the "
+            "measured replay."
+        ),
+    ),
+    # Concurrent sessions.  A non-default axis routes *every* cell
+    # (the 1-client cells too) through the serving executor, whose
+    # 1-client counters are identical to the single-stream executor's;
+    # the latency/throughput digest is simulated-time (derived from the
+    # integer counters), so it is as byte-reproducible as they are.
+    Axis(
+        keyword="clients",
+        field="clients",
+        default=(1,),
+        check=_count("client"),
+        flag="--clients",
+        argparse={"metavar": "N", "type": int},
+        help=(
+            "concurrent-session axis of the sweep: each cell serves N "
+            "client sessions of its workload over one shared engine "
+            "(default: 1, the single-stream replay with byte-identical "
+            "output; any other axis adds simulated-time p50/p99 latency "
+            "and requests/second per cell)"
+        ),
+        grid=lambda result: {"serving": {"scheduler": result.scheduler}},
+        cell=lambda cell: {"serving": cell.serving.to_dict()},
+        columns=(
+            ("p50 ms", lambda cell: cell.serving.latency_p50_ms),
+            ("p99 ms", lambda cell: cell.serving.latency_p99_ms),
+            ("req/s", lambda cell: cell.serving.requests_per_second),
+        ),
+        note=lambda result: (
+            "  Serving cells interleave N client sessions under the "
+            f"{result.scheduler!r} grant order; p50/p99 and req/s are "
+            "simulated-time (closed loop over the Equation-1 service "
+            "times), so they reproduce byte-for-byte."
+        ),
+    ),
+    # Shards.  The 1-shard cells of a sharded grid take the
+    # single-engine path and carry no per-shard report.
+    Axis(
+        keyword="shards",
+        field="shards",
+        default=(1,),
+        check=_count("shard"),
+        flag="--shards",
+        argparse={"metavar": "N", "type": int},
+        help=(
+            "shard axis of the sweep: each cell partitions the OID space "
+            "across N replica engines (own buffer, disk and counters) and "
+            "scatter-gathers scans and navigation across them (default: 1, "
+            "the single-engine path with byte-identical output; any other "
+            "axis adds a cross-shard-hop column and per-shard counter "
+            "drill-downs to the JSON)"
+        ),
+        grid=lambda result: {"shard_policy": result.shard_policy},
+        cell=lambda cell: {
+            "sharding": (
+                cell.result.sharding.to_dict(SWEEP_GEOMETRY)
+                if cell.result.sharding is not None
+                else None
+            )
+        },
+        columns=(("hops", _cross_shard_hops),),
+        note=lambda result: (
+            "  Sharded cells partition the OID space across N "
+            f"replica engines under the {result.shard_policy!r} "
+            "policy; 'hops' counts ownership transfers between "
+            "consecutive shard visits along the operation stream."
+        ),
+    ),
+)
+
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One grid point: a workload on one model under one buffer regime."""
+    """One grid point: a workload on one model under one buffer regime.
+
+    The coordinate on every optional axis (``recluster``, ``clients``,
+    ``shards``, keyed by :attr:`Axis.field`) lives in ``coordinates``
+    and also reads as an attribute: ``cell.recluster``.
+    """
 
     workload: str
     capacity: int
     policy: str
     model: str
     result: WorkloadResult
-    #: Placement the cell ran under ("none" = insertion order).
-    recluster: str = "none"
-    #: Concurrent sessions the cell served (1 = single-stream replay).
-    clients: int = 1
+    coordinates: Mapping[str, object]
     #: Simulated-time throughput/latency digest of the serving run;
     #: ``None`` on the single-stream path (default client axis).
     serving: ServingStats | None = None
-    #: Shards the cell ran over (1 = the single-engine path, where the
-    #: cell's result carries no sharding report).
-    shards: int = 1
+
+    def __getattr__(self, name: str) -> object:
+        # Only reached for names that are not real attributes.  Going
+        # through __dict__ keeps unpickling (which probes an empty
+        # instance) from recursing.
+        try:
+            return self.__dict__["coordinates"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
     def service_time_ms(self) -> float:
@@ -123,56 +299,21 @@ class SweepCell:
         raw = self.result.raw
         return SWEEP_GEOMETRY.service_time_ms(raw.io_calls, raw.io_pages)
 
-    def row(
-        self,
-        with_recluster: bool = False,
-        with_clients: bool = False,
-        with_shards: bool = False,
-    ) -> list[object]:
-        """Table row: coordinates plus the per-operation metrics."""
-        per_op = self.result.per_op
-        coordinates: list[object] = [self.model, self.policy, self.capacity]
-        if with_recluster:
-            coordinates.append(self.recluster)
-        if with_clients:
-            coordinates.append(self.clients)
-        if with_shards:
-            coordinates.append(self.shards)
-        row = coordinates + [
-            per_op.io_calls,
-            per_op.io_pages,
-            self.result.hit_rate,
-            per_op.evictions,
-            self.service_time_ms / self.result.n_ops,
+    def row(self, axes: Sequence[Axis] = ()) -> list[object]:
+        """Table row: coordinates plus the per-operation metrics, with
+        the columns of the grid's non-default ``axes``."""
+        return [
+            self.model,
+            self.policy,
+            self.capacity,
+            *(self.coordinates[axis.field] for axis in axes),
+            *(value(self) for _, value in _columns(axes)),
         ]
-        if with_clients:
-            stats = self.serving
-            row += [
-                stats.latency_p50_ms if stats else None,
-                stats.latency_p99_ms if stats else None,
-                stats.requests_per_second if stats else None,
-            ]
-        if with_shards:
-            sharding = self.result.sharding
-            row.append(sharding.cross_shard_hops if sharding is not None else 0)
-        return row
 
-    def to_dict(
-        self,
-        with_recluster: bool = False,
-        with_clients: bool = False,
-        with_shards: bool = False,
-    ) -> dict[str, object]:
+    def to_dict(self, axes: Sequence[Axis] = ()) -> dict[str, object]:
         """JSON-stable cell encoding (raw integer counters, plus the
-        exact service-time estimate derived from them).
-
-        The ``recluster`` and ``clients`` coordinates are emitted only
-        on request — a grid whose axes are the defaults (``("none",)``
-        / ``(1,)``) must encode byte-identically to a pre-axis grid.
-        The serving digest is simulated-time (derived from the integer
-        counters), so it is as byte-reproducible as they are.
-        """
-        raw = self.result.raw
+        exact service-time estimate derived from them) with the keys of
+        the grid's non-default ``axes``."""
         encoded: dict[str, object] = {
             "workload": self.workload,
             "capacity": self.capacity,
@@ -180,29 +321,12 @@ class SweepCell:
             "model": self.model,
             "n_ops": self.result.n_ops,
             "op_counts": dict(sorted(self.result.op_counts.items())),
-            "read_calls": raw.read_calls,
-            "write_calls": raw.write_calls,
-            "pages_read": raw.pages_read,
-            "pages_written": raw.pages_written,
-            "page_fixes": raw.page_fixes,
-            "buffer_hits": raw.buffer_hits,
-            "buffer_misses": raw.buffer_misses,
-            "evictions": raw.evictions,
+            **asdict(self.result.raw),
             "service_time_ms": self.service_time_ms,
         }
-        if with_recluster:
-            encoded["recluster"] = self.recluster
-        if with_clients:
-            encoded["clients"] = self.clients
-            encoded["serving"] = (
-                self.serving.to_dict() if self.serving is not None else None
-            )
-        if with_shards:
-            sharding = self.result.sharding
-            encoded["shards"] = self.shards
-            encoded["sharding"] = (
-                sharding.to_dict(SWEEP_GEOMETRY) if sharding is not None else None
-            )
+        for axis in axes:
+            encoded[axis.field] = self.coordinates[axis.field]
+            encoded.update(axis.cell(self))
         return encoded
 
 
@@ -215,35 +339,19 @@ class SweepResult:
     capacities: tuple[int, ...]
     policies: tuple[str, ...]
     models: tuple[str, ...]
-    cells: tuple[SweepCell, ...]
-    #: Recluster axis of the grid; the default axis means the sweep is
-    #: indistinguishable (in output bytes) from a pre-axis sweep.
-    reclusters: tuple[str, ...] = ("none",)
-    #: Client axis of the grid (same byte-parity contract: the default
-    #: ``(1,)`` encodes exactly like a pre-axis sweep).
-    clients: tuple[int, ...] = DEFAULT_CLIENTS
-    #: Admission scheduler and worker threads of the serving cells.
+    #: Value list of every optional axis, keyed by :attr:`Axis.keyword`.
+    axes: Mapping[str, tuple]
+    #: Admission scheduler of the serving cells / OID-to-shard policy of
+    #: the sharded ones; emitted only with their axis.
     scheduler: str = DEFAULT_SCHEDULER
-    serving_workers: int = DEFAULT_SERVING_WORKERS
-    #: Shard axis of the grid (byte-parity contract: the default
-    #: ``(1,)`` encodes exactly like a pre-shard sweep).
-    shards: tuple[int, ...] = DEFAULT_SHARDS
     shard_policy: str = DEFAULT_SHARD_POLICY
+    cells: tuple[SweepCell, ...] = ()
 
     @property
-    def reclustered(self) -> bool:
-        """Whether the grid carries a non-default recluster axis."""
-        return tuple(self.reclusters) != ("none",)
-
-    @property
-    def multi_client(self) -> bool:
-        """Whether the grid carries a non-default client axis."""
-        return tuple(self.clients) != DEFAULT_CLIENTS
-
-    @property
-    def sharded(self) -> bool:
-        """Whether the grid carries a non-default shard axis."""
-        return tuple(self.shards) != DEFAULT_SHARDS
+    def active_axes(self) -> tuple[Axis, ...]:
+        """The optional axes this grid carries at a non-default value —
+        the only ones its text and JSON mention."""
+        return tuple(a for a in AXES if self.axes[a.keyword] != a.default)
 
     def cells_for(self, workload: str) -> list[SweepCell]:
         return [cell for cell in self.cells if cell.workload == workload]
@@ -253,11 +361,9 @@ class SweepResult:
 
         Only integer counters are emitted (normalisation is left to the
         consumer), so the representation is exact, not float-formatted.
-        With the default recluster axis the encoding is **byte-identical**
-        to the pre-axis format; a non-default axis additionally emits the
-        axis itself, each cell's ``recluster`` coordinate and a
-        per-workload trace-statistics digest (skew visible next to the
-        counters it explains).
+        Optional axes at their default and grid tags at theirs are left
+        out (see :class:`Axis`), so the encoding of such a grid is
+        **byte-identical** to the format that predates them.
         """
         grid: dict[str, object] = {
             "workloads": [spec.describe() for spec in self.workloads],
@@ -271,195 +377,134 @@ class SweepResult:
                 "transfer_ms_per_page": SWEEP_GEOMETRY.transfer_ms_per_page,
             },
         }
-        extended = self.reclustered
-        if extended:
-            grid["reclusters"] = list(self.reclusters)
-            grid["workload_stats"] = {
-                spec.name: trace_stats(
-                    compile_trace(spec, self.config.n_objects)
-                ).to_dict()
-                for spec in self.workloads
-            }
-        # The fault spec is emitted only when faults are injected, so a
-        # fault-free sweep's JSON stays byte-identical to a build that
-        # predates fault injection ("counters are sacred").
-        if self.config.faults != "none":
-            grid["faults"] = self.config.faults
-        served = self.multi_client
-        if served:
-            grid["clients"] = list(self.clients)
-            # The worker-thread count is deliberately *not* encoded:
-            # like --jobs/--processes it is an execution knob that can
-            # never move a counter, and CI proves it by byte-diffing
-            # this JSON across worker counts.
-            grid["serving"] = {"scheduler": self.scheduler}
-        sharded = self.sharded
-        if sharded:
-            grid["shards"] = list(self.shards)
-            grid["shard_policy"] = self.shard_policy
-        payload = {
-            "grid": grid,
-            "cells": [
-                cell.to_dict(
-                    with_recluster=extended,
-                    with_clients=served,
-                    with_shards=sharded,
-                )
-                for cell in self.cells
-            ],
-        }
+        for name, absent in GRID_TAGS.items():
+            value = getattr(self.config, name)
+            if value != absent:
+                grid[name] = value
+        axes = self.active_axes
+        for axis in axes:
+            grid[axis.keyword] = list(self.axes[axis.keyword])
+            grid.update(axis.grid(self))
+        payload = {"grid": grid, "cells": [cell.to_dict(axes) for cell in self.cells]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-#: Per-worker-process caches: the generated extension keyed by its data
-#: knobs and the compiled traces keyed by ``(spec, n_objects)``.  Data
-#: generation and trace compilation are deterministic, so regenerating
-#: in each worker (instead of pickling 10⁵ nested tuples per cell) is a
-#: pure cost saving with an identical result.
-_WORKER_STATIONS: dict[tuple, list] = {}
-_WORKER_TRACES: dict[tuple[WorkloadSpec, int], WorkloadTrace] = {}
+@dataclass(frozen=True)
+class PlannedCell:
+    """Everything one cell needs, picklable for a worker process."""
+
+    spec: WorkloadSpec
+    model: str
+    #: The cell's own configuration — built, and thereby validated,
+    #: when the grid is planned.
+    config: BenchmarkConfig
+    coordinates: Mapping[str, object]
+    #: ``(scheduler, worker threads)`` when the grid is served.
+    serving: tuple[str, int] | None = None
+    #: Spilled extension artifact a pool worker preloads (see
+    #: :func:`_spill_snapshots`); None = build from the extension.
+    snapshot_path: str | None = None
 
 
-def _data_key(config: BenchmarkConfig) -> tuple:
-    """The config fields the generated extension depends on."""
-    return (
-        config.n_objects,
-        config.fanout,
-        config.probability,
-        config.max_sightseeing,
-        config.seed,
-    )
+class CellInputs:
+    """The deterministic inputs cells share within one process.
 
-
-def _run_cell_in_process(
-    config: BenchmarkConfig,
-    spec: WorkloadSpec,
-    capacity: int,
-    policy: str,
-    model: str,
-    recluster: str,
-    snapshot_paths: tuple[str, ...] = (),
-    clients: int = 1,
-    served: bool = False,
-    scheduler: str = DEFAULT_SCHEDULER,
-    serving_workers: int = DEFAULT_SERVING_WORKERS,
-    shards: int = 1,
-    shard_policy: str = DEFAULT_SHARD_POLICY,
-) -> SweepCell:
-    """One grid cell, self-contained for a worker process.
-
-    With ``snapshot_paths`` the parent has spilled the cell's built
-    (and, for a reclustered cell, reorganised) extension to disk; the
-    worker maps the artifacts into its process-wide snapshot store (one
-    file read per worker per artifact) and the runner clones from them
-    — the worker never generates, bulk-loads or retrains anything.
-    Without them (snapshots disabled, or the trace backend) the worker
-    regenerates the deterministic extension once and rebuilds (and
-    retrains) per cell, as before.
+    Data generation and trace compilation are deterministic, so a pool
+    worker deriving its own copy (instead of unpickling 10⁵ nested
+    tuples per cell) is a pure cost saving with an identical result.
     """
-    cell_config = config.with_changes(
-        buffer_pages=capacity,
-        policy=policy,
-        jobs=1,
-        recluster=recluster,
-        shards=shards,
-        shard_policy=shard_policy,
-    )
-    runner = BenchmarkRunner(cell_config)
-    if snapshot_paths:
-        for path in snapshot_paths:
-            DEFAULT_STORE.preload(path)
-    else:
-        key = _data_key(config)
-        stations = _WORKER_STATIONS.get(key)
-        if stations is None:
-            _WORKER_STATIONS[key] = runner.stations  # generate once per process
+
+    def __init__(self) -> None:
+        self.stations: dict[tuple, list] = {}
+        self.traces: dict[tuple[WorkloadSpec, int], WorkloadTrace] = {}
+
+    def share_extension(self, runner: BenchmarkRunner) -> list:
+        """Give ``runner`` the extension of its data knobs (the snapshot
+        key less the model): generated by the first runner to ask,
+        adopted by every later one."""
+        key = snapshot_key(runner.config, model_name="")
+        if key in self.stations:
+            runner.adopt_extension(self.stations[key])
         else:
-            runner.adopt_extension(stations)
-    trace_key = (spec, config.n_objects)
-    trace = _WORKER_TRACES.get(trace_key)
-    if trace is None:
-        trace = _WORKER_TRACES[trace_key] = compile_trace(spec, config.n_objects)
-    if served:
-        serving = runner.run_trace_serving(
-            model, trace, clients, scheduler=scheduler, workers=serving_workers
-        )
-        result, stats = serving.result, serving.stats
+            self.stations[key] = runner.stations
+        return self.stations[key]
+
+    def trace(self, spec: WorkloadSpec, n_objects: int) -> WorkloadTrace:
+        key = (spec, n_objects)
+        if key not in self.traces:
+            self.traces[key] = compile_trace(spec, n_objects)
+        return self.traces[key]
+
+
+#: Inputs of the cells a pool worker runs; lives and dies with the
+#: worker process.  The sequential path passes its own, scoped to one
+#: :func:`run_sweep` call, so nothing accumulates in the caller.
+_WORKER_INPUTS = CellInputs()
+
+
+def run_cell(cell: PlannedCell, inputs: CellInputs | None = None) -> SweepCell:
+    """Run one grid cell on a fresh engine — in-process or in a worker.
+
+    With ``cell.snapshot_path`` the parent has spilled the cell's built
+    (and, for a reclustered cell, reorganised) extension to disk; the
+    worker maps the artifact into its process-wide snapshot store (one
+    file read per worker per artifact) and the runner clones from it
+    — the worker never generates, bulk-loads or retrains anything.
+    Without one the cell's runner shares the process's generated
+    extension and builds, or clones from the snapshot store, as
+    configured.
+    """
+    if inputs is None:
+        inputs = _WORKER_INPUTS
+    runner = BenchmarkRunner(cell.config)
+    if cell.snapshot_path is not None:
+        DEFAULT_STORE.preload(cell.snapshot_path)
     else:
-        result, stats = runner.run_trace(model, trace), None
+        inputs.share_extension(runner)
+    trace = inputs.trace(cell.spec, cell.config.n_objects)
+    if cell.serving is not None:
+        scheduler, workers = cell.serving
+        served = runner.run_trace_serving(
+            cell.model,
+            trace,
+            cell.coordinates["clients"],
+            scheduler=scheduler,
+            workers=workers,
+        )
+        result, stats = served.result, served.stats
+    else:
+        result, stats = runner.run_trace(cell.model, trace), None
     return SweepCell(
-        workload=spec.name,
-        capacity=capacity,
-        policy=policy,
-        model=model,
+        workload=cell.spec.name,
+        capacity=cell.config.buffer_pages,
+        policy=cell.config.policy,
+        model=cell.model,
         result=result,
-        recluster=recluster,
-        clients=clients,
+        coordinates=cell.coordinates,
         serving=stats,
-        shards=shards,
     )
 
 
-def run_sweep(
-    config: BenchmarkConfig = DEFAULT_CONFIG,
-    workloads: Sequence[WorkloadSpec | str] = DEFAULT_WORKLOADS,
-    capacities: Sequence[int] = DEFAULT_CAPACITIES,
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    models: Sequence[str] = MEASURED_MODELS,
-    jobs: int | None = None,
-    processes: int | None = None,
-    reclusters: Sequence[str] = DEFAULT_RECLUSTERS,
-    clients: Sequence[int] = DEFAULT_CLIENTS,
+def plan_sweep(
+    config: BenchmarkConfig,
+    workloads: Sequence[WorkloadSpec | str],
+    capacities: Sequence[int],
+    policies: Sequence[str],
+    models: Sequence[str],
     scheduler: str = DEFAULT_SCHEDULER,
     serving_workers: int = DEFAULT_SERVING_WORKERS,
-    shards: Sequence[int] = DEFAULT_SHARDS,
     shard_policy: str = DEFAULT_SHARD_POLICY,
-) -> SweepResult:
-    """Run the full grid; every cell gets a fresh engine.
+    **axes: Sequence[object],
+) -> tuple[SweepResult, list[PlannedCell]]:
+    """Validate a grid and lay out its cells, running none.
 
-    ``config`` supplies the data knobs (extension size, seeds, page
-    size, disk backend); its ``buffer_pages`` and ``policy`` are
-    overridden per cell by the grid axes.  Execution knobs — the disk
-    backend, ``io_scheduler``, ``serving_workers`` — are deliberately
-    never encoded in the JSON: runs that differ only in *how* the bytes
-    move must produce byte-identical output, which is what lets CI
-    byte-diff mmap-vs-memory and scheduler-on-vs-off sweeps.  ``jobs`` (default:
-    ``config.jobs``) > 1 executes cells in a thread pool — cells share
-    only the immutable generated extension, so the result is identical
-    to the sequential order.
-
-    ``processes`` > 1 instead fans cells out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`, which sidesteps
-    the GIL for CPU-bound grids (the simulated engine never blocks on
-    real I/O, so threads only interleave, they don't overlap).  It
-    takes precedence: when both are given, ``jobs`` is not consulted
-    (cells are single-threaded inside each worker).  Each worker
-    regenerates the deterministic extension once and caches it for all
-    its cells; results are identical to the sequential order.
-    The thread pool stays the default because workers cost a fork and
-    one extension generation each — they amortise on grids with many
-    cells per worker.
-
-    ``reclusters`` crosses recluster modes into the grid: offline
-    policies run under their trained layout (trained on the cell's own
-    trace, see :meth:`~repro.benchmark.runner.BenchmarkRunner.
-    build_model_for_trace`); ``"online"`` cells start in insertion
-    order and reorganise incrementally during the measured replay.  The
-    default axis ``("none",)`` keeps the grid — and its output bytes —
-    exactly as before the axis existed.
-
-    ``clients`` crosses concurrent-session counts into the grid.  The
-    default axis ``(1,)`` keeps the single-stream replay (and its
-    output bytes) untouched; any other axis routes **every** cell
-    through the serving layer — ``scheduler`` fixes the deterministic
-    grant order and ``serving_workers`` the worker-thread count, which
-    provably cannot move a counter (CI byte-diffs the JSON across
-    worker counts) — and adds p50/p99 latency plus requests/second to
-    each cell, all simulated-time and hence byte-reproducible.
+    Returns the cell-less result and the planned cells in grid order.
+    Every cell's :class:`BenchmarkConfig` is built here, so a grid that
+    combines incompatible knobs is refused with the config's own typed
+    :class:`~repro.errors.ConfigError` before the first cell runs (and
+    before anything is built).
     """
-    specs = tuple(
-        parse_workload(w) if isinstance(w, str) else w for w in workloads
-    )
+    specs = tuple(parse_workload(w) if isinstance(w, str) else w for w in workloads)
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         # Cells are keyed by workload name in the report and the JSON;
@@ -469,293 +514,172 @@ def run_sweep(
             f"(override with a name=... token)"
         )
     model_names = resolve_models(models)
-    recluster_names = tuple(validate_mode(name) for name in reclusters)
-    if len(set(recluster_names)) != len(recluster_names):
-        raise BenchmarkError(
-            f"recluster modes must be unique, got {list(recluster_names)!r}"
-        )
-    client_axis = tuple(int(n) for n in clients)
-    if not client_axis or any(n < 1 for n in client_axis):
-        raise BenchmarkError("the client axis needs at least one count >= 1")
-    if len(set(client_axis)) != len(client_axis):
-        raise BenchmarkError(
-            f"client counts must be unique, got {list(client_axis)!r}"
-        )
+    unknown = set(axes) - {axis.keyword for axis in AXES}
+    if unknown:
+        raise TypeError(f"run_sweep() got unexpected keyword(s) {sorted(unknown)}")
+    values: dict[str, tuple] = {}
+    for axis in AXES:
+        given = axes.get(axis.keyword, axis.default)
+        checked = tuple(axis.check(value) for value in given)
+        if not checked or len(set(checked)) != len(checked):
+            raise BenchmarkError(
+                f"the {axis.keyword} axis needs at least one value and "
+                f"each value once, got {list(given)!r}"
+            )
+        values[axis.keyword] = checked
     if scheduler not in SCHEDULER_NAMES:
         raise BenchmarkError(
             f"unknown scheduler {scheduler!r} (known: {', '.join(SCHEDULER_NAMES)})"
         )
     if serving_workers < 1:
         raise BenchmarkError("serving_workers must be at least 1")
-    shard_axis = tuple(int(n) for n in shards)
-    if not shard_axis or any(n < 1 for n in shard_axis):
-        raise BenchmarkError("the shard axis needs at least one count >= 1")
-    if len(set(shard_axis)) != len(shard_axis):
-        raise BenchmarkError(
-            f"shard counts must be unique, got {list(shard_axis)!r}"
-        )
-    if shard_policy not in SHARD_POLICIES:
-        raise BenchmarkError(
-            f"unknown shard policy {shard_policy!r} "
-            f"(known: {', '.join(SHARD_POLICIES)})"
-        )
-    if shard_axis != DEFAULT_SHARDS and recluster_names != ("none",):
-        # Same refusal BenchmarkConfig makes per cell, raised before any
-        # cell runs: rid forwarding is per-engine, so a reclustered
-        # replica set would desynchronise its shards.
-        raise BenchmarkError(
-            "a sharded sweep cannot carry a recluster axis: rid forwarding "
-            "is per-engine and would desynchronise the shard replicas"
-        )
-    served = client_axis != DEFAULT_CLIENTS
-    grid = [
-        (spec, capacity, policy, model, recluster, n_clients, n_shards)
-        for spec in specs
-        for capacity in capacities
-        for policy in policies
-        for model in model_names
-        for recluster in recluster_names
-        for n_clients in client_axis
-        for n_shards in shard_axis
-    ]
-
-    if processes is not None and processes > 1 and len(grid) > 1:
-        # Build each cell's extension once in the parent — the base
-        # image per model, plus the trained/reorganised image per
-        # (model, policy, workload) — and spill the artifacts for the
-        # workers; without snapshots every worker regenerates the
-        # extension and rebuilds (and retrains) per cell (the
-        # pre-snapshot behaviour, still byte-identical output).
-        spill_dir: str | None = None
-        spill_paths: dict[tuple, tuple[str, ...]] = {}
-        base = BenchmarkRunner(config)
-        if base.snapshots_active:
-            spill_dir = tempfile.mkdtemp(prefix="repro-snapshots-")
-            traces = {
-                spec.name: compile_trace(spec, config.n_objects) for spec in specs
-            }
-            artifacts: dict[tuple, str] = {}
-            serial = 0
-            for model in model_names:
-                snapshot = DEFAULT_STORE.get(
-                    config, model, lambda: base.stations, base.fmt
-                )
-                artifacts[(model, "none", None)] = DEFAULT_STORE.spill(
-                    snapshot, spill_dir, stem=f"artifact-{serial}"
-                )
-                serial += 1
-            # Reclustered variants (one training replay + rewrite per
-            # (model, policy, workload)) build concurrently: the store
-            # serialises per key, distinct keys overlap, and the base
-            # images above are already cached.  Spilling stays in job
-            # order so artifact names are deterministic.
-            # Only the offline policies pre-train; "online" cells start
-            # from the base image (their controller reorganises during
-            # the measured replay, nothing to cache).
-            recluster_jobs = [
-                (model, recluster, spec)
-                for model in model_names
-                for recluster in recluster_names
-                if recluster not in ("none", "online")
-                for spec in specs
-            ]
-            if recluster_jobs:
-                def build_reclustered(job):
-                    model, recluster, spec = job
-                    return DEFAULT_STORE.get_reclustered(
-                        config,
-                        model,
-                        lambda: base.stations,
-                        base.fmt,
-                        traces[spec.name],
-                        recluster,
-                    )
-
-                workers = min(processes, len(recluster_jobs))
-                with ThreadPoolExecutor(max_workers=workers) as build_pool:
-                    built = list(build_pool.map(build_reclustered, recluster_jobs))
-                for (model, recluster, spec), reclustered in zip(
-                    recluster_jobs, built
-                ):
-                    artifacts[(model, recluster, spec.name)] = DEFAULT_STORE.spill(
-                        reclustered, spill_dir, stem=f"artifact-{serial}"
-                    )
-                    serial += 1
-            for spec, capacity, policy, model, recluster, *_ in grid:
-                key = (
-                    (model, "none", None)
-                    if recluster in ("none", "online")
-                    else (model, recluster, spec.name)
-                )
-                spill_paths[(spec.name, model, recluster)] = (artifacts[key],)
-        try:
-            with ProcessPoolExecutor(max_workers=min(processes, len(grid))) as pool:
-                futures = [
-                    pool.submit(
-                        _run_cell_in_process,
-                        config,
-                        *point[:5],
-                        snapshot_paths=spill_paths.get(
-                            (point[0].name, point[3], point[4]), ()
-                        ),
-                        clients=point[5],
-                        served=served,
-                        scheduler=scheduler,
-                        serving_workers=serving_workers,
-                        shards=point[6],
-                        shard_policy=shard_policy,
-                    )
-                    for point in grid
-                ]
-                cells = tuple(future.result() for future in futures)
-        finally:
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
-        return SweepResult(
-            config=config,
-            workloads=specs,
-            capacities=tuple(capacities),
-            policies=tuple(policies),
-            models=model_names,
-            cells=cells,
-            reclusters=recluster_names,
-            clients=client_axis,
-            scheduler=scheduler,
-            serving_workers=serving_workers,
-            shards=shard_axis,
-            shard_policy=shard_policy,
-        )
-
-    # Generate the extension and compile each spec's trace once; every
-    # cell replays the shared, immutable inputs.
-    stations = BenchmarkRunner(config).stations
-    traces = {spec.name: compile_trace(spec, config.n_objects) for spec in specs}
-
-    def run_cell(
-        spec: WorkloadSpec,
-        capacity: int,
-        policy: str,
-        model: str,
-        recluster: str,
-        n_clients: int,
-        n_shards: int,
-    ) -> SweepCell:
-        cell_config = config.with_changes(
-            buffer_pages=capacity,
-            policy=policy,
-            recluster=recluster,
-            shards=n_shards,
-            shard_policy=shard_policy,
-        )
-        runner = BenchmarkRunner(cell_config)
-        runner.adopt_extension(stations)
-        if served:
-            serving = runner.run_trace_serving(
-                model,
-                traces[spec.name],
-                n_clients,
-                scheduler=scheduler,
-                workers=serving_workers,
-            )
-            result, stats = serving.result, serving.stats
-        else:
-            result, stats = runner.run_trace(model, traces[spec.name]), None
-        return SweepCell(
-            workload=spec.name,
-            capacity=capacity,
-            policy=policy,
-            model=model,
-            result=result,
-            recluster=recluster,
-            clients=n_clients,
-            serving=stats,
-            shards=n_shards,
-        )
-
-    if jobs is None:
-        jobs = config.jobs
-    if jobs > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            futures = [pool.submit(run_cell, *point) for point in grid]
-            cells = tuple(future.result() for future in futures)
-    else:
-        cells = tuple(run_cell(*point) for point in grid)
-    return SweepResult(
+    result = SweepResult(
         config=config,
         workloads=specs,
         capacities=tuple(capacities),
         policies=tuple(policies),
         models=model_names,
-        cells=cells,
-        reclusters=recluster_names,
-        clients=client_axis,
+        axes=values,
         scheduler=scheduler,
-        serving_workers=serving_workers,
-        shards=shard_axis,
         shard_policy=shard_policy,
     )
+    served = any(axis.field == "clients" for axis in result.active_axes)
+    config_fields = {f.name for f in fields(BenchmarkConfig)}
+    planned = []
+    for spec, capacity, policy, model, *point in itertools.product(
+        specs, capacities, policies, model_names, *values.values()
+    ):
+        coordinates = {axis.field: value for axis, value in zip(AXES, point)}
+        configured = {k: v for k, v in coordinates.items() if k in config_fields}
+        planned.append(
+            PlannedCell(
+                spec=spec,
+                model=model,
+                config=config.with_changes(
+                    buffer_pages=capacity,
+                    policy=policy,
+                    shard_policy=shard_policy,
+                    **configured,
+                ),
+                coordinates=coordinates,
+                serving=(scheduler, serving_workers) if served else None,
+            )
+        )
+    return result, planned
+
+
+def _spill_snapshots(planned: Sequence[PlannedCell], directory: str) -> list[PlannedCell]:
+    """Build each cell's extension once, here in the parent, and spill
+    it for the pool workers: the base image per model, the trained and
+    reorganised image per (model, offline policy, workload).
+
+    "online" cells start from the base image (their controller
+    reorganises during the measured replay, nothing to cache).  Cells
+    whose configuration rules snapshots out are returned unchanged —
+    their worker generates the extension once and rebuilds (and
+    retrains) per cell, with byte-identical output.
+    """
+    inputs = CellInputs()
+    spilled: dict[tuple, str] = {}
+    placed = []
+    for cell in planned:
+        runner = BenchmarkRunner(cell.config)
+        if not runner.snapshots_active:
+            placed.append(cell)
+            continue
+        stations = partial(inputs.share_extension, runner)
+        if cell.config.recluster in ("none", "online"):
+            snapshot = DEFAULT_STORE.get(cell.config, cell.model, stations, runner.fmt)
+        else:
+            snapshot = DEFAULT_STORE.get_reclustered(
+                cell.config,
+                cell.model,
+                stations,
+                runner.fmt,
+                inputs.trace(cell.spec, cell.config.n_objects),
+                cell.config.recluster,
+            )
+        if snapshot.key not in spilled:
+            spilled[snapshot.key] = DEFAULT_STORE.spill(
+                snapshot, directory, stem=f"artifact-{len(spilled)}"
+            )
+        placed.append(replace(cell, snapshot_path=spilled[snapshot.key]))
+    return placed
+
+
+def run_sweep(
+    config: BenchmarkConfig = DEFAULT_CONFIG,
+    workloads: Sequence[WorkloadSpec | str] = DEFAULT_WORKLOADS,
+    capacities: Sequence[int] = DEFAULT_CAPACITIES,
+    policies: Sequence[str] = DEFAULT_POLICIES,
+    models: Sequence[str] = MEASURED_MODELS,
+    processes: int | None = None,
+    **options: object,
+) -> SweepResult:
+    """Run the full grid; every cell gets a fresh engine.
+
+    ``config`` supplies the data knobs (extension size, seeds, page
+    size, disk backend); its ``buffer_pages`` and ``policy`` are
+    overridden per cell by the grid axes.  ``options`` are the optional
+    axes of :data:`AXES` — ``reclusters=``, ``clients=``, ``shards=``,
+    each a value list crossed into the grid and invisible at its
+    default — and the scalars of :func:`plan_sweep`: ``scheduler``
+    fixes the deterministic grant order of served cells,
+    ``shard_policy`` the OID-to-shard assignment of sharded ones, and
+    ``serving_workers`` the worker-thread count inside a served cell,
+    which provably cannot move a counter (CI byte-diffs the JSON across
+    worker counts).
+
+    ``processes`` > 1 fans cells out over a
+    :class:`~concurrent.futures.ProcessPoolExecutor`, which sidesteps
+    the GIL for CPU-bound grids; results are identical to the
+    sequential order.  Sequential stays the default because workers
+    cost a fork and one snapshot spill or extension generation each —
+    they amortise on grids with many cells per worker (threads do not
+    pay at all under the GIL; docs/PERFORMANCE.md has the measurement).
+    """
+    result, planned = plan_sweep(config, workloads, capacities, policies, models, **options)
+    if processes is not None and processes > 1 and len(planned) > 1:
+        with tempfile.TemporaryDirectory(
+            prefix="repro-snapshots-", ignore_cleanup_errors=True
+        ) as spill_dir:
+            planned = _spill_snapshots(planned, spill_dir)
+            with ProcessPoolExecutor(max_workers=min(processes, len(planned))) as pool:
+                cells = tuple(pool.map(run_cell, planned))
+    else:
+        # Generate the extension and compile each spec's trace once;
+        # every cell replays the shared, immutable inputs.
+        inputs = CellInputs()
+        cells = tuple(run_cell(cell, inputs) for cell in planned)
+    return replace(result, cells=cells)
 
 
 def render_result(result: SweepResult) -> str:
     """Aligned-text report: one table per workload, grid order rows."""
-    out = []
-    with_recluster = result.reclustered
-    with_clients = result.multi_client
-    with_shards = result.sharded
-    headers = ["model", "policy", "buffer"]
-    if with_recluster:
-        headers.append("recluster")
-    if with_clients:
-        headers.append("clients")
-    if with_shards:
-        headers.append("shards")
-    headers += ["calls/op", "pages/op", "hit rate", "evict/op", "svc ms/op"]
-    if with_clients:
-        headers += ["p50 ms", "p99 ms", "req/s"]
-    if with_shards:
-        headers.append("hops")
-    for spec in result.workloads:
-        rows = [
-            cell.row(
-                with_recluster=with_recluster,
-                with_clients=with_clients,
-                with_shards=with_shards,
-            )
-            for cell in result.cells_for(spec.name)
-        ]
-        note = (
-            "Identical compiled trace per cell; calls/pages per "
-            "operation, hit rate = buffer hits / page fixes, svc "
-            "ms/op = Equation-1 service-time estimate on the "
-            f"reference disk ({SWEEP_GEOMETRY.positioning_ms:g} ms/call "
-            f"+ {SWEEP_GEOMETRY.transfer_ms_per_page:g} ms/page)."
+    axes = result.active_axes
+    headers = [
+        "model",
+        "policy",
+        "buffer",
+        *(axis.field for axis in axes),
+        *(header for header, _ in _columns(axes)),
+    ]
+    note = (
+        "Identical compiled trace per cell; calls/pages per "
+        "operation, hit rate = buffer hits / page fixes, svc "
+        "ms/op = Equation-1 service-time estimate on the "
+        f"reference disk ({SWEEP_GEOMETRY.positioning_ms:g} ms/call "
+        f"+ {SWEEP_GEOMETRY.transfer_ms_per_page:g} ms/page)."
+    ) + "".join(axis.note(result) for axis in axes)
+    return "\n".join(
+        render_table(
+            f"Sweep — {spec.describe()}",
+            headers,
+            [cell.row(axes) for cell in result.cells_for(spec.name)],
+            note=note,
         )
-        if with_recluster:
-            note += (
-                "  Offline reclustered cells train on the cell's own "
-                "trace (unmeasured), rewrite the shared pages, then "
-                "replay measured; 'online' cells start in insertion "
-                "order and move bounded page batches during the "
-                "measured replay."
-            )
-        if with_clients:
-            note += (
-                "  Serving cells interleave N client sessions under the "
-                f"{result.scheduler!r} grant order; p50/p99 and req/s are "
-                "simulated-time (closed loop over the Equation-1 service "
-                "times), so they reproduce byte-for-byte."
-            )
-        if with_shards:
-            note += (
-                "  Sharded cells partition the OID space across N "
-                f"replica engines under the {result.shard_policy!r} "
-                "policy; 'hops' counts ownership transfers between "
-                "consecutive shard visits along the operation stream."
-            )
-        out.append(
-            render_table(f"Sweep — {spec.describe()}", headers, rows, note=note)
-        )
-    return "\n".join(out)
+        for spec in result.workloads
+    )
 
 
 def render(
@@ -765,29 +689,11 @@ def render(
     policies: Sequence[str] = DEFAULT_POLICIES,
     models: Sequence[str] = MEASURED_MODELS,
     json_path: str | None = None,
-    processes: int | None = None,
-    reclusters: Sequence[str] = DEFAULT_RECLUSTERS,
-    clients: Sequence[int] = DEFAULT_CLIENTS,
-    scheduler: str = DEFAULT_SCHEDULER,
-    serving_workers: int = DEFAULT_SERVING_WORKERS,
-    shards: Sequence[int] = DEFAULT_SHARDS,
-    shard_policy: str = DEFAULT_SHARD_POLICY,
+    **options: object,
 ) -> str:
-    """CLI entry point: run the grid, optionally dump JSON, render text."""
-    result = run_sweep(
-        config,
-        workloads,
-        capacities,
-        policies,
-        models,
-        processes=processes,
-        reclusters=reclusters,
-        clients=clients,
-        scheduler=scheduler,
-        serving_workers=serving_workers,
-        shards=shards,
-        shard_policy=shard_policy,
-    )
+    """CLI entry point: run the grid (``options`` as for
+    :func:`run_sweep`), optionally dump JSON, render text."""
+    result = run_sweep(config, workloads, capacities, policies, models, **options)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(result.to_json())

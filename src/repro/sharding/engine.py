@@ -87,14 +87,10 @@ class ShardedBuffer:
     def capacity(self) -> int:
         return sum(buffer.capacity for buffer in self._buffers)
 
-    @property
-    def enable_latching(self) -> bool:
-        return self._buffers[0].enable_latching
-
-    @enable_latching.setter
-    def enable_latching(self, value: bool) -> None:
+    def enable_latching(self) -> None:
+        """Arm the session latch on every shard's buffer (idempotent)."""
         for buffer in self._buffers:
-            buffer.enable_latching = value
+            buffer.enable_latching()
 
     def add_fix_listener(self, listener: Callable[[int], None]) -> None:
         for buffer in self._buffers:

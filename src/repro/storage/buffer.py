@@ -479,7 +479,6 @@ class BufferManager:
         # the hot-path dispatcher: None with no listeners, the listener
         # itself with exactly one, a fan-out closure otherwise.
         self._fix_listeners: list[Callable[[int], None]] = []
-        self._legacy_listener: Callable[[int], None] | None = None
         self._notify_fix: Callable[[int], None] | None = None
         # Session latching (off by default): ``enable_latching`` arms a
         # re-entrant latch serialising the session_* entry points, so
@@ -577,30 +576,6 @@ class BufferManager:
     def fix_listeners(self) -> tuple[Callable[[int], None], ...]:
         """Registered listeners, in firing order."""
         return tuple(self._fix_listeners)
-
-    @property
-    def fix_listener(self) -> Callable[[int], None] | None:
-        """Single-slot compatibility view of the listener list.
-
-        Historically the manager had exactly one hook slot; this
-        property keeps that usage working (``buffer.fix_listener = fn``,
-        save/restore included) by managing one dedicated entry of the
-        list.  Assigning never disturbs listeners registered with
-        :meth:`add_fix_listener` — the single-slot limitation was fixed
-        precisely so the statistics collector and the serving layer's
-        latch bookkeeping can observe the same replay.
-        """
-        return self._legacy_listener
-
-    @fix_listener.setter
-    def fix_listener(self, listener: Callable[[int], None] | None) -> None:
-        previous = self._legacy_listener
-        if previous is not None:
-            self._fix_listeners.remove(previous)
-        if listener is not None:
-            self._fix_listeners.append(listener)
-        self._legacy_listener = listener
-        self._rebuild_fix_dispatch()
 
     def _rebuild_fix_dispatch(self) -> None:
         listeners = self._fix_listeners

@@ -54,7 +54,8 @@ DRIFT_SPEC = WorkloadSpec(
 
 
 def test_default_recluster_axis_is_none_only():
-    assert sweep.DEFAULT_RECLUSTERS == ("none",)
+    defaults = {axis.keyword: axis.default for axis in sweep.AXES}
+    assert defaults["reclusters"] == ("none",)
 
 
 def test_default_sweep_json_digest_is_frozen():

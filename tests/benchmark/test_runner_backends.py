@@ -94,34 +94,22 @@ class TestBackendParity:
             CFG.with_changes(backend="tape")
 
 
-class TestParallelRunner:
-    def test_jobs_do_not_change_results(self):
-        sequential = run_with(CFG.with_changes(jobs=1))
-        parallel = run_with(CFG.with_changes(jobs=4))
-        assert raw_snapshots(sequential) == raw_snapshots(parallel)
-        assert {m: r.relation_pages for m, r in sequential.items()} == {
-            m: r.relation_pages for m, r in parallel.items()
-        }
-
+class TestRunModels:
     def test_result_order_follows_names(self):
-        runs = BenchmarkRunner(CFG.with_changes(jobs=3)).run_models(MODELS, ("1c",))
+        runs = BenchmarkRunner(CFG).run_models(MODELS, ("1c",))
         assert tuple(runs) == MODELS
 
-    def test_explicit_jobs_overrides_config(self):
-        runner = BenchmarkRunner(CFG)
-        runs = runner.run_models(MODELS, ("1c",), jobs=2)
-        assert tuple(runs) == MODELS
+    def test_thread_pool_knob_is_gone(self):
+        """The `jobs` knob was deleted, not deprecated: every spelling of
+        it is an error rather than a silently accepted no-op."""
+        from repro.experiments import sweep
+        from repro.experiments.cli import main
 
-    def test_jobs_with_file_backend(self, tmp_path):
-        """Concurrency plus real file I/O: distinct backing files per model."""
-        memory = run_with(CFG.with_changes(jobs=1))
-        parallel_file = run_with(
-            CFG.with_changes(
-                backend="file", backend_path=str(tmp_path / "pages"), jobs=4
-            )
-        )
-        assert raw_snapshots(memory) == raw_snapshots(parallel_file)
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(BenchmarkError):
-            CFG.with_changes(jobs=0)
+        with pytest.raises(TypeError):
+            BenchmarkConfig(jobs=2)
+        with pytest.raises(TypeError):
+            BenchmarkRunner(CFG).run_models(MODELS, ("1c",), jobs=2)
+        with pytest.raises(TypeError):
+            sweep.run_sweep(CFG, jobs=2)
+        with pytest.raises(SystemExit):
+            main(["table3", "--fast", "--jobs", "2"])

@@ -77,9 +77,12 @@ class TestBufferPiggyback:
         engine.buffer.unfix(page_id, dirty=True)
         engine.flush()
         engine.restart_buffer()
-        engine.buffer.fix_listener = stats.page_fixed
+        engine.buffer.add_fix_listener(stats.page_fixed)
         engine.buffer.fix(page_id)  # miss
         engine.buffer.fix(page_id)  # hit
+        engine.buffer.remove_fix_listener(stats.page_fixed)
+        engine.buffer.fix(page_id)  # unobserved
+        engine.buffer.unfix(page_id)
         engine.buffer.unfix(page_id)
         engine.buffer.unfix(page_id)
         assert stats.page_fixes == 2
@@ -102,7 +105,7 @@ class TestBufferPiggyback:
         model = build_loaded_model("DSM", small_stations)
         trace = compile_trace(WorkloadSpec(n_ops=5, seed=5), len(small_stations))
         collect_stats(model, trace)
-        assert model.engine.buffer.fix_listener is None
+        assert model.engine.buffer.fix_listeners == ()
 
 
 class TestCollectStats:

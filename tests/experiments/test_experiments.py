@@ -184,9 +184,9 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["table3", "--fast", "--backend", "trace"])
 
-    def test_cli_rejects_nonpositive_jobs(self):
+    def test_cli_rejects_nonpositive_objects(self):
         with pytest.raises(SystemExit):
-            main(["table3", "--jobs", "0"])
+            main(["table3", "--fast", "--objects", "0"])
 
     def test_cli_recluster_axis(self, capsys, tmp_path):
         json_path = tmp_path / "sweep.json"

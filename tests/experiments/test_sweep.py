@@ -75,8 +75,9 @@ class TestDeterminism:
         assert again.to_json() == result.to_json()
 
     def test_parallel_equals_sequential(self, result):
+        """Worker count never moves a byte (2 workers are covered below)."""
         parallel = sweep.run_sweep(
-            CFG, WORKLOADS, CAPACITIES, POLICIES, MODELS, jobs=4
+            CFG, WORKLOADS, CAPACITIES, POLICIES, MODELS, processes=4
         )
         assert parallel.to_json() == result.to_json()
 

@@ -60,8 +60,8 @@ class TestDefaultAxisParity:
             assert "clients" not in cell and "serving" not in cell
 
     def test_multi_client_flag(self, base, served):
-        assert not base.multi_client
-        assert served.multi_client
+        assert base.active_axes == ()
+        assert [axis.keyword for axis in served.active_axes] == ["clients"]
 
 
 class TestServedGrid:

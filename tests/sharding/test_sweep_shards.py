@@ -8,8 +8,8 @@ Three contracts, in increasing strength:
   pre-axis format, which ``shards=(1,)`` must keep reproducing);
 * passing ``shards=(1,)`` explicitly is byte-identical to not passing
   the axis at all, in text and in JSON;
-* a sharded grid is byte-deterministic across worker counts — 2 and 8
-  thread workers, and the process pool, produce identical JSON.
+* a sharded grid is byte-deterministic across worker counts — 2 and 4
+  pool workers, and the sequential run, produce identical JSON.
 """
 
 import hashlib
@@ -58,17 +58,17 @@ def test_sharded_sweep_is_byte_deterministic_across_workers():
     kwargs = dict(
         GOLDEN_GRID, capacities=(32,), shards=(1, 4), shard_policy="hash"
     )
-    two = run_sweep(GOLDEN_CONFIG, jobs=2, **kwargs)
-    eight = run_sweep(GOLDEN_CONFIG, jobs=8, **kwargs)
-    assert two.to_json() == eight.to_json()
-    assert render_result(two) == render_result(eight)
+    two = run_sweep(GOLDEN_CONFIG, processes=2, **kwargs)
+    four = run_sweep(GOLDEN_CONFIG, processes=4, **kwargs)
+    assert two.to_json() == four.to_json()
+    assert render_result(two) == render_result(four)
 
 
-def test_sharded_sweep_process_pool_matches_threads():
+def test_sharded_sweep_process_pool_matches_sequential():
     kwargs = dict(GOLDEN_GRID, shards=(2,), shard_policy="range")
-    threaded = run_sweep(GOLDEN_CONFIG, jobs=2, **kwargs)
+    sequential = run_sweep(GOLDEN_CONFIG, **kwargs)
     pooled = run_sweep(GOLDEN_CONFIG, processes=2, **kwargs)
-    assert pooled.to_json() == threaded.to_json()
+    assert pooled.to_json() == sequential.to_json()
 
 
 def test_sharded_cells_roll_up_to_the_per_shard_sums():
@@ -83,7 +83,42 @@ def test_sharded_cells_roll_up_to_the_per_shard_sums():
             total = total + snapshot
         raw = cell.result.raw
         assert total == raw
-        encoded = cell.to_dict(with_shards=True)
+        encoded = cell.to_dict(result.active_axes)
         assert encoded["shards"] == 4
         assert len(encoded["sharding"]["shards"]) == 4
         assert encoded["sharding"]["cross_shard_hops"] == report.cross_shard_hops
+
+
+def test_served_sharded_run_latches_every_shard():
+    """`ShardedBuffer.enable_latching` used to be a property handing out
+    shard 0's bound method, so a served run armed one latch of N."""
+    from repro.benchmark.runner import BenchmarkRunner
+    from repro.benchmark.workload import WorkloadSpec
+    from repro.serving import ServingExecutor, make_client_traces
+
+    model = BenchmarkRunner(GOLDEN_CONFIG.with_changes(shards=3)).build_model("NSM+index")
+    try:
+        shard_buffers = [engine.buffer for engine in model.engine.engines]
+        assert [buffer.latching for buffer in shard_buffers] == [False] * 3
+        spec = WorkloadSpec(name="latch", n_ops=6, seed=2)
+        traces = make_client_traces(spec, GOLDEN_CONFIG.n_objects, clients=2)
+        ServingExecutor(model, traces).run()
+        assert [buffer.latching for buffer in shard_buffers] == [True] * 3
+    finally:
+        model.engine.close()
+
+
+def test_sharded_recluster_grid_is_refused_by_the_config_before_any_build():
+    """One place for refusals: the grid is laid out (every cell's config
+    built) before the first cell runs, so the config's own typed error
+    surfaces and the snapshot store has built nothing."""
+    import pytest
+
+    from repro.benchmark.snapshots import DEFAULT_STORE
+    from repro.errors import ConfigError
+
+    fresh = GOLDEN_CONFIG.with_changes(seed=70707)  # no cached extension
+    builds = DEFAULT_STORE.builds
+    with pytest.raises(ConfigError, match="recluster"):
+        run_sweep(fresh, **GOLDEN_GRID, shards=(1, 2), reclusters=("none", "affinity"))
+    assert DEFAULT_STORE.builds == builds

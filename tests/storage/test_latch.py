@@ -5,9 +5,9 @@ The serving layer multiplexes sessions onto one buffer through the
 frame: double-fix refcounting, unfix-by-non-holder rejection, eviction
 blocked while *any* session holds a frame, view-cache coherence across
 sessions, and disconnect cleanup.  The listener-list tests are the
-regression suite for the old single-slot ``fix_listener`` limitation —
-the statistics collector and the serving layer must be able to observe
-the same replay.
+regression suite for the single-slot hook the list replaced — the
+statistics collector and the serving layer must be able to observe the
+same replay.
 """
 
 import pytest
@@ -245,37 +245,6 @@ class TestFixListenerList:
         buf.fix(pid)
         buf.unfix(pid)
         assert fired == [pid]
-
-    def test_legacy_property_coexists_with_registered_listeners(self):
-        """Assigning the legacy single slot must not disturb listeners
-        registered via add_fix_listener — that was the bug."""
-        disk, buf = make()
-        pid = disk.allocate()
-        fired = []
-        registered = lambda p: fired.append("registered")
-        buf.add_fix_listener(registered)
-        legacy = lambda p: fired.append("legacy")
-        buf.fix_listener = legacy
-        assert buf.fix_listener is legacy
-        assert buf.fix_listeners == (registered, legacy)
-        # Save/set/restore, the historical usage pattern.
-        saved = buf.fix_listener
-        buf.fix_listener = None
-        assert buf.fix_listeners == (registered,)
-        buf.fix_listener = saved
-        buf.fix(pid)
-        buf.unfix(pid)
-        assert fired == ["registered", "legacy"]
-
-    def test_legacy_reassignment_replaces_only_its_slot(self):
-        disk, buf = make()
-        registered = lambda p: None
-        first = lambda p: None
-        second = lambda p: None
-        buf.add_fix_listener(registered)
-        buf.fix_listener = first
-        buf.fix_listener = second
-        assert buf.fix_listeners == (registered, second)
 
     def test_no_listeners_means_no_dispatch(self):
         disk, buf = make()
