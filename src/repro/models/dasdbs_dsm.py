@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.benchmark.schema import STATION_SCHEMA
-from repro.errors import InvalidAddressError
 from repro.models.base import Ref
 from repro.models.dsm import (
     SECTION_PLATFORMS,
@@ -66,15 +65,6 @@ class DASDBSDSMModel(DirectModelBase):
             atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, root_blob, 0)
             if atoms["Key"] == key:
                 yield self._decode_sections(self.long_store.read(handle))
-
-    def fetch_full_by_key(self, key: int) -> NestedTuple:
-        match: NestedTuple | None = None
-        for station in self._scan_for_key(key):
-            if station["Key"] == key:
-                match = station
-        if match is None:
-            raise InvalidAddressError(f"no station with key {key}")
-        return match
 
     # -- update: change-attribute with page-pool write-through ------------------------
 

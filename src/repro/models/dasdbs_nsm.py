@@ -35,7 +35,13 @@ from repro.benchmark.schema import (
 from repro.errors import InvalidAddressError, ModelError
 from repro.models.base import Ref, StorageModel
 from repro.models.mixed import MixedTupleStore, TupleHandle
-from repro.nf2.schema import RelationSchema, int_attr, str_attr, link_attr
+from repro.nf2.schema import (
+    RelationSchema,
+    int_attr,
+    link_attr,
+    require_projection,
+    str_attr,
+)
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
@@ -95,6 +101,15 @@ _SIGHTSEEING_ITEM = RelationSchema(
 DNSM_SIGHTSEEING = RelationSchema(
     "DASDBS_NSM_Sightseeing", (int_attr("RootKey"),), (_SIGHTSEEING_ITEM,)
 )
+
+# Proved once here, relied on by every ``_assemble``: a stored item minus
+# its key column has exactly the nested schema's attributes.
+require_projection(DNSM_STATION, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA))
+require_projection(_PLATFORM_ITEM, PLATFORM_SCHEMA, ("OwnKey",), (CONNECTION_SCHEMA,))
+require_projection(_CONNECTION_ITEM, CONNECTION_SCHEMA)
+require_projection(_SIGHTSEEING_ITEM, SIGHTSEEING_SCHEMA)
+
+_trusted = NestedTuple._from_trusted
 
 
 class DASDBSNSMModel(StorageModel):
@@ -178,27 +193,34 @@ class DASDBSNSMModel(StorageModel):
         co: NestedTuple,
         si: NestedTuple,
     ) -> NestedTuple:
+        """Join the four per-object tuples back into one Station.
+
+        The tuples come straight from the decoder and the module-level
+        ``require_projection`` calls proved that an item minus its key
+        column is a tuple of the nested schema, so the parts are
+        relabelled through the trusted constructor, not re-validated.
+        """
         conn_by_parent: dict[int, list[NestedTuple]] = {}
-        for group in co.subtuples("ConnectionsOfPlatform"):
-            conn_by_parent[group["ParentKey"]] = [
-                NestedTuple(CONNECTION_SCHEMA, item.atoms())
-                for item in group.subtuples("ConnectionOfPlatform")
+        for group in co._subs["ConnectionsOfPlatform"]:
+            conn_by_parent[group._atoms["ParentKey"]] = [
+                _trusted(CONNECTION_SCHEMA, dict(item._atoms), {})
+                for item in group._subs["ConnectionOfPlatform"]
             ]
         rebuilt_platforms = []
-        for item in sorted(pl.subtuples("PlatformOfStation"), key=lambda r: r["OwnKey"]):
-            atoms = item.atoms()
-            own_key = atoms.pop("OwnKey")
+        for item in sorted(pl._subs["PlatformOfStation"], key=lambda item: item._atoms["OwnKey"]):
+            atoms = dict(item._atoms)
+            connections_of = conn_by_parent.get(atoms.pop("OwnKey"), [])
             rebuilt_platforms.append(
-                NestedTuple(
-                    PLATFORM_SCHEMA, atoms, {"Connection": conn_by_parent.get(own_key, [])}
-                )
+                _trusted(PLATFORM_SCHEMA, atoms, {"Connection": connections_of})
             )
         sights = [
-            NestedTuple(SIGHTSEEING_SCHEMA, item.atoms())
-            for item in si.subtuples("SightseeingOfStation")
+            _trusted(SIGHTSEEING_SCHEMA, dict(item._atoms), {})
+            for item in si._subs["SightseeingOfStation"]
         ]
-        return NestedTuple(
-            STATION_SCHEMA, st.atoms(), {"Platform": rebuilt_platforms, "Sightseeing": sights}
+        return _trusted(
+            STATION_SCHEMA,
+            dict(st._atoms),
+            {"Platform": rebuilt_platforms, "Sightseeing": sights},
         )
 
     # -- operations ------------------------------------------------------------------
@@ -213,7 +235,10 @@ class DASDBSNSMModel(StorageModel):
         return entry
 
     def fetch_full(self, ref: Ref) -> NestedTuple:
-        st_h, pl_h, co_h, si_h = self._entry(ref)
+        return self._read_assembled(self._entry(ref))
+
+    def _read_assembled(self, entry) -> NestedTuple:
+        st_h, pl_h, co_h, si_h = entry
         return self._assemble(
             self.stations.read(st_h),
             self.platforms.read(pl_h),
@@ -228,20 +253,13 @@ class DASDBSNSMModel(StorageModel):
         based on a value selection, whereupon we use the addresses in
         the index table to retrieve all other data by address."
         """
-        found_oid: int | None = None
+        found = False
         for row in self.stations.scan():
             if row["Key"] == key:
-                found_oid = self._oid_by_key[key]
-        if found_oid is None:
+                found = True
+        if not found:
             raise InvalidAddressError(f"no station with key {key}")
-        _, pl_h, co_h, si_h = self._entry(found_oid)
-        st_h = self._entry(found_oid)[0]
-        return self._assemble(
-            self.stations.read(st_h),
-            self.platforms.read(pl_h),
-            self.connections.read(co_h),
-            self.sightseeings.read(si_h),
-        )
+        return self._read_assembled(self._entry(self._oid_by_key[key]))
 
     def scan_all(self) -> int:
         stations = {row["Key"]: row for row in self.stations.scan()}

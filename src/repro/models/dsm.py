@@ -24,6 +24,7 @@ from repro.benchmark.schema import (
 from repro.errors import InvalidAddressError, ModelError
 from repro.models.base import Ref, StorageModel
 from repro.nf2.oid import Rid
+from repro.nf2.schema import require_projection
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
@@ -34,6 +35,10 @@ from repro.storage.page import SlottedPage
 SECTION_ROOT = 0
 SECTION_PLATFORMS = 1
 SECTION_SIGHTSEEINGS = 2
+
+# Proved once here, relied on by every ``_decode_sections``: the three
+# sections are the Station's own attributes and its two sub-relations.
+require_projection(STATION_SCHEMA, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA))
 
 
 class DirectModelBase(StorageModel):
@@ -189,7 +194,8 @@ class DirectModelBase(StorageModel):
         atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, sections[0], 0)
         platforms = self.serializer.decode_subtuple_list(PLATFORM_SCHEMA, sections[1])
         sights = self.serializer.decode_subtuple_list(SIGHTSEEING_SCHEMA, sections[2])
-        return NestedTuple(
+        # Decoded parts of a proven layout: relabelled, not re-validated.
+        return NestedTuple._from_trusted(
             STATION_SCHEMA, atoms, {"Platform": platforms, "Sightseeing": sights}
         )
 

@@ -27,11 +27,24 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.benchmark.schema import STATION_SCHEMA, key_of_oid, oid_of_key
+from repro.benchmark.schema import (
+    CONNECTION_SCHEMA,
+    PLATFORM_SCHEMA,
+    SIGHTSEEING_SCHEMA,
+    STATION_SCHEMA,
+    key_of_oid,
+    oid_of_key,
+)
 from repro.errors import InvalidAddressError, ModelError
 from repro.models.base import Ref, StorageModel
 from repro.nf2.oid import Rid
-from repro.nf2.schema import RelationSchema, int_attr, str_attr, link_attr
+from repro.nf2.schema import (
+    RelationSchema,
+    int_attr,
+    link_attr,
+    require_projection,
+    str_attr,
+)
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
@@ -74,6 +87,15 @@ NSM_SIGHTSEEING = RelationSchema.flat(
     str_attr("History"),
     str_attr("Remarks"),
 )
+
+# Proved once here, relied on by every ``_assemble``: dropping the key
+# columns of a flat row leaves exactly the nested schema's attributes.
+require_projection(NSM_STATION, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA))
+require_projection(NSM_PLATFORM, PLATFORM_SCHEMA, ("RootKey", "OwnKey"), (CONNECTION_SCHEMA,))
+require_projection(NSM_CONNECTION, CONNECTION_SCHEMA, ("RootKey", "ParentKey"))
+require_projection(NSM_SIGHTSEEING, SIGHTSEEING_SCHEMA, ("RootKey",))
+
+_trusted = NestedTuple._from_trusted
 
 
 class NSMModel(StorageModel):
@@ -155,37 +177,36 @@ class NSMModel(StorageModel):
         connections: Iterable[NestedTuple],
         sightseeings: Iterable[NestedTuple],
     ) -> NestedTuple:
-        """In-memory join reassembling the complex object."""
-        conn_by_parent: dict[int, list[NestedTuple]] = {}
-        from repro.benchmark.schema import CONNECTION_SCHEMA, PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA
+        """In-memory join reassembling the complex object.
 
+        The rows come straight from the decoder and the module-level
+        ``require_projection`` calls proved that a row minus its key
+        columns is a tuple of the nested schema, so the parts are
+        relabelled through the trusted constructor, not re-validated.
+        """
+        conn_by_parent: dict[int, list[NestedTuple]] = {}
         for row in connections:
-            atoms = row.atoms()
-            parent = atoms.pop("ParentKey")
-            atoms.pop("RootKey")
-            conn_by_parent.setdefault(parent, []).append(
-                NestedTuple(CONNECTION_SCHEMA, atoms)
+            atoms = dict(row._atoms)
+            del atoms["RootKey"]
+            conn_by_parent.setdefault(atoms.pop("ParentKey"), []).append(
+                _trusted(CONNECTION_SCHEMA, atoms, {})
             )
         rebuilt_platforms: list[NestedTuple] = []
-        for row in sorted(platforms, key=lambda r: r["OwnKey"]):
-            atoms = row.atoms()
-            own_key = atoms.pop("OwnKey")
-            atoms.pop("RootKey")
+        for row in sorted(platforms, key=lambda row: row._atoms["OwnKey"]):
+            atoms = dict(row._atoms)
+            del atoms["RootKey"]
+            connections_of = conn_by_parent.get(atoms.pop("OwnKey"), [])
             rebuilt_platforms.append(
-                NestedTuple(
-                    PLATFORM_SCHEMA,
-                    atoms,
-                    {"Connection": conn_by_parent.get(own_key, [])},
-                )
+                _trusted(PLATFORM_SCHEMA, atoms, {"Connection": connections_of})
             )
-        rebuilt_sights = []
+        rebuilt_sights: list[NestedTuple] = []
         for row in sightseeings:
-            atoms = row.atoms()
-            atoms.pop("RootKey")
-            rebuilt_sights.append(NestedTuple(SIGHTSEEING_SCHEMA, atoms))
-        return NestedTuple(
+            atoms = dict(row._atoms)
+            del atoms["RootKey"]
+            rebuilt_sights.append(_trusted(SIGHTSEEING_SCHEMA, atoms, {}))
+        return _trusted(
             STATION_SCHEMA,
-            root.atoms(),
+            dict(root._atoms),
             {"Platform": rebuilt_platforms, "Sightseeing": rebuilt_sights},
         )
 
@@ -534,8 +555,7 @@ class NSMIndexModel(NSMModel):
         # Value selection scans the root relation; sub-tuples via index.
         found = False
         for _, blob in self.stations.scan():
-            row = self.serializer.decode_flat(NSM_STATION, blob)
-            if row["Key"] == key:
+            if self.serializer.decode_atom(NSM_STATION, blob, "Key") == key:
                 found = True
         if not found:
             raise InvalidAddressError(f"no station with key {key}")

@@ -156,6 +156,41 @@ class RelationSchema:
         return RelationSchema(name=name, attributes=tuple(attributes))
 
 
+def require_projection(
+    storage: RelationSchema,
+    target: RelationSchema,
+    key_columns: tuple[str, ...] = (),
+    children: tuple[RelationSchema, ...] = (),
+) -> None:
+    """Prove that ``storage`` minus ``key_columns`` is ``target``, atom for atom.
+
+    A storage model that keeps a nested relation under a storage schema
+    of its own (the target's atomic attributes plus foreign-key columns)
+    reassembles objects by dropping the key columns and relabelling the
+    rest with the target schema.  That is only sound when the remaining
+    attributes equal the target's in name, type, size and order, and
+    when the tuples it attaches (``children``: their schemas, in order)
+    are exactly the target's sub-relations.  Both are checked here once,
+    when the model module is imported, so reassembly need not
+    re-validate every decoded tuple.  Raises :class:`SchemaError`
+    otherwise.
+    """
+    for name in key_columns:
+        if not storage.has_attribute(name):
+            raise SchemaError(f"relation {storage.name!r} has no key column {name!r}")
+    kept = tuple(attr for attr in storage.attributes if attr.name not in key_columns)
+    if kept != target.attributes:
+        raise SchemaError(
+            f"{storage.name!r} minus {list(key_columns)} stores {list(kept)}, "
+            f"{target.name!r} expects {list(target.attributes)}"
+        )
+    if children != target.subrelations:
+        raise SchemaError(
+            f"{target.name!r} nests {[sub.name for sub in target.subrelations]}, "
+            f"reassembly attaches {[sub.name for sub in children]}"
+        )
+
+
 def int_attr(name: str) -> Attribute:
     """Shorthand for a 4-byte INT attribute."""
     return Attribute(name, AttributeType.INT)

@@ -227,6 +227,21 @@ class _LayoutPlan:
 _from_trusted = NestedTuple._from_trusted
 
 
+def _undecodable(schema: RelationSchema, exc: Exception) -> SerializationError:
+    """The typed error for bytes that are not a stored ``schema`` tuple.
+
+    The decoder is the only gate in front of trusted tuples, so both
+    ways stored bytes can fail it — a truncated buffer (``struct.error``)
+    and a corrupt string (``UnicodeDecodeError``) — surface as
+    :class:`SerializationError`, translated once per entry point.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        return SerializationError(
+            f"corrupt string attribute in a {schema.name!r} tuple: {exc}"
+        )
+    return SerializationError(f"buffer too small to decode a {schema.name!r} tuple")
+
+
 def _decode_plan(plan: _LayoutPlan, data, pos: int) -> tuple[NestedTuple, int]:
     """Recursive plan-based decode; the flat unpack is inlined.
 
@@ -234,7 +249,8 @@ def _decode_plan(plan: _LayoutPlan, data, pos: int) -> tuple[NestedTuple, int]:
     avoids per-tuple method dispatch: one fused ``unpack_from`` per flat
     part, ``dict(zip(...))`` for the atoms, a string fix-up pass, then
     the sub-relation recursion.  ``struct.error`` (truncated buffer)
-    propagates; callers translate it to :class:`SerializationError`.
+    and ``UnicodeDecodeError`` (corrupt string) propagate; the entry
+    points translate them to :class:`SerializationError`.
     """
     fields = plan.flat_unpack(data, pos)
     atoms: dict[str, object] = dict(zip(plan.attr_names, fields[plan.value_index :]))
@@ -304,36 +320,30 @@ class NF2Serializer:
 
     def decode_flat(self, schema: RelationSchema, data: bytes) -> NestedTuple:
         """Decode the flat part of a tuple of ``schema`` from ``data``."""
-        atoms, _ = self._decode_flat_part(schema, data, 0)
         plan = self._plan(schema)
+        atoms = self._unpack_flat(plan, data, 0)
         if plan.empty_subs:
-            return NestedTuple._from_trusted(schema, atoms, {})
-        return NestedTuple._from_trusted(
-            schema, atoms, {name: [] for name in plan.sub_names}
-        )
+            return _from_trusted(schema, atoms, {})
+        return _from_trusted(schema, atoms, {name: [] for name in plan.sub_names})
 
     def _decode_flat_part(
         self, schema: RelationSchema, data: bytes, start: int
     ) -> tuple[dict[str, object], int]:
         plan = self._plan(schema)
-        return self._unpack_flat(plan, data, start)
+        return self._unpack_flat(plan, data, start), start + plan.flat_size
 
     @staticmethod
-    def _unpack_flat(
-        plan: _LayoutPlan, data, start: int
-    ) -> tuple[dict[str, object], int]:
+    def _unpack_flat(plan: _LayoutPlan, data, start: int) -> dict[str, object]:
         try:
             fields = plan.flat_unpack(data, start)
-        except struct.error:
-            raise SerializationError(
-                f"buffer too small to decode a {plan.schema.name!r} tuple"
-            ) from None
-        atoms: dict[str, object] = dict(
-            zip(plan.attr_names, fields[plan.value_index :])
-        )
-        for name in plan.str_names:
-            atoms[name] = atoms[name].rstrip(b"\x00").decode("utf-8")
-        return atoms, start + plan.flat_size
+            atoms: dict[str, object] = dict(
+                zip(plan.attr_names, fields[plan.value_index :])
+            )
+            for name in plan.str_names:
+                atoms[name] = atoms[name].rstrip(b"\x00").decode("utf-8")
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise _undecodable(plan.schema, exc) from None
+        return atoms
 
     def decode_atom(self, schema: RelationSchema, data: bytes, attr_name: str):
         """Decode a single atomic attribute without materialising the tuple.
@@ -349,9 +359,12 @@ class NF2Serializer:
                 f"relation {schema.name!r} has no atomic attribute {attr_name!r}"
             )
         pos, is_str, size = slot
-        if is_str:
-            return bytes(data[pos : pos + size]).rstrip(b"\x00").decode("utf-8")
-        return _I32.unpack_from(data, pos)[0]
+        try:
+            if is_str:
+                return bytes(data[pos : pos + size]).rstrip(b"\x00").decode("utf-8")
+            return _I32.unpack_from(data, pos)[0]
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise _undecodable(schema, exc) from None
 
     # -- nested encoding ----------------------------------------------------
 
@@ -403,23 +416,11 @@ class NF2Serializer:
 
     def decode_nested(self, schema: RelationSchema, data: bytes, start: int = 0) -> NestedTuple:
         """Decode a recursive encoding produced by :meth:`encode_nested`."""
+        plan = self._plan(schema)
         try:
-            value, _ = _decode_plan(self._plan(schema), memoryview(data), start)
-        except struct.error:
-            raise SerializationError(
-                f"buffer too small to decode a {schema.name!r} tuple"
-            ) from None
-        return value
-
-    def _decode_nested(
-        self, schema: RelationSchema, data: bytes, start: int
-    ) -> tuple[NestedTuple, int]:
-        try:
-            return _decode_plan(self._plan(schema), memoryview(data), start)
-        except struct.error:
-            raise SerializationError(
-                f"buffer too small to decode a {schema.name!r} tuple"
-            ) from None
+            return _decode_plan(plan, memoryview(data), start)[0]
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise _undecodable(schema, exc) from None
 
     # -- sub-tree lists (sections of long objects) ---------------------------
 
@@ -444,18 +445,16 @@ class NF2Serializer:
         """Decode a blob produced by :meth:`encode_subtuple_list`."""
         plan = self._plan(sub_schema)
         view = memoryview(data)
-        (count,) = _U32.unpack_from(view, start)
-        pos = start + plan.subrel_overhead
         children: list[NestedTuple] = []
         append = children.append
         try:
+            (count,) = _U32.unpack_from(view, start)
+            pos = start + plan.subrel_overhead
             for _ in range(count):
                 child, pos = _decode_plan(plan, view, pos)
                 append(child)
-        except struct.error:
-            raise SerializationError(
-                f"buffer too small to decode a {sub_schema.name!r} tuple"
-            ) from None
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise _undecodable(sub_schema, exc) from None
         return children
 
 

@@ -64,13 +64,17 @@ class NestedTuple:
         atoms: dict[str, Any],
         subs: dict[str, list["NestedTuple"]],
     ) -> "NestedTuple":
-        """Build a tuple without re-validating (decoder fast path).
+        """Build a tuple without re-validating (the read path).
 
-        The serializer only decodes bytes that were validated when they
-        were encoded, so the per-attribute checks of ``__init__`` would
-        re-prove a known invariant on every decoded tuple.  ``atoms``
-        must hold exactly the atomic attributes and ``subs`` exactly the
-        sub-relations of ``schema``; the dicts are adopted, not copied.
+        Two callers may use this.  The serializer, which only decodes
+        bytes that were validated when they were encoded; and a storage
+        model's reassembly, which relabels such decoded parts under a
+        schema that :func:`repro.nf2.schema.require_projection` proved
+        equivalent when the model module was imported.  In both, the
+        per-attribute checks of ``__init__`` would re-prove a known
+        invariant on every tuple.  ``atoms`` must hold exactly the
+        atomic attributes and ``subs`` exactly the sub-relations of
+        ``schema``; the dicts are adopted, not copied.
         """
         self = cls.__new__(cls)
         self.schema = schema

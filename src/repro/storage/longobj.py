@@ -36,6 +36,8 @@ from repro.storage.constants import PAGE_HEADER_SIZE
 from repro.storage.segment import Segment
 
 _DIR_MAGIC = 0x0B1E
+#: magic, section count, data page count, padded directory size.
+_DIR_HEADER = struct.Struct("<HHII")
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,7 @@ class LongObjectStore:
         self, header_ids: list[int], directory: ObjectDirectory, dir_size: int
     ) -> None:
         blob = bytearray()
-        blob += struct.pack(
-            "<HHII",
+        blob += _DIR_HEADER.pack(
             _DIR_MAGIC,
             directory.n_sections,
             len(directory.data_page_ids),
@@ -169,32 +170,37 @@ class LongObjectStore:
     # -- reading ----------------------------------------------------------------
 
     def read_directory(self, address: LongObjectAddress) -> ObjectDirectory:
-        """Fix the header pages (one I/O call) and decode the directory."""
-        header_ids = list(address.header_page_ids)
+        """Fix the header pages (one I/O call) and decode the directory.
+
+        The directory is decoded straight from the fixed root frame; the
+        header payloads are joined first only when the encoded entries
+        run past the root page (more than ~500 data pages).
+        """
+        header_ids = address.header_page_ids
         frames = self.buffer.fix_many(header_ids)
         try:
-            blob = b"".join(
-                bytes(frames[pid][PAGE_HEADER_SIZE:]) for pid in header_ids
+            blob = memoryview(frames[header_ids[0]])[PAGE_HEADER_SIZE:]
+            magic, n_sections, n_data_pages, _ = _DIR_HEADER.unpack_from(blob, 0)
+            if magic != _DIR_MAGIC:
+                raise InvalidAddressError(
+                    f"page {address.root_page_id} does not hold an object directory"
+                )
+            if self._directory_encoding_size(n_sections, n_data_pages) > len(blob):
+                blob = b"".join(
+                    memoryview(frames[pid])[PAGE_HEADER_SIZE:] for pid in header_ids
+                )
+            # One unpack: the data page ids, then (offset, length) pairs.
+            entries = struct.unpack_from(
+                f"<{n_data_pages + 2 * n_sections}I", blob, _DIR_HEADER.size
             )
         finally:
             for pid in header_ids:
                 self.buffer.unfix(pid)
-        magic, n_sections, n_data_pages, _ = struct.unpack_from("<HHII", blob, 0)
-        if magic != _DIR_MAGIC:
-            raise InvalidAddressError(
-                f"page {address.root_page_id} does not hold an object directory"
-            )
-        pos = struct.calcsize("<HHII")
-        data_ids = struct.unpack_from(f"<{n_data_pages}I", blob, pos) if n_data_pages else ()
-        pos += 4 * n_data_pages
-        offsets: list[int] = []
-        lengths: list[int] = []
-        for _ in range(n_sections):
-            offset, length = struct.unpack_from("<II", blob, pos)
-            offsets.append(offset)
-            lengths.append(length)
-            pos += 8
-        directory = ObjectDirectory(tuple(data_ids), tuple(offsets), tuple(lengths))
+        directory = ObjectDirectory(
+            entries[:n_data_pages],
+            entries[n_data_pages::2],
+            entries[n_data_pages + 1 :: 2],
+        )
         self._directories[address.root_page_id] = directory
         return directory
 
@@ -210,41 +216,45 @@ class LongObjectStore:
         (all data pages) is read — the DSM behaviour.  With a subset,
         only the data pages overlapping those sections are transferred —
         the DASDBS-DSM behaviour (Equation 5).
+
+        Each section is copied once, out of the fixed frames: one
+        ``join`` of its per-page frame slices.
         """
         directory = self.read_directory(address)
+        data_page_ids = directory.data_page_ids
         if section_ids is None:
-            wanted = list(range(directory.n_sections))
+            wanted: Sequence[int] = range(directory.n_sections)
+            needed_ids = list(data_page_ids)
         else:
             wanted = list(section_ids)
             for sid in wanted:
                 if not 0 <= sid < directory.n_sections:
                     raise InvalidAddressError(f"object has no section {sid}")
+            needed_ids = [
+                data_page_ids[i] for i in self._pages_for_sections(directory, wanted)
+            ]
 
-        page_indexes = self._pages_for_sections(directory, wanted)
-        needed_ids = [directory.data_page_ids[i] for i in page_indexes]
         frames = self.buffer.fix_many(needed_ids)
         try:
-            chunks = {
-                index: bytes(frames[directory.data_page_ids[index]][PAGE_HEADER_SIZE:])
-                for index in page_indexes
-            }
+            payload = self.payload_per_page
+            offsets, lengths = directory.section_offsets, directory.section_lengths
+            out: list[bytes] = []
+            for sid in wanted:
+                pos, left = offsets[sid], lengths[sid]
+                pieces = []
+                while left:
+                    page_index, in_page = divmod(pos, payload)
+                    take = min(left, payload - in_page)
+                    at = PAGE_HEADER_SIZE + in_page
+                    pieces.append(
+                        memoryview(frames[data_page_ids[page_index]])[at : at + take]
+                    )
+                    pos += take
+                    left -= take
+                out.append(b"".join(pieces))
         finally:
             for pid in needed_ids:
                 self.buffer.unfix(pid)
-
-        payload = self.payload_per_page
-        out: list[bytes] = []
-        for sid in wanted:
-            start, end = directory.section_range(sid)
-            piece = bytearray()
-            pos = start
-            while pos < end:
-                page_index = pos // payload
-                in_page = pos - page_index * payload
-                take = min(end - pos, payload - in_page)
-                piece += chunks[page_index][in_page : in_page + take]
-                pos += take
-            out.append(bytes(piece))
         return out
 
     def pages_of(self, address: LongObjectAddress) -> tuple[int, int]:
@@ -377,4 +387,4 @@ class LongObjectStore:
 
     @staticmethod
     def _directory_encoding_size(n_sections: int, n_data_pages: int) -> int:
-        return struct.calcsize("<HHII") + 4 * n_data_pages + 8 * n_sections
+        return _DIR_HEADER.size + 4 * n_data_pages + 8 * n_sections

@@ -16,7 +16,11 @@ class TestFullRetrievalEquivalence:
     def test_fetch_full_matches_source(self, loaded_model, small_stations):
         model = loaded_model
         if not model.supports_oid_access:
-            pytest.skip("no OID access")
+            # Plain NSM stores no identifiers: retrieval by OID is a
+            # typed refusal, not a silently different access path.
+            with pytest.raises(UnsupportedOperationError):
+                model.fetch_full(model.ref_of(0))
+            return
         for oid in (0, 7, len(small_stations) - 1):
             assert model.fetch_full(model.ref_of(oid)) == small_stations[oid]
 

@@ -1,0 +1,209 @@
+"""Trusted assembly is indistinguishable from validated assembly.
+
+The models reassemble objects through ``NestedTuple._from_trusted``: the
+per-tuple validation of the public constructor is replaced by one proof
+per storage schema (``require_projection``, run when the model module is
+imported).  These tests hold the fast path to the slow path's contract:
+every assembled object equals the generated one, rebuilds unchanged
+through the validating constructor, and shares no mutable state with
+the next fetch — in every state a model can be in.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.benchmark.schema import (
+    CONNECTION_SCHEMA,
+    PLATFORM_SCHEMA,
+    STATION_SCHEMA,
+    key_of_oid,
+)
+from repro.benchmark.snapshots import SnapshotStore
+from repro.errors import SchemaError
+from repro.models.nsm import NSM_PLATFORM
+from repro.nf2.schema import (
+    Attribute,
+    AttributeType,
+    RelationSchema,
+    int_attr,
+    require_projection,
+    str_attr,
+)
+from repro.nf2.values import NestedTuple
+from tests.conftest import build_loaded_model
+
+UPDATED_OIDS = (2, 11, 30)
+CHANGES = {"Name": "renamed", "NoSeeing": 99}
+
+
+def revalidated(value: NestedTuple) -> NestedTuple:
+    """``value`` rebuilt, at every level, by the validating constructor."""
+    return NestedTuple(
+        value.schema,
+        value.atoms(),
+        {
+            sub.name: [revalidated(child) for child in value.subtuples(sub.name)]
+            for sub in value.schema.subrelations
+        },
+    )
+
+
+def _fresh(name, stations, config):
+    return build_loaded_model(name, stations), list(stations)
+
+
+def _updated(name, stations, config):
+    model = build_loaded_model(name, stations)
+    model.update_roots([model.ref_of(oid) for oid in UPDATED_OIDS], CHANGES)
+    expected = list(stations)
+    for oid in UPDATED_OIDS:
+        expected[oid] = expected[oid].replace_atoms(**CHANGES)
+    return model, expected
+
+
+def _reclustered(name, stations, config):
+    model = build_loaded_model(name, stations)
+    model.recluster(list(reversed(range(len(stations)))))
+    return model, list(stations)
+
+
+def _cloned(name, stations, config):
+    store = SnapshotStore()
+    snapshot = store.get(config, name, lambda: stations)
+    return store.clone(snapshot, config), list(stations)
+
+
+STATES = {
+    "fresh": _fresh,
+    "updated": _updated,
+    "reclustered": _reclustered,
+    "snapshot-clone": _cloned,
+}
+
+
+@pytest.fixture(params=sorted(STATES))
+def model_and_expected(request, any_model_name, small_stations, small_config):
+    model, expected = STATES[request.param](any_model_name, small_stations, small_config)
+    yield model, expected
+    model.engine.close()
+
+
+def _fetchers(model):
+    """Every single-object access path the model supports."""
+    paths = [lambda oid: model.fetch_full_by_key(key_of_oid(oid))]
+    if model.supports_oid_access:
+        paths.append(lambda oid: model.fetch_full(model.ref_of(oid)))
+    return paths
+
+
+class TestAssembledObjects:
+    def test_every_access_path_returns_the_generated_object(self, model_and_expected):
+        model, expected = model_and_expected
+        for fetch in _fetchers(model):
+            for oid, station in enumerate(expected):
+                got = fetch(oid)
+                assert got == station
+                assert got.schema is STATION_SCHEMA
+                assert revalidated(got) == got
+
+    def test_scan_assembles_the_generated_objects(self, model_and_expected, monkeypatch):
+        model, expected = model_and_expected
+        # The scan discards what it assembles; record it on the way out.
+        seam = "_assemble" if hasattr(model, "_assemble") else "_decode_sections"
+        assemble = getattr(model, seam)
+        assembled = []
+
+        def recording(*parts):
+            assembled.append(assemble(*parts))
+            return assembled[-1]
+
+        monkeypatch.setattr(model, seam, recording)
+        assert model.scan_all() == len(expected)
+        by_key = {station["Key"]: station for station in expected}
+        assert assembled  # every model stores some object through the seam
+        for got in assembled:
+            assert got == by_key[got["Key"]]
+            assert revalidated(got) == got
+
+    def test_children_carry_the_nested_schemas(self, model_and_expected):
+        model, _ = model_and_expected
+        got = model.fetch_full_by_key(key_of_oid(7))
+        for platform in got.subtuples("Platform"):
+            assert platform.schema is PLATFORM_SCHEMA
+            for connection in platform.subtuples("Connection"):
+                assert connection.schema is CONNECTION_SCHEMA
+
+    def test_fetches_share_no_mutable_state(self, model_and_expected):
+        model, expected = model_and_expected
+        oid = next(
+            oid
+            for oid, station in enumerate(expected)
+            if any(p.subtuples("Connection") for p in station.subtuples("Platform"))
+        )
+        for fetch in _fetchers(model):
+            first = fetch(oid)
+            # Vandalise every mutable container of the first result.
+            for platform in first._subs["Platform"]:
+                platform._subs["Connection"].clear()
+                platform._atoms["Information"] = "scribbled"
+            first._subs["Platform"].clear()
+            first._subs["Sightseeing"].append(first)
+            first._atoms["Name"] = "scribbled"
+            assert fetch(oid) == expected[oid]
+
+
+class TestProjectionProof:
+    """The once-per-schema proof that stands in for per-tuple validation."""
+
+    KEYS = ("RootKey", "OwnKey")
+
+    def _variant(self, *attributes: Attribute) -> RelationSchema:
+        return RelationSchema.flat("Variant", int_attr("RootKey"), int_attr("OwnKey"), *attributes)
+
+    def _prove(self, storage: RelationSchema) -> None:
+        require_projection(storage, PLATFORM_SCHEMA, self.KEYS, (CONNECTION_SCHEMA,))
+
+    def test_accepts_the_real_storage_schema(self):
+        self._prove(NSM_PLATFORM)
+        self._prove(self._variant(*PLATFORM_SCHEMA.attributes))
+
+    def test_rejects_a_renamed_attribute(self):
+        nr, no_line, ticket, info = PLATFORM_SCHEMA.attributes
+        with pytest.raises(SchemaError):
+            self._prove(self._variant(nr, int_attr("Lines"), ticket, info))
+
+    def test_rejects_a_resized_attribute(self):
+        nr, no_line, ticket, _ = PLATFORM_SCHEMA.attributes
+        with pytest.raises(SchemaError):
+            self._prove(self._variant(nr, no_line, ticket, str_attr("Information", 64)))
+
+    def test_rejects_a_retyped_attribute(self):
+        nr, no_line, _, info = PLATFORM_SCHEMA.attributes
+        retyped = Attribute("TicketCode", AttributeType.LINK)
+        with pytest.raises(SchemaError):
+            self._prove(self._variant(nr, no_line, retyped, info))
+
+    def test_rejects_reordered_attributes(self):
+        nr, no_line, ticket, info = PLATFORM_SCHEMA.attributes
+        with pytest.raises(SchemaError):
+            self._prove(self._variant(no_line, nr, ticket, info))
+
+    def test_rejects_a_missing_or_extra_attribute(self):
+        nr, no_line, ticket, info = PLATFORM_SCHEMA.attributes
+        with pytest.raises(SchemaError):
+            self._prove(self._variant(nr, no_line, ticket))
+        with pytest.raises(SchemaError):
+            self._prove(self._variant(nr, no_line, ticket, info, int_attr("Extra")))
+
+    def test_rejects_an_unknown_key_column(self):
+        with pytest.raises(SchemaError):
+            require_projection(
+                NSM_PLATFORM, PLATFORM_SCHEMA, ("RootKey", "NoSuchKey"), (CONNECTION_SCHEMA,)
+            )
+
+    def test_rejects_the_wrong_children(self):
+        with pytest.raises(SchemaError):
+            require_projection(NSM_PLATFORM, PLATFORM_SCHEMA, self.KEYS)
+        with pytest.raises(SchemaError):
+            require_projection(NSM_PLATFORM, PLATFORM_SCHEMA, self.KEYS, (PLATFORM_SCHEMA,))

@@ -139,6 +139,62 @@ class TestNestedRoundtrip:
             assert ser.decode_nested(STATION_SCHEMA, blob) == station
 
 
+class TestCorruptBytes:
+    """Stored bytes that fail the decoder raise the typed error.
+
+    The decoder is the only gate in front of trusted tuples, so neither
+    a corrupt string (``UnicodeDecodeError``) nor a truncated buffer
+    (``struct.error``) may escape it untyped, at any entry point.
+    """
+
+    @staticmethod
+    def _station():
+        return generate_stations(BenchmarkConfig(n_objects=1, seed=3))[0]
+
+    @staticmethod
+    def _with_bad_name(blob: bytes) -> bytes:
+        """``blob`` with the first byte of the Station's ``Name`` set to 0xFF."""
+        at = DASDBS_FORMAT.flat_size(STATION_SCHEMA) - STATION_SCHEMA.attribute("Name").size
+        return blob[:at] + b"\xff" + blob[at + 1 :]
+
+    def test_decode_nested_corrupt_string(self):
+        blob = self._with_bad_name(ser.encode_nested(self._station()))
+        with pytest.raises(SerializationError, match="corrupt string"):
+            ser.decode_nested(STATION_SCHEMA, blob)
+
+    def test_decode_flat_corrupt_string(self):
+        blob = self._with_bad_name(ser.encode_flat(self._station()))
+        with pytest.raises(SerializationError, match="corrupt string"):
+            ser.decode_flat(STATION_SCHEMA, blob)
+        with pytest.raises(SerializationError, match="corrupt string"):
+            ser._decode_flat_part(STATION_SCHEMA, blob, 0)
+
+    def test_decode_atom_corrupt_string(self):
+        blob = self._with_bad_name(ser.encode_flat(self._station()))
+        with pytest.raises(SerializationError, match="corrupt string"):
+            ser.decode_atom(STATION_SCHEMA, blob, "Name")
+        # An intact attribute of the same tuple still decodes.
+        assert ser.decode_atom(STATION_SCHEMA, blob, "Key") == self._station()["Key"]
+
+    def test_decode_subtuple_list_corrupt_string(self):
+        blob = bytearray(ser.encode_subtuple_list(INNER, [inner(1, "ab"), inner(2, "cd")]))
+        blob[-16] = 0xFF  # first byte of the last child's ``s``
+        with pytest.raises(SerializationError, match="corrupt string"):
+            ser.decode_subtuple_list(INNER, bytes(blob))
+
+    def test_truncated_buffers_at_every_entry_point(self):
+        nested = ser.encode_nested(outer(inners=[inner(1, "a")]))
+        with pytest.raises(SerializationError, match="too small"):
+            ser.decode_nested(OUTER, nested[:-1])
+        listed = ser.encode_subtuple_list(INNER, [inner(1, "a")])
+        with pytest.raises(SerializationError, match="too small"):
+            ser.decode_subtuple_list(INNER, listed[:-1])
+        with pytest.raises(SerializationError, match="too small"):
+            ser.decode_subtuple_list(INNER, listed[:2])  # not even a count
+        with pytest.raises(SerializationError, match="too small"):
+            ser.decode_atom(INNER, ser.encode_flat(inner())[:-17], "x")
+
+
 # -- property-based tests ----------------------------------------------------
 
 inner_strategy = st.builds(

@@ -168,3 +168,116 @@ class TestUpdates:
         new_sight = b"Z" * 3400  # spans two data pages
         store.patch_section(addr, 2, new_sight)
         assert store.read(addr, [2]) == [new_sight]
+
+
+def _patterned(length: int, salt: int) -> bytes:
+    """Non-repeating-looking bytes, so a misplaced slice cannot pass."""
+    return bytes((salt + index * 7 + index // 251) % 256 for index in range(length))
+
+
+@pytest.fixture(params=["memory", "mmap"])
+def cold_store(request, tmp_path):
+    """A store whose next read is cold; mmap frames come back read-only."""
+    kwargs = {}
+    if request.param == "mmap":
+        kwargs = {"backend": "mmap", "backend_path": str(tmp_path / "long.pages")}
+    with StorageEngine(buffer_pages=700, **kwargs) as engine:
+        yield LongObjectStore(engine.new_segment("objects"), DASDBS_FORMAT)
+
+
+def _restart(store):
+    store.buffer.clear()
+    store._directories.clear()
+
+
+class TestSingleCopyRead:
+    """``read``/``read_directory`` decode straight out of fixed frames."""
+
+    def test_frames_are_read_only_on_mmap(self, cold_store, request):
+        addr = cold_store.store(SECTIONS, n_subtuples=13)
+        _restart(cold_store)
+        assert cold_store.read(addr) == SECTIONS
+        frame = cold_store.buffer._frames[addr.root_page_id].data
+        if request.node.callspec.params["cold_store"] == "mmap":
+            assert isinstance(frame, memoryview) and frame.readonly
+        else:
+            assert isinstance(frame, bytearray)
+
+    def test_padded_directory_over_several_header_pages(self, cold_store):
+        sections = [_patterned(150, 1), _patterned(900, 2), _patterned(2500, 3)]
+        addr = cold_store.store(sections, n_subtuples=600)
+        assert len(addr.header_page_ids) > 1
+        _restart(cold_store)
+        directory = cold_store.read_directory(addr)
+        assert directory.section_lengths == (150, 900, 2500)
+        assert directory.section_offsets == (0, 150, 1050)
+        assert cold_store.read(addr) == sections
+        assert cold_store.buffer.fixed_pages() == []
+
+    def test_directory_entries_straddling_header_pages(self, cold_store):
+        payload = cold_store.payload_per_page
+        sections = [_patterned(40, 5), _patterned(payload * 520 + 17, 6), b"tail"]
+        addr = cold_store.store(sections, n_subtuples=0)
+        # 4 bytes per data page id: the id list alone outgrows one page.
+        assert len(addr.header_page_ids) > 1
+        stored = cold_store._directories[addr.root_page_id]
+        _restart(cold_store)
+        assert cold_store.read_directory(addr) == stored
+        assert cold_store.read(addr) == sections
+        assert cold_store.read(addr, [2, 0]) == [sections[2], sections[0]]
+        assert cold_store.buffer.fixed_pages() == []
+
+    def test_section_straddling_data_pages(self, cold_store):
+        payload = cold_store.payload_per_page
+        sections = [
+            _patterned(payload - 10, 1),  # ends 10 bytes short of the boundary
+            _patterned(20, 2),  # straddles page 0 / page 1
+            _patterned(2 * payload + 5, 3),  # covers a whole page and two partial ones
+        ]
+        addr = cold_store.store(sections, n_subtuples=3)
+        _restart(cold_store)
+        assert cold_store.read(addr) == sections
+        _restart(cold_store)
+        assert cold_store.read(addr, [1]) == [sections[1]]
+        assert all(type(blob) is bytes for blob in cold_store.read(addr))
+
+    def test_zero_length_sections(self, cold_store):
+        payload = cold_store.payload_per_page
+        sections = [b"", _patterned(payload, 4), b"", _patterned(9, 5), b""]
+        addr = cold_store.store(sections, n_subtuples=2)
+        _restart(cold_store)
+        assert cold_store.read(addr) == sections
+        assert cold_store.read(addr, [0, 2, 4]) == [b"", b"", b""]
+
+    def test_subset_reads_only_the_overlapping_pages(self, cold_store):
+        addr = cold_store.store(SECTIONS, n_subtuples=13)
+        _restart(cold_store)
+        metrics = cold_store.segment.disk.metrics
+        metrics.reset()
+        assert cold_store.read(addr, [1, 0]) == [SECTIONS[1], SECTIONS[0]]
+        assert metrics.snapshot().pages_read == 1 + 1  # header + first data page
+        assert cold_store.buffer.fixed_pages() == []
+
+    def test_bad_section_id_leaves_nothing_fixed(self, cold_store):
+        addr = cold_store.store(SECTIONS, n_subtuples=13)
+        _restart(cold_store)
+        for bad in ([3], [-1], [0, 9]):
+            with pytest.raises(InvalidAddressError):
+                cold_store.read(addr, bad)
+        assert cold_store.buffer.fixed_pages() == []
+
+    def test_bad_magic_leaves_nothing_fixed(self, cold_store):
+        from repro.storage.longobj import LongObjectAddress
+
+        addr = cold_store.store(SECTIONS, n_subtuples=13)
+        data_page = cold_store._directories[addr.root_page_id].data_page_ids[0]
+        _restart(cold_store)
+        for bogus in (
+            LongObjectAddress((data_page,)),
+            LongObjectAddress((data_page, addr.root_page_id)),
+        ):
+            with pytest.raises(InvalidAddressError):
+                cold_store.read(bogus)
+            with pytest.raises(InvalidAddressError):
+                cold_store.read_directory(bogus)
+        assert cold_store.buffer.fixed_pages() == []
