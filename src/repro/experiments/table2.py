@@ -37,20 +37,15 @@ class Table2Row:
 def _measured_pages(config: BenchmarkConfig) -> dict[str, dict[str, int]]:
     """Per-relation page counts of loaded (not queried) models.
 
-    The two physical segments of a mixed store (small/large) are folded
-    into their logical relation.
+    A relation's count covers both of its physical segments (shared
+    small-record pages and private long-record pages).
     """
     runner = BenchmarkRunner(config)
     out: dict[str, dict[str, int]] = {}
     for name in MEASURED_MODELS:
         model = runner.build_model(name)
         try:
-            folded: dict[str, int] = {}
-            for segment, pages in model.relation_pages().items():
-                logical = segment.replace("(small)", "").replace("(large)", "")
-                logical = logical.replace("_small", "").replace("_large", "")
-                folded[logical] = folded.get(logical, 0) + pages
-            out[name] = folded
+            out[name] = model.relation_pages()
         finally:
             model.engine.close()
     return out

@@ -10,13 +10,13 @@
   per-object nesting and an in-memory transformation table.
 """
 
+from repro.models.addressing import AddressTable, Relation
 from repro.models.base import Ref, StorageModel
 from repro.models.dasdbs_dsm import DASDBSDSMModel
 from repro.models.dasdbs_nsm import DASDBSNSMModel
 from repro.models.dsm import DSMModel
 from repro.models.mixed import MixedTupleStore
 from repro.models.nsm import NSMIndexModel, NSMModel
-from repro.models.parts import ALL_PARTS, NAVIGATION_PARTS, Parts
 from repro.models.registry import (
     FOCUS_MODELS,
     MEASURED_MODELS,
@@ -27,7 +27,7 @@ from repro.models.registry import (
 )
 
 __all__ = [
-    "ALL_PARTS",
+    "AddressTable",
     "DASDBSDSMModel",
     "DASDBSNSMModel",
     "DSMModel",
@@ -36,11 +36,10 @@ __all__ = [
     "MODEL_ALIASES",
     "MODEL_CLASSES",
     "MixedTupleStore",
-    "NAVIGATION_PARTS",
     "NSMIndexModel",
     "NSMModel",
-    "Parts",
     "Ref",
+    "Relation",
     "StorageModel",
     "create_model",
     "resolve_models",

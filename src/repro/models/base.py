@@ -18,6 +18,14 @@ objects by OID (the paper's 4-byte physical LINK, here the object's
 sequence number resolved through an in-memory address table, whose I/O
 the paper also excludes); plain NSM has no physical identifiers and
 navigates by logical key (``KeyConnection``).
+
+Everything that is *not* decomposition or access path — load, insert,
+delete, reclustering, online moves, crash recovery, snapshots, sharded
+scan partitioning, page statistics — is implemented here, once, over
+the model's :class:`~repro.models.addressing.AddressTable`.  A concrete
+model declares its relations (``self.table = AddressTable([...])``),
+writes an object's records (:meth:`StorageModel._store`), reads them
+back (the six access paths) and says how one scanned record is decoded.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.benchmark.schema import key_of_oid
 from repro.errors import ModelError, UnsupportedOperationError
+from repro.models.addressing import AddressTable, Row
 from repro.nf2.serializer import DASDBS_FORMAT, NF2Serializer, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
@@ -43,6 +52,14 @@ class StorageModel(ABC):
 
     #: Whether query 1a (retrieve by OID) is meaningful for this model.
     supports_oid_access: bool = True
+
+    #: Every object's record addresses; built by the concrete model's
+    #: constructor from the relations it declares.
+    table: AddressTable
+
+    #: This replica's share of a scatter-gather scan, per relation
+    #: (``prepare_scan_partition``); ``None`` until prepared.
+    _scan_units: list | None = None
 
     def __init__(
         self,
@@ -71,14 +88,32 @@ class StorageModel(ABC):
         return ref
 
     def all_refs(self) -> list[Ref]:
-        """References of every object, in OID order."""
-        return [self.ref_of(oid) for oid in range(self.n_objects)]
+        """References of every object not deleted, in OID order."""
+        return [self.ref_of(oid) for oid in self.table.live_oids()]
 
     # -- operations -----------------------------------------------------------
 
-    @abstractmethod
     def load(self, stations: Sequence[NestedTuple]) -> None:
-        """Bulk-load the extension (OID = position) and flush to disk."""
+        """Bulk-load the extension (OID = position) and flush to disk.
+
+        A key repeated within ``stations`` is refused before anything
+        is written.
+        """
+        if self.n_objects:
+            raise ModelError("model already loaded")
+        if len({station["Key"] for station in stations}) != len(stations):
+            raise ModelError("stations to load repeat a key")
+        for station in stations:
+            self.insert_object(station)
+        self.engine.flush()
+
+    def _store(self, station: NestedTuple) -> Row:
+        """Write the records of one object; returns its table row.
+
+        The model's decomposition: which relations a Station is spread
+        over, and as which records.
+        """
+        raise self._not_supported("storing objects")
 
     @abstractmethod
     def fetch_full(self, ref: Ref) -> NestedTuple:
@@ -97,7 +132,8 @@ class StorageModel(ABC):
         """Outgoing references of the given objects, in storage order.
 
         This is the navigation step: only the parts of the objects that
-        hold references are accessed (``NAVIGATION_PARTS``).
+        hold references are accessed (root attributes and the
+        Platform/Connection sub-tree; never the Sightseeings).
         """
 
     def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
@@ -129,21 +165,16 @@ class StorageModel(ABC):
         """Precompute this replica's share of a scatter-gather scan.
 
         ``owned`` is a predicate over OIDs (``owner`` membership from a
-        :class:`~repro.sharding.ShardRouter`).  The model derives, from
-        its in-memory address tables alone (no I/O — this may run at
-        facade-construction time but must never pollute counters), the
-        disjoint set of scan units it owns: shared heap pages whose
-        *first* record belongs to an owned object, plus privately-owned
-        long objects of owned OIDs.  Pages holding no addressed record
-        (possible after deletes) go to the shard with ``take_orphans``
-        so the union over all shards covers exactly one full scan.
-
-        Models that need a metadata pass with I/O (plain NSM has no
-        address table) may read pages here; callers must therefore
-        invoke this outside measured intervals — the workload executor's
-        restart-and-reset discipline guarantees it.
+        :class:`~repro.sharding.ShardRouter`).  The address table alone
+        (no I/O — this may run at facade-construction time but must
+        never pollute counters) yields the disjoint set of scan units
+        the replica owns: shared heap pages whose *first* record belongs
+        to an owned object, plus privately-owned long records of owned
+        OIDs.  Pages holding no addressed record (possible after
+        deletes) go to the shard with ``take_orphans`` so the union
+        over all shards covers exactly one full scan.
         """
-        raise self._not_supported("sharded scan partitioning")
+        self._scan_units = self.table.scan_units(owned, take_orphans)
 
     def scan_partition(self) -> int:
         """Scan only the units owned by this replica; returns the count.
@@ -151,24 +182,48 @@ class StorageModel(ABC):
         The scatter half of a sharded ``scan_all``: across all replicas
         the owned units partition the full scan, so the counts — and,
         on each replica's own engine, the page fixes and I/O — sum to
-        exactly one unsharded :meth:`scan_all`.
+        exactly one unsharded :meth:`scan_all`.  Relations are walked in
+        table order with the per-record decode work of ``scan_all``; the
+        reassembly join needs records owned by other shards and happens
+        at the gather stage, so only the count is produced — one per
+        record of the root relation (relation 0 of every model).
         """
+        if self._scan_units is None:
+            raise self._not_supported("scan_partition before prepare_scan_partition")
+        count = 0
+        for index, (relation, (pages, longs)) in enumerate(
+            zip(self.table.relations, self._scan_units)
+        ):
+            records = len(longs)
+            for _, blob in relation.heap.scan_pages(pages):
+                self._decode_record(index, blob)
+                records += 1
+            for address in longs:
+                self._decode_long(index, address)
+            if index == 0:
+                count = records
+        return count
+
+    def _decode_record(self, index: int, blob) -> None:
+        """Decode one scanned heap record of relation ``index``."""
+        raise self._not_supported("sharded scan partitioning")
+
+    def _decode_long(self, index: int, address) -> None:
+        """Read and decode one long record of relation ``index``."""
         raise self._not_supported("sharded scan partitioning")
 
     # -- reorganisation ------------------------------------------------------------
 
-    def recluster(self, order: Sequence[int]) -> dict:
+    def recluster(self, order: Sequence[int]) -> None:
         """Rewrite the model's shared-page segments into object ``order``.
 
         ``order`` is a permutation of all OIDs (deleted objects are
         listed too and simply contribute no records).  Records of the
         same object keep their relative order; records of adjacent
         objects in ``order`` become physically adjacent — the layout
-        the placement policies compute from workload statistics.  Every
-        model keeps its address structures valid by remapping them
-        through the heap forwarding maps, so all references survive the
-        move; the returned dict exposes those per-segment forwarding
-        maps for tests and tooling.
+        the placement policies compute from workload statistics.  The
+        address table follows the heap forwarding maps, so all
+        references survive the move.
 
         Only shared slotted pages move: long objects own their pages
         privately (no co-residency to improve) and stay in place.  The
@@ -176,7 +231,8 @@ class StorageModel(ABC):
         reclustered image and clones stay bit-identical to an in-place
         reorganisation.
         """
-        raise self._not_supported("reclustering")
+        self._validate_order(order)
+        self.table.recluster(order)
 
     def move_objects(self, oids: Sequence[int], max_pages: int) -> int:
         """Relocate the records of ``oids`` so they pack adjacently.
@@ -184,18 +240,13 @@ class StorageModel(ABC):
         The *online* sibling of :meth:`recluster`: a bounded, partial
         reorganisation safe to run between operations of a live
         workload.  At most ``max_pages`` pages are written **per shared
-        segment**; whatever does not fit the budget stays where it is.
-        All address structures are remapped through the partial
-        forwarding maps, so every reference survives.  Returns the
-        number of pages the move batch wrote.
-
-        The base implementation moves nothing and returns 0 — correct
-        for models with no physical address tables to maintain (plain
-        NSM navigates by key and is placement-invariant at this
-        interface), and it keeps ``--recluster online`` runnable across
-        the whole model grid.
+        segment**; whatever does not fit the budget stays where it is
+        (the next trigger gets another chance), and long records never
+        move.  The address table follows the partial forwarding maps,
+        so every reference survives.  Returns the number of pages the
+        move batch wrote.
         """
-        return 0
+        return self.table.move(oids, max_pages)
 
     def apply_recovery(self, report) -> None:
         """Remap in-memory address tables after crash recovery.
@@ -205,11 +256,9 @@ class StorageModel(ABC):
         forwarding covers every durable reorganisation batch since the
         last checkpoint.  Page ids are never reused, so remapping a
         table that already saw part of the relocation live is a no-op
-        for those entries — subclasses apply the maps unconditionally.
-        The base implementation does nothing, which is correct for
-        models holding no record addresses (plain NSM navigates by
-        logical key).
+        for those entries — the maps are applied unconditionally.
         """
+        self.table.apply_recovery(report)
 
     def _validate_order(self, order: Sequence[int]) -> None:
         # Deferred import: the clustering package's driver replays
@@ -237,12 +286,14 @@ class StorageModel(ABC):
         copy (mutating the live model must never corrupt it), and must
         be picklable (process-pool sweeps spill it to disk).
         """
-        raise self._not_supported("state capture")
+        return self.table.capture_state()
 
     def restore_state(self, state: dict) -> None:
         """Adopt captured state on a freshly constructed model whose
         engine's disk was restored from the matching snapshot."""
-        raise self._not_supported("state restore")
+        self._require_unloaded()
+        self.table.restore_state(state)
+        self.n_objects = len(self.table)
 
     def _require_unloaded(self) -> None:
         if self.n_objects:
@@ -257,24 +308,31 @@ class StorageModel(ABC):
         """Add one object to a loaded database; returns its new OID.
 
         The benchmark itself only bulk-loads, but a usable storage
-        library must support incremental growth; every model keeps its
-        address structures consistent under inserts.
+        library must support incremental growth.  A key some live
+        object already carries is refused: value selections (and plain
+        NSM's value-based delete) identify objects by it.
         """
-        raise self._not_supported("incremental insert")
+        key = station["Key"]
+        if self.table.find(key) is not None:
+            raise ModelError(f"a station with key {key} is already stored")
+        oid = self.table.add(key, self._store(station))
+        self.n_objects = oid + 1
+        return oid
 
     def delete_object(self, ref: Ref) -> None:
         """Remove one object; its references become invalid.
 
         Pages privately owned by the object are returned to the disk;
-        shared pages keep serving their other tuples.
+        shared pages keep serving their other tuples.  An unknown or
+        already deleted reference raises before anything is touched.
         """
-        raise self._not_supported("deletion")
+        self.table.delete(ref)
 
     # -- statistics ---------------------------------------------------------------
 
-    @abstractmethod
     def relation_pages(self) -> dict[str, int]:
-        """Pages per relation/segment — the parameter ``m`` (Table 2)."""
+        """Pages per relation — the parameter ``m`` (Table 2)."""
+        return self.table.relation_pages()
 
     def total_pages(self) -> int:
         """Total allocated pages of this model's representation."""

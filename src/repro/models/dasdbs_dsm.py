@@ -32,6 +32,7 @@ from repro.models.dsm import (
     SECTION_ROOT,
     DirectModelBase,
 )
+from repro.nf2.oid import Rid
 from repro.nf2.values import NestedTuple
 
 
@@ -58,9 +59,7 @@ class DASDBSDSMModel(DirectModelBase):
         """
         for _, blob in self.heap.scan():
             yield self.serializer.decode_nested(STATION_SCHEMA, blob)
-        for kind, handle in self._handles:
-            if kind != "long":
-                continue
+        for handle in self.table.long_handles(0):
             (root_blob,) = self.long_store.read(handle, [SECTION_ROOT])
             atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, root_blob, 0)
             if atoms["Key"] == key:
@@ -78,8 +77,8 @@ class DASDBSDSMModel(DirectModelBase):
         object therefore causes an immediate single-page write call.
         """
         for ref in self._dedupe(refs):
-            kind, handle = self._handle(ref)
-            if kind == "heap":
+            handle = self._handle(ref)
+            if type(handle) is Rid:
                 station = self.serializer.decode_nested(
                     STATION_SCHEMA, self.heap.read(handle)
                 )

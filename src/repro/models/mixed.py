@@ -14,20 +14,21 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.errors import InvalidAddressError
+from repro.models.addressing import Handle, Relation
 from repro.nf2.oid import Rid
 from repro.nf2.schema import RelationSchema
 from repro.nf2.serializer import NF2Serializer, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
-from repro.storage.longobj import LongObjectAddress, LongObjectStore
-from repro.storage.page import SlottedPage
-
-#: Handle of a stored tuple: ("heap", Rid) or ("long", LongObjectAddress).
-TupleHandle = tuple[str, Rid | LongObjectAddress]
+from repro.storage.longobj import LongObjectAddress
 
 
-class MixedTupleStore:
-    """One nested relation stored as heap + long-object segments."""
+class MixedTupleStore(Relation):
+    """One nested relation: typed read/write/scan over a :class:`Relation`.
+
+    The store keeps no addresses of its own — whoever inserts a tuple
+    keeps the returned handle (the models' address table does).
+    """
 
     def __init__(
         self,
@@ -36,168 +37,71 @@ class MixedTupleStore:
         schema: RelationSchema,
         fmt: StorageFormat,
     ) -> None:
-        self.name = name
+        super().__init__(engine, name, fmt)
         self.schema = schema
         self.serializer = NF2Serializer(fmt)
-        self.heap = engine.new_heap(f"{name}_small")
-        self.long_store = LongObjectStore(engine.new_segment(f"{name}_large"), fmt)
-        self._small_threshold = SlottedPage.max_record_size(engine.page_size)
-        self._handles: list[TupleHandle] = []
 
     # -- writing --------------------------------------------------------------
 
-    def insert(self, value: NestedTuple) -> TupleHandle:
+    def insert(self, value: NestedTuple) -> Handle:
         blob = self.serializer.encode_nested(value)
-        if len(blob) <= self._small_threshold:
-            handle: TupleHandle = ("heap", self.heap.insert(blob))
-        else:
-            address = self.long_store.store([blob], value.count_subtuples())
-            handle = ("long", address)
-        self._handles.append(handle)
-        return handle
+        if len(blob) <= self.small_threshold:
+            return self.heap.insert(blob)
+        return self.long_store.store([blob], value.count_subtuples())
 
-    def update(self, handle: TupleHandle, value: NestedTuple, write_through: bool = False) -> None:
+    def update(self, handle: Handle, value: NestedTuple, write_through: bool = False) -> None:
         """Replace a stored tuple (must keep its encoded size)."""
-        kind, address = handle
         blob = self.serializer.encode_nested(value)
-        if kind == "heap":
-            self.heap.update(address, blob, write_through=write_through)
+        if type(handle) is Rid:
+            self.heap.update(handle, blob, write_through=write_through)
         else:
-            self.long_store.replace(address, [blob])
+            self.long_store.replace(handle, [blob])
             if write_through:  # pragma: no cover - not exercised by the paper's queries
                 raise InvalidAddressError("write-through replace of long tuples unsupported")
 
-    def delete(self, handle: TupleHandle) -> None:
-        """Delete a stored tuple (private pages of long tuples are freed)."""
-        kind, address = handle
-        if kind == "heap":
-            self.heap.delete(address)
-        else:
-            self.long_store.delete(address)
-        self._handles.remove(handle)
-
     # -- reading ----------------------------------------------------------------
 
-    def read(self, handle: TupleHandle) -> NestedTuple:
-        kind, address = handle
-        if kind == "heap":
-            blob = self.heap.read(address)
-        else:
-            (blob,) = self.long_store.read(address)
+    def decode(self, blob) -> NestedTuple:
+        """One stored tuple from its bytes."""
         return self.serializer.decode_nested(self.schema, blob)
 
-    def read_many(self, handles: Sequence[TupleHandle]) -> list[NestedTuple]:
+    def read(self, handle: Handle) -> NestedTuple:
+        if type(handle) is Rid:
+            return self.decode(self.heap.read(handle))
+        return self.read_long(handle)
+
+    def read_many(self, handles: Sequence[Handle]) -> list[NestedTuple]:
         """Set-oriented read: the heap page set loads in one I/O call.
 
         Heap records arrive as zero-copy memoryviews aliasing live
         buffer frames; they are decoded in this method before anything
         else touches the pages, per ``HeapFile.read_many``'s contract.
         """
-        heap_rids = [addr for kind, addr in handles if kind == "heap"]
+        heap_rids = [handle for handle in handles if type(handle) is Rid]
         blobs_by_rid: dict[Rid, memoryview] = {}
         if heap_rids:
             unique = list(dict.fromkeys(heap_rids))
             for rid, blob in zip(unique, self.heap.read_many(unique)):
                 blobs_by_rid[rid] = blob
+        decode, schema = self.serializer.decode_nested, self.schema
         out: list[NestedTuple] = []
-        for kind, address in handles:
-            if kind == "heap":
-                blob = blobs_by_rid[address]
+        for handle in handles:
+            if type(handle) is Rid:
+                out.append(decode(schema, blobs_by_rid[handle]))
             else:
-                (blob,) = self.long_store.read(address)
-            out.append(self.serializer.decode_nested(self.schema, blob))
+                out.append(self.read_long(handle))
         return out
 
-    def scan(self) -> Iterator[NestedTuple]:
-        """All tuples: heap pages in order, then the long tuples."""
+    def scan(self, longs: Sequence[LongObjectAddress]) -> Iterator[NestedTuple]:
+        """All tuples: heap pages in order, then the given long tuples
+        (the address table lists them: ``long_handles``)."""
+        decode, schema = self.serializer.decode_nested, self.schema
         for _, blob in self.heap.scan():
-            yield self.serializer.decode_nested(self.schema, blob)
-        for kind, address in self._handles:
-            if kind == "long":
-                (blob,) = self.long_store.read(address)
-                yield self.serializer.decode_nested(self.schema, blob)
-
-    def scan_pages(self, page_ids: Sequence[int]) -> Iterator[NestedTuple]:
-        """Scan only the given heap pages (sharded scatter-gather)."""
-        for _, blob in self.heap.scan_pages(list(page_ids)):
-            yield self.serializer.decode_nested(self.schema, blob)
+            yield decode(schema, blob)
+        for address in longs:
+            yield self.read_long(address)
 
     def read_long(self, address: LongObjectAddress) -> NestedTuple:
         """Read one long tuple, exactly as :meth:`scan` would."""
         (blob,) = self.long_store.read(address)
-        return self.serializer.decode_nested(self.schema, blob)
-
-    # -- reorganisation -----------------------------------------------------------
-
-    def recluster(self, rid_order: list[Rid]) -> dict[Rid, Rid]:
-        """Rewrite the heap half into ``rid_order``; long tuples stay.
-
-        Long tuples own their header/data pages privately — there is no
-        co-residency for a placement policy to improve — so only the
-        shared slotted pages move.  The handle table is remapped through
-        the heap's forwarding map and the map is returned so callers
-        holding handles (the DASDBS-NSM transformation table) can do
-        the same.
-        """
-        forwarding = self.heap.recluster(rid_order)
-        if forwarding:
-            self._handles = [
-                ("heap", forwarding.get(address, address))
-                if kind == "heap"
-                else (kind, address)
-                for kind, address in self._handles
-            ]
-        return forwarding
-
-    def move_heap_records(self, rids: list[Rid], max_pages: int) -> dict[Rid, Rid]:
-        """Bounded online move of heap records; long tuples never move.
-
-        Delegates to :meth:`HeapFile.move_records` and remaps the handle
-        table through the partial forwarding map, which is returned for
-        callers holding their own handles.
-        """
-        forwarding = self.heap.move_records(rids, max_pages)
-        if forwarding:
-            self._handles = [
-                ("heap", forwarding.get(address, address))
-                if kind == "heap"
-                else (kind, address)
-                for kind, address in self._handles
-            ]
-        return forwarding
-
-    def apply_recovery(self, forwarding: dict[Rid, Rid]) -> None:
-        """Remap the handle table through a recovery forwarding map."""
-        if forwarding:
-            self._handles = [
-                ("heap", forwarding.get(address, address))
-                if kind == "heap"
-                else (kind, address)
-                for kind, address in self._handles
-            ]
-
-    # -- snapshot state -----------------------------------------------------------
-
-    def capture_state(self) -> dict:
-        """Restorable handle table + segment state (copies; handles are
-        immutable tuples, safe to share)."""
-        return {
-            "handles": list(self._handles),
-            "heap_pages": self.heap.segment.capture_state(),
-            "long": self.long_store.capture_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._handles = list(state["handles"])
-        self.heap.segment.restore_state(state["heap_pages"])
-        self.long_store.restore_state(state["long"])
-
-    # -- statistics --------------------------------------------------------------
-
-    @property
-    def n_pages(self) -> int:
-        return self.heap.n_pages + self.long_store.segment.n_pages
-
-    @property
-    def n_tuples(self) -> int:
-        return len(self._handles)
+        return self.decode(blob)

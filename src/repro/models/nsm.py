@@ -21,6 +21,13 @@ of one object together, the layout Equations 6/7 assume.
 ``NSMIndexModel`` adds the index variant of Table 3: an in-memory index
 from object key to the record ids of all its tuples, so "a page is read
 from disk then and only then if a tuple it stores is requested".
+
+Both carry the same address table (one row of record ids per object,
+kept current by the shared kernel).  For NSM+index the table *is* the
+index.  Plain NSM never reads it: its six access paths and its delete
+find tuples by value, exactly as before — the table only lets the
+unmeasured reorganisation, recovery and scan-partitioning code know
+which tuples belong to which object without re-scanning for keys.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from repro.benchmark.schema import (
     key_of_oid,
     oid_of_key,
 )
-from repro.errors import InvalidAddressError, ModelError
+from repro.errors import InvalidAddressError
+from repro.models.addressing import AddressTable, Relation, Row
 from repro.models.base import Ref, StorageModel
 from repro.nf2.oid import Rid
 from repro.nf2.schema import (
@@ -95,23 +103,24 @@ require_projection(NSM_PLATFORM, PLATFORM_SCHEMA, ("RootKey", "OwnKey"), (CONNEC
 require_projection(NSM_CONNECTION, CONNECTION_SCHEMA, ("RootKey", "ParentKey"))
 require_projection(NSM_SIGHTSEEING, SIGHTSEEING_SCHEMA, ("RootKey",))
 
+#: The four flat relations, in table (= scan) order.
+_SCHEMAS = (NSM_STATION, NSM_PLATFORM, NSM_CONNECTION, NSM_SIGHTSEEING)
+
 _trusted = NestedTuple._from_trusted
 
 
-class NSMModel(StorageModel):
-    """Normalized storage model without physical identifiers."""
-
-    name = "NSM"
-    supports_oid_access = False
+class NSMModelBase(StorageModel):
+    """What NSM and NSM+index share: the four flat relations, the
+    decomposition into them, the in-memory reassembly join and the
+    full scan.  References are logical keys."""
 
     def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
         super().__init__(engine, fmt)
-        self.stations = engine.new_heap("NSM_Station")
-        self.platforms = engine.new_heap("NSM_Platform")
-        self.connections = engine.new_heap("NSM_Connection")
-        self.sightseeings = engine.new_heap("NSM_Sightseeing")
-        self._deleted_keys: set[int] = set()
-        self._scan_part: dict[str, list[int]] | None = None
+        relations = [Relation(engine, schema.name) for schema in _SCHEMAS]
+        self.stations, self.platforms, self.connections, self.sightseeings = (
+            relation.heap for relation in relations
+        )
+        self.table = AddressTable(relations)
 
     # -- references: logical keys -------------------------------------------
 
@@ -121,54 +130,41 @@ class NSMModel(StorageModel):
     def oid_of(self, ref: Ref) -> int:
         return oid_of_key(ref)
 
-    # -- loading -----------------------------------------------------------------
+    def all_refs(self) -> list[Ref]:
+        return self.table.live_keys()
 
-    def load(self, stations: Sequence[NestedTuple]) -> None:
-        if self.n_objects:
-            raise ModelError("model already loaded")
-        for station in stations:
-            self._load_one(station)
-        self.n_objects = len(stations)
-        self.engine.flush()
+    # -- decomposition: one flat tuple per (sub)tuple ------------------------------
 
-    def _load_one(self, station: NestedTuple) -> None:
+    def _store(self, station: NestedTuple) -> Row:
         key = station["Key"]
         root = NestedTuple(NSM_STATION, station.atoms())
-        self._insert(self.stations, root)
+        station_rid = self._insert(self.stations, root)
+        platform_rids: list[Rid] = []
+        connection_rids: list[Rid] = []
         for own_key, platform in enumerate(station.subtuples("Platform")):
-            atoms = platform.atoms()
             row = NestedTuple(
-                NSM_PLATFORM, {"RootKey": key, "OwnKey": own_key, **atoms}
+                NSM_PLATFORM, {"RootKey": key, "OwnKey": own_key, **platform.atoms()}
             )
-            self._insert(self.platforms, row)
+            platform_rids.append(self._insert(self.platforms, row))
             for connection in platform.subtuples("Connection"):
                 row = NestedTuple(
                     NSM_CONNECTION,
                     {"RootKey": key, "ParentKey": own_key, **connection.atoms()},
                 )
-                self._insert(self.connections, row)
+                connection_rids.append(self._insert(self.connections, row))
+        sightseeing_rids: list[Rid] = []
         for sight in station.subtuples("Sightseeing"):
             row = NestedTuple(NSM_SIGHTSEEING, {"RootKey": key, **sight.atoms()})
-            self._insert(self.sightseeings, row)
+            sightseeing_rids.append(self._insert(self.sightseeings, row))
+        return (
+            (station_rid,),
+            tuple(platform_rids),
+            tuple(connection_rids),
+            tuple(sightseeing_rids),
+        )
 
     def _insert(self, heap: HeapFile, row: NestedTuple) -> Rid:
         return heap.insert(self.serializer.encode_flat(row))
-
-    # -- scans --------------------------------------------------------------------
-
-    def _select(
-        self, heap: HeapFile, schema: RelationSchema, key_attr: str, keys: set[int]
-    ) -> list[tuple[Rid, NestedTuple]]:
-        """Value selection by full scan (NSM has no access paths).
-
-        The predicate is evaluated on the stored key attribute only;
-        matching tuples are materialised in full.
-        """
-        out: list[tuple[Rid, NestedTuple]] = []
-        for rid, blob in heap.scan():
-            if self.serializer.decode_atom(schema, blob, key_attr) in keys:
-                out.append((rid, self.serializer.decode_flat(schema, blob)))
-        return out
 
     def _assemble(
         self,
@@ -210,24 +206,7 @@ class NSMModel(StorageModel):
             {"Platform": rebuilt_platforms, "Sightseeing": rebuilt_sights},
         )
 
-    # -- operations --------------------------------------------------------------------
-
-    def fetch_full(self, ref: Ref) -> NestedTuple:
-        raise self._not_supported("retrieval by OID (query 1a); NSM stores no identifiers")
-
-    def fetch_full_by_key(self, key: int) -> NestedTuple:
-        keys = {key}
-        roots = self._select(self.stations, NSM_STATION, "Key", keys)
-        if not roots:
-            raise InvalidAddressError(f"no station with key {key}")
-        platforms = [row for _, row in self._select(self.platforms, NSM_PLATFORM, "RootKey", keys)]
-        connections = [
-            row for _, row in self._select(self.connections, NSM_CONNECTION, "RootKey", keys)
-        ]
-        sights = [
-            row for _, row in self._select(self.sightseeings, NSM_SIGHTSEEING, "RootKey", keys)
-        ]
-        return self._assemble(roots[0][1], platforms, connections, sights)
+    # -- the full scan ------------------------------------------------------------------
 
     def scan_all(self) -> int:
         roots = {row["Key"]: row for _, row in self._scan_rows(self.stations, NSM_STATION)}
@@ -255,56 +234,54 @@ class NSMModel(StorageModel):
         for rid, blob in heap.scan():
             yield rid, self.serializer.decode_flat(schema, blob)
 
-    # -- sharded scatter-gather scans -----------------------------------------------
+    def _decode_record(self, index: int, blob) -> None:
+        self.serializer.decode_flat(_SCHEMAS[index], blob)
 
-    def prepare_scan_partition(self, owned, take_orphans: bool = False) -> None:
-        """Derive the owned page subsets of the four flat relations.
 
-        Plain NSM keeps no record addresses, so ownership is recovered
-        from the stored key attributes with one metadata scan per
-        relation — construction-time I/O, run outside measured
-        intervals.  A page belongs to the owner of its first record's
-        root key; across all shards the page subsets partition each
-        relation exactly.
+class NSMModel(NSMModelBase):
+    """Normalized storage model without physical identifiers.
+
+    Plain NSM's *measured* I/O is placement-invariant: every access is
+    a value selection implemented as a relation scan, and a scan reads
+    all pages whatever their order.  ``recluster`` still applies — it
+    keeps the model interchangeable on the ``--recluster`` axis.
+    """
+
+    name = "NSM"
+    supports_oid_access = False
+
+    def _select(
+        self, heap: HeapFile, schema: RelationSchema, key_attr: str, keys: set[int]
+    ) -> list[tuple[Rid, NestedTuple]]:
+        """Value selection by full scan (NSM has no access paths).
+
+        The predicate is evaluated on the stored key attribute only;
+        matching tuples are materialised in full.
         """
-        heaps = self._heaps()
-        schemas = self._heap_schemas()
-        parts: dict[str, list[int]] = {}
-        for name, key_attr in self._HEAP_KEY_ATTRS:
-            heap = heaps[name]
-            schema = schemas[name]
-            first: dict[int, int] = {}
-            for rid, blob in heap.scan():
-                if rid.page_id not in first:
-                    first[rid.page_id] = oid_of_key(
-                        self.serializer.decode_atom(schema, blob, key_attr)
-                    )
-            pages: list[int] = []
-            for page_id in heap.segment.page_ids:
-                oid = first.get(page_id)
-                if oid is None:
-                    if take_orphans:
-                        pages.append(page_id)
-                elif owned(oid):
-                    pages.append(page_id)
-            parts[name] = pages
-        self._scan_part = parts
+        out: list[tuple[Rid, NestedTuple]] = []
+        for rid, blob in heap.scan():
+            if self.serializer.decode_atom(schema, blob, key_attr) in keys:
+                out.append((rid, self.serializer.decode_flat(schema, blob)))
+        return out
 
-    def scan_partition(self) -> int:
-        if self._scan_part is None:
-            raise self._not_supported("scan_partition before prepare_scan_partition")
-        heaps = self._heaps()
-        schemas = self._heap_schemas()
-        count = 0
-        # Same relation order and per-row decode work as scan_all; the
-        # in-memory reassembly join needs rows owned by other shards and
-        # happens at the gather stage, so only the count is produced.
-        for name, _ in self._HEAP_KEY_ATTRS:
-            for _, blob in heaps[name].scan_pages(self._scan_part[name]):
-                self.serializer.decode_flat(schemas[name], blob)
-                if name == "stations":
-                    count += 1
-        return count
+    # -- operations --------------------------------------------------------------------
+
+    def fetch_full(self, ref: Ref) -> NestedTuple:
+        raise self._not_supported("retrieval by OID (query 1a); NSM stores no identifiers")
+
+    def fetch_full_by_key(self, key: int) -> NestedTuple:
+        keys = {key}
+        roots = self._select(self.stations, NSM_STATION, "Key", keys)
+        if not roots:
+            raise InvalidAddressError(f"no station with key {key}")
+        platforms = [row for _, row in self._select(self.platforms, NSM_PLATFORM, "RootKey", keys)]
+        connections = [
+            row for _, row in self._select(self.connections, NSM_CONNECTION, "RootKey", keys)
+        ]
+        sights = [
+            row for _, row in self._select(self.sightseeings, NSM_SIGHTSEEING, "RootKey", keys)
+        ]
+        return self._assemble(roots[0][1], platforms, connections, sights)
 
     def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
         """One set-oriented scan of NSM_Connection per navigation level."""
@@ -347,15 +324,12 @@ class NSMModel(StorageModel):
 
     # -- object lifecycle ----------------------------------------------------------------
 
-    def insert_object(self, station: NestedTuple) -> int:
-        self._load_one(station)
-        self.n_objects += 1
-        return self.n_objects - 1
-
     def delete_object(self, ref: Ref) -> None:
-        """Value-based delete: one scan per relation, as NSM must."""
-        if ref in self._deleted_keys:
-            raise InvalidAddressError(f"station {ref} has already been deleted")
+        """Value-based delete: one scan per relation, as NSM must.
+
+        The table row is tombstoned, not read: the tuples were found
+        and removed by value.
+        """
         keys = {ref}
         found = False
         for heap, schema, attr in (
@@ -369,118 +343,20 @@ class NSMModel(StorageModel):
                 found = True
         if not found:
             raise InvalidAddressError(f"no station with key {ref}")
-        self._deleted_keys.add(ref)
+        self.table.forget(ref)
 
-    def all_refs(self) -> list[Ref]:
-        return [
-            key
-            for key in (self.ref_of(oid) for oid in range(self.n_objects))
-            if key not in self._deleted_keys
-        ]
+    def move_objects(self, oids: Sequence[int], max_pages: int) -> int:
+        """Moves nothing and returns 0.
 
-    # -- reorganisation ----------------------------------------------------------------
-
-    _HEAP_KEY_ATTRS = (
-        ("stations", "Key"),
-        ("platforms", "RootKey"),
-        ("connections", "RootKey"),
-        ("sightseeings", "RootKey"),
-    )
-
-    def _heap_schemas(self) -> dict[str, RelationSchema]:
-        return {
-            "stations": NSM_STATION,
-            "platforms": NSM_PLATFORM,
-            "connections": NSM_CONNECTION,
-            "sightseeings": NSM_SIGHTSEEING,
-        }
-
-    def recluster(self, order: Sequence[int]) -> dict:
-        """Rewrite the four flat relations into object ``order``.
-
-        Plain NSM keeps no record addresses, so the tuples' owning
-        objects are recovered from their stored key attributes (a full
-        scan per relation — the reorganisation pass NSM would pay in
-        reality, unmeasured here like all reorganisation cost).  Note
-        that plain NSM's *measured* I/O is placement-invariant: every
-        access is a value selection implemented as a relation scan, and
-        a scan reads all pages whatever their order.  The operator
-        still applies — it keeps the model interchangeable on the
-        ``--recluster`` axis and feeds the indexed subclass, where
-        placement very much matters.
+        Plain NSM navigates by key and is placement-invariant at this
+        interface, so an online move could only cost I/O; the no-op
+        keeps ``--recluster online`` runnable across the whole model
+        grid.
         """
-        self._validate_order(order)
-        heaps = self._heaps()
-        schemas = self._heap_schemas()
-        forwardings: dict[str, dict[Rid, Rid]] = {}
-        for name, key_attr in self._HEAP_KEY_ATTRS:
-            forwardings[name] = self._recluster_heap(
-                heaps[name], schemas[name], key_attr, order
-            )
-        return forwardings
-
-    def _recluster_heap(
-        self,
-        heap: HeapFile,
-        schema: RelationSchema,
-        key_attr: str,
-        order: Sequence[int],
-    ) -> dict[Rid, Rid]:
-        groups: dict[int, list[Rid]] = {}
-        tail: list[Rid] = []
-        for rid, blob in heap.scan():
-            oid = oid_of_key(self.serializer.decode_atom(schema, blob, key_attr))
-            if 0 <= oid < self.n_objects:
-                groups.setdefault(oid, []).append(rid)
-            else:
-                # Records of objects outside the OID range (keys chosen
-                # freely through insert_object) sink to the tail rather
-                # than failing the whole reorganisation.
-                tail.append(rid)
-        rid_order = [rid for oid in order for rid in groups.get(oid, ())]
-        rid_order.extend(tail)
-        return heap.recluster(rid_order)
-
-    # -- snapshot state ----------------------------------------------------------------
-
-    def capture_state(self) -> dict:
-        return {
-            "n_objects": self.n_objects,
-            "deleted_keys": set(self._deleted_keys),
-            "relation_pages": {
-                name: heap.segment.capture_state()
-                for name, heap in self._heaps().items()
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._require_unloaded()
-        heaps = self._heaps()
-        for name, page_ids in state["relation_pages"].items():
-            heaps[name].segment.restore_state(page_ids)
-        self._deleted_keys = set(state["deleted_keys"])
-        self.n_objects = state["n_objects"]
-
-    def _heaps(self) -> dict[str, HeapFile]:
-        return {
-            "stations": self.stations,
-            "platforms": self.platforms,
-            "connections": self.connections,
-            "sightseeings": self.sightseeings,
-        }
-
-    # -- statistics ------------------------------------------------------------------------
-
-    def relation_pages(self) -> dict[str, int]:
-        return {
-            "NSM_Station": self.stations.n_pages,
-            "NSM_Platform": self.platforms.n_pages,
-            "NSM_Connection": self.connections.n_pages,
-            "NSM_Sightseeing": self.sightseeings.n_pages,
-        }
+        return 0
 
 
-class NSMIndexModel(NSMModel):
+class NSMIndexModel(NSMModelBase):
     """NSM supported by an index (Table 3's "NSM+index" row).
 
     An in-memory index maps every object to the record ids of its
@@ -493,36 +369,12 @@ class NSMIndexModel(NSMModel):
     """
 
     name = "NSM+index"
-    supports_oid_access = True
 
-    def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
-        super().__init__(engine, fmt)
-        self._station_rid: dict[int, Rid] = {}
-        self._platform_rids: dict[int, list[Rid]] = {}
-        self._connection_rids: dict[int, list[Rid]] = {}
-        self._sightseeing_rids: dict[int, list[Rid]] = {}
-
-    def _load_one(self, station: NestedTuple) -> None:
-        key = station["Key"]
-        root = NestedTuple(NSM_STATION, station.atoms())
-        self._station_rid[key] = self._insert(self.stations, root)
-        self._platform_rids[key] = []
-        self._connection_rids[key] = []
-        self._sightseeing_rids[key] = []
-        for own_key, platform in enumerate(station.subtuples("Platform")):
-            row = NestedTuple(
-                NSM_PLATFORM, {"RootKey": key, "OwnKey": own_key, **platform.atoms()}
-            )
-            self._platform_rids[key].append(self._insert(self.platforms, row))
-            for connection in platform.subtuples("Connection"):
-                row = NestedTuple(
-                    NSM_CONNECTION,
-                    {"RootKey": key, "ParentKey": own_key, **connection.atoms()},
-                )
-                self._connection_rids[key].append(self._insert(self.connections, row))
-        for sight in station.subtuples("Sightseeing"):
-            row = NestedTuple(NSM_SIGHTSEEING, {"RootKey": key, **sight.atoms()})
-            self._sightseeing_rids[key].append(self._insert(self.sightseeings, row))
+    def _rids(self, key: int, index: int) -> tuple[Rid, ...]:
+        """Indexed record ids of ``key`` in relation ``index``; none for
+        a key no live object carries (set-oriented accesses skip it)."""
+        row = self.table.find(key)
+        return () if row is None else row[index]
 
     # -- indexed operations ------------------------------------------------------
 
@@ -532,22 +384,21 @@ class NSMIndexModel(NSMModel):
         return self._fetch_assembled(ref)
 
     def _fetch_assembled(self, key: int) -> NestedTuple:
-        if key not in self._station_rid:
-            raise InvalidAddressError(f"no station with key {key}")
-        root = self.serializer.decode_flat(
-            NSM_STATION, self.stations.read(self._station_rid[key])
+        (station_rid,), platform_rids, connection_rids, sightseeing_rids = (
+            self.table.row_of_key(key)
         )
+        root = self.serializer.decode_flat(NSM_STATION, self.stations.read(station_rid))
         platforms = [
             self.serializer.decode_flat(NSM_PLATFORM, blob)
-            for blob in self.platforms.read_many(self._platform_rids[key])
+            for blob in self.platforms.read_many(platform_rids)
         ]
         connections = [
             self.serializer.decode_flat(NSM_CONNECTION, blob)
-            for blob in self.connections.read_many(self._connection_rids[key])
+            for blob in self.connections.read_many(connection_rids)
         ]
         sights = [
             self.serializer.decode_flat(NSM_SIGHTSEEING, blob)
-            for blob in self.sightseeings.read_many(self._sightseeing_rids[key])
+            for blob in self.sightseeings.read_many(sightseeing_rids)
         ]
         return self._assemble(root, platforms, connections, sights)
 
@@ -562,7 +413,7 @@ class NSMIndexModel(NSMModel):
         return self._fetch_assembled(key)
 
     def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
-        rids = [rid for key in refs for rid in self._connection_rids.get(key, [])]
+        rids = [rid for key in refs for rid in self._rids(key, 2)]
         return [
             self.serializer.decode_flat(NSM_CONNECTION, blob)["KeyConnection"]
             for blob in self.connections.read_many(rids)
@@ -570,12 +421,12 @@ class NSMIndexModel(NSMModel):
 
     def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
         """Grouped navigation: one batched read, split back per ref."""
-        rid_groups = [self._connection_rids.get(key, []) for key in refs]
+        sizes = [len(self._rids(key, 2)) for key in refs]
         children = iter(self.fetch_refs(refs))
-        return [[next(children) for _ in rids] for rids in rid_groups]
+        return [[next(children) for _ in range(size)] for size in sizes]
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
-        rids = [self._station_rid[key] for key in refs if key in self._station_rid]
+        rids = [rid for key in refs for rid in self._rids(key, 0)]
         return [
             self.serializer.decode_flat(NSM_STATION, blob).atoms()
             for blob in self.stations.read_many(rids)
@@ -583,132 +434,19 @@ class NSMIndexModel(NSMModel):
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
         for key in self._dedupe(refs):
-            rid = self._station_rid.get(key)
-            if rid is None:
-                continue
-            row = self.serializer.decode_flat(NSM_STATION, self.stations.read(rid))
-            self.stations.update(rid, self.serializer.encode_flat(row.replace_atoms(**changes)))
-
-    # -- reorganisation -----------------------------------------------------------
-
-    def recluster(self, order: Sequence[int]) -> dict:
-        """Reorganise the relations, then remap the index through the
-        forwarding maps — every indexed address keeps resolving."""
-        forwardings = super().recluster(order)
-        stations = forwardings["stations"]
-        self._station_rid = {
-            key: stations.get(rid, rid) for key, rid in self._station_rid.items()
-        }
-        for name, table in (
-            ("platforms", self._platform_rids),
-            ("connections", self._connection_rids),
-            ("sightseeings", self._sightseeing_rids),
-        ):
-            forwarding = forwardings[name]
-            for key, rids in table.items():
-                table[key] = [forwarding.get(rid, rid) for rid in rids]
-        return forwardings
-
-    def move_objects(self, oids: Sequence[int], max_pages: int) -> int:
-        """Bounded online move: pack the given objects' tuples together.
-
-        For each relation the records of ``oids`` (in the given order)
-        are relocated onto at most ``max_pages`` fresh pages via
-        :meth:`HeapFile.move_records`, and the index is remapped through
-        the partial forwarding maps.  Objects whose records exceed the
-        budget stay put — the next trigger gets another chance.
-        """
-        if max_pages <= 0 or not oids:
-            return 0
-        keys = [key_of_oid(oid) for oid in self._dedupe(oids)]
-        pages = 0
-        forwarding = self.stations.move_records(
-            [self._station_rid[k] for k in keys if k in self._station_rid],
-            max_pages,
-        )
-        if forwarding:
-            self._station_rid = {
-                key: forwarding.get(rid, rid)
-                for key, rid in self._station_rid.items()
-            }
-            pages += len({rid.page_id for rid in forwarding.values()})
-        for heap, table in (
-            (self.platforms, self._platform_rids),
-            (self.connections, self._connection_rids),
-            (self.sightseeings, self._sightseeing_rids),
-        ):
-            forwarding = heap.move_records(
-                [rid for k in keys for rid in table.get(k, ())], max_pages
-            )
-            if forwarding:
-                for key, rids in table.items():
-                    table[key] = [forwarding.get(rid, rid) for rid in rids]
-                pages += len({rid.page_id for rid in forwarding.values()})
-        return pages
-
-    def apply_recovery(self, report) -> None:
-        """Remap the index through the recovery forwarding maps."""
-        stations = report.forwarding_for("NSM_Station")
-        if stations:
-            self._station_rid = {
-                key: stations.get(rid, rid)
-                for key, rid in self._station_rid.items()
-            }
-        for segment_name, table in (
-            ("NSM_Platform", self._platform_rids),
-            ("NSM_Connection", self._connection_rids),
-            ("NSM_Sightseeing", self._sightseeing_rids),
-        ):
-            forwarding = report.forwarding_for(segment_name)
-            if forwarding:
-                for key, rids in table.items():
-                    table[key] = [forwarding.get(rid, rid) for rid in rids]
-
-    # -- snapshot state ----------------------------------------------------------
-
-    def capture_state(self) -> dict:
-        state = super().capture_state()
-        state["station_rid"] = dict(self._station_rid)
-        # Rid values are immutable; the per-object lists are not, so
-        # every list is copied on capture and again on restore.
-        for name, rids in (
-            ("platform_rids", self._platform_rids),
-            ("connection_rids", self._connection_rids),
-            ("sightseeing_rids", self._sightseeing_rids),
-        ):
-            state[name] = {key: list(value) for key, value in rids.items()}
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._station_rid = dict(state["station_rid"])
-        self._platform_rids = {
-            key: list(value) for key, value in state["platform_rids"].items()
-        }
-        self._connection_rids = {
-            key: list(value) for key, value in state["connection_rids"].items()
-        }
-        self._sightseeing_rids = {
-            key: list(value) for key, value in state["sightseeing_rids"].items()
-        }
+            for rid in self._rids(key, 0):
+                row = self.serializer.decode_flat(NSM_STATION, self.stations.read(rid))
+                self.stations.update(
+                    rid, self.serializer.encode_flat(row.replace_atoms(**changes))
+                )
 
     def delete_object(self, ref: Ref) -> None:
         """Indexed delete: record accesses only, no scans."""
-        rid = self._station_rid.pop(ref, None)
-        if rid is None:
-            raise InvalidAddressError(f"no station with key {ref}")
-        self.stations.delete(rid)
-        for heap, rids in (
-            (self.platforms, self._platform_rids.pop(ref, [])),
-            (self.connections, self._connection_rids.pop(ref, [])),
-            (self.sightseeings, self._sightseeing_rids.pop(ref, [])),
-        ):
-            for child_rid in rids:
-                heap.delete(child_rid)
-        self._deleted_keys.add(ref)
+        super().delete_object(self.table.oid_of_key(ref))
 
 
 __all__ = [
+    "NSMModelBase",
     "NSMModel",
     "NSMIndexModel",
     "NSM_STATION",

@@ -99,8 +99,9 @@ class ShardedModel(StorageModel):
                 f"router expects {router.n_shards} shards, got "
                 f"{len(replicas)} replicas over {len(engine.engines)} engines"
             )
-        # No super().__init__: the facade owns no serializer state of its
-        # own — it mirrors the primary replica's identity attributes.
+        # No super().__init__: the facade owns no serializer state and
+        # no address table of its own — it mirrors the primary replica's
+        # identity attributes.
         primary = replicas[0]
         self.replicas = tuple(replicas)
         self.engine = engine
@@ -117,6 +118,15 @@ class ShardedModel(StorageModel):
                 router.owned(index), take_orphans=(index == 0)
             )
         engine.on_reset.append(self.reset_accounting)
+
+    @property
+    def table(self):
+        """The facade holds no addresses: reorganisation, snapshots and
+        object lifecycle are operations on a replica."""
+        raise ShardingError(
+            "a sharded facade has no address table of its own; "
+            "reorganise, snapshot or mutate its replicas"
+        )
 
     # -- hop accounting -------------------------------------------------------
 

@@ -98,7 +98,7 @@ class TestUpdateProtocols:
         dsm.engine.reset_metrics()
         dsm.update_roots([2], {"Name": "upd"})
         dsm.engine.flush()
-        header, data = dsm.long_store.pages_of(dsm._handles[2][1])
+        header, data = dsm.long_store.pages_of(dsm.table.row(2)[0][0])
         assert dsm.engine.metrics.snapshot().pages_written == header + data
 
     def test_dasdbs_dsm_writes_pool_immediately(self, large_stations):
@@ -143,19 +143,12 @@ class TestSmallObjectRegime:
         dsm = build_loaded_model("DSM", small_stations_0)
         assert dsm.heap.n_pages > 0
         # Several objects per page: fewer pages than objects in the heap.
-        heap_objects = sum(1 for kind, _ in dsm._handles if kind == "heap")
+        heap_objects = len(dsm.table.live_oids()) - len(dsm.table.long_handles(0))
         assert heap_objects > dsm.heap.n_pages
 
     def test_large_objects_get_private_pages(self, large_stations):
         dsm = build_loaded_model("DSM", large_stations)
-        long_objects = sum(1 for kind, _ in dsm._handles if kind == "long")
+        long_objects = len(dsm.table.long_handles(0))
         assert long_objects == len(
             [s for s in large_stations if dsm.format.nested_size(s) > 2008]
         )
-
-    def test_object_page_counts_reported(self, large_stations):
-        dsm = build_loaded_model("DSM", large_stations)
-        counts = dsm.object_page_counts()
-        assert len(counts) == len(large_stations)
-        for header, data in counts:
-            assert header >= 0 and data >= 1

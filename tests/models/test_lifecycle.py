@@ -6,6 +6,7 @@ from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.generator import generate_stations
 from repro.benchmark.schema import key_of_oid
 from repro.errors import InvalidAddressError
+from repro.storage.longobj import LongObjectAddress
 from tests.conftest import build_loaded_model
 
 CFG = BenchmarkConfig(n_objects=30, seed=77)
@@ -105,7 +106,9 @@ class TestDelete:
         """Deleting a multi-page object returns its private pages."""
         model = build_loaded_model("DSM", stations)
         long_oid = next(
-            oid for oid, (kind, _) in enumerate(model._handles) if kind == "long"
+            oid
+            for oid in model.table.live_oids()
+            if isinstance(model.table.row(oid)[0][0], LongObjectAddress)
         )
         before = model.engine.disk.allocated_pages
         model.delete_object(long_oid)
@@ -117,3 +120,36 @@ class TestDelete:
         oid = model.insert_object(extra_station)
         assert model.fetch_full(oid) == extra_station
         assert model.scan_all() == len(stations)  # -1 deleted, +1 inserted
+
+
+class TestKeyComesBack:
+    """delete → insert an object carrying the deleted key → delete again.
+
+    Plain NSM used to remember deleted keys forever: the second delete
+    raised "has already been deleted" while the object was served, and
+    ``all_refs`` omitted it.
+    """
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_returning_key_is_live_and_deletable(self, name, stations, extra_station):
+        model = build_loaded_model(name, stations)
+        key = key_of_oid(5)
+        model.delete_object(model.ref_of(5))
+        returning = extra_station.replace_atoms(Key=key)
+        oid = model.insert_object(returning)
+        assert oid == len(stations)
+        # The NSM family's references are keys, the others' are OIDs.
+        ref = key if model.ref_of(0) != 0 else oid
+        assert model.fetch_full_by_key(key) == returning
+        assert model.fetch_roots([ref]) == [returning.atoms()]
+        assert ref in model.all_refs()
+        assert len(model.all_refs()) == len(stations)
+        assert model.scan_all() == len(stations)
+
+        model.delete_object(ref)
+        with pytest.raises(InvalidAddressError):
+            model.fetch_full_by_key(key)
+        assert ref not in model.all_refs()
+        assert model.scan_all() == len(stations) - 1
+        with pytest.raises(InvalidAddressError):
+            model.delete_object(ref)

@@ -106,8 +106,9 @@ class TestNSMIndex:
 class TestDASDBSNSM:
     def test_one_tuple_per_relation_per_object(self, stations):
         model = build_loaded_model("DASDBS-NSM", stations)
-        for store in (model.stations, model.platforms, model.connections, model.sightseeings):
-            assert store.n_tuples == len(stations)
+        assert len(model.table.live_oids()) == len(stations)
+        for oid in model.table.live_oids():
+            assert [len(handles) for handles in model.table.row(oid)] == [1, 1, 1, 1]
 
     def test_fetch_full_reads_few_pages(self, stations):
         model = build_loaded_model("DASDBS-NSM", stations)
@@ -151,7 +152,7 @@ class TestDASDBSNSM:
 
     def test_transformation_table_has_four_addresses(self, stations):
         model = build_loaded_model("DASDBS-NSM", stations)
-        assert all(len(entry) == 4 for entry in model._table)
+        assert all(len(row) == 4 for row in model.table.rows)
 
     def test_skewed_connections_may_overflow_page(self):
         """Fanout-8 extensions can make Connection tuples long objects."""

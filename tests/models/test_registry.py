@@ -10,10 +10,12 @@ from repro.models.registry import (
     MODEL_CLASSES,
     create_model,
 )
+from repro.nf2.oid import Rid
 from repro.nf2.schema import RelationSchema, int_attr, str_attr
 from repro.nf2.serializer import DASDBS_FORMAT
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
+from repro.storage.longobj import LongObjectAddress
 
 
 class TestRegistry:
@@ -67,13 +69,13 @@ class TestMixedTupleStore:
 
     def test_small_tuples_go_to_heap(self, store):
         handle = store.insert(wrapper_tuple(1, 2))
-        assert handle[0] == "heap"
+        assert isinstance(handle, Rid)
         assert store.read(handle) == wrapper_tuple(1, 2)
 
     def test_large_tuples_go_to_long_store(self, store):
         big = wrapper_tuple(2, 30)  # 30 * ~150 B exceeds one page
         handle = store.insert(big)
-        assert handle[0] == "long"
+        assert isinstance(handle, LongObjectAddress)
         assert store.read(handle) == big
 
     def test_read_many_mixes_kinds(self, store):
@@ -90,9 +92,10 @@ class TestMixedTupleStore:
         assert store.heap.segment.disk.metrics.snapshot().read_calls == 1
 
     def test_scan_yields_everything(self, store):
-        for i in range(5):
-            store.insert(wrapper_tuple(i, 1 if i % 2 else 25))
-        keys = sorted(v["RootKey"] for v in store.scan())
+        handles = [store.insert(wrapper_tuple(i, 1 if i % 2 else 25)) for i in range(5)]
+        longs = [h for h in handles if isinstance(h, LongObjectAddress)]
+        assert len(longs) == 3
+        keys = sorted(v["RootKey"] for v in store.scan(longs))
         assert keys == [0, 1, 2, 3, 4]
 
     def test_update_small(self, store):
@@ -105,4 +108,5 @@ class TestMixedTupleStore:
         store.insert(wrapper_tuple(1, 1))
         store.insert(wrapper_tuple(2, 30))
         assert store.n_pages == store.heap.n_pages + store.long_store.segment.n_pages
-        assert store.n_tuples == 2
+        assert store.heap.count_records() == 1
+        assert store.long_store.segment.n_pages >= 2

@@ -1,4 +1,4 @@
-"""Package-surface tests: public API, errors, oid, parts."""
+"""Package-surface tests: public API, errors, oid."""
 
 import pytest
 
@@ -16,7 +16,6 @@ from repro.errors import (
     StorageError,
     UnsupportedOperationError,
 )
-from repro.models.parts import ALL_PARTS, NAVIGATION_PARTS, Parts
 from repro.nf2.oid import Rid
 
 
@@ -80,23 +79,6 @@ class TestRid:
 
     def test_repr(self):
         assert repr(Rid(3, 4)) == "Rid(3, 4)"
-
-
-class TestParts:
-    def test_section_indexes(self):
-        assert Parts.ROOT.section_indexes == [0]
-        assert (Parts.ROOT | Parts.SIGHTSEEINGS).section_indexes == [0, 2]
-        assert ALL_PARTS.section_indexes == [0, 1, 2]
-
-    def test_navigation_parts(self):
-        assert NAVIGATION_PARTS == Parts.ROOT | Parts.PLATFORMS
-        assert Parts.SIGHTSEEINGS not in NAVIGATION_PARTS
-
-    def test_flag_semantics(self):
-        combined = Parts.ROOT | Parts.PLATFORMS
-        assert Parts.ROOT in combined
-        assert Parts.PLATFORMS in combined
-        assert Parts.SIGHTSEEINGS not in combined
 
 
 class TestMeasureCache:
