@@ -54,15 +54,19 @@ class DASDBSDSMModel(DirectModelBase):
     def _scan_for_key(self, key: int) -> Iterator[NestedTuple]:
         """Scan reading only header + root section per large object.
 
-        Matching objects are then fetched in full; the non-matching
-        majority never transfers its Platform/Sightseeing data pages.
+        The predicate is evaluated on the stored ``Key`` alone (it sits
+        in the root's flat part, at offset 0 of a root section and of a
+        small object's record alike).  Matching objects are then
+        fetched and decoded in full; the non-matching majority never
+        transfers its Platform/Sightseeing data pages.
         """
+        decode_atom = self.serializer.decode_atom
         for _, blob in self.heap.scan():
-            yield self.serializer.decode_nested(STATION_SCHEMA, blob)
+            if decode_atom(STATION_SCHEMA, blob, "Key") == key:
+                yield self.serializer.decode_nested(STATION_SCHEMA, blob)
         for handle in self.table.long_handles(0):
             (root_blob,) = self.long_store.read(handle, [SECTION_ROOT])
-            atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, root_blob, 0)
-            if atoms["Key"] == key:
+            if decode_atom(STATION_SCHEMA, root_blob, "Key") == key:
                 yield self._decode_sections(self.long_store.read(handle))
 
     # -- update: change-attribute with page-pool write-through ------------------------

@@ -37,6 +37,7 @@ from repro.models.addressing import AddressTable, Row
 from repro.models.base import Ref, StorageModel
 from repro.models.mixed import MixedTupleStore
 from repro.nf2.schema import (
+    Projection,
     RelationSchema,
     int_attr,
     link_attr,
@@ -109,6 +110,14 @@ require_projection(DNSM_STATION, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEI
 require_projection(_PLATFORM_ITEM, PLATFORM_SCHEMA, ("OwnKey",), (CONNECTION_SCHEMA,))
 require_projection(_CONNECTION_ITEM, CONNECTION_SCHEMA)
 require_projection(_SIGHTSEEING_ITEM, SIGHTSEEING_SCHEMA)
+
+#: What navigation reads of a stored Connection tuple: the outgoing
+#: references, nothing else.
+_CONNECTION_LINKS = Projection(
+    DNSM_CONNECTION,
+    (),
+    (Projection(_CONNECTION_GROUP, (), (Projection(_CONNECTION_ITEM, ("OidConnection",)),)),),
+)
 
 _trusted = NestedTuple._from_trusted
 
@@ -269,7 +278,7 @@ class DASDBSNSMModel(StorageModel):
         """Grouped navigation: the same batched read as ``fetch_refs``."""
         handles = [self.table.row(oid)[2][0] for oid in refs]
         out: list[list[Ref]] = []
-        for tuple_ in self.connections.read_many(handles):
+        for tuple_ in self.connections.read_many(handles, _CONNECTION_LINKS):
             group_refs: list[Ref] = []
             for group in tuple_.subtuples("ConnectionsOfPlatform"):
                 for item in group.subtuples("ConnectionOfPlatform"):

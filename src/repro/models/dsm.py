@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.benchmark.schema import (
+    CONNECTION_SCHEMA,
     PLATFORM_SCHEMA,
     SIGHTSEEING_SCHEMA,
     STATION_SCHEMA,
@@ -25,7 +26,7 @@ from repro.errors import InvalidAddressError
 from repro.models.addressing import AddressTable, Handle, Relation, Row
 from repro.models.base import Ref, StorageModel
 from repro.nf2.oid import Rid
-from repro.nf2.schema import require_projection
+from repro.nf2.schema import Projection, require_projection
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
@@ -38,6 +39,13 @@ SECTION_SIGHTSEEINGS = 2
 # Proved once here, relied on by every ``_decode_sections``: the three
 # sections are the Station's own attributes and its two sub-relations.
 require_projection(STATION_SCHEMA, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA))
+
+#: What navigation reads of an object: the outgoing references, nothing
+#: else (of a whole stored Station, or of its Platform section).
+_PLATFORM_LINKS = Projection(
+    PLATFORM_SCHEMA, (), (Projection(CONNECTION_SCHEMA, ("OidConnection",)),)
+)
+_STATION_LINKS = Projection(STATION_SCHEMA, (), (_PLATFORM_LINKS,))
 
 
 class DirectModelBase(StorageModel):
@@ -172,13 +180,13 @@ class DirectModelBase(StorageModel):
             handle = self._handle(ref)
             if type(handle) is Rid:
                 station = self.serializer.decode_nested(
-                    STATION_SCHEMA, self.heap.read(handle)
+                    _STATION_LINKS, self.heap.read(handle)
                 )
                 platforms = station.subtuples("Platform")
             else:
                 sections = self.long_store.read(handle, wanted)
                 blob = sections[1] if wanted is None else sections[wanted.index(SECTION_PLATFORMS)]
-                platforms = self.serializer.decode_subtuple_list(PLATFORM_SCHEMA, blob)
+                platforms = self.serializer.decode_subtuple_list(_PLATFORM_LINKS, blob)
             group: list[Ref] = []
             for platform in platforms:
                 for connection in platform.subtuples("Connection"):
@@ -192,15 +200,14 @@ class DirectModelBase(StorageModel):
         for ref in refs:
             handle = self._handle(ref)
             if type(handle) is Rid:
-                station = self.serializer.decode_nested(
-                    STATION_SCHEMA, self.heap.read(handle)
-                )
-                out.append(station.atoms())
+                blob = self.heap.read(handle)
             else:
                 sections = self.long_store.read(handle, wanted)
                 blob = sections[0] if wanted is None else sections[wanted.index(SECTION_ROOT)]
-                atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, blob, 0)
-                out.append(atoms)
+            # Either way the root's flat part sits at offset 0: of the
+            # root section, or of the whole nested tuple.
+            atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, blob, 0)
+            out.append(atoms)
         return out
 
     # -- update (replace whole nested tuple) --------------------------------------------

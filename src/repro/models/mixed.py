@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from repro.errors import InvalidAddressError
 from repro.models.addressing import Handle, Relation
 from repro.nf2.oid import Rid
-from repro.nf2.schema import RelationSchema
+from repro.nf2.schema import Projection, RelationSchema
 from repro.nf2.serializer import NF2Serializer, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
@@ -70,8 +70,13 @@ class MixedTupleStore(Relation):
             return self.decode(self.heap.read(handle))
         return self.read_long(handle)
 
-    def read_many(self, handles: Sequence[Handle]) -> list[NestedTuple]:
+    def read_many(
+        self, handles: Sequence[Handle], projection: Projection | None = None
+    ) -> list[NestedTuple]:
         """Set-oriented read: the heap page set loads in one I/O call.
+
+        The same records are read whatever ``projection`` (of the
+        store's schema) says; it only limits what is decoded of them.
 
         Heap records arrive as zero-copy memoryviews aliasing live
         buffer frames; they are decoded in this method before anything
@@ -83,13 +88,14 @@ class MixedTupleStore(Relation):
             unique = list(dict.fromkeys(heap_rids))
             for rid, blob in zip(unique, self.heap.read_many(unique)):
                 blobs_by_rid[rid] = blob
-        decode, schema = self.serializer.decode_nested, self.schema
+        decode, schema = self.serializer.decode_nested, projection or self.schema
         out: list[NestedTuple] = []
         for handle in handles:
             if type(handle) is Rid:
                 out.append(decode(schema, blobs_by_rid[handle]))
             else:
-                out.append(self.read_long(handle))
+                (blob,) = self.long_store.read(handle)
+                out.append(decode(schema, blob))
         return out
 
     def scan(self, longs: Sequence[LongObjectAddress]) -> Iterator[NestedTuple]:

@@ -47,6 +47,7 @@ from repro.models.addressing import AddressTable, Relation, Row
 from repro.models.base import Ref, StorageModel
 from repro.nf2.oid import Rid
 from repro.nf2.schema import (
+    Projection,
     RelationSchema,
     int_attr,
     link_attr,
@@ -102,6 +103,9 @@ require_projection(NSM_STATION, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEIN
 require_projection(NSM_PLATFORM, PLATFORM_SCHEMA, ("RootKey", "OwnKey"), (CONNECTION_SCHEMA,))
 require_projection(NSM_CONNECTION, CONNECTION_SCHEMA, ("RootKey", "ParentKey"))
 require_projection(NSM_SIGHTSEEING, SIGHTSEEING_SCHEMA, ("RootKey",))
+
+#: What plain NSM's navigation reads of a matching connection row.
+_CONNECTION_PAIR = Projection(NSM_CONNECTION, ("RootKey", "KeyConnection"))
 
 #: The four flat relations, in table (= scan) order.
 _SCHEMAS = (NSM_STATION, NSM_PLATFORM, NSM_CONNECTION, NSM_SIGHTSEEING)
@@ -251,12 +255,16 @@ class NSMModel(NSMModelBase):
     supports_oid_access = False
 
     def _select(
-        self, heap: HeapFile, schema: RelationSchema, key_attr: str, keys: set[int]
+        self,
+        heap: HeapFile,
+        schema: RelationSchema | Projection,
+        key_attr: str,
+        keys: set[int],
     ) -> list[tuple[Rid, NestedTuple]]:
         """Value selection by full scan (NSM has no access paths).
 
         The predicate is evaluated on the stored key attribute only;
-        matching tuples are materialised in full.
+        of a matching tuple, what ``schema`` asks for is materialised.
         """
         out: list[tuple[Rid, NestedTuple]] = []
         for rid, blob in heap.scan():
@@ -298,7 +306,7 @@ class NSMModel(NSMModelBase):
         if not refs:
             return []
         keys = set(refs)
-        rows = self._select(self.connections, NSM_CONNECTION, "RootKey", keys)
+        rows = self._select(self.connections, _CONNECTION_PAIR, "RootKey", keys)
         return [(row["RootKey"], row["KeyConnection"]) for _, row in rows]
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
@@ -414,8 +422,9 @@ class NSMIndexModel(NSMModelBase):
 
     def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
         rids = [rid for key in refs for rid in self._rids(key, 2)]
+        decode_atom = self.serializer.decode_atom
         return [
-            self.serializer.decode_flat(NSM_CONNECTION, blob)["KeyConnection"]
+            decode_atom(NSM_CONNECTION, blob, "KeyConnection")
             for blob in self.connections.read_many(rids)
         ]
 

@@ -191,6 +191,58 @@ def require_projection(
         )
 
 
+@dataclass(frozen=True)
+class Projection:
+    """The part of a stored relation a reader wants decoded.
+
+    ``stored`` is the schema the bytes were encoded under,
+    ``attributes`` names the atomic attributes to keep and
+    ``subrelations`` the sub-relations to keep, each itself a projection
+    of the stored sub-relation.  :attr:`schema` is the derived relation:
+    the kept attributes and sub-relations, in stored order, under the
+    stored name.  The serializer's decode entry points accept a
+    projection wherever they accept a schema and yield ordinary tuples
+    of :attr:`schema` — equal to
+    :meth:`~repro.nf2.values.NestedTuple.project` of the full decode,
+    without ever turning the dropped bytes into objects.
+
+    Build a projection once, at module level, like a schema: a
+    serializer finds its compiled decoder by the object's identity and
+    keeps the object alive for that.
+    """
+
+    stored: RelationSchema
+    attributes: tuple[str, ...] = ()
+    subrelations: tuple["Projection", ...] = ()
+    schema: RelationSchema = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        stored = self.stored
+        names = set(self.attributes)
+        if len(names) != len(self.attributes):
+            raise SchemaError(f"projection of {stored.name!r} repeats an attribute")
+        for name in self.attributes:
+            stored.attribute(name)
+        wanted = {sub.stored.name: sub for sub in self.subrelations}
+        if len(wanted) != len(self.subrelations):
+            raise SchemaError(f"projection of {stored.name!r} repeats a sub-relation")
+        for name, sub in wanted.items():
+            if stored.subrelation(name) != sub.stored:
+                raise SchemaError(
+                    f"projection of {stored.name!r} reads {name!r} under another schema"
+                )
+        derived = RelationSchema(
+            stored.name,
+            tuple(attr for attr in stored.attributes if attr.name in names),
+            tuple(
+                wanted[sub.name].schema
+                for sub in stored.subrelations
+                if sub.name in wanted
+            ),
+        )
+        object.__setattr__(self, "schema", derived)
+
+
 def int_attr(name: str) -> Attribute:
     """Shorthand for a 4-byte INT attribute."""
     return Attribute(name, AttributeType.INT)

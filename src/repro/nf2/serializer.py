@@ -29,21 +29,37 @@ Performance notes
 -----------------
 
 :class:`NF2Serializer` is a hot path: every stored tuple of every query
-of every sweep cell passes through it.  It therefore compiles, per
-``(StorageFormat, RelationSchema)`` pair, a :class:`_LayoutPlan` — one
-fused :class:`struct.Struct` covering the whole flat part (header,
-offset array and values in a single pack/unpack), the attribute name
-order, and per-sub-relation child plans — cached on the serializer
-instance.  Encoding writes into one preallocated ``bytearray`` via
-``pack_into`` (no intermediate ``bytes`` concatenation); decoding
-unpacks through the fused struct and builds tuples via the trusted
-constructor (the bytes were validated when they were encoded).
+of every sweep cell passes through it.  It therefore does not interpret
+schemas at all: :mod:`repro.nf2.codec` *generates*, per
+``(StorageFormat, RelationSchema)`` pair, the source of straight-line
+decode and encode functions (a values-only :class:`struct.Struct` whose
+unpack result is the attribute values, a dict literal with the string
+fix-ups inline, the tuple built in place, flat sub-relations decoded by
+one ``iter_unpack`` per instance; ``pack_into`` with the atoms named in
+the call) and compiles it with one ``exec``.  The compiled
+:class:`~repro.nf2.codec._LayoutPlan` is cached **process-wide**
+(:func:`~repro.nf2.codec.compiled_plan`, a bounded ``lru_cache`` keyed
+by format and schema): every model and every ``MixedTupleStore`` owns a
+serializer, so a per-instance cache would recompile the same plans for
+each of the dozens of models a sweep builds.  A serializer only keeps an
+``id(schema)`` dict in front of that cache; the entry points below are
+each one dict lookup, one generated call and the translation of the two
+errors stored bytes can cause.  A :class:`~repro.nf2.schema.Projection`
+passed in place of a schema compiles through the same generator into a
+decoder that skips what the caller does not want.
+
+Tuples are built without re-validation (the bytes were validated when
+they were encoded); the decoder is the only gate in front of such
+trusted tuples, so a buffer too small for what it claims to hold or a
+corrupt string always surfaces as :class:`SerializationError`.
 
 :class:`ReferenceNF2Serializer` retains the original field-by-field
-implementation.  It is the parity oracle: the optimized encoder must be
-byte-identical to it (``tests/nf2/test_serializer_parity.py``) and the
-perf harness (:mod:`repro.experiments.perf`) reports the speedup of the
-plan-based paths against it.
+implementation.  It is the parity oracle: the generated encoder must be
+byte-identical to it and the generated decoder value-identical
+(``tests/nf2/test_serializer_parity.py``,
+``tests/fuzz/test_serializer_fuzz.py``), and the perf harness
+(:mod:`repro.experiments.perf`) reports the speedup of the compiled
+paths against it.
 """
 
 from __future__ import annotations
@@ -53,14 +69,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import SerializationError
-from repro.nf2.schema import AttributeType, RelationSchema
+from repro.nf2.codec import _LayoutPlan, compiled_plan
+from repro.nf2.schema import AttributeType, Projection, RelationSchema
 from repro.nf2.values import NestedTuple
 
 _FLAT_TAG = 0x01
 _NESTED_TAG = 0x02
 
 _U32 = struct.Struct("<I")
-_I32 = struct.Struct("<i")
 
 
 @dataclass(frozen=True)
@@ -152,88 +168,14 @@ class StorageFormat:
 DASDBS_FORMAT = StorageFormat()
 
 
-class _LayoutPlan:
-    """Precompiled encode/decode layout of one schema under one format.
-
-    ``flat_struct`` fuses the tuple header, the offset array and every
-    atomic value of the flat part into one format string, so the whole
-    flat part is a single ``pack_into``/``unpack_from``.  Its fields, in
-    order: ``total_len, tag, n_attrs, reserved, *offset_array, *values``
-    (pad bytes carry no fields).
-    """
-
-    __slots__ = (
-        "schema",
-        "flat_size",
-        "flat_struct",
-        "flat_unpack",
-        "attr_names",
-        "attr_is_str",
-        "str_names",
-        "value_index",
-        "offset_values",
-        "n_attrs",
-        "atom_slots",
-        "sub_names",
-        "sub_plans",
-        "counter_struct",
-        "counter_unpack",
-        "subrel_overhead",
-        "empty_subs",
-    )
-
-    def __init__(self, fmt: StorageFormat, schema: RelationSchema) -> None:
-        self.schema = schema
-        self.flat_size = fmt.flat_size(schema)
-        attrs = schema.attributes
-        self.n_attrs = len(attrs)
-        self.attr_names = tuple(attr.name for attr in attrs)
-        self.attr_is_str = tuple(attr.type is AttributeType.STR for attr in attrs)
-
-        parts = [f"<IBBH{fmt.tuple_header - 8}x"]
-        offsets: list[int] = []
-        offset = 0
-        for attr in attrs:
-            parts.append(f"H{fmt.attr_overhead - 2}x")
-            offsets.append(offset & 0xFFFF)
-            offset += attr.size
-        value_base = fmt.tuple_header + fmt.attr_overhead * self.n_attrs
-        self.atom_slots: dict[str, tuple[int, bool, int]] = {}
-        pos = value_base
-        for attr in attrs:
-            if attr.type is AttributeType.STR:
-                parts.append(f"{attr.size}s")
-                self.atom_slots[attr.name] = (pos, True, attr.size)
-            else:
-                parts.append("i")
-                self.atom_slots[attr.name] = (pos, False, attr.size)
-            pos += attr.size
-        self.flat_struct = struct.Struct("".join(parts))
-        self.flat_unpack = self.flat_struct.unpack_from
-        self.offset_values = tuple(offsets)
-        self.str_names = tuple(
-            attr.name for attr in attrs if attr.type is AttributeType.STR
-        )
-        self.value_index = 4 + self.n_attrs  # header fields + offset array
-
-        self.sub_names = tuple(sub.name for sub in schema.subrelations)
-        self.sub_plans: tuple[_LayoutPlan, ...] = ()  # filled by the cache
-        self.counter_struct = struct.Struct(f"<I{fmt.subrel_overhead - 4}x")
-        self.counter_unpack = self.counter_struct.unpack_from
-        self.subrel_overhead = fmt.subrel_overhead
-        self.empty_subs = not self.sub_names
-
-
-_from_trusted = NestedTuple._from_trusted
-
-
 def _undecodable(schema: RelationSchema, exc: Exception) -> SerializationError:
     """The typed error for bytes that are not a stored ``schema`` tuple.
 
     The decoder is the only gate in front of trusted tuples, so both
-    ways stored bytes can fail it — a truncated buffer (``struct.error``)
-    and a corrupt string (``UnicodeDecodeError``) — surface as
-    :class:`SerializationError`, translated once per entry point.
+    ways stored bytes can fail it — a buffer too small for what it
+    claims to hold (``struct.error``) and a corrupt string
+    (``UnicodeDecodeError``) — surface as :class:`SerializationError`,
+    translated once per entry point.
     """
     if isinstance(exc, UnicodeDecodeError):
         return SerializationError(
@@ -242,108 +184,55 @@ def _undecodable(schema: RelationSchema, exc: Exception) -> SerializationError:
     return SerializationError(f"buffer too small to decode a {schema.name!r} tuple")
 
 
-def _decode_plan(plan: _LayoutPlan, data, pos: int) -> tuple[NestedTuple, int]:
-    """Recursive plan-based decode; the flat unpack is inlined.
-
-    This is the hottest decode loop of the whole simulator, so the body
-    avoids per-tuple method dispatch: one fused ``unpack_from`` per flat
-    part, ``dict(zip(...))`` for the atoms, a string fix-up pass, then
-    the sub-relation recursion.  ``struct.error`` (truncated buffer)
-    and ``UnicodeDecodeError`` (corrupt string) propagate; the entry
-    points translate them to :class:`SerializationError`.
-    """
-    fields = plan.flat_unpack(data, pos)
-    atoms: dict[str, object] = dict(zip(plan.attr_names, fields[plan.value_index :]))
-    for name in plan.str_names:
-        atoms[name] = atoms[name].rstrip(b"\x00").decode("utf-8")
-    pos += plan.flat_size
-    if plan.empty_subs:
-        return _from_trusted(plan.schema, atoms, {}), pos
-    subs: dict[str, list[NestedTuple]] = {}
-    counter_unpack = plan.counter_unpack
-    subrel_overhead = plan.subrel_overhead
-    for name, sub_plan in zip(plan.sub_names, plan.sub_plans):
-        (count,) = counter_unpack(data, pos)
-        pos += subrel_overhead
-        children: list[NestedTuple] = []
-        append = children.append
-        for _ in range(count):
-            child, pos = _decode_plan(sub_plan, data, pos)
-            append(child)
-        subs[name] = children
-    return _from_trusted(plan.schema, atoms, subs), pos
-
-
 class NF2Serializer:
-    """Encode/decode nested tuples using a :class:`StorageFormat`."""
+    """Encode/decode nested tuples using a :class:`StorageFormat`.
+
+    Every decode entry point takes, where it says ``schema``, either the
+    :class:`RelationSchema` the bytes were stored under or a
+    :class:`~repro.nf2.schema.Projection` of it, and then yields tuples
+    of the projection's derived schema.
+    """
 
     def __init__(self, fmt: StorageFormat = DASDBS_FORMAT) -> None:
         self.format = fmt
-        # Plans keyed by id(schema); the schema object is pinned in the
-        # value so a dead id can never be reused while the entry lives.
+        # The hot lookup: plans by id(schema), in front of the
+        # process-wide cache (which must hash the whole schema).  The
+        # entry points inline ``self._plans.get(id(schema)) or
+        # self._plan(schema)``.
         self._plans: dict[int, _LayoutPlan] = {}
+        # An id is only a key while its object lives; the shared plan
+        # may have been compiled from an equal twin, so pin the object.
+        self._pinned: list[RelationSchema | Projection] = []
 
-    def _plan(self, schema: RelationSchema) -> _LayoutPlan:
-        plan = self._plans.get(id(schema))
-        if plan is None:
-            plan = _LayoutPlan(self.format, schema)
-            plan.sub_plans = tuple(self._plan(sub) for sub in schema.subrelations)
-            self._plans[id(schema)] = plan
+    def _plan(self, schema: RelationSchema | Projection) -> _LayoutPlan:
+        plan = self._plans[id(schema)] = compiled_plan(self.format, schema)
+        self._pinned.append(schema)
         return plan
 
     # -- flat encoding -----------------------------------------------------
 
     def encode_flat(self, value: NestedTuple) -> bytes:
         """Encode only the flat part (atomic attributes) of ``value``."""
-        plan = self._plan(value.schema)
-        out = bytearray(plan.flat_size)
-        self._pack_flat(plan, value, out, 0, _FLAT_TAG, plan.flat_size)
-        return bytes(out)
-
-    @staticmethod
-    def _pack_flat(
-        plan: _LayoutPlan,
-        value: NestedTuple,
-        out: bytearray,
-        pos: int,
-        tag: int,
-        total_len: int,
-    ) -> None:
-        atoms = value._atoms
-        values = [
-            atoms[name].encode("utf-8") if is_str else atoms[name]
-            for name, is_str in zip(plan.attr_names, plan.attr_is_str)
-        ]
-        plan.flat_struct.pack_into(
-            out, pos, total_len, tag, plan.n_attrs, 0, *plan.offset_values, *values
-        )
+        schema = value.schema
+        plan = self._plans.get(id(schema)) or self._plan(schema)
+        return plan.encode_flat(value)
 
     def decode_flat(self, schema: RelationSchema, data: bytes) -> NestedTuple:
         """Decode the flat part of a tuple of ``schema`` from ``data``."""
-        plan = self._plan(schema)
-        atoms = self._unpack_flat(plan, data, 0)
-        if plan.empty_subs:
-            return _from_trusted(schema, atoms, {})
-        return _from_trusted(schema, atoms, {name: [] for name in plan.sub_names})
+        plan = self._plans.get(id(schema)) or self._plan(schema)
+        try:
+            return plan.decode_flat(data)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise _undecodable(plan.schema, exc) from None
 
     def _decode_flat_part(
         self, schema: RelationSchema, data: bytes, start: int
     ) -> tuple[dict[str, object], int]:
-        plan = self._plan(schema)
-        return self._unpack_flat(plan, data, start), start + plan.flat_size
-
-    @staticmethod
-    def _unpack_flat(plan: _LayoutPlan, data, start: int) -> dict[str, object]:
+        plan = self._plans.get(id(schema)) or self._plan(schema)
         try:
-            fields = plan.flat_unpack(data, start)
-            atoms: dict[str, object] = dict(
-                zip(plan.attr_names, fields[plan.value_index :])
-            )
-            for name in plan.str_names:
-                atoms[name] = atoms[name].rstrip(b"\x00").decode("utf-8")
+            return plan.decode_atoms(data, start), start + plan.flat_size
         except (struct.error, UnicodeDecodeError) as exc:
             raise _undecodable(plan.schema, exc) from None
-        return atoms
 
     def decode_atom(self, schema: RelationSchema, data: bytes, attr_name: str):
         """Decode a single atomic attribute without materialising the tuple.
@@ -352,75 +241,44 @@ class NF2Serializer:
         fast path reads one value at its fixed offset, which is what a
         real engine's predicate evaluation over an offset array does.
         """
-        plan = self._plan(schema)
-        slot = plan.atom_slots.get(attr_name)
+        plan = self._plans.get(id(schema)) or self._plan(schema)
+        slot = plan.atoms.get(attr_name)
         if slot is None:
             raise SerializationError(
-                f"relation {schema.name!r} has no atomic attribute {attr_name!r}"
+                f"relation {plan.schema.name!r} has no atomic attribute {attr_name!r}"
             )
-        pos, is_str, size = slot
+        unpack, is_str = slot
         try:
-            if is_str:
-                return bytes(data[pos : pos + size]).rstrip(b"\x00").decode("utf-8")
-            return _I32.unpack_from(data, pos)[0]
+            (raw,) = unpack(data)
+            return raw.rstrip(b"\x00").decode("utf-8") if is_str else raw
         except (struct.error, UnicodeDecodeError) as exc:
-            raise _undecodable(schema, exc) from None
+            raise _undecodable(plan.schema, exc) from None
 
     # -- nested encoding ----------------------------------------------------
 
     def encode_nested(self, value: NestedTuple) -> bytes:
         """Recursively encode ``value`` including all sub-relations."""
-        plan = self._plan(value.schema)
-        total = self._planned_size(plan, value)
+        schema = value.schema
+        plan = self._plans.get(id(schema)) or self._plan(schema)
+        total = plan.size(value)
         if total >= 2**32:  # pragma: no cover - absurd objects only
             raise SerializationError("nested tuple exceeds 4 GiB encoding limit")
         out = bytearray(total)
-        end = self._pack_nested(plan, value, out, 0)
+        end = plan.pack(value, out, 0)
         if end != total:  # defensive: the size formula must match
             raise SerializationError(
-                f"encoding size mismatch for {value.schema.name!r}: "
+                f"encoding size mismatch for {schema.name!r}: "
                 f"computed {total}, produced {end}"
             )
         return bytes(out)
 
-    @classmethod
-    def _planned_size(cls, plan: _LayoutPlan, value: NestedTuple) -> int:
-        size = plan.flat_size
-        if plan.empty_subs:
-            return size
-        subs = value._subs
-        for name, sub_plan in zip(plan.sub_names, plan.sub_plans):
-            size += plan.subrel_overhead
-            for child in subs[name]:
-                size += cls._planned_size(sub_plan, child)
-        return size
-
-    @classmethod
-    def _pack_nested(
-        cls, plan: _LayoutPlan, value: NestedTuple, out: bytearray, pos: int
-    ) -> int:
-        # Children are packed first; the flat header needs the subtree's
-        # total length, which the recursion computes for free.
-        start = pos
-        pos += plan.flat_size
-        if not plan.empty_subs:
-            subs = value._subs
-            for name, sub_plan in zip(plan.sub_names, plan.sub_plans):
-                children = subs[name]
-                plan.counter_struct.pack_into(out, pos, len(children))
-                pos += plan.subrel_overhead
-                for child in children:
-                    pos = cls._pack_nested(sub_plan, child, out, pos)
-        cls._pack_flat(plan, value, out, start, _NESTED_TAG, pos - start)
-        return pos
-
     def decode_nested(self, schema: RelationSchema, data: bytes, start: int = 0) -> NestedTuple:
         """Decode a recursive encoding produced by :meth:`encode_nested`."""
-        plan = self._plan(schema)
+        plan = self._plans.get(id(schema)) or self._plan(schema)
         try:
-            return _decode_plan(plan, memoryview(data), start)[0]
+            return plan.decode_top(memoryview(data), start)[0]
         except (struct.error, UnicodeDecodeError) as exc:
-            raise _undecodable(schema, exc) from None
+            raise _undecodable(plan.schema, exc) from None
 
     # -- sub-tree lists (sections of long objects) ---------------------------
 
@@ -428,34 +286,26 @@ class NF2Serializer:
         self, sub_schema: RelationSchema, children: Sequence[NestedTuple]
     ) -> bytes:
         """Encode a sub-relation instance as one self-contained blob."""
-        plan = self._plan(sub_schema)
-        total = plan.subrel_overhead + sum(
-            self._planned_size(plan, child) for child in children
-        )
-        out = bytearray(total)
-        plan.counter_struct.pack_into(out, 0, len(children))
-        pos = plan.subrel_overhead
+        plan = self._plans.get(id(sub_schema)) or self._plan(sub_schema)
+        pack = plan.pack
+        if pack is None:
+            raise SerializationError("a Projection only decodes; encode under its stored schema")
+        pos = plan.overhead
+        out = bytearray(pos + sum(map(plan.size, children)))
+        _U32.pack_into(out, 0, len(children))
         for child in children:
-            pos = self._pack_nested(plan, child, out, pos)
+            pos = pack(child, out, pos)
         return bytes(out)
 
     def decode_subtuple_list(
         self, sub_schema: RelationSchema, data: bytes, start: int = 0
     ) -> list[NestedTuple]:
         """Decode a blob produced by :meth:`encode_subtuple_list`."""
-        plan = self._plan(sub_schema)
-        view = memoryview(data)
-        children: list[NestedTuple] = []
-        append = children.append
+        plan = self._plans.get(id(sub_schema)) or self._plan(sub_schema)
         try:
-            (count,) = _U32.unpack_from(view, start)
-            pos = start + plan.subrel_overhead
-            for _ in range(count):
-                child, pos = _decode_plan(plan, view, pos)
-                append(child)
+            return plan.decode_list(memoryview(data), start)
         except (struct.error, UnicodeDecodeError) as exc:
-            raise _undecodable(sub_schema, exc) from None
-        return children
+            raise _undecodable(plan.schema, exc) from None
 
 
 class ReferenceNF2Serializer:

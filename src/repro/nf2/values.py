@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError, SerializationError
-from repro.nf2.schema import AttributeType, RelationSchema
+from repro.nf2.schema import AttributeType, Projection, RelationSchema
 
 
 class NestedTuple:
@@ -132,6 +132,26 @@ class NestedTuple:
                 )
             atoms[name] = value
         return NestedTuple(self.schema, atoms, self._subs)
+
+    def project(self, projection: Projection) -> "NestedTuple":
+        """This tuple reduced to what ``projection`` keeps.
+
+        Built the slow way, through the validating constructor: it is
+        the specification a projected decode must equal
+        (``decode_nested(schema, blob).project(p) ==
+        decode_nested(p, blob)``), not a read path.
+        """
+        schema = projection.schema
+        return NestedTuple(
+            schema,
+            {attr.name: self[attr.name] for attr in schema.attributes},
+            {
+                sub.stored.name: [
+                    child.project(sub) for child in self.subtuples(sub.stored.name)
+                ]
+                for sub in projection.subrelations
+            },
+        )
 
     # -- equality / repr ---------------------------------------------------
 

@@ -18,9 +18,11 @@ import random
 import pytest
 
 from repro.errors import SerializationError
+from repro.models import dasdbs_dsm, dasdbs_nsm, dsm, nsm
 from repro.nf2.schema import (
     Attribute,
     AttributeType,
+    Projection,
     RelationSchema,
     int_attr,
     link_attr,
@@ -196,6 +198,134 @@ def test_truncated_blobs_raise_not_misdecode(fuzz_seed):
             fast.decode_nested(schema, truncated)
         with pytest.raises(SerializationError):
             reference.decode_nested(schema, truncated)
+
+
+def test_embedded_nul_is_kept_like_the_reference_keeps_it(fuzz_seed):
+    """Only *trailing* NULs are padding.  A fix-up that cuts at the
+    first NUL would be faster and wrong; this pins value parity on
+    strings with a NUL inside (and documents that a trailing one is
+    indistinguishable from padding in both codecs)."""
+    rng = random.Random(fuzz_seed + 11)
+    leaf = RelationSchema.flat("Nul", str_attr("s", 12), int_attr("i"), str_attr("t", 5))
+    holder = RelationSchema("NulHolder", (str_attr("h", 7),), (leaf,))
+    fast = NF2Serializer()
+    reference = ReferenceNF2Serializer()
+
+    def with_nul(budget: int) -> str:
+        text = _random_string(rng, budget - 2)
+        cut = rng.randint(0, len(text))
+        return text[:cut] + "\0" + text[cut:] + rng.choice(("x", "\0", ""))
+
+    for _ in range(20):
+        children = [
+            NestedTuple(leaf, {"s": with_nul(12), "i": rng.randint(-9, 9), "t": with_nul(5)})
+            for _ in range(rng.randint(1, 4))
+        ]
+        value = NestedTuple(holder, {"h": with_nul(7)}, {"Nul": children})
+        blob = fast.encode_nested(value)
+        assert blob == reference.encode_nested(value)
+        decoded = fast.decode_nested(holder, blob)
+        assert decoded == reference.decode_nested(holder, blob)
+        assert decoded["h"] == value["h"].rstrip("\0")
+        section = fast.encode_subtuple_list(leaf, children)
+        assert fast.decode_subtuple_list(leaf, section) == reference.decode_subtuple_list(
+            leaf, section
+        )
+        flat = fast.encode_flat(value)
+        assert fast.decode_flat(holder, flat) == reference.decode_flat(holder, flat)
+        assert fast.decode_atom(holder, flat, "h") == reference.decode_atom(holder, flat, "h")
+
+
+# -- projections: a projected decode equals the projected full decode ----------------
+
+#: Every projection a storage model reads through.
+MODEL_PROJECTIONS = [
+    (f"{module.__name__.rsplit('.', 1)[-1]}.{name}", value)
+    for module in (dsm, dasdbs_dsm, nsm, dasdbs_nsm)
+    for name, value in sorted(vars(module).items())
+    if isinstance(value, Projection)
+]
+
+
+def test_the_models_projections_are_found():
+    names = {name for name, _ in MODEL_PROJECTIONS}
+    assert {
+        "dsm._STATION_LINKS",
+        "dsm._PLATFORM_LINKS",
+        "nsm._CONNECTION_PAIR",
+        "dasdbs_nsm._CONNECTION_LINKS",
+    } <= names
+
+
+def _check_projection(rng, fast, projection, fanout):
+    """``project(full decode) == projected decode`` at every entry point."""
+    stored = projection.stored
+    values = [_random_tuple(rng, stored, fanout) for _ in range(rng.randint(1, 3))]
+    for value in values:
+        blob = fast.encode_nested(value)
+        expected = fast.decode_nested(stored, blob).project(projection)
+        assert expected == value.project(projection)
+        decoded = fast.decode_nested(projection, blob)
+        assert decoded == expected
+        assert decoded.schema == projection.schema
+        flat = fast.decode_flat(projection, blob)
+        assert flat.atoms() == expected.atoms()
+        assert fast._decode_flat_part(projection, blob, 0) == (
+            expected.atoms(),
+            fast.format.flat_size(stored),
+        )
+        for attr in projection.schema.attributes:
+            assert fast.decode_atom(projection, blob, attr.name) == expected[attr.name]
+    # In a list every projected tuple must end where the stored one does.
+    section = fast.encode_subtuple_list(stored, values)
+    assert fast.decode_subtuple_list(projection, section) == [
+        value.project(projection) for value in values
+    ]
+    padded = b"\xee" * 3 + section
+    assert fast.decode_subtuple_list(projection, padded, 3) == [
+        value.project(projection) for value in values
+    ]
+
+
+@pytest.mark.parametrize(
+    "projection", [p for _, p in MODEL_PROJECTIONS], ids=[n for n, _ in MODEL_PROJECTIONS]
+)
+def test_model_projections_equal_projected_full_decode(fuzz_seed, projection):
+    rng = random.Random(fuzz_seed * 7 + 3)
+    for fmt in (DASDBS_FORMAT, _random_format(rng), _random_format(rng)):
+        _check_projection(rng, NF2Serializer(fmt), projection, fanout=4)
+
+
+def _random_projection(rng: random.Random, schema: RelationSchema) -> Projection | None:
+    """A random projection of ``schema``; ``None`` if it kept nothing."""
+    attributes = tuple(
+        attr.name for attr in schema.attributes if rng.random() < 0.5
+    )
+    subrelations = tuple(
+        projection
+        for projection in (
+            _random_projection(rng, sub) for sub in schema.subrelations if rng.random() < 0.6
+        )
+        if projection is not None
+    )
+    if not attributes and not subrelations:
+        return None
+    return Projection(schema, attributes, subrelations)
+
+
+def test_random_projections_equal_projected_full_decode(fuzz_seed):
+    """Random schemas, random projections: dropped attributes anywhere,
+    sub-relations passed over before a wanted one (flat and nested),
+    levels that keep no attribute at all."""
+    rng = random.Random(fuzz_seed * 13 + 1)
+    checked = 0
+    while checked < 12:
+        schema = _random_schema(rng, depth=rng.randint(1, 4), name=f"P{checked}")
+        projection = _random_projection(rng, schema)
+        if projection is None:
+            continue
+        _check_projection(rng, NF2Serializer(_random_format(rng)), projection, fanout=3)
+        checked += 1
 
 
 def test_default_format_matches_calibrated_constants():

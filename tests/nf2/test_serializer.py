@@ -194,6 +194,22 @@ class TestCorruptBytes:
         with pytest.raises(SerializationError, match="too small"):
             ser.decode_atom(INNER, ser.encode_flat(inner())[:-17], "x")
 
+    def test_decode_atom_truncated_string_slot(self):
+        """A string slot cut short is an error, not a shorter string.
+
+        Slicing the slot out of the buffer clamps: a Station cut inside
+        its ``Name`` used to read back as ``'Stati'``, cut before it as
+        ``''``, where ``decode_flat`` on the same bytes raised.
+        """
+        blob = ser.encode_flat(self._station())
+        for cut in (1, 95, 100, 101):
+            with pytest.raises(SerializationError, match="too small"):
+                ser.decode_atom(STATION_SCHEMA, blob[:-cut], "Name")
+            with pytest.raises(SerializationError, match="too small"):
+                ser.decode_flat(STATION_SCHEMA, blob[:-cut])
+        # Attributes in front of the cut are whole and still readable.
+        assert ser.decode_atom(STATION_SCHEMA, blob[:-95], "Key") == self._station()["Key"]
+
 
 # -- property-based tests ----------------------------------------------------
 

@@ -131,15 +131,33 @@ def test_randomized_subtuple_list_parity(fmt):
         )
 
 
-def test_benchmark_extension_parity():
-    """The real generated extension, not just synthetic schemas."""
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_benchmark_extension_parity(fmt):
+    """The real generated extension, not just synthetic schemas: whole
+    objects and the three sections the direct models store them as."""
     stations = generate_stations(BenchmarkConfig(n_objects=40))
-    fast = NF2Serializer()
-    reference = ReferenceNF2Serializer()
+    fast = NF2Serializer(fmt)
+    reference = ReferenceNF2Serializer(fmt)
     for station in stations:
         blob = fast.encode_nested(station)
         assert blob == reference.encode_nested(station)
+        assert len(blob) == fmt.nested_size(station)
         assert fast.decode_nested(station.schema, blob) == station
+        assert reference.decode_nested(station.schema, blob) == station
+        root = fast.encode_flat(station)
+        assert root == reference.encode_flat(station)
+        assert fast._decode_flat_part(station.schema, root, 0) == (
+            reference._decode_flat_part(station.schema, root, 0)
+        )
+        for sub in station.schema.subrelations:
+            children = station.subtuples(sub.name)
+            section = fast.encode_subtuple_list(sub, children)
+            assert section == reference.encode_subtuple_list(sub, children)
+            assert (
+                fast.decode_subtuple_list(sub, section)
+                == reference.decode_subtuple_list(sub, section)
+                == children
+            )
 
 
 def test_decoded_tuples_behave_like_validated_ones():
