@@ -98,6 +98,10 @@ BACKEND_NAMES = ("memory", "file", "mmap", "direct", "trace")
 #: its ``DiskSnapshot.image`` canonical across backends.
 PageImage: TypeAlias = tuple["bytes | None", ...]
 
+#: One page image crossing the ``read_run``/``write_run`` seam (see the
+#: ownership contract on :class:`DiskBackend`).
+PageBuffer: TypeAlias = "bytes | bytearray | memoryview"
+
 
 class DiskBackend:
     """Protocol of a page-byte store (run-granular).
@@ -109,9 +113,23 @@ class DiskBackend:
     ``sync`` forces everything to stable storage (the "database
     disconnect" of Section 5.2 maps to flush + sync).
 
+    **Who copies** (the buffer-ownership contract of the page path):
+
+    * ``read_run`` returns, per page, either an *immutable image*
+      (``bytes`` or a read-only ``memoryview`` — the caller copies
+      before mutating) or a *fresh* ``bytearray`` *the caller owns*: the
+      backend keeps no reference to it, so the buffer manager adopts it
+      as the frame without another copy.  A page id repeated within one
+      run may yield the same object twice.
+    * ``write_run`` may not retain a caller's buffer beyond the call:
+      the caller goes on mutating it (the buffer manager hands down the
+      live frame).  A backend that keeps page images — in RAM, in a
+      trace, in a write overlay — copies them first.
+
     ``snapshot``/``restore`` move the whole page store in and out of a
     canonical image (see :data:`PageImage`); they are lifecycle
     operations, not I/O calls, and are never charged to the metrics.
+    Snapshot images are immutable ``bytes`` on every backend.
     """
 
     #: Registry name of the backend class ("memory", "file", ...).
@@ -129,12 +147,12 @@ class DiskBackend:
         """Provide zeroed storage for pages ``start .. start+count-1``."""
         raise NotImplementedError
 
-    def read_run(self, page_ids: Sequence[int]) -> list[bytes]:
+    def read_run(self, page_ids: Sequence[int]) -> list[PageBuffer]:
         """Return the images of ``page_ids`` (one I/O call)."""
         raise NotImplementedError
 
-    def write_run(self, items: Sequence[tuple[int, bytes]]) -> None:
-        """Store the given page images (one I/O call)."""
+    def write_run(self, items: Sequence[tuple[int, PageBuffer]]) -> None:
+        """Store the given page images (one I/O call), retaining none."""
         raise NotImplementedError
 
     def free(self, page_id: int) -> None:
@@ -195,14 +213,9 @@ class MemoryBackend(DiskBackend):
 
     def read_run(self, page_ids: Sequence[int]) -> list[bytes]:
         pages = self._pages
-        n = len(page_ids)
-        if n > 1:
-            first = page_ids[0]
+        if len(page_ids) > 1 and _is_stretch(page_ids):
             # Contiguous ascending run: one slice, zero per-page lookups.
-            if page_ids[-1] == first + n - 1 and list(page_ids) == list(
-                range(first, first + n)
-            ):
-                return pages[first : first + n]
+            return pages[page_ids[0] : page_ids[0] + len(page_ids)]
         return [pages[page_id] for page_id in page_ids]
 
     def write_run(self, items: Sequence[tuple[int, bytes]]) -> None:
@@ -292,23 +305,33 @@ class FileBackend(DiskBackend):
             # Fully recycled region (e.g. after free): re-zero it.
             self._write_stretch(fd, start, [bytes(self.page_size)] * count)
 
-    def read_run(self, page_ids: Sequence[int]) -> list[bytes]:
+    def read_run(self, page_ids: Sequence[int]) -> list[PageBuffer]:
         fd = self._require_open()
-        out: dict[int, bytes] = {}
+        if not page_ids:
+            return []
+        if _is_stretch(page_ids):
+            # The common run — one page, or one object's adjacent pages —
+            # is one syscall whose buffers are the result: no regrouping.
+            return self._read_stretch(fd, page_ids[0], len(page_ids))
+        out: dict[int, PageBuffer] = {}
         for stretch in contiguous_runs(page_ids, max_len=_IOV_MAX):
-            images = self._read_stretch(fd, stretch[0], len(stretch))
-            for page_id, image in zip(stretch, images):
-                out[page_id] = image
+            out.update(zip(stretch, self._read_stretch(fd, stretch[0], len(stretch))))
         return [out[page_id] for page_id in page_ids]
 
-    def write_run(self, items: Sequence[tuple[int, bytes]]) -> None:
+    def write_run(self, items: Sequence[tuple[int, PageBuffer]]) -> None:
         fd = self._require_open()
-        items = list(items)
-        by_id = {page_id: data for page_id, data in items}
-        for stretch in contiguous_runs(
-            [page_id for page_id, _ in items], max_len=_IOV_MAX
-        ):
-            self._write_stretch(fd, stretch[0], [by_id[p] for p in stretch])
+        if len(items) == 1:
+            # The eviction write-back: one page is one stretch as it is.
+            page_id, image = items[0]
+            self._write_stretch(fd, page_id, (image,))
+        elif items:
+            page_ids, images = zip(*items)
+            if _is_stretch(page_ids):
+                self._write_stretch(fd, page_ids[0], images)
+            else:
+                by_id = dict(items)
+                for stretch in contiguous_runs(page_ids, max_len=_IOV_MAX):
+                    self._write_stretch(fd, stretch[0], [by_id[p] for p in stretch])
         if self.fsync:
             os.fsync(fd)
 
@@ -388,37 +411,66 @@ class FileBackend(DiskBackend):
             raise StorageError(f"{self.name} backend is closed")
         return self._fd
 
-    def _read_stretch(self, fd: int, start: int, count: int) -> list[bytes]:
-        """One contiguous read of ``count`` pages at page ``start``."""
+    def _read_stretch(self, fd: int, start: int, count: int) -> list[PageBuffer]:
+        """One contiguous read of ``count`` pages at page ``start``.
+
+        The kernel fills one fresh ``bytearray`` per page and those very
+        buffers are returned — the caller owns them (see the contract on
+        :class:`DiskBackend`).  Stretches beyond ``IOV_MAX`` (a direct
+        snapshot chunk falling back to buffered I/O) split into several
+        calls.
+        """
+        if count > _IOV_MAX:
+            images: list[PageBuffer] = []
+            for base in range(0, count, _IOV_MAX):
+                images += self._read_stretch(
+                    fd, start + base, min(_IOV_MAX, count - base)
+                )
+            return images
         page_size = self.page_size
-        offset = start * page_size
-        if _HAS_VECTORED:
-            buffers = [bytearray(page_size) for _ in range(count)]
-            got = os.preadv(fd, buffers, offset)
-            images = [bytes(buf) for buf in buffers]
-        else:  # pragma: no cover - non-vectored platforms
-            blob = os.pread(fd, count * page_size, offset)
-            got = len(blob)
-            images = [
-                blob[i * page_size : (i + 1) * page_size] for i in range(count)
-            ]
+        try:
+            if _HAS_VECTORED:
+                buffers = [bytearray(page_size) for _ in range(count)]
+                got = os.preadv(fd, buffers, start * page_size)
+            else:  # pragma: no cover - non-vectored platforms
+                blob = os.pread(fd, count * page_size, start * page_size)
+                got = len(blob)
+                buffers = [
+                    bytearray(blob[i * page_size : (i + 1) * page_size])
+                    for i in range(count)
+                ]
+        except OSError as exc:
+            raise _io_failure("read", count, start, exc) from exc
         if got != count * page_size:
             raise StorageError(f"short read at page {start}: {got} bytes")
-        return images
+        return buffers
 
-    def _write_stretch(self, fd: int, start: int, images: Sequence[bytes]) -> None:
-        for base in range(0, len(images), _IOV_MAX):
-            chunk = images[base : base + _IOV_MAX]
-            offset = (start + base) * self.page_size
+    def _write_stretch(
+        self, fd: int, start: int, images: Sequence[PageBuffer]
+    ) -> None:
+        """One contiguous write of ``images`` at page ``start``.
+
+        The images go to the kernel as they are (``pwritev`` takes any
+        buffer) and are not kept.  Stretches beyond ``IOV_MAX`` — only
+        allocation and restore produce them — split into several calls.
+        """
+        count = len(images)
+        if count > _IOV_MAX:
+            for base in range(0, count, _IOV_MAX):
+                self._write_stretch(fd, start + base, images[base : base + _IOV_MAX])
+            return
+        page_size = self.page_size
+        try:
             if _HAS_VECTORED:
-                written = os.pwritev(fd, chunk, offset)
+                written = os.pwritev(fd, images, start * page_size)
             else:  # pragma: no cover - non-vectored platforms
-                written = os.pwrite(fd, b"".join(chunk), offset)
-            if written != len(chunk) * self.page_size:
-                raise StorageError(
-                    f"short write at page {start + base}: {written} bytes"
-                )
-        self._size_pages = max(self._size_pages, start + len(images))
+                written = os.pwrite(fd, b"".join(images), start * page_size)
+        except OSError as exc:
+            raise _io_failure("write", count, start, exc) from exc
+        if written != count * page_size:
+            raise StorageError(f"short write at page {start}: {written} bytes")
+        if start + count > self._size_pages:
+            self._size_pages = start + count
 
 
 class MmapBackend(FileBackend):
@@ -700,12 +752,12 @@ class DirectBackend(FileBackend):
             self._bounce_len = size
         return self._bounce
 
-    def _read_stretch(self, fd: int, start: int, count: int) -> list[bytes]:
+    def _read_stretch(self, fd: int, start: int, count: int) -> list[PageBuffer]:
         if not self.o_direct:
             return super()._read_stretch(fd, start, count)
         page_size = self.page_size
         chunk_pages = max(1, _DIRECT_CHUNK // page_size)
-        images: list[bytes] = []
+        images: list[PageBuffer] = []
         for base in range(0, count, chunk_pages):
             n = min(chunk_pages, count - base)
             nbytes = n * page_size
@@ -720,20 +772,24 @@ class DirectBackend(FileBackend):
                         super()._read_stretch(fd, start + base, count - base)
                     )
                     return images
-                raise
+                raise _io_failure("direct read", n, start + base, exc) from exc
             if got != nbytes:
                 view.release()
                 raise StorageError(
                     f"short read at page {start + base}: {got} bytes"
                 )
+            # The bounce pool is reused by the next call, so each page
+            # leaves it as a fresh bytearray the caller owns.
             images.extend(
-                bytes(view[i * page_size : (i + 1) * page_size])
+                bytearray(view[i * page_size : (i + 1) * page_size])
                 for i in range(n)
             )
             view.release()
         return images
 
-    def _write_stretch(self, fd: int, start: int, images: Sequence[bytes]) -> None:
+    def _write_stretch(
+        self, fd: int, start: int, images: Sequence[PageBuffer]
+    ) -> None:
         if not self.o_direct:
             super()._write_stretch(fd, start, images)
             return
@@ -756,7 +812,9 @@ class DirectBackend(FileBackend):
                     self._disable_o_direct(f"pwritev rejected direct I/O: {exc}")
                     super()._write_stretch(fd, start + base, images[base:])
                     return
-                raise
+                raise _io_failure(
+                    "direct write", len(chunk), start + base, exc
+                ) from exc
             view.release()
             if written != nbytes:
                 raise StorageError(
@@ -775,7 +833,9 @@ class DirectBackend(FileBackend):
         chunk_pages = max(1, _DIRECT_CHUNK // self.page_size)
         for base in range(0, self._size_pages, chunk_pages):
             count = min(chunk_pages, self._size_pages - base)
-            images.extend(self._read_stretch(fd, base, count))
+            # The stretch reader hands out owned bytearrays; a snapshot
+            # image is immutable bytes on every backend.
+            images.extend(map(bytes, self._read_stretch(fd, base, count)))
         return tuple(images)
 
 
@@ -1027,6 +1087,24 @@ def make_backend(
         return TraceBackend(MemoryBackend(page_size), path=path)
     raise StorageError(
         f"unknown disk backend {spec!r} (known: {', '.join(BACKEND_NAMES)})"
+    )
+
+
+def _io_failure(what: str, count: int, start: int, exc: OSError) -> StorageError:
+    """The typed form of an ``OSError`` out of a positional transfer
+    (raise it ``from`` the original, which keeps the errno)."""
+    return StorageError(f"{what} of {count} page(s) at page {start} failed: {exc}")
+
+
+def _is_stretch(page_ids: Sequence[int]) -> bool:
+    """Whether non-empty ``page_ids`` is one ascending run of adjacent,
+    non-negative ids — checked, not assumed."""
+    first = page_ids[0]
+    count = len(page_ids)
+    return (
+        first >= 0
+        and page_ids[-1] == first + count - 1
+        and (count <= 2 or list(page_ids) == list(range(first, first + count)))
     )
 
 

@@ -610,15 +610,11 @@ class BufferManager:
                 notify(page_id)
             return frame.data
         if len(self._frames) >= self.capacity:
-            self._make_room(1)
-        content = self.disk.read_page(page_id)
-        data = content if self._zero_copy else bytearray(content)
-        if self._checksum_guards:
-            self._verify_read(page_id, data)
-        frame = _Frame(data)
-        self._frames[page_id] = frame
-        self.policy.on_insert(page_id)
-        self.metrics.record_fix(hit=False)
+            self._evict_one()  # full, never over-full: one frame short
+        frame = self._admit(page_id, self.disk.read_pages((page_id,))[0])
+        metrics = self.metrics
+        metrics.page_fixes += 1
+        metrics.buffer_misses += 1
         frame.fix_count += 1
         notify = self._notify_fix
         if notify is not None:
@@ -632,49 +628,79 @@ class BufferManager:
         one section) with a single call.  Duplicate ids are fixed once
         per occurrence (each occurrence must be unfixed).
         """
-        unique = list(dict.fromkeys(page_ids))
-        resident = [pid for pid in unique if pid in self._frames]
-        missing = [pid for pid in unique if pid not in self._frames]
-        # Pin the already-resident requested pages so that making room
-        # for the missing ones cannot evict them out from under us.
-        for pid in resident:
-            self._frames[pid].fix_count += 1
-        try:
-            if missing:
-                self._make_room(len(missing))
-                contents = self.disk.read_pages(missing)
-                verify = bool(self._checksum_guards)
-                zero_copy = self._zero_copy
-                for pid, content in zip(missing, contents):
-                    if verify:
-                        self._verify_read(pid, content)
-                    self._frames[pid] = _Frame(
-                        content if zero_copy else bytearray(content)
-                    )
-                    self.policy.on_insert(pid)
-        finally:
-            for pid in resident:
-                self._frames[pid].fix_count -= 1
-        out: dict[int, bytearray] = {}
-        missing_set = set(missing)
-        frames = self._frames
+        # One classification pass: the frame of every requested page,
+        # None where it is not resident.
+        frames_get = self._frames_get
+        hits = [frames_get(pid) for pid in page_ids]
         on_access = self._on_access
         metrics = self.metrics
-        listener = self._notify_fix
+        notify = self._notify_fix
+        out: dict[int, bytearray] = {}
+        if None not in hits:
+            # All resident: nothing can be evicted, so nothing is pinned.
+            for pid, frame in zip(page_ids, hits):
+                on_access(pid)
+                metrics.page_fixes += 1
+                metrics.buffer_hits += 1
+                frame.fix_count += 1
+                if notify is not None:
+                    notify(pid)
+                out[pid] = frame.data
+            return out
+        missing = [pid for pid, frame in zip(page_ids, hits) if frame is None]
+        fresh = set(missing)
+        if len(fresh) != len(missing):
+            # Read each page once, at its first occurrence in the request.
+            missing = list(dict.fromkeys(missing))
+        # Pin the already-resident requested pages so that making room
+        # for the missing ones cannot evict them out from under us.
+        pinned = [frame for frame in hits if frame is not None]
+        for frame in pinned:
+            frame.fix_count += 1
+        try:
+            self._make_room(len(missing))
+            admit = self._admit
+            for pid, content in zip(missing, self.disk.read_pages(missing)):
+                admit(pid, content)
+        finally:
+            for frame in pinned:
+                frame.fix_count -= 1
+        frames = self._frames
         for pid in page_ids:
             frame = frames[pid]
-            if pid in missing_set:
-                metrics.record_fix(hit=False)
-                missing_set.discard(pid)
+            if pid in fresh:
+                fresh.discard(pid)
+                metrics.page_fixes += 1
+                metrics.buffer_misses += 1
             else:
                 on_access(pid)
                 metrics.page_fixes += 1
                 metrics.buffer_hits += 1
             frame.fix_count += 1
-            if listener is not None:
-                listener(pid)
+            if notify is not None:
+                notify(pid)
             out[pid] = frame.data
         return out
+
+    def _admit(self, page_id: int, content) -> _Frame:
+        """Make one page image ``read_pages`` returned a resident frame.
+
+        A ``bytearray`` is the backend's hand-off of a fresh buffer this
+        manager now owns (see :class:`~repro.storage.backends.
+        DiskBackend`): it *is* the frame.  An immutable image is copied
+        once — or, from a zero-copy backend, kept as it is until the
+        frame's first mutation.  Frame buffers are never pooled or
+        reused: callers may legitimately still hold views into a frame
+        that has since been evicted (``HeapFile.read_many``).
+        """
+        if type(content) is not bytearray and not self._zero_copy:
+            content = bytearray(content)
+        if self._checksum_guards:
+            self._verify_read(page_id, content)
+        frame = _Frame(content)
+        self._frames[page_id] = frame
+        self.policy.on_insert(page_id)
+        return frame
 
     def new_page(self, page_id: int) -> bytearray:
         """Register a freshly allocated page without a disk read.
@@ -738,6 +764,22 @@ class BufferManager:
             raise BufferError_(f"page {page_id} is not fixed")
         return self._view(frame)
 
+    def fix_views(self, page_ids: Sequence[int]) -> dict[int, SlottedPage]:
+        """:meth:`fix_many`, returning each page's cached view.
+
+        The batch form of :meth:`fix_view` for set-oriented record
+        access: one fix per occurrence, all misses in one I/O call, one
+        cached :class:`SlottedPage` per distinct page.  Release with
+        :meth:`unfix_many`.  Slotted pages only (see :meth:`fix_view`).
+        """
+        self.fix_many(page_ids)
+        try:
+            frames, view = self._frames, self._view
+            return {pid: view(frames[pid]) for pid in page_ids}
+        except BaseException:
+            self.unfix_many(page_ids)
+            raise
+
     def _view(self, frame: _Frame) -> SlottedPage:
         view = frame.view
         if view is None or frame.view_gen != frame.gen:
@@ -765,6 +807,19 @@ class BufferManager:
         frame.fix_count -= 1
         if dirty:
             frame.dirty = True
+
+    def unfix_many(self, page_ids: Sequence[int], dirty: bool = False) -> None:
+        """Release one fix per occurrence in ``page_ids`` (batch :meth:`unfix`)."""
+        frames_get = self._frames_get
+        for page_id in page_ids:
+            frame = frames_get(page_id)
+            if frame is None:
+                raise InvalidAddressError(f"page {page_id} is not resident")
+            if frame.fix_count <= 0:
+                raise BufferError_(f"page {page_id} is not fixed")
+            frame.fix_count -= 1
+            if dirty:
+                frame.dirty = True
 
     # -- session latching -------------------------------------------------------
     #
@@ -889,13 +944,9 @@ class BufferManager:
         every update operation writes its (single-page) page pool at
         once instead of deferring to the flush.
         """
-        frame = self._frames.get(page_id)
-        if frame is None:
+        if page_id not in self._frames:
             raise InvalidAddressError(f"page {page_id} is not resident")
-        if self._checksum_guards:
-            self._seal_for_write(page_id, frame)
-        self.disk.write_page(page_id, bytes(frame.data))
-        frame.dirty = False
+        self._write_back((page_id,))
 
     def discard(self, page_id: int) -> None:
         """Drop a frame without writing it (the page is being freed)."""
@@ -916,16 +967,8 @@ class BufferManager:
         ratios of Table 5.
         """
         dirty = sorted(pid for pid, frame in self._frames.items() if frame.dirty)
-        seal = bool(self._checksum_guards)
-        for batch in _contiguous_batches(dirty, self.write_batch_max):
-            if seal:
-                for pid in batch:
-                    self._seal_for_write(pid, self._frames[pid])
-            self.disk.write_pages(
-                (pid, bytes(self._frames[pid].data)) for pid in batch
-            )
-            for pid in batch:
-                self._frames[pid].dirty = False
+        for batch in contiguous_runs(dirty, max_len=self.write_batch_max):
+            self._write_back(batch)
 
     def clear(self) -> None:
         """Flush and drop every frame (cold restart of the cache)."""
@@ -975,29 +1018,54 @@ class BufferManager:
     # -- eviction ------------------------------------------------------------------
 
     def _make_room(self, needed: int) -> None:
+        excess = len(self._frames) + needed - self.capacity
+        if excess <= 0:
+            return
         if needed > self.capacity:
             raise BufferFullError(
                 f"request for {needed} frames exceeds buffer capacity {self.capacity}"
             )
-        while len(self._frames) + needed > self.capacity:
+        # One victim per ``policy.victims()`` walk: CLOCK's sweep, the
+        # random draw and 2Q's A1in bound all depend on the state the
+        # previous eviction left, so victims are never collected ahead.
+        for _ in range(excess):
             self._evict_one()
 
     def _evict_one(self) -> None:
+        frames = self._frames
         for pid in self.policy.victims():
-            frame = self._frames.get(pid)
+            frame = frames.get(pid)
             if frame is None or frame.fix_count > 0:
                 continue
             if frame.dirty:
-                if self._checksum_guards:
-                    self._seal_for_write(pid, frame)
-                self.disk.write_page(pid, bytes(frame.data))
-            del self._frames[pid]
+                # A failed write leaves the victim resident, dirty and
+                # in the policy: nothing is lost and a retry can succeed.
+                self._write_back((pid,))
+            del frames[pid]
             self.policy.on_evict(pid)
-            self.metrics.record_eviction()
+            self.metrics.evictions += 1
             return
         raise BufferFullError("all buffer frames are fixed; no victim available")
 
+    def _write_back(self, page_ids: Sequence[int]) -> None:
+        """Write resident pages back in **one** I/O call.
 
-def _contiguous_batches(page_ids: Sequence[int], batch_max: int) -> Iterable[list[int]]:
-    """Split sorted page ids into runs of adjacent ids, capped in length."""
-    return contiguous_runs(page_ids, max_len=batch_max)
+        Seal → hand-off → clear dirty, shared by eviction, :meth:`flush`
+        and :meth:`write_through`.  A frame's own ``bytearray`` goes
+        down uncopied (no backend keeps a caller's buffer beyond the
+        call); a dirty-but-unmutated zero-copy frame is still a view of
+        the backend's own storage, so it is detached into ``bytes``
+        rather than assigned onto itself.
+        """
+        frames = self._frames
+        seal = bool(self._checksum_guards)
+        items = []
+        for pid in page_ids:
+            frame = frames[pid]
+            if seal:
+                self._seal_for_write(pid, frame)
+            data = frame.data
+            items.append((pid, data if type(data) is bytearray else bytes(data)))
+        self.disk.write_pages(items)
+        for pid in page_ids:
+            frames[pid].dirty = False

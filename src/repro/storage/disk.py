@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import InvalidAddressError, StorageError
-from repro.storage.backends import DiskBackend, contiguous_runs, make_backend
+from repro.storage.backends import (
+    DiskBackend,
+    PageBuffer,
+    contiguous_runs,
+    make_backend,
+)
 from repro.storage.constants import PAGE_SIZE
 from repro.storage.metrics import MetricsCollector, MetricsSnapshot
 
@@ -179,8 +184,13 @@ class SimulatedDisk:
 
     # -- transfers ------------------------------------------------------------
 
-    def read_pages(self, page_ids: Sequence[int]) -> list[bytes]:
-        """Read several pages in **one** I/O call."""
+    def read_pages(self, page_ids: Sequence[int]) -> list[PageBuffer]:
+        """Read several pages in **one** I/O call.
+
+        Each image is the backend's, uncopied: immutable, or a fresh
+        ``bytearray`` the caller owns (the ownership contract on
+        :class:`~repro.storage.backends.DiskBackend`).
+        """
         if not page_ids:
             return []
         # One set containment check for the whole run (C speed) instead
@@ -192,31 +202,39 @@ class SimulatedDisk:
         self.metrics.record_read_call(len(page_ids))
         return self.backend.read_run(page_ids)
 
-    def read_page(self, page_id: int) -> bytes:
+    def read_page(self, page_id: int) -> PageBuffer:
         """Read one page in one I/O call."""
         return self.read_pages([page_id])[0]
 
-    def write_pages(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Write several pages in **one** I/O call."""
+    def write_pages(self, items: Iterable[tuple[int, PageBuffer]]) -> None:
+        """Write several pages in **one** I/O call.
+
+        The page buffers go down to the backend as they are — no staging
+        copy: a backend may not keep them beyond the call, so the caller
+        is free to hand in live frames and go on mutating them after.
+        """
+        if type(items) is not list:
+            items = list(items)
+        if not items:
+            return
+        # Validation stays ahead of the backend write so a bad page in a
+        # batch never half-applies the batch (one pass, as for reads).
         page_size = self.page_size
-        staged: list[tuple[int, bytes]] = []
+        allocated = self._allocated
+        unallocated = None
         for page_id, data in items:
             if len(data) != page_size:
                 raise StorageError(
                     f"page {page_id}: write of {len(data)} bytes, expected {page_size}"
                 )
-            staged.append((page_id, bytes(data)))
-        if not staged:
-            return
-        # Validation stays ahead of the backend write so a bad page in a
-        # batch never half-applies the batch (one pass, as for reads).
-        if not self._allocated.issuperset(item[0] for item in staged):
-            for page_id, _ in staged:
-                self._require(page_id)
-        self.metrics.record_write_call(len(staged))
-        self.backend.write_run(staged)
+            if page_id not in allocated and unallocated is None:
+                unallocated = page_id
+        if unallocated is not None:
+            self._require(unallocated)
+        self.metrics.record_write_call(len(items))
+        self.backend.write_run(items)
 
-    def write_page(self, page_id: int, data: bytes) -> None:
+    def write_page(self, page_id: int, data: PageBuffer) -> None:
         """Write one page in one I/O call."""
         self.write_pages([(page_id, data)])
 

@@ -402,29 +402,26 @@ class HeapFile:
         frames cannot be pinned all at once; it is served in page
         chunks of the buffer's capacity instead — one I/O call per
         chunk, the minimum a buffer that small can honestly do.
-        Requests that fit (every pre-existing caller) take the
-        single-call path unchanged.
+
+        **Evicted-frame aliasing.**  Every fix is released before this
+        returns, and on the chunked path the pages of an earlier chunk
+        are evicted by a later one — so returned views routinely point
+        into frames that are no longer resident.  They stay correct
+        because a view keeps its frame's buffer alive and the buffer
+        manager never pools or recycles frame buffers (an evicted
+        frame's ``bytearray`` is dropped, not handed to the next miss).
+        Anything that reuses frame memory would change bytes under
+        these views.
         """
-        unique_pages = list(dict.fromkeys(rid.page_id for rid in rids))
+        unique_pages = list(dict.fromkeys([rid.page_id for rid in rids]))
         for page_id in unique_pages:
             self._require_page(page_id)
-        if len(unique_pages) <= self.buffer.capacity:
-            chunks = [unique_pages]
-        else:
-            cap = self.buffer.capacity
-            chunks = [
-                unique_pages[start : start + cap]
-                for start in range(0, len(unique_pages), cap)
-            ]
+        buffer = self.buffer
         views: dict[int, SlottedPage] = {}
-        for chunk in chunks:
-            self.buffer.fix_many(chunk)
-            try:
-                for page_id in chunk:
-                    views[page_id] = self.buffer.view_of(page_id)
-            finally:
-                for page_id in chunk:
-                    self.buffer.unfix(page_id)
+        for start in range(0, len(unique_pages), buffer.capacity):
+            chunk = unique_pages[start : start + buffer.capacity]
+            views.update(buffer.fix_views(chunk))
+            buffer.unfix_many(chunk)
         return [views[rid.page_id].read_view(rid.slot) for rid in rids]
 
     def scan(self) -> Iterator[tuple[Rid, bytes]]:

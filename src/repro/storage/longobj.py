@@ -194,8 +194,7 @@ class LongObjectStore:
                 f"<{n_data_pages + 2 * n_sections}I", blob, _DIR_HEADER.size
             )
         finally:
-            for pid in header_ids:
-                self.buffer.unfix(pid)
+            self.buffer.unfix_many(header_ids)
         directory = ObjectDirectory(
             entries[:n_data_pages],
             entries[n_data_pages::2],
@@ -240,21 +239,28 @@ class LongObjectStore:
             offsets, lengths = directory.section_offsets, directory.section_lengths
             out: list[bytes] = []
             for sid in wanted:
-                pos, left = offsets[sid], lengths[sid]
+                pos = offsets[sid]
+                end = pos + lengths[sid]
                 pieces = []
-                while left:
-                    page_index, in_page = divmod(pos, payload)
-                    take = min(left, payload - in_page)
-                    at = PAGE_HEADER_SIZE + in_page
+                while pos < end:
+                    # The piece runs to the section's end or the page's,
+                    # whichever comes first.  Plain arithmetic, no
+                    # divmod/min calls: this loop runs once per page of
+                    # every section read.
+                    page_index = pos // payload
+                    page_start = page_index * payload
+                    page_end = page_start + payload
+                    stop = end if end < page_end else page_end
+                    at = PAGE_HEADER_SIZE + pos - page_start
                     pieces.append(
-                        memoryview(frames[data_page_ids[page_index]])[at : at + take]
+                        memoryview(frames[data_page_ids[page_index]])[
+                            at : at + stop - pos
+                        ]
                     )
-                    pos += take
-                    left -= take
+                    pos = stop
                 out.append(b"".join(pieces))
         finally:
-            for pid in needed_ids:
-                self.buffer.unfix(pid)
+            self.buffer.unfix_many(needed_ids)
         return out
 
     def pages_of(self, address: LongObjectAddress) -> tuple[int, int]:

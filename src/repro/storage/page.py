@@ -257,7 +257,13 @@ class SlottedPage:
         through in-place mutation; pages never resize), so each record
         read costs a single slice, not a buffer export plus a slice.
         """
-        offset, length = self._slot(slot)
+        # ``_slot``, inlined: the set-oriented read path calls this once
+        # per record.
+        if not 0 <= slot < self._n_slots:
+            raise InvalidAddressError(f"slot {slot} out of range (page has {self._n_slots})")
+        offset, length = _SLOT_UNPACK(
+            self.data, self.page_size - (slot + 1) * SLOT_ENTRY_SIZE
+        )
         if offset == _TOMBSTONE:
             raise InvalidAddressError(f"slot {slot} is deleted")
         mv = self._mv

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import BufferError_, BufferFullError, InvalidAddressError
-from repro.storage.buffer import BufferManager, _contiguous_batches, make_policy
+from repro.storage.backends import contiguous_runs
+from repro.storage.buffer import BufferManager, make_policy
 from repro.storage.disk import SimulatedDisk
 
 
@@ -331,9 +332,9 @@ class TestNewPage:
 
 
 def test_contiguous_batches_helper():
-    assert list(_contiguous_batches([1, 2, 3, 7, 8, 10], 32)) == [[1, 2, 3], [7, 8], [10]]
-    assert list(_contiguous_batches([], 32)) == []
-    assert list(_contiguous_batches([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
+    assert list(contiguous_runs([1, 2, 3, 7, 8, 10], 32)) == [[1, 2, 3], [7, 8], [10]]
+    assert list(contiguous_runs([], 32)) == []
+    assert list(contiguous_runs([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
 
 
 class TestCachedViews:
