@@ -16,7 +16,7 @@ from typing import Sequence
 
 from repro.benchmark.config import BenchmarkConfig, DEFAULT_CONFIG
 from repro.benchmark.snapshots import DEFAULT_STORE
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, ConfigError
 from repro.benchmark.generator import generate_stations
 from repro.benchmark.queries import QUERY_NAMES, QueryResult, QuerySuite
 from repro.benchmark.stats import DatabaseStatistics
@@ -327,15 +327,24 @@ class BenchmarkRunner:
 
         The multi-session counterpart of :meth:`run_trace`: client 0
         replays ``trace`` itself, further clients replay derived traces
-        (same mix/skew, derived seeds), and the serving layer
-        interleaves them under ``scheduler``'s deterministic grant
-        order — on ``workers`` threads, which provably cannot move a
-        counter.  Returns the full
+        (same mix/skew, derived seeds), and the serving layer runs them
+        in ``scheduler``'s deterministic grant order, one operation at a
+        time.  Returns the full
         :class:`~repro.serving.server.ServingResult` (aggregate
         counters plus the throughput/latency digest).  Reclustering
         applies exactly as in :meth:`run_trace`, trained on the primary
         trace.
+
+        ``workers`` is a residue kept only because the frozen caller
+        ``benchmarks/e2e/workloads.py`` passes ``workers=1``; any other
+        value is refused.  It goes with the benchmark-tagged follow-up
+        of ROADMAP item 5.
         """
+        if workers != 1:
+            raise ConfigError(
+                "threaded serving was removed in PR 23; worker count never "
+                f"moved a counter (got workers={workers!r})"
+            )
         from repro.serving import make_client_traces, make_scheduler, ServingExecutor
 
         kwargs = {"seed": trace.spec.seed} if scheduler == "round-robin" else {}
@@ -346,7 +355,6 @@ class BenchmarkRunner:
                 model,
                 traces,
                 scheduler=make_scheduler(scheduler, **kwargs),
-                workers=workers,
                 online=self._online_controller(model),
             )
             with self._armed(model):

@@ -561,10 +561,11 @@ def run_multi_session(
 
     The multi-session sibling of :func:`run_workload`: client 0 replays
     the spec's own trace, further clients replay derived traces (same
-    mix and skew, derived seeds), and the serving layer interleaves
-    them deterministically over the shared engine.  With ``clients=1``
-    the aggregate counters are identical to :func:`run_workload`.
-    Keyword arguments (``scheduler``, ``workers``, ``priorities``, …)
+    mix and skew, derived seeds), and the serving layer runs them over
+    the shared engine in the scheduler's grant order, one operation at
+    a time.  With ``clients=1`` the aggregate counters are identical to
+    :func:`run_workload`.
+    Keyword arguments (``scheduler``, ``priorities``, ``online``, …)
     pass through to :class:`~repro.serving.server.ServingExecutor`;
     returns its :class:`~repro.serving.server.ServingResult`.  Imported
     lazily — the serving layer sits above this module.

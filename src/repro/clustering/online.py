@@ -15,9 +15,9 @@ bounded batch of hot objects together, repeat.
   (reset at every trigger), so the placement follows the *current* hot
   set instead of the whole history;
 * triggers fire at deterministic operation counts — every
-  ``trigger_ops`` recorded operations — never from wall-clock or thread
-  timing, so a run is byte-reproducible across repeated invocations and
-  serving worker counts;
+  ``trigger_ops`` recorded operations — never from wall clock — so a
+  run is byte-reproducible across repeated invocations, flat or served
+  (a served run feeds the controller in grant order);
 * each trigger moves the window's **newly** hot objects through
   :meth:`~repro.models.base.StorageModel.move_objects`, which bounds the
   batch at ``max_moves_per_trigger`` freshly written pages per shared

@@ -39,7 +39,6 @@ from repro.experiments import (
     drift,
     figure5,
     figure6,
-    perf,
     sharding,
     sweep,
     table2,
@@ -68,7 +67,6 @@ EXPERIMENTS: dict[str, Callable[[BenchmarkConfig], str]] = {
     "drift": drift.render,
     "sweep": sweep.render,
     "sharding": sharding.render,
-    "perf": perf.render,
 }
 
 
@@ -234,18 +232,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     group.add_argument(
-        "--serving-workers",
-        type=int,
-        default=sweep.DEFAULT_SERVING_WORKERS,
-        metavar="N",
-        help=(
-            "worker threads inside each serving cell (default 1); the "
-            "ticket protocol serialises them in grant order, so this can "
-            "never change a counter — sweep JSON is byte-identical for "
-            "any N"
-        ),
-    )
-    group.add_argument(
         "--shard-policy",
         default=sweep.DEFAULT_SHARD_POLICY,
         choices=SHARD_POLICIES,
@@ -271,31 +257,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FILE",
         help="also write the sweep grid as deterministic JSON to FILE",
     )
-    perf_group = parser.add_argument_group(
-        "perf options", "hot-path benchmark knobs of the 'perf' experiment"
-    )
-    perf_group.add_argument(
-        "--perf-json",
-        default=None,
-        metavar="FILE",
-        help="write the benchmark report (BENCH_hotpaths.json format) to FILE",
-    )
-    perf_group.add_argument(
-        "--perf-check",
-        default=None,
-        metavar="FILE",
-        help=(
-            "compare metric checksums against a committed BENCH_hotpaths.json "
-            "and fail on drift (timings are printed, never gated on)"
-        ),
-    )
-    perf_group.add_argument(
-        "--perf-repeats",
-        type=int,
-        default=None,
-        metavar="N",
-        help="best-of-N timing repeats (default 5)",
-    )
     args = parser.parse_args(argv)
 
     if args.backend == "trace" and not args.backend_path:
@@ -304,8 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--backend trace requires --backend-path DIR for the JSONL traces")
     if args.processes is not None and args.processes < 1:
         parser.error("--processes must be at least 1")
-    if args.perf_repeats is not None and args.perf_repeats < 1:
-        parser.error("--perf-repeats must be at least 1")
     # Every other range check and refusal is the config's, the workload
     # spec's and the sweep's own, made here — the whole grid is laid
     # out — so a bad flag is a usage error before any experiment starts.
@@ -326,7 +285,6 @@ def main(argv: list[str] | None = None) -> int:
             policies=args.policies,
             models=args.models,
             scheduler=args.scheduler,
-            serving_workers=args.serving_workers,
             shard_policy=args.shard_policy,
             **{axis.keyword: getattr(args, axis.keyword) for axis in sweep.AXES},
         )
@@ -337,12 +295,6 @@ def main(argv: list[str] | None = None) -> int:
     runners = dict(EXPERIMENTS)
     runners["sweep"] = lambda cfg: sweep.render(
         cfg, json_path=args.sweep_json, processes=args.processes, **grid
-    )
-    runners["perf"] = lambda cfg: perf.render(
-        cfg,
-        json_path=args.perf_json,
-        check_path=args.perf_check,
-        repeats=args.perf_repeats if args.perf_repeats is not None else perf.DEFAULT_REPEATS,
     )
 
     selected = args.experiments or list(runners)

@@ -59,11 +59,8 @@ DEFAULT_CAPACITIES = (300, 1200, 4800)
 DEFAULT_POLICIES = ("lru", "lru-k", "2q")
 DEFAULT_WORKLOADS = ("uniform", "zipf(1.0)")
 
-#: Default admission scheduler and worker-thread count of the serving
-#: cells (worker count can never move a counter; it exists so CI can
-#: prove exactly that by byte-diffing sweep JSON across thread counts).
+#: Default admission scheduler of the serving cells.
 DEFAULT_SCHEDULER = "fifo"
-DEFAULT_SERVING_WORKERS = 1
 
 #: Default OID-to-shard assignment of sharded cells.
 DEFAULT_SHARD_POLICY = "hash"
@@ -96,10 +93,10 @@ class Axis:
     (``keyword`` in the grid JSON, ``field`` in every cell and as a
     coordinate column) plus whatever ``grid``, ``cell``, ``columns`` and
     ``note`` declare, uniformly to every cell.  Execution knobs —
-    ``processes``, ``serving_workers``, the disk backend,
-    ``io_scheduler`` — reach neither because they are not in the table:
-    runs that differ only in *how* the bytes move must produce
-    byte-identical output, which is what lets CI byte-diff them.
+    ``processes``, the disk backend, ``io_scheduler`` — reach neither
+    because they are not in the table: runs that differ only in *how*
+    the bytes move must produce byte-identical output, which is what
+    lets CI byte-diff them.
     """
 
     #: ``run_sweep`` keyword carrying the value list; also its grid key.
@@ -399,8 +396,8 @@ class PlannedCell:
     #: when the grid is planned.
     config: BenchmarkConfig
     coordinates: Mapping[str, object]
-    #: ``(scheduler, worker threads)`` when the grid is served.
-    serving: tuple[str, int] | None = None
+    #: Admission scheduler name when the grid is served.
+    serving: str | None = None
     #: Spilled extension artifact a pool worker preloads (see
     #: :func:`_spill_snapshots`); None = build from the extension.
     snapshot_path: str | None = None
@@ -463,13 +460,8 @@ def run_cell(cell: PlannedCell, inputs: CellInputs | None = None) -> SweepCell:
         inputs.share_extension(runner)
     trace = inputs.trace(cell.spec, cell.config.n_objects)
     if cell.serving is not None:
-        scheduler, workers = cell.serving
         served = runner.run_trace_serving(
-            cell.model,
-            trace,
-            cell.coordinates["clients"],
-            scheduler=scheduler,
-            workers=workers,
+            cell.model, trace, cell.coordinates["clients"], scheduler=cell.serving
         )
         result, stats = served.result, served.stats
     else:
@@ -492,7 +484,6 @@ def plan_sweep(
     policies: Sequence[str],
     models: Sequence[str],
     scheduler: str = DEFAULT_SCHEDULER,
-    serving_workers: int = DEFAULT_SERVING_WORKERS,
     shard_policy: str = DEFAULT_SHARD_POLICY,
     **axes: Sequence[object],
 ) -> tuple[SweepResult, list[PlannedCell]]:
@@ -531,8 +522,6 @@ def plan_sweep(
         raise BenchmarkError(
             f"unknown scheduler {scheduler!r} (known: {', '.join(SCHEDULER_NAMES)})"
         )
-    if serving_workers < 1:
-        raise BenchmarkError("serving_workers must be at least 1")
     result = SweepResult(
         config=config,
         workloads=specs,
@@ -562,7 +551,7 @@ def plan_sweep(
                     **configured,
                 ),
                 coordinates=coordinates,
-                serving=(scheduler, serving_workers) if served else None,
+                serving=scheduler if served else None,
             )
         )
     return result, planned
@@ -624,11 +613,9 @@ def run_sweep(
     axes of :data:`AXES` — ``reclusters=``, ``clients=``, ``shards=``,
     each a value list crossed into the grid and invisible at its
     default — and the scalars of :func:`plan_sweep`: ``scheduler``
-    fixes the deterministic grant order of served cells,
-    ``shard_policy`` the OID-to-shard assignment of sharded ones, and
-    ``serving_workers`` the worker-thread count inside a served cell,
-    which provably cannot move a counter (CI byte-diffs the JSON across
-    worker counts).
+    fixes the deterministic grant order of served cells (which is their
+    execution order) and ``shard_policy`` the OID-to-shard assignment
+    of sharded ones.
 
     ``processes`` > 1 fans cells out over a
     :class:`~concurrent.futures.ProcessPoolExecutor`, which sidesteps

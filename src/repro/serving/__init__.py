@@ -12,17 +12,19 @@ StorageEngine`, the way a production object server faces its users:
   decides the deterministic grant order of operations (FIFO closed
   loop, seeded round-robin, weighted priority);
 * :mod:`repro.serving.server` — the :class:`ServingExecutor` that
-  replays the granted schedule against the shared engine (optionally on
-  several worker threads, serialised by a ticket protocol so thread
-  count can never move a counter) and derives throughput plus p50/p99
-  tail latency from a simulated-time queueing model whose inputs are
-  the paper's own integer counters — byte-reproducible, like every
-  other number this repository emits.
+  replays the granted schedule against the shared engine in one plain
+  loop — the grant order is the execution order — and derives
+  throughput plus p50/p99 tail latency from a simulated-time queueing
+  model whose inputs are the paper's own integer counters —
+  byte-reproducible, like every other number this repository emits.
 
-Cross-session safety at the frame level lives in
-:meth:`repro.storage.buffer.BufferManager.session_fix` and friends (the
-per-frame latch ledger); the serving layer enables it whenever more
-than one session shares a buffer.
+A served run is single-threaded and attributes page fixes to the
+session whose operation is in progress through the buffer's fix
+listener.  The per-frame owner ledger behind
+:meth:`repro.storage.buffer.BufferManager.session_fix` and friends is a
+checked protocol available to callers that hold fixes on a session's
+behalf; nothing in this package takes it, and the latch and session
+fuzz suites are what exercise it.
 """
 
 from __future__ import annotations

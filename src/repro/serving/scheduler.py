@@ -4,10 +4,11 @@ A scheduler turns per-session demands (how many operations each session
 wants to run) into one flat **grant order** — the sequence in which the
 serving executor lets operations touch the shared engine.  Determinism
 is the whole design: the grant order is a pure function of the demands,
-the priorities and (for the seeded policy) a seed, never of thread
-timing.  That makes the order an *oracle* for the concurrency tests —
-if two runs with different worker-thread counts disagree on a single
-counter, the interleaving machinery is broken, not the schedule.
+the priorities and (for the seeded policy) a seed, and the executor
+runs the grants in exactly that order.  That makes the order an
+*oracle* for the determinism tests — if two runs of the same population
+disagree on a single counter, the engine underneath is not
+deterministic; the schedule cannot be the cause.
 
 Three policies, mirroring classic admission queues:
 

@@ -13,14 +13,12 @@ one final flush models the database disconnect.  With one client and
 the original trace, the replay *is* the single-stream replay — same
 calls, same pages, same fixes — which the parity tests pin down.
 
-Worker threads never reorder work.  Operations execute under a ticket
-protocol: each granted operation takes the next ticket, and a ticket
-may only run once every earlier ticket has completed.  Threads hand the
-engine to each other in grant order, so 1, 2 or 8 workers produce
-byte-identical counters and page bytes — thread-count invariance is the
-concurrency oracle the determinism suite asserts.  An admission
-semaphore bounds how many grants may be outstanding at once (the
-bounded-concurrency half of the admission queue).
+The grant order *is* the execution order: one plain loop walks the
+scheduler's plan and runs each granted operation to completion before
+the next begins.  Nothing else decides the interleaving, so a run is a
+pure function of (traces, scheduler, engine configuration) — the
+determinism suite checks it by serving the same population twice and
+by running served grids sequentially and under ``--processes``.
 
 Throughput and tail latency
 ---------------------------
@@ -43,7 +41,6 @@ grant order.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -191,8 +188,6 @@ class ServingExecutor:
         model: StorageModel,
         traces: Sequence[WorkloadTrace],
         scheduler: Scheduler | None = None,
-        workers: int = 1,
-        max_in_flight: int | None = None,
         priorities: Sequence[int] | None = None,
         service_model: ServiceTimeModel | None = None,
         stats: "AccessStats | None" = None,
@@ -204,10 +199,6 @@ class ServingExecutor:
             raise ServingError("retry_limit must be non-negative")
         if not traces:
             raise ServingError("at least one client trace is required")
-        if workers < 1:
-            raise ServingError("workers must be at least 1")
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ServingError("max_in_flight must be at least 1")
         if priorities is not None and len(priorities) != len(traces):
             raise ServingError("one priority per client trace is required")
         for trace in traces:
@@ -219,8 +210,6 @@ class ServingExecutor:
         self.model = model
         self.engine = model.engine
         self.scheduler = scheduler or RoundRobinScheduler(seed=traces[0].spec.seed)
-        self.workers = workers
-        self.max_in_flight = max_in_flight or workers
         self.service_model = service_model or ServiceTimeModel()
         self.sessions = [
             Session(i, trace, priority=(priorities[i] if priorities else 1))
@@ -231,9 +220,7 @@ class ServingExecutor:
         #: joins the buffer's fix listeners *alongside* the serving
         #: layer's own ``_fix_observed`` (the multi-listener hook exists
         #: precisely so neither displaces the other), and every granted
-        #: operation reports its touched OIDs.  Recording happens inside
-        #: the ticket-serialised section, so collected statistics are
-        #: identical across worker counts.
+        #: operation reports its touched OIDs, in grant order.
         self.stats = stats
         #: Graceful degradation under injected faults: transient read
         #: errors and latch conflicts are retried up to ``retry_limit``
@@ -292,8 +279,6 @@ class ServingExecutor:
         engine = self.engine
         engine.restart_buffer()
         engine.reset_metrics()
-        if len(self.sessions) > 1 or self.workers > 1:
-            engine.buffer.enable_latching()
         self._clock_ms = 0.0
         self._global_index = 0
         self._active = None
@@ -305,11 +290,8 @@ class ServingExecutor:
         if self.stats is not None:
             engine.buffer.add_fix_listener(self.stats.page_fixed)
         try:
-            if self.workers == 1:
-                for session in plan:
-                    self._execute_granted(session)
-            else:
-                self._run_ticketed(plan)
+            for session in plan:
+                self._execute_granted(session)
         finally:
             if self.stats is not None:
                 engine.buffer.remove_fix_listener(self.stats.page_fixed)
@@ -318,67 +300,12 @@ class ServingExecutor:
         engine.flush()
         return self._collect()
 
-    def _run_ticketed(self, plan: list[Session]) -> None:
-        """Execute the plan on worker threads, serialised by tickets.
-
-        Ticket *t* may run only after tickets ``0..t-1`` completed, so
-        the engine sees exactly the single-threaded order — across real
-        thread handoffs.  The admission semaphore bounds outstanding
-        grants (claimed tickets not yet completed) at
-        ``max_in_flight``.
-        """
-        cond = threading.Condition()
-        state = {"next": 0, "turn": 0, "error": None}
-        admission = threading.Semaphore(self.max_in_flight)
-        total = len(plan)
-
-        def worker() -> None:
-            while True:
-                admission.acquire()
-                claimed = False
-                try:
-                    with cond:
-                        if state["error"] is not None or state["next"] >= total:
-                            return
-                        ticket = state["next"]
-                        state["next"] = ticket + 1
-                        claimed = True
-                        while state["turn"] != ticket and state["error"] is None:
-                            cond.wait()
-                        if state["error"] is not None:
-                            return
-                    try:
-                        self._execute_granted(plan[ticket])
-                    except BaseException as exc:  # propagate to the caller
-                        with cond:
-                            state["error"] = exc
-                            cond.notify_all()
-                        return
-                    with cond:
-                        state["turn"] = ticket + 1
-                        cond.notify_all()
-                finally:
-                    admission.release()
-                if not claimed:  # pragma: no cover - defensive
-                    return
-
-        threads = [
-            threading.Thread(target=worker, name=f"serving-worker-{i}")
-            for i in range(self.workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if state["error"] is not None:
-            raise state["error"]
-
     def _execute_granted(self, session: Session) -> None:
         """One granted operation: replay, cost, closed-loop accounting.
 
-        Runs strictly serially (plain loop or ticket order), so the
-        engine, the simulated clock and the session ledgers need no
-        further synchronisation.
+        Called from :meth:`run`'s loop, one grant at a time, so the
+        engine, the simulated clock and the session ledgers are only
+        ever touched by the operation in progress.
         """
         index, op = session.next_operation()
         engine = self.engine
@@ -434,8 +361,8 @@ class ServingExecutor:
         # Observers run after the operation's own accounting closed and
         # with no active session, so a triggered move batch attributes
         # its fixes to no session and no service time — the "background"
-        # half of online reclustering.  Still inside the ticket-
-        # serialised section: deterministic across worker counts.
+        # half of online reclustering, at a fixed point of the grant
+        # order.
         if errored:
             return  # an abandoned operation feeds no observers
         if self.stats is not None:
@@ -530,7 +457,6 @@ def run_serving(
     spec: WorkloadSpec,
     clients: int,
     scheduler: Scheduler | None = None,
-    workers: int = 1,
     n_objects: int | None = None,
     **kwargs,
 ) -> ServingResult:
@@ -542,7 +468,4 @@ def run_serving(
     :class:`ServingExecutor`.
     """
     traces = make_client_traces(spec, n_objects or model.n_objects, clients)
-    executor = ServingExecutor(
-        model, traces, scheduler=scheduler, workers=workers, **kwargs
-    )
-    return executor.run()
+    return ServingExecutor(model, traces, scheduler=scheduler, **kwargs).run()

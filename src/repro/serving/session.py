@@ -65,8 +65,8 @@ class SessionCounters:
 class Session:
     """One client of the shared engine: a compiled trace plus state.
 
-    ``session_id`` doubles as the latch-owner identity the buffer's
-    session_* entry points record, and ``priority`` is the weight the
+    ``session_id`` is the owner identity a caller of the buffer's
+    session_* entry points passes, and ``priority`` is the weight the
     priority scheduler grants by.  ``ready_at_ms`` is the closed-loop
     clock: a session submits its next operation the instant its
     previous one completes, so request latency is measured from here.

@@ -4,8 +4,9 @@ Each shard owns a complete :class:`~repro.storage.StorageEngine` — its
 own buffer pool, simulated disk, and metrics collector.  The facade
 presents the union to the benchmark executors with the exact surface
 they already consume from a single engine (live counter attributes,
-``metrics.snapshot()``, ``restart_buffer``, latching broadcast), so the
-workload and serving layers run unchanged on sharded deployments.
+``metrics.snapshot()``, ``restart_buffer``, fix-listener broadcast),
+so the workload and serving layers run unchanged on sharded
+deployments.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ del _field
 class ShardedBuffer:
     """Broadcast facade over the per-shard buffer managers.
 
-    The serving layer toggles latching and hooks fix listeners on
-    ``engine.buffer``; both concerns apply uniformly to every shard.
+    The executors hook fix listeners on ``engine.buffer``; a listener
+    applies uniformly to every shard.
     """
 
     def __init__(self, engines: Sequence[StorageEngine]) -> None:
@@ -86,11 +87,6 @@ class ShardedBuffer:
     @property
     def capacity(self) -> int:
         return sum(buffer.capacity for buffer in self._buffers)
-
-    def enable_latching(self) -> None:
-        """Arm the session latch on every shard's buffer (idempotent)."""
-        for buffer in self._buffers:
-            buffer.enable_latching()
 
     def add_fix_listener(self, listener: Callable[[int], None]) -> None:
         for buffer in self._buffers:

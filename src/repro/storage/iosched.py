@@ -1,7 +1,7 @@
 """Cross-session I/O coalescing: fewer, larger calls — same counters.
 
-The serving layer's ticket protocol serialises every storage operation,
-so the per-page-run batches that ``HeapFile.read_many`` and the
+The serving layer runs one granted operation at a time, so the
+per-page-run batches that ``HeapFile.read_many`` and the
 ``BufferManager`` miss paths compute arrive at the backend one run at a
 time, in grant order — interleaved across sessions and therefore often
 adjacent or overlapping on disk without ever being contiguous *within*

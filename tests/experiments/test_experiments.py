@@ -160,7 +160,6 @@ class TestCLI:
             "drift",
             "sweep",
             "sharding",
-            "perf",
         }
 
     def test_cli_runs_selected_experiment(self, capsys):
@@ -171,6 +170,23 @@ class TestCLI:
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["tableX"])
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sweep", "--fast", "--serving-workers", "2"], "--serving-workers"),
+            (["perf"], "unknown experiment(s): perf"),
+            (["perf", "--perf-check", "x"], "--perf-check"),
+        ],
+    )
+    def test_cli_removed_knobs_are_usage_errors(self, capsys, argv, named):
+        """PR 23 left no aliases: threaded serving's flag, the ``perf``
+        sub-command and its flags fail like any other unknown input."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and named in err
 
     def test_cli_backend_flag(self, capsys, tmp_path):
         code = main(

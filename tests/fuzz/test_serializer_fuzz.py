@@ -28,13 +28,10 @@ from repro.nf2.schema import (
     link_attr,
     str_attr,
 )
-from repro.nf2.serializer import (
-    DASDBS_FORMAT,
-    NF2Serializer,
-    ReferenceNF2Serializer,
-    StorageFormat,
-)
+from repro.nf2.serializer import DASDBS_FORMAT, NF2Serializer, StorageFormat
 from repro.nf2.values import NestedTuple
+
+from tests.nf2.reference_serializer import ReferenceNF2Serializer
 
 #: Characters of 1-3 encoded UTF-8 bytes: the generator controls the
 #: *byte* length of a string, which is what the fixed widths bound.

@@ -29,14 +29,11 @@ from repro.errors import SchemaError, SerializationError
 from repro.models.registry import create_model
 from repro.nf2.codec import compiled_plan
 from repro.nf2.schema import Projection, RelationSchema, int_attr, str_attr
-from repro.nf2.serializer import (
-    DASDBS_FORMAT,
-    NF2Serializer,
-    ReferenceNF2Serializer,
-    StorageFormat,
-)
+from repro.nf2.serializer import DASDBS_FORMAT, NF2Serializer, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
+
+from tests.nf2.reference_serializer import ReferenceNF2Serializer
 
 ser = NF2Serializer()
 reference = ReferenceNF2Serializer()

@@ -25,13 +25,10 @@ from repro.nf2.schema import (
     link_attr,
     str_attr,
 )
-from repro.nf2.serializer import (
-    DASDBS_FORMAT,
-    NF2Serializer,
-    ReferenceNF2Serializer,
-    StorageFormat,
-)
+from repro.nf2.serializer import DASDBS_FORMAT, NF2Serializer, StorageFormat
 from repro.nf2.values import NestedTuple
+
+from tests.nf2.reference_serializer import ReferenceNF2Serializer
 
 #: Format knobs the parity must hold under: the calibrated default, the
 #: minimum legal overheads, and deliberately lopsided paddings.

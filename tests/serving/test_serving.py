@@ -4,14 +4,11 @@ The two contracts everything else hangs off:
 
 * **Repeatability** — serving the same client population twice produces
   identical counters, identical latency digests and byte-identical
-  final extension state, seed by seed.
-* **Thread invariance** — the worker-thread count is provably unable to
-  move a counter: the ticket protocol serialises execution in the
-  scheduler's grant order, so 1, 2 and 4 workers are indistinguishable
-  in every observable, including the final heap bytes.
-
-Plus the bridge back to the single-stream world: one client under the
-serving layer is *exactly* the ``WorkloadExecutor`` replay.
+  final extension state, seed by seed: the grant order is the execution
+  order and nothing else decides the interleaving.
+* **Single-stream parity** — one client under the serving layer is
+  *exactly* the ``WorkloadExecutor`` replay, on every storage model and
+  through the runner's ``run_trace``/``run_trace_serving`` pair.
 """
 
 import pytest
@@ -19,7 +16,8 @@ import pytest
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.workload import WorkloadExecutor, WorkloadSpec, compile_trace
-from repro.errors import ServingError
+from repro.errors import ConfigError, ServingError
+from repro.models.registry import MODEL_CLASSES
 from repro.serving import (
     FIFOScheduler,
     Scheduler,
@@ -51,7 +49,7 @@ def runner():
     return BenchmarkRunner(CFG)
 
 
-def serve(runner, spec, clients, workers=1, scheduler=None, **kwargs):
+def serve(runner, spec, clients, scheduler=None, **kwargs):
     """One serving run on a fresh model clone; returns (result, disk image)."""
     model = runner.build_model(MODEL)
     try:
@@ -60,7 +58,6 @@ def serve(runner, spec, clients, workers=1, scheduler=None, **kwargs):
             model,
             traces,
             scheduler=scheduler or make_scheduler("round-robin", seed=spec.seed),
-            workers=workers,
             **kwargs,
         ).run()
         return outcome, model.engine.snapshot()
@@ -78,24 +75,6 @@ class TestDeterminism:
         assert first.stats == second.stats
         assert first.session_summaries == second.session_summaries
         assert image_a == image_b  # final extension bytes
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_worker_count_cannot_move_a_counter(self, runner, seed):
-        spec = WorkloadSpec(name="det", n_ops=24, seed=seed)
-        runs = [serve(runner, spec, clients=3, workers=w) for w in (1, 2, 4)]
-        baseline, base_image = runs[0]
-        for outcome, image in runs[1:]:
-            assert outcome.result.raw == baseline.result.raw
-            assert outcome.stats == baseline.stats
-            assert outcome.session_summaries == baseline.session_summaries
-            assert image == base_image
-
-    def test_bounded_admission_is_also_invariant(self, runner):
-        spec = WorkloadSpec(name="det", n_ops=24, seed=11)
-        wide, _ = serve(runner, spec, clients=3, workers=4)
-        narrow, _ = serve(runner, spec, clients=3, workers=4, max_in_flight=1)
-        assert narrow.result.raw == wide.result.raw
-        assert narrow.stats == wide.stats
 
 
 class TestSingleClientParity:
@@ -121,6 +100,32 @@ class TestSingleClientParity:
             model.engine.close()
         served, _ = serve(runner, spec, clients=1, scheduler=FIFOScheduler())
         assert served.result.raw == single.raw
+
+    @pytest.mark.parametrize("model", MODEL_CLASSES)
+    def test_runner_parity_on_every_model(self, runner, model):
+        """``run_trace_serving(clients=1)`` == ``run_trace``, counter for
+        counter: the oracle behind every 1-client cell of a served grid."""
+        trace = compile_trace(WorkloadSpec(name="par", n_ops=20, seed=7), CFG.n_objects)
+        single = runner.run_trace(model, trace)
+        served = runner.run_trace_serving(model, trace, clients=1)
+        assert served.result.raw == single.raw
+        assert served.result.op_counts == single.op_counts
+
+
+class TestWorkersResidue:
+    """``BenchmarkRunner.run_trace_serving`` keeps ``workers`` only for
+    the frozen ``benchmarks/e2e`` caller, which passes 1."""
+
+    def test_any_other_worker_count_is_refused(self, runner):
+        trace = compile_trace(WorkloadSpec(name="w", n_ops=6, seed=2), CFG.n_objects)
+        with pytest.raises(ConfigError, match="threaded serving was removed"):
+            runner.run_trace_serving(MODEL, trace, clients=2, workers=2)
+
+    def test_workers_one_is_the_same_run(self, runner):
+        trace = compile_trace(WorkloadSpec(name="w", n_ops=12, seed=2), CFG.n_objects)
+        omitted = runner.run_trace_serving(MODEL, trace, clients=3)
+        explicit = runner.run_trace_serving(MODEL, trace, clients=3, workers=1)
+        assert explicit == omitted
 
 
 class TestSessions:
@@ -189,15 +194,11 @@ class TestValidation:
         finally:
             model.engine.close()
 
-    def test_bad_workers_and_admission_rejected(self, runner):
+    def test_one_priority_per_trace_required(self, runner):
         spec = WorkloadSpec(name="v", n_ops=4, seed=2)
         model = runner.build_model(MODEL)
         try:
             traces = make_client_traces(spec, model.n_objects, 1)
-            with pytest.raises(ServingError):
-                ServingExecutor(model, traces, workers=0)
-            with pytest.raises(ServingError):
-                ServingExecutor(model, traces, max_in_flight=0)
             with pytest.raises(ServingError):
                 ServingExecutor(model, traces, priorities=[1, 2])
         finally:

@@ -1,6 +1,6 @@
 """AccessStats under the serving layer (the fix-listener regression).
 
-The serving executor installs its own latch-attribution fix listener;
+The serving executor installs its own fix-attribution listener;
 an attached :class:`AccessStats` joins it *alongside*, through the
 multi-listener hook — it must neither displace the serving listener nor
 be displaced by it.  The regression these tests pin: with one client
@@ -8,8 +8,8 @@ and no online moves, serving a trace collects exactly the statistics a
 flat single-stream replay collects, hook observations included; with
 many clients, heat is the sum of the per-client replays.  And feeding
 an online controller through the serving layer stays deterministic
-across worker counts — the property the CI concurrency gate byte-diffs
-at the sweep level.
+from run to run — the property the CI concurrency gate byte-diffs at
+the sweep level, sequentially against ``--processes``.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def test_multi_client_heat_is_the_sum_of_per_client_replays():
         served_model.engine.close()
 
 
-def test_served_online_controller_is_worker_count_invariant():
+def test_served_online_controller_is_repeatable():
     stations = _stations()
     spec = SPEC.with_changes(
         name="served-drift", drift="step", drift_period=15, hot_fraction=0.15,
@@ -103,15 +103,13 @@ def test_served_online_controller_is_worker_count_invariant():
     traces = make_client_traces(spec, CONFIG.n_objects, clients=3)
 
     outcomes = []
-    for workers in (1, 2, 4):
+    for _ in range(2):
         model = build_loaded_model("NSM+index", stations, CONFIG.buffer_pages)
         online = OnlineRecluster(
             model, trigger_ops=20, max_moves_per_trigger=4, min_heat=1
         )
-        result = ServingExecutor(
-            model, traces, workers=workers, online=online
-        ).run()
+        result = ServingExecutor(model, traces, online=online).run()
         outcomes.append((result.result.raw, online.summary()))
         model.engine.close()
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1]
     assert outcomes[0][1]["pages_moved"] > 0

@@ -43,7 +43,7 @@ def base():
 
 @pytest.fixture(scope="module")
 def served():
-    return run(clients=(1, 3), serving_workers=2)
+    return run(clients=(1, 3))
 
 
 class TestDefaultAxisParity:
@@ -90,10 +90,6 @@ class TestServedGrid:
             assert digest["requests_per_second"] > 0
             assert digest["latency_p99_ms"] >= digest["latency_p50_ms"] > 0
 
-    def test_worker_count_never_moves_the_json(self, served):
-        other = run(clients=(1, 3), serving_workers=8)
-        assert other.to_json() == served.to_json()
-
     def test_rendered_table_gains_latency_columns(self, base, served):
         text = sweep.render_result(served)
         for column in ("clients", "p50 ms", "p99 ms", "req/s"):
@@ -101,7 +97,7 @@ class TestServedGrid:
         assert "p50 ms" not in sweep.render_result(base)
 
     def test_process_pool_path_matches(self, served):
-        via_processes = run(clients=(1, 3), serving_workers=2, processes=2)
+        via_processes = run(clients=(1, 3), processes=2)
         assert via_processes.to_json() == served.to_json()
 
 
@@ -117,10 +113,6 @@ class TestValidation:
     def test_bad_scheduler_rejected(self):
         with pytest.raises(BenchmarkError):
             run(clients=(2,), scheduler="lottery")
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(BenchmarkError):
-            run(clients=(2,), serving_workers=0)
 
 
 class TestCLI:
@@ -145,8 +137,6 @@ class TestCLI:
                 "2",
                 "--scheduler",
                 "priority",
-                "--serving-workers",
-                "2",
                 "--sweep-json",
                 str(json_path),
             ]
@@ -161,7 +151,3 @@ class TestCLI:
     def test_bad_clients_flag_rejected(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--fast", "--clients", "0"])
-
-    def test_bad_serving_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--fast", "--serving-workers", "0"])

@@ -89,21 +89,21 @@ def test_sharded_cells_roll_up_to_the_per_shard_sums():
         assert encoded["sharding"]["cross_shard_hops"] == report.cross_shard_hops
 
 
-def test_served_sharded_run_latches_every_shard():
-    """`ShardedBuffer.enable_latching` used to be a property handing out
-    shard 0's bound method, so a served run armed one latch of N."""
+def test_served_sharded_run_attributes_fixes_on_every_shard():
+    """The serving layer hooks its fix listener on ``engine.buffer``;
+    ``ShardedBuffer`` must fan it out, or fixes on shards 1..N-1 would
+    be charged to no session."""
     from repro.benchmark.runner import BenchmarkRunner
     from repro.benchmark.workload import WorkloadSpec
     from repro.serving import ServingExecutor, make_client_traces
 
     model = BenchmarkRunner(GOLDEN_CONFIG.with_changes(shards=3)).build_model("NSM+index")
     try:
-        shard_buffers = [engine.buffer for engine in model.engine.engines]
-        assert [buffer.latching for buffer in shard_buffers] == [False] * 3
-        spec = WorkloadSpec(name="latch", n_ops=6, seed=2)
+        spec = WorkloadSpec(name="fanout", n_ops=6, seed=2)
         traces = make_client_traces(spec, GOLDEN_CONFIG.n_objects, clients=2)
-        ServingExecutor(model, traces).run()
-        assert [buffer.latching for buffer in shard_buffers] == [True] * 3
+        outcome = ServingExecutor(model, traces).run()
+        attributed = sum(s["page_fixes"] for s in outcome.session_summaries)
+        assert attributed == outcome.result.raw.page_fixes > 0
     finally:
         model.engine.close()
 
