@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.benchmark.config import BenchmarkConfig, DEFAULT_CONFIG
 from repro.benchmark.snapshots import DEFAULT_STORE
@@ -62,22 +62,29 @@ class BenchmarkRunner:
     fmt: StorageFormat = DASDBS_FORMAT
 
     def __post_init__(self) -> None:
-        self._stations: list[NestedTuple] | None = None
+        self._stations: list[NestedTuple] | Callable[[], list[NestedTuple]] | None = None
 
     @property
     def stations(self) -> list[NestedTuple]:
         """The generated extension (lazily created, then reused)."""
         if self._stations is None:
             self._stations = generate_stations(self.config)
+        elif callable(self._stations):
+            self._stations = self._stations()
         return self._stations
 
-    def adopt_extension(self, stations: list[NestedTuple]) -> None:
+    def adopt_extension(
+        self, stations: list[NestedTuple] | Callable[[], list[NestedTuple]]
+    ) -> None:
         """Share an already generated extension instead of regenerating.
 
         The sensitivity sweeps build one runner per engine configuration
         (buffer capacity × policy); the extension depends only on the
         data knobs, so one generation feeds every grid cell.  The list
-        is adopted as-is (models never mutate loaded stations).
+        is adopted as-is (models never mutate loaded stations).  A
+        zero-argument callable (the form ``SnapshotStore.get`` takes) is
+        called on first use: a runner whose models all clone from the
+        snapshot store never asks, so nothing is generated for it.
         """
         if self._stations is not None:
             raise BenchmarkError("runner already has a generated extension")

@@ -30,10 +30,11 @@ import json
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Mapping, Sequence
 
 from repro.benchmark.config import BenchmarkConfig, DEFAULT_CONFIG
+from repro.benchmark.generator import generate_stations
 from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.snapshots import DEFAULT_STORE, snapshot_key
 from repro.benchmark.workload import (
@@ -412,19 +413,19 @@ class CellInputs:
     """
 
     def __init__(self) -> None:
-        self.stations: dict[tuple, list] = {}
+        self.extensions: dict[tuple, Callable[[], list]] = {}
         self.traces: dict[tuple[WorkloadSpec, int], WorkloadTrace] = {}
 
-    def share_extension(self, runner: BenchmarkRunner) -> list:
+    def share_extension(self, runner: BenchmarkRunner) -> Callable[[], list]:
         """Give ``runner`` the extension of its data knobs (the snapshot
-        key less the model): generated by the first runner to ask,
-        adopted by every later one."""
+        key less the model) and return it, as a callable: generated when
+        the first runner *uses* it, never for a grid whose cells all
+        clone from the snapshot store."""
         key = snapshot_key(runner.config, model_name="")
-        if key in self.stations:
-            runner.adopt_extension(self.stations[key])
-        else:
-            self.stations[key] = runner.stations
-        return self.stations[key]
+        if key not in self.extensions:
+            self.extensions[key] = cache(partial(generate_stations, runner.config))
+        runner.adopt_extension(self.extensions[key])
+        return self.extensions[key]
 
     def trace(self, spec: WorkloadSpec, n_objects: int) -> WorkloadTrace:
         key = (spec, n_objects)
@@ -576,7 +577,7 @@ def _spill_snapshots(planned: Sequence[PlannedCell], directory: str) -> list[Pla
         if not runner.snapshots_active:
             placed.append(cell)
             continue
-        stations = partial(inputs.share_extension, runner)
+        stations = inputs.share_extension(runner)
         if cell.config.recluster in ("none", "online"):
             snapshot = DEFAULT_STORE.get(cell.config, cell.model, stations, runner.fmt)
         else:

@@ -31,11 +31,12 @@ back (the six access paths) and says how one scanned record is decoded.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.benchmark.schema import key_of_oid
-from repro.errors import ModelError, UnsupportedOperationError
+from repro.benchmark.schema import STATION_SCHEMA, key_of_oid
+from repro.errors import ModelError, SchemaError, UnsupportedOperationError
 from repro.models.addressing import AddressTable, Row
+from repro.nf2.schema import RelationSchema
 from repro.nf2.serializer import DASDBS_FORMAT, NF2Serializer, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
@@ -52,6 +53,10 @@ class StorageModel(ABC):
 
     #: Whether query 1a (retrieve by OID) is meaningful for this model.
     supports_oid_access: bool = True
+
+    #: The schema the root record is stored under: its flat part is
+    #: what :meth:`update_roots` patches.
+    root_schema: RelationSchema = STATION_SCHEMA
 
     #: Every object's record addresses; built by the concrete model's
     #: constructor from the relations it declares.
@@ -154,10 +159,31 @@ class StorageModel(ABC):
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
         """Update atomic root attributes of the given objects (query 3).
 
-        ``changes`` must be structure-preserving (same attribute sizes);
-        each model implements its own update protocol (replace whole
-        tuple vs. ``change attribute``, Section 5.3).
+        "The object structure is not changed": each model implements
+        its own update protocol (replace whole tuple vs. ``change
+        attribute``, Section 5.3) — which pages are read, dirtied and
+        written — around the one byte patch of :meth:`_root_patch`.
         """
+
+    def _root_patch(self, changes: Mapping[str, Any]) -> Callable[[bytes], bytes]:
+        """The checked byte patch of one :meth:`update_roots` call.
+
+        Every ``update_roots`` starts here, before it fixes a page: an
+        unknown attribute (:class:`~repro.errors.SchemaError`), a value
+        of the wrong type or size
+        (:class:`~repro.errors.SerializationError`) and a change of
+        ``Key`` (:class:`ModelError`) are refused with nothing touched.
+        ``Key`` identifies the object — the address table, the NSM
+        family's foreign keys and value selections all find it by that
+        value — so rewriting it in the root record alone would leave an
+        object no access path reaches.
+        """
+        if "Key" in changes:
+            raise ModelError(
+                f"update_roots cannot change 'Key' on {self.name}: it identifies "
+                "the object; delete and re-insert to re-key"
+            )
+        return self.serializer.compile_patch(self.root_schema, changes)
 
     # -- sharded scatter-gather scans ----------------------------------------------
 
@@ -310,8 +336,15 @@ class StorageModel(ABC):
         The benchmark itself only bulk-loads, but a usable storage
         library must support incremental growth.  A key some live
         object already carries is refused: value selections (and plain
-        NSM's value-based delete) identify objects by it.
+        NSM's value-based delete) identify objects by it.  A tuple of
+        another relation is refused too: being a validated ``Station``
+        is what lets ``_store`` relabel its parts without re-checking
+        them.
         """
+        if station.schema is not STATION_SCHEMA and station.schema != STATION_SCHEMA:
+            raise SchemaError(
+                f"storage models store Station objects, not {station.schema.name!r} tuples"
+            )
         key = station["Key"]
         if self.table.find(key) is not None:
             raise ModelError(f"a station with key {key} is already stored")

@@ -80,30 +80,17 @@ class DASDBSDSMModel(DirectModelBase):
         allocates a page pool, of which all pages are written."  Every
         object therefore causes an immediate single-page write call.
         """
+        patch = self._root_patch(changes)
         for ref in self._dedupe(refs):
             handle = self._handle(ref)
             if type(handle) is Rid:
-                station = self.serializer.decode_nested(
-                    STATION_SCHEMA, self.heap.read(handle)
-                )
-                updated = station.replace_atoms(**changes)
                 self.heap.update(
-                    handle, self.serializer.encode_nested(updated), write_through=True
+                    handle, patch(self.heap.read(handle)), write_through=True
                 )
             else:
                 (root_blob,) = self.long_store.read(handle, [SECTION_ROOT])
-                atoms, _ = self.serializer._decode_flat_part(
-                    STATION_SCHEMA, root_blob, 0
-                )
-                atoms.update(changes)
-                shell = NestedTuple(
-                    STATION_SCHEMA, atoms, {"Platform": [], "Sightseeing": []}
-                )
                 self.long_store.patch_section(
-                    handle,
-                    SECTION_ROOT,
-                    self.serializer.encode_flat(shell),
-                    write_through=True,
+                    handle, SECTION_ROOT, patch(root_blob), write_through=True
                 )
 
 

@@ -126,6 +126,7 @@ class DASDBSNSMModel(StorageModel):
     """Normalized storage with per-object nesting and address table."""
 
     name = "DASDBS-NSM"
+    root_schema = DNSM_STATION
 
     def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
         super().__init__(engine, fmt)
@@ -145,39 +146,36 @@ class DASDBSNSMModel(StorageModel):
     # -- decomposition: one nested tuple per relation ---------------------------
 
     def _store(self, station: NestedTuple) -> Row:
-        key = station["Key"]
-        st = NestedTuple(DNSM_STATION, station.atoms())
-        platforms = station.subtuples("Platform")
+        # Relabelled, not re-validated (``NestedTuple._from_trusted``):
+        # ``insert_object`` admits only validated Stations, and the
+        # module-level ``require_projection`` calls proved that an item
+        # plus its key column is a tuple of the stored schema.
+        key = station._atoms["Key"]
+        st = _trusted(DNSM_STATION, station._atoms, {})
+        platforms = station._subs["Platform"]
         platform_items = [
-            NestedTuple(_PLATFORM_ITEM, {"OwnKey": i, **p.atoms()})
+            _trusted(_PLATFORM_ITEM, {"OwnKey": i, **p._atoms}, {})
             for i, p in enumerate(platforms)
         ]
-        pl = NestedTuple(
-            DNSM_PLATFORM, {"RootKey": key}, {"PlatformOfStation": platform_items}
-        )
-        groups = []
-        for i, platform in enumerate(platforms):
-            items = [
-                NestedTuple(_CONNECTION_ITEM, c.atoms())
-                for c in platform.subtuples("Connection")
-            ]
-            groups.append(
-                NestedTuple(
-                    _CONNECTION_GROUP,
-                    {"ParentKey": i},
-                    {"ConnectionOfPlatform": items},
-                )
+        pl = _trusted(DNSM_PLATFORM, {"RootKey": key}, {"PlatformOfStation": platform_items})
+        groups = [
+            _trusted(
+                _CONNECTION_GROUP,
+                {"ParentKey": i},
+                {
+                    "ConnectionOfPlatform": [
+                        _trusted(_CONNECTION_ITEM, c._atoms, {})
+                        for c in platform._subs["Connection"]
+                    ]
+                },
             )
-        co = NestedTuple(
-            DNSM_CONNECTION, {"RootKey": key}, {"ConnectionsOfPlatform": groups}
-        )
-        sight_items = [
-            NestedTuple(_SIGHTSEEING_ITEM, s.atoms())
-            for s in station.subtuples("Sightseeing")
+            for i, platform in enumerate(platforms)
         ]
-        si = NestedTuple(
-            DNSM_SIGHTSEEING, {"RootKey": key}, {"SightseeingOfStation": sight_items}
-        )
+        co = _trusted(DNSM_CONNECTION, {"RootKey": key}, {"ConnectionsOfPlatform": groups})
+        sight_items = [
+            _trusted(_SIGHTSEEING_ITEM, s._atoms, {}) for s in station._subs["Sightseeing"]
+        ]
+        si = _trusted(DNSM_SIGHTSEEING, {"RootKey": key}, {"SightseeingOfStation": sight_items})
         return (
             (self.stations.insert(st),),
             (self.platforms.insert(pl),),
@@ -297,10 +295,9 @@ class DASDBSNSMModel(StorageModel):
         DASDBS-NSM-Station relation are updated, of which there are
         many on a single page."
         """
+        patch = self._root_patch(changes)
         for oid in self._dedupe(refs):
-            st_h = self.table.row(oid)[0][0]
-            row = self.stations.read(st_h)
-            self.stations.update(st_h, row.replace_atoms(**changes))
+            self.stations.patch(self.table.row(oid)[0][0], patch)
 
 
 __all__ = [

@@ -213,19 +213,19 @@ class DirectModelBase(StorageModel):
     # -- update (replace whole nested tuple) --------------------------------------------
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
+        """Replace each object as a whole: every page of it is read,
+        rewritten and dirtied, though only root bytes change (the root's
+        flat part leads a small object's record and is section 0 of a
+        long one)."""
+        patch = self._root_patch(changes)
         for ref in self._dedupe(refs):
             handle = self._handle(ref)
             if type(handle) is Rid:
-                station = self.serializer.decode_nested(
-                    STATION_SCHEMA, self.heap.read(handle)
-                )
-                updated = station.replace_atoms(**changes)
-                self.heap.update(handle, self.serializer.encode_nested(updated))
+                self.heap.update(handle, patch(self.heap.read(handle)))
             else:
                 sections = self.long_store.read(handle)
-                station = self._decode_sections(sections)
-                updated = station.replace_atoms(**changes)
-                self.long_store.replace(handle, self._encode_sections(updated))
+                sections[SECTION_ROOT] = patch(sections[SECTION_ROOT])
+                self.long_store.replace(handle, sections)
 
 
 class DSMModel(DirectModelBase):

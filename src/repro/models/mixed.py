@@ -11,9 +11,8 @@ of an average object exceeds one page.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.errors import InvalidAddressError
 from repro.models.addressing import Handle, Relation
 from repro.nf2.oid import Rid
 from repro.nf2.schema import Projection, RelationSchema
@@ -49,15 +48,19 @@ class MixedTupleStore(Relation):
             return self.heap.insert(blob)
         return self.long_store.store([blob], value.count_subtuples())
 
-    def update(self, handle: Handle, value: NestedTuple, write_through: bool = False) -> None:
-        """Replace a stored tuple (must keep its encoded size)."""
-        blob = self.serializer.encode_nested(value)
+    def patch(self, handle: Handle, patch: Callable[[bytes], bytes]) -> None:
+        """Replace a stored tuple by ``patch`` of its bytes (same size;
+        see ``NF2Serializer.compile_patch``).
+
+        The page traffic of a read followed by a replace: a heap record
+        fixes its page twice and dirties it, a long tuple reads, rewrites
+        and dirties every page it owns.
+        """
         if type(handle) is Rid:
-            self.heap.update(handle, blob, write_through=write_through)
+            self.heap.update(handle, patch(self.heap.read(handle)))
         else:
-            self.long_store.replace(handle, [blob])
-            if write_through:  # pragma: no cover - not exercised by the paper's queries
-                raise InvalidAddressError("write-through replace of long tuples unsupported")
+            (blob,) = self.long_store.read(handle)
+            self.long_store.replace(handle, [patch(blob)])
 
     # -- reading ----------------------------------------------------------------
 

@@ -118,6 +118,8 @@ class NSMModelBase(StorageModel):
     decomposition into them, the in-memory reassembly join and the
     full scan.  References are logical keys."""
 
+    root_schema = NSM_STATION
+
     def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
         super().__init__(engine, fmt)
         relations = [Relation(engine, schema.name) for schema in _SCHEMAS]
@@ -140,25 +142,29 @@ class NSMModelBase(StorageModel):
     # -- decomposition: one flat tuple per (sub)tuple ------------------------------
 
     def _store(self, station: NestedTuple) -> Row:
-        key = station["Key"]
-        root = NestedTuple(NSM_STATION, station.atoms())
-        station_rid = self._insert(self.stations, root)
+        # Relabelled, not re-validated (``NestedTuple._from_trusted``):
+        # ``insert_object`` admits only validated Stations, and the
+        # module-level ``require_projection`` calls proved that a part
+        # plus its key columns is a row of the flat schema.
+        key = station._atoms["Key"]
+        station_rid = self._insert(self.stations, _trusted(NSM_STATION, station._atoms, {}))
         platform_rids: list[Rid] = []
         connection_rids: list[Rid] = []
-        for own_key, platform in enumerate(station.subtuples("Platform")):
-            row = NestedTuple(
-                NSM_PLATFORM, {"RootKey": key, "OwnKey": own_key, **platform.atoms()}
+        for own_key, platform in enumerate(station._subs["Platform"]):
+            row = _trusted(
+                NSM_PLATFORM, {"RootKey": key, "OwnKey": own_key, **platform._atoms}, {}
             )
             platform_rids.append(self._insert(self.platforms, row))
-            for connection in platform.subtuples("Connection"):
-                row = NestedTuple(
+            for connection in platform._subs["Connection"]:
+                row = _trusted(
                     NSM_CONNECTION,
-                    {"RootKey": key, "ParentKey": own_key, **connection.atoms()},
+                    {"RootKey": key, "ParentKey": own_key, **connection._atoms},
+                    {},
                 )
                 connection_rids.append(self._insert(self.connections, row))
         sightseeing_rids: list[Rid] = []
-        for sight in station.subtuples("Sightseeing"):
-            row = NestedTuple(NSM_SIGHTSEEING, {"RootKey": key, **sight.atoms()})
+        for sight in station._subs["Sightseeing"]:
+            row = _trusted(NSM_SIGHTSEEING, {"RootKey": key, **sight._atoms}, {})
             sightseeing_rids.append(self._insert(self.sightseeings, row))
         return (
             (station_rid,),
@@ -254,6 +260,23 @@ class NSMModel(NSMModelBase):
     name = "NSM"
     supports_oid_access = False
 
+    def _matching(
+        self,
+        heap: HeapFile,
+        schema: RelationSchema | Projection,
+        key_attr: str,
+        keys: set[int],
+    ) -> list[tuple[Rid, bytes]]:
+        """Value selection by full scan (NSM has no access paths): the
+        stored tuples whose ``key_attr`` is in ``keys``.  The predicate
+        is evaluated on the stored key attribute only."""
+        decode_atom = self.serializer.decode_atom
+        return [
+            (rid, blob)
+            for rid, blob in heap.scan()
+            if decode_atom(schema, blob, key_attr) in keys
+        ]
+
     def _select(
         self,
         heap: HeapFile,
@@ -261,16 +284,13 @@ class NSMModel(NSMModelBase):
         key_attr: str,
         keys: set[int],
     ) -> list[tuple[Rid, NestedTuple]]:
-        """Value selection by full scan (NSM has no access paths).
-
-        The predicate is evaluated on the stored key attribute only;
-        of a matching tuple, what ``schema`` asks for is materialised.
-        """
-        out: list[tuple[Rid, NestedTuple]] = []
-        for rid, blob in heap.scan():
-            if self.serializer.decode_atom(schema, blob, key_attr) in keys:
-                out.append((rid, self.serializer.decode_flat(schema, blob)))
-        return out
+        """:meth:`_matching`, with what ``schema`` asks for of each
+        matching tuple materialised."""
+        decode_flat = self.serializer.decode_flat
+        return [
+            (rid, decode_flat(schema, blob))
+            for rid, blob in self._matching(heap, schema, key_attr, keys)
+        ]
 
     # -- operations --------------------------------------------------------------------
 
@@ -323,12 +343,11 @@ class NSMModel(NSMModelBase):
         replacement itself dirties the shared pages, written back in a
         batch at flush time.
         """
+        patch = self._root_patch(changes)
         if not refs:
             return
-        keys = set(self._dedupe(refs))
-        for rid, row in self._select(self.stations, NSM_STATION, "Key", keys):
-            updated = row.replace_atoms(**changes)
-            self.stations.update(rid, self.serializer.encode_flat(updated))
+        for rid, blob in self._matching(self.stations, NSM_STATION, "Key", set(refs)):
+            self.stations.update(rid, patch(blob))
 
     # -- object lifecycle ----------------------------------------------------------------
 
@@ -442,12 +461,10 @@ class NSMIndexModel(NSMModelBase):
         ]
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
+        patch = self._root_patch(changes)
         for key in self._dedupe(refs):
             for rid in self._rids(key, 0):
-                row = self.serializer.decode_flat(NSM_STATION, self.stations.read(rid))
-                self.stations.update(
-                    rid, self.serializer.encode_flat(row.replace_atoms(**changes))
-                )
+                self.stations.update(rid, patch(self.stations.read(rid)))
 
     def delete_object(self, ref: Ref) -> None:
         """Indexed delete: record accesses only, no scans."""

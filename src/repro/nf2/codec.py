@@ -19,6 +19,10 @@ through one ``exec`` and keeps the functions on a :class:`_LayoutPlan`:
   tag and the values (attribute count, header padding, offset array) are
   one precomputed ``s`` field, and the atoms are named in the
   ``pack_into`` call.
+* **patch** — one writer per atomic attribute (``pack_into`` of the one
+  value at its constant offset), so an update of atomic attributes
+  overwrites those fields in the stored bytes and nothing else
+  (:meth:`~repro.nf2.serializer.NF2Serializer.compile_patch`).
 
 A :class:`~repro.nf2.schema.Projection` compiles through the same
 generator: dropped attributes become pad bytes, dropped sub-relations
@@ -85,7 +89,11 @@ class _LayoutPlan:
     ``schema`` is the schema of the tuples the decoders yield (the
     derived schema of a projection), ``flat_size`` the stored size of
     one flat part, ``atoms`` one single-slot reader per kept attribute
-    (``decode_atom``).  The generated functions:
+    (``decode_atom``) and ``writers`` its mirror, one single-slot writer
+    per attribute: ``(pack_into, offset, attribute)`` (``None`` on the
+    plan of a projection).  A writer packs at the attribute's offset —
+    a ``"<{offset}x…"`` struct like the readers' would zero every byte
+    before the value.  The generated functions:
 
     ``decode(data, pos) -> (tuple, end)``
         one nested tuple, walked to its true end (a sibling may follow);
@@ -109,6 +117,7 @@ class _LayoutPlan:
         "is_leaf",
         "fields",
         "atoms",
+        "writers",
         "values",
         "packer",
         "prefix",
@@ -149,6 +158,7 @@ class _LayoutPlan:
         codes: list[str] = []
         self.fields: list[tuple[str, bool]] = []
         self.atoms: dict[str, tuple] = {}
+        self.writers: dict[str, tuple] | None = {} if full else None
         pos = value_base
         for attr in stored.attributes:
             is_str = attr.type is AttributeType.STR
@@ -163,6 +173,8 @@ class _LayoutPlan:
                 )
             else:
                 layout.append(f"{attr.size}x")
+            if full:
+                self.writers[attr.name] = (struct.Struct(f"<{code}").pack_into, pos, attr)
             pos += attr.size
         self.values = struct.Struct("".join(layout))
         self.packer = self.prefix = None

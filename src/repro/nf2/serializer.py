@@ -46,7 +46,10 @@ each of the dozens of models a sweep builds.  A serializer only keeps an
 each one dict lookup, one generated call and the translation of the two
 errors stored bytes can cause.  A :class:`~repro.nf2.schema.Projection`
 passed in place of a schema compiles through the same generator into a
-decoder that skips what the caller does not want.
+decoder that skips what the caller does not want.  An update of atomic
+attributes does not pass through values at all: :meth:`NF2Serializer.
+compile_patch` overwrites the changed fields in the stored bytes
+through the plan's per-attribute writers.
 
 Tuples are built without re-validation (the bytes were validated when
 they were encoded); the decoder is the only gate in front of such
@@ -65,12 +68,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import SerializationError
+from repro.errors import SchemaError, SerializationError
 from repro.nf2.codec import _LayoutPlan, compiled_plan
-from repro.nf2.schema import Projection, RelationSchema
-from repro.nf2.values import NestedTuple
+from repro.nf2.schema import AttributeType, Projection, RelationSchema
+from repro.nf2.values import NestedTuple, _check_atom
 
 _U32 = struct.Struct("<I")
 
@@ -249,6 +252,62 @@ class NF2Serializer:
             return raw.rstrip(b"\x00").decode("utf-8") if is_str else raw
         except (struct.error, UnicodeDecodeError) as exc:
             raise _undecodable(plan.schema, exc) from None
+
+    # -- in-place update of atomic attributes ----------------------------------
+
+    def compile_patch(
+        self, schema: RelationSchema, changes: Mapping[str, Any]
+    ) -> Callable[[bytes], bytes]:
+        """Validate ``changes`` once; returns ``patch(data) -> bytes``.
+
+        The byte-level form of :meth:`NestedTuple.replace_atoms
+        <repro.nf2.values.NestedTuple.replace_atoms>`, which stays its
+        specification: every changed name and value is checked exactly
+        as there (:class:`~repro.errors.SchemaError` for a name the
+        relation does not have, ``_check_atom``'s
+        :class:`SerializationError` for a wrong type, an over-long
+        string or an out-of-range int), here and only here — so a
+        caller that compiles before it fixes a page has refused a bad
+        update before touching anything.  ``patch`` overwrites the
+        changed fields in a copy of a stored ``schema`` tuple — a flat
+        encoding, or a nested one, whose flat part leads it — and leaves
+        length, tag, offset array and every other byte alone, so for
+        canonical stored bytes ``patch(b) ==
+        encode(decode(b).replace_atoms(**changes))`` by construction.
+        """
+        plan = self._plans.get(id(schema)) or self._plan(schema)
+        if plan.writers is None:
+            raise SerializationError("a Projection only decodes; patch under its stored schema")
+        writes = []
+        for name, value in changes.items():
+            writer = plan.writers.get(name)
+            if writer is None:
+                raise SchemaError(
+                    f"relation {plan.schema.name!r} has no atomic attribute {name!r}"
+                )
+            put, pos, attr = writer
+            value = _check_atom(name, attr.type, attr.size, value)
+            if attr.type is AttributeType.STR:
+                value = value.encode("utf-8")
+            writes.append((put, pos, value))
+
+        def patch(data: bytes) -> bytes:
+            out = bytearray(data)
+            try:
+                for put, pos, value in writes:
+                    put(out, pos, value)
+            except struct.error as exc:
+                raise _undecodable(plan.schema, exc) from None
+            return bytes(out)
+
+        return patch
+
+    def patch_flat(
+        self, schema: RelationSchema, data: bytes, changes: Mapping[str, Any]
+    ) -> bytes:
+        """``data`` with the atomic attributes in ``changes`` overwritten
+        (one-shot form of :meth:`compile_patch`)."""
+        return self.compile_patch(schema, changes)(data)
 
     # -- nested encoding ----------------------------------------------------
 

@@ -64,15 +64,19 @@ class NestedTuple:
         atoms: dict[str, Any],
         subs: dict[str, list["NestedTuple"]],
     ) -> "NestedTuple":
-        """Build a tuple without re-validating (the read path).
+        """Build a tuple without re-validating.
 
-        Two callers may use this.  The serializer, which only decodes
-        bytes that were validated when they were encoded; and a storage
+        Three callers may use this.  The serializer, which only decodes
+        bytes that were validated when they were encoded; a storage
         model's reassembly, which relabels such decoded parts under a
         schema that :func:`repro.nf2.schema.require_projection` proved
-        equivalent when the model module was imported.  In both, the
-        per-attribute checks of ``__init__`` would re-prove a known
-        invariant on every tuple.  ``atoms`` must hold exactly the
+        equivalent when the model module was imported; and a storage
+        model's ``_store``, which relabels the parts of a validated
+        Station (``insert_object`` checks the schema) the other way
+        under the same proofs, adding only key columns that are the
+        station's validated ``Key`` and ``enumerate`` indices.  In all
+        three, the per-attribute checks of ``__init__`` would re-prove
+        a known invariant on every tuple.  ``atoms`` must hold exactly the
         atomic attributes and ``subs`` exactly the sub-relations of
         ``schema``; the dicts are adopted, not copied.
         """
@@ -122,7 +126,10 @@ class NestedTuple:
         """Return a copy with some atomic attributes changed.
 
         This is the operation of benchmark query 3: "We update atomic
-        attributes, that is, the object structure is not changed."
+        attributes, that is, the object structure is not changed."  The
+        storage models apply it to stored bytes
+        (``NF2Serializer.compile_patch``); this value form is the public
+        API and the specification that patch is tested against.
         """
         atoms = dict(self._atoms)
         for name, value in changes.items():

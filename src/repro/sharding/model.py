@@ -109,6 +109,7 @@ class ShardedModel(StorageModel):
         self.name = primary.name
         self.format = primary.format
         self.serializer = primary.serializer
+        self.root_schema = primary.root_schema
         self.n_objects = primary.n_objects
         self.supports_oid_access = primary.supports_oid_access
         self.cross_shard_hops = 0
@@ -245,6 +246,9 @@ class ShardedModel(StorageModel):
         return merged
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
+        # Refused here, before a shard is visited: the replicas' own
+        # checks come after the hop accounting.
+        self._root_patch(changes)
         if not refs:
             return
         for shard, (_, group) in self._group(refs).items():

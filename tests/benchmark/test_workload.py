@@ -199,6 +199,15 @@ class TestRunnerIntegration:
         other.adopt_extension(stations)
         assert other.stations is stations
 
+    def test_adopted_source_is_called_on_first_use_only(self):
+        stations = BenchmarkRunner(CFG).stations
+        calls = []
+        runner = BenchmarkRunner(CFG)
+        runner.adopt_extension(lambda: calls.append(1) or stations)
+        assert calls == []
+        assert runner.stations is stations and runner.stations is stations
+        assert calls == [1]
+
     def test_adopt_after_generation_rejected(self):
         runner = BenchmarkRunner(CFG)
         runner.stations

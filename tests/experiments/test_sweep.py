@@ -98,6 +98,23 @@ class TestDeterminism:
         )
         assert rebuilt.to_json() == result.to_json()
 
+    def test_the_extension_is_generated_only_when_a_cell_builds(self, result, monkeypatch):
+        """The grid shares one lazy extension per data-knob key: never
+        generated when every cell clones from the (warm) snapshot store,
+        generated once — not once per cell — when cells rebuild."""
+        generated = []
+        generate = sweep.generate_stations
+        monkeypatch.setattr(
+            sweep, "generate_stations", lambda config: generated.append(1) or generate(config)
+        )
+        cloned = sweep.run_sweep(CFG, WORKLOADS, CAPACITIES, POLICIES, MODELS)
+        assert generated == []
+        rebuilt = sweep.run_sweep(
+            CFG.with_changes(snapshots=False), WORKLOADS, CAPACITIES, POLICIES, MODELS
+        )
+        assert generated == [1]
+        assert cloned.to_json() == rebuilt.to_json() == result.to_json()
+
     def test_process_path_spilled_snapshots_change_no_byte(self, result):
         """Workers cloning from spilled snapshot artifacts produce the
         same bytes as workers rebuilding from scratch."""

@@ -98,11 +98,11 @@ class TestMixedTupleStore:
         keys = sorted(v["RootKey"] for v in store.scan(longs))
         assert keys == [0, 1, 2, 3, 4]
 
-    def test_update_small(self, store):
-        handle = store.insert(wrapper_tuple(7, 2))
-        updated = wrapper_tuple(7, 2).replace_atoms(RootKey=7)
-        store.update(handle, updated)
-        assert store.read(handle)["RootKey"] == 7
+    @pytest.mark.parametrize("n_items", [2, 30], ids=["heap", "long"])
+    def test_patch_rewrites_the_root_attribute_only(self, store, n_items):
+        handle = store.insert(wrapper_tuple(7, n_items))
+        store.patch(handle, store.serializer.compile_patch(WRAPPER, {"RootKey": 8}))
+        assert store.read(handle) == wrapper_tuple(8, n_items)
 
     def test_n_pages_counts_both_segments(self, store):
         store.insert(wrapper_tuple(1, 1))

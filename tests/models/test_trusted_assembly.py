@@ -7,6 +7,11 @@ imported).  These tests hold the fast path to the slow path's contract:
 every assembled object equals the generated one, rebuilds unchanged
 through the validating constructor, and shares no mutable state with
 the next fetch — in every state a model can be in.
+
+The same proofs license the opposite direction, ``_store`` relabelling a
+validated Station's parts as rows of the storage schemas; there the
+contract is: trusted rows equal validated rows, encode to the same
+bytes, and load to the same disk image.
 """
 
 from __future__ import annotations
@@ -19,9 +24,13 @@ from repro.benchmark.schema import (
     STATION_SCHEMA,
     key_of_oid,
 )
+from repro.benchmark.config import BenchmarkConfig
+from repro.benchmark.generator import generate_stations
 from repro.benchmark.snapshots import SnapshotStore
 from repro.errors import SchemaError
-from repro.models.nsm import NSM_PLATFORM
+from repro.models import dasdbs_nsm, nsm
+from repro.models.dasdbs_nsm import DASDBSNSMModel
+from repro.models.nsm import NSM_PLATFORM, NSMModelBase
 from repro.nf2.schema import (
     Attribute,
     AttributeType,
@@ -32,6 +41,8 @@ from repro.nf2.schema import (
 )
 from repro.nf2.values import NestedTuple
 from tests.conftest import build_loaded_model
+from tests.fuzz.conftest import fuzz_seeds
+from tests.sharding.conftest import disk_digest
 
 UPDATED_OIDS = (2, 11, 30)
 CHANGES = {"Name": "renamed", "NoSeeing": 99}
@@ -207,3 +218,138 @@ class TestProjectionProof:
             require_projection(NSM_PLATFORM, PLATFORM_SCHEMA, self.KEYS)
         with pytest.raises(SchemaError):
             require_projection(NSM_PLATFORM, PLATFORM_SCHEMA, self.KEYS, (PLATFORM_SCHEMA,))
+
+
+# -- the load path: relabelled rows == validated rows ------------------------------------
+
+
+def _validated_nsm_store(self, station):
+    """``NSMModelBase._store`` through the validating constructor."""
+    key = station["Key"]
+    rids = [[self._insert(self.stations, NestedTuple(nsm.NSM_STATION, station.atoms()))], [], [], []]
+    for own_key, platform in enumerate(station.subtuples("Platform")):
+        row = NestedTuple(
+            nsm.NSM_PLATFORM, {"RootKey": key, "OwnKey": own_key, **platform.atoms()}
+        )
+        rids[1].append(self._insert(self.platforms, row))
+        for connection in platform.subtuples("Connection"):
+            row = NestedTuple(
+                nsm.NSM_CONNECTION,
+                {"RootKey": key, "ParentKey": own_key, **connection.atoms()},
+            )
+            rids[2].append(self._insert(self.connections, row))
+    for sight in station.subtuples("Sightseeing"):
+        row = NestedTuple(nsm.NSM_SIGHTSEEING, {"RootKey": key, **sight.atoms()})
+        rids[3].append(self._insert(self.sightseeings, row))
+    return tuple(tuple(part) for part in rids)
+
+
+def _validated_dasdbs_nsm_store(self, station):
+    """``DASDBSNSMModel._store`` through the validating constructor."""
+    key = station["Key"]
+    platforms = station.subtuples("Platform")
+    pl = NestedTuple(
+        dasdbs_nsm.DNSM_PLATFORM,
+        {"RootKey": key},
+        {
+            "PlatformOfStation": [
+                NestedTuple(dasdbs_nsm._PLATFORM_ITEM, {"OwnKey": i, **p.atoms()})
+                for i, p in enumerate(platforms)
+            ]
+        },
+    )
+    groups = [
+        NestedTuple(
+            dasdbs_nsm._CONNECTION_GROUP,
+            {"ParentKey": i},
+            {
+                "ConnectionOfPlatform": [
+                    NestedTuple(dasdbs_nsm._CONNECTION_ITEM, c.atoms())
+                    for c in platform.subtuples("Connection")
+                ]
+            },
+        )
+        for i, platform in enumerate(platforms)
+    ]
+    co = NestedTuple(
+        dasdbs_nsm.DNSM_CONNECTION, {"RootKey": key}, {"ConnectionsOfPlatform": groups}
+    )
+    si = NestedTuple(
+        dasdbs_nsm.DNSM_SIGHTSEEING,
+        {"RootKey": key},
+        {
+            "SightseeingOfStation": [
+                NestedTuple(dasdbs_nsm._SIGHTSEEING_ITEM, s.atoms())
+                for s in station.subtuples("Sightseeing")
+            ]
+        },
+    )
+    return (
+        (self.stations.insert(NestedTuple(dasdbs_nsm.DNSM_STATION, station.atoms())),),
+        (self.platforms.insert(pl),),
+        (self.connections.insert(co),),
+        (self.sightseeings.insert(si),),
+    )
+
+
+#: model name -> (class owning ``_store``, its validated reference)
+VALIDATED_STORES = {
+    "NSM": (NSMModelBase, _validated_nsm_store),
+    "NSM+index": (NSMModelBase, _validated_nsm_store),
+    "DASDBS-NSM": (DASDBSNSMModel, _validated_dasdbs_nsm_store),
+}
+
+
+def _loaded_recording_rows(name, stations):
+    """A loaded model and every row its ``_store`` wrote, in order."""
+    model = build_loaded_model(name, [])
+    rows = []
+
+    def recording(insert):
+        def wrapper(*args):  # (value) of a store, (heap, row) of ``_insert``
+            rows.append((args[-1], model.serializer.encode_nested(args[-1])))
+            return insert(*args)
+
+        return wrapper
+
+    if name == "DASDBS-NSM":
+        for relation in model.table.relations:
+            relation.insert = recording(relation.insert)
+    else:
+        model._insert = recording(model._insert)
+    model.load(stations)
+    return model, rows
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED_STORES))
+@pytest.mark.parametrize("seed", fuzz_seeds()[:3])
+def test_trusted_store_equals_validated_store(monkeypatch, name, seed):
+    stations = generate_stations(
+        BenchmarkConfig(n_objects=40, max_sightseeing=5, probability=0.5, seed=seed)
+    )
+    trusted_model, trusted_rows = _loaded_recording_rows(name, stations)
+    owner, validated_store = VALIDATED_STORES[name]
+    monkeypatch.setattr(owner, "_store", validated_store)
+    validated_model, validated_rows = _loaded_recording_rows(name, stations)
+
+    assert len(trusted_rows) == len(validated_rows) > len(stations)
+    for (trusted, trusted_bytes), (validated, validated_bytes) in zip(
+        trusted_rows, validated_rows
+    ):
+        assert trusted == validated
+        assert trusted.schema is validated.schema
+        assert revalidated(trusted) == trusted
+        assert trusted_bytes == validated_bytes
+    assert disk_digest(trusted_model.engine) == disk_digest(validated_model.engine)
+
+
+@pytest.mark.parametrize("name", ["DSM", "DASDBS-DSM", "NSM", "NSM+index", "DASDBS-NSM"])
+def test_only_station_tuples_are_stored(name, small_stations):
+    """What licenses the relabelling: ``insert_object`` takes nothing
+    but a (validated) Station."""
+    model = build_loaded_model(name, small_stations[:3])
+    digest = disk_digest(model.engine)
+    platform = next(s for s in small_stations if s.subtuples("Platform")).subtuples("Platform")[0]
+    with pytest.raises(SchemaError, match="Station"):
+        model.insert_object(platform)
+    assert disk_digest(model.engine) == digest
