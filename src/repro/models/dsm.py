@@ -36,6 +36,11 @@ SECTION_ROOT = 0
 SECTION_PLATFORMS = 1
 SECTION_SIGHTSEEINGS = 2
 
+#: ``copy=`` of a read whose pages are fixed at the model's granularity
+#: but of which only one section is decoded.
+_ROOT_ONLY = (SECTION_ROOT,)
+_PLATFORMS_ONLY = (SECTION_PLATFORMS,)
+
 # Proved once here, relied on by every ``_decode_sections``: the three
 # sections are the Station's own attributes and its two sub-relations.
 require_projection(STATION_SCHEMA, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA))
@@ -184,8 +189,7 @@ class DirectModelBase(StorageModel):
                 )
                 platforms = station.subtuples("Platform")
             else:
-                sections = self.long_store.read(handle, wanted)
-                blob = sections[1] if wanted is None else sections[wanted.index(SECTION_PLATFORMS)]
+                (blob,) = self.long_store.read(handle, wanted, copy=_PLATFORMS_ONLY)
                 platforms = self.serializer.decode_subtuple_list(_PLATFORM_LINKS, blob)
             group: list[Ref] = []
             for platform in platforms:
@@ -202,8 +206,7 @@ class DirectModelBase(StorageModel):
             if type(handle) is Rid:
                 blob = self.heap.read(handle)
             else:
-                sections = self.long_store.read(handle, wanted)
-                blob = sections[0] if wanted is None else sections[wanted.index(SECTION_ROOT)]
+                (blob,) = self.long_store.read(handle, wanted, copy=_ROOT_ONLY)
             # Either way the root's flat part sits at offset 0: of the
             # root section, or of the whole nested tuple.
             atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, blob, 0)
@@ -214,18 +217,17 @@ class DirectModelBase(StorageModel):
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
         """Replace each object as a whole: every page of it is read,
-        rewritten and dirtied, though only root bytes change (the root's
+        fixed and dirtied, though only root bytes change (the root's
         flat part leads a small object's record and is section 0 of a
-        long one)."""
+        long one, the only section copied and rewritten)."""
         patch = self._root_patch(changes)
         for ref in self._dedupe(refs):
             handle = self._handle(ref)
             if type(handle) is Rid:
                 self.heap.update(handle, patch(self.heap.read(handle)))
             else:
-                sections = self.long_store.read(handle)
-                sections[SECTION_ROOT] = patch(sections[SECTION_ROOT])
-                self.long_store.replace(handle, sections)
+                (root,) = self.long_store.read(handle, copy=_ROOT_ONLY)
+                self.long_store.replace(handle, {SECTION_ROOT: patch(root)})
 
 
 class DSMModel(DirectModelBase):

@@ -133,6 +133,11 @@ class ShardedEngine:
     def close(self) -> None:
         for engine in self.engines:
             engine.close()
+        # The sharded model's hook is a bound method, so the engine and
+        # the model hold each other: dropping it lets reference counting
+        # free a closed shard set at once instead of at the next full
+        # cyclic collection.
+        self.on_reset.clear()
 
     def shard_snapshots(self) -> tuple[MetricsSnapshot, ...]:
         """Per-shard counter snapshots, in shard order."""

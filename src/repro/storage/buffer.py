@@ -546,6 +546,17 @@ class BufferManager:
     def is_resident(self, page_id: int) -> bool:
         return page_id in self._frames
 
+    def peek(self, page_id: int) -> bytearray | memoryview | None:
+        """A resident page's bytes without fixing it, or None.
+
+        Touches no metric, policy or fix listener, and pins nothing: the
+        result is for reading *now*, before anything can evict the frame
+        or mutate it (``LongObjectStore.read`` compares a directory memo
+        against it, then fixes the page the ordinary way).
+        """
+        frame = self._frames_get(page_id)
+        return None if frame is None else frame.data
+
     def fixed_pages(self) -> list[int]:
         """Pages currently fixed (non-zero fix count)."""
         return [pid for pid, frame in self._frames.items() if frame.fix_count > 0]

@@ -9,7 +9,7 @@ likely to be stored clustered together").
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import PageOverflowError, StorageError
 from repro.nf2.oid import Rid
@@ -454,10 +454,6 @@ class HeapFile:
                 self.buffer.unfix(page_id)
             for slot, record in records:
                 yield Rid(page_id, slot), record
-
-    def scan_filter(self, predicate: Callable[[bytes], bool]) -> list[tuple[Rid, bytes]]:
-        """Full scan returning only records matching ``predicate``."""
-        return [(rid, record) for rid, record in self.scan() if predicate(record)]
 
     # -- statistics -----------------------------------------------------------------
 

@@ -26,9 +26,9 @@ the data pages overlapping the requested sections.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import InvalidAddressError, StorageError
 from repro.nf2.serializer import StorageFormat
@@ -60,11 +60,18 @@ class LongObjectAddress:
 
 @dataclass(frozen=True)
 class ObjectDirectory:
-    """Decoded object directory."""
+    """Decoded object directory.
+
+    ``encoded`` is the memo :meth:`LongObjectStore.read_directory`
+    checks a root frame against: the directory's encoding (header
+    struct, page ids, section pairs — no padding) when it fits in the
+    root page, else empty (the memo does not apply).
+    """
 
     data_page_ids: tuple[int, ...]
     section_offsets: tuple[int, ...]
     section_lengths: tuple[int, ...]
+    encoded: bytes = field(default=b"", compare=False, repr=False)
 
     @property
     def n_sections(self) -> int:
@@ -121,14 +128,23 @@ class LongObjectStore:
         for section in sections:
             offsets.append(pos)
             pos += len(section)
+        lengths = tuple(len(section) for section in sections)
 
-        directory = ObjectDirectory(
-            data_page_ids=tuple(data_ids),
-            section_offsets=tuple(offsets),
-            section_lengths=tuple(len(section) for section in sections),
+        blob = bytearray(
+            _DIR_HEADER.pack(_DIR_MAGIC, len(sections), n_data_pages, dir_size)
         )
-        self._write_directory(header_ids, directory, dir_size)
-        self._write_data(data_ids, b"".join(sections))
+        blob += struct.pack(f"<{n_data_pages}I", *data_ids)
+        for offset, length in zip(offsets, lengths):
+            blob += struct.pack("<II", offset, length)
+        directory = ObjectDirectory(
+            tuple(data_ids),
+            tuple(offsets),
+            lengths,
+            bytes(blob) if encoded_min <= payload else b"",
+        )
+        blob += bytes(dir_size - len(blob))
+        self._scatter(header_ids, bytes(blob))
+        self._scatter(data_ids, b"".join(sections))
 
         for page_id in header_ids + data_ids:
             self.buffer.unfix(page_id, dirty=True)
@@ -136,27 +152,6 @@ class LongObjectStore:
         address = LongObjectAddress(tuple(header_ids))
         self._directories[address.root_page_id] = directory
         return address
-
-    def _write_directory(
-        self, header_ids: list[int], directory: ObjectDirectory, dir_size: int
-    ) -> None:
-        blob = bytearray()
-        blob += _DIR_HEADER.pack(
-            _DIR_MAGIC,
-            directory.n_sections,
-            len(directory.data_page_ids),
-            dir_size,
-        )
-        for page_id in directory.data_page_ids:
-            blob += struct.pack("<I", page_id)
-        for offset, length in zip(directory.section_offsets, directory.section_lengths):
-            blob += struct.pack("<II", offset, length)
-        if len(blob) < dir_size:
-            blob += bytes(dir_size - len(blob))
-        self._scatter(header_ids, bytes(blob))
-
-    def _write_data(self, data_ids: list[int], stream: bytes) -> None:
-        self._scatter(data_ids, stream)
 
     def _scatter(self, page_ids: list[int], stream: bytes) -> None:
         payload = self.payload_per_page
@@ -172,95 +167,184 @@ class LongObjectStore:
     def read_directory(self, address: LongObjectAddress) -> ObjectDirectory:
         """Fix the header pages (one I/O call) and decode the directory.
 
-        The directory is decoded straight from the fixed root frame; the
-        header payloads are joined first only when the encoded entries
-        run past the root page (more than ~500 data pages).
+        A memoised directory whose encoding equals the root frame's
+        prefix byte for byte is returned as is; any other root is decoded
+        (and memoised).  The memo is a cache checked against the page,
+        never trusted on its own: a torn or foreign root falls through to
+        the decode and its magic check.
         """
         header_ids = address.header_page_ids
+        root_id = header_ids[0]
         frames = self.buffer.fix_many(header_ids)
         try:
-            blob = memoryview(frames[header_ids[0]])[PAGE_HEADER_SIZE:]
-            magic, n_sections, n_data_pages, _ = _DIR_HEADER.unpack_from(blob, 0)
-            if magic != _DIR_MAGIC:
-                raise InvalidAddressError(
-                    f"page {address.root_page_id} does not hold an object directory"
-                )
-            if self._directory_encoding_size(n_sections, n_data_pages) > len(blob):
-                blob = b"".join(
-                    memoryview(frames[pid])[PAGE_HEADER_SIZE:] for pid in header_ids
-                )
-            # One unpack: the data page ids, then (offset, length) pairs.
-            entries = struct.unpack_from(
-                f"<{n_data_pages + 2 * n_sections}I", blob, _DIR_HEADER.size
-            )
+            cached = self._directories.get(root_id)
+            if cached is not None:
+                memo = cached.encoded
+                if memo and frames[root_id][PAGE_HEADER_SIZE : PAGE_HEADER_SIZE + len(memo)] == memo:
+                    return cached
+            directory = self._decode_directory(address, frames)
         finally:
             self.buffer.unfix_many(header_ids)
-        directory = ObjectDirectory(
+        self._directories[root_id] = directory
+        return directory
+
+    def _decode_directory(
+        self, address: LongObjectAddress, frames: dict[int, bytearray]
+    ) -> ObjectDirectory:
+        """Decode straight from the fixed root frame; the header payloads
+        are joined first only when the encoded entries run past the root
+        page (more than ~500 data pages)."""
+        header_ids = address.header_page_ids
+        blob = memoryview(frames[header_ids[0]])[PAGE_HEADER_SIZE:]
+        magic, n_sections, n_data_pages, _ = _DIR_HEADER.unpack_from(blob, 0)
+        if magic != _DIR_MAGIC:
+            raise InvalidAddressError(
+                f"page {address.root_page_id} does not hold an object directory"
+            )
+        size = self._directory_encoding_size(n_sections, n_data_pages)
+        if size > len(blob):
+            encoded = b""
+            blob = b"".join(memoryview(frames[pid])[PAGE_HEADER_SIZE:] for pid in header_ids)
+        else:
+            encoded = bytes(blob[:size])
+        # One unpack: the data page ids, then (offset, length) pairs.
+        entries = struct.unpack_from(
+            f"<{n_data_pages + 2 * n_sections}I", blob, _DIR_HEADER.size
+        )
+        return ObjectDirectory(
             entries[:n_data_pages],
             entries[n_data_pages::2],
             entries[n_data_pages + 1 :: 2],
+            encoded,
         )
-        self._directories[address.root_page_id] = directory
-        return directory
 
     def read(
         self,
         address: LongObjectAddress,
         section_ids: Sequence[int] | None = None,
+        copy: Sequence[int] | None = None,
     ) -> list[bytes]:
-        """Read an object's sections.
+        """Read an object: fix the pages of ``section_ids``, copy ``copy``.
 
         The header pages are fetched in one I/O call; the needed data
         pages in a second call.  With ``section_ids=None`` every section
-        (all data pages) is read — the DSM behaviour.  With a subset,
+        (all data pages) is fixed — the DSM behaviour.  With a subset,
         only the data pages overlapping those sections are transferred —
         the DASDBS-DSM behaviour (Equation 5).
 
-        Each section is copied once, out of the fixed frames: one
-        ``join`` of its per-page frame slices.
-        """
-        directory = self.read_directory(address)
-        data_page_ids = directory.data_page_ids
-        if section_ids is None:
-            wanted: Sequence[int] = range(directory.n_sections)
-            needed_ids = list(data_page_ids)
-        else:
-            wanted = list(section_ids)
-            for sid in wanted:
-                if not 0 <= sid < directory.n_sections:
-                    raise InvalidAddressError(f"object has no section {sid}")
-            needed_ids = [
-                data_page_ids[i] for i in self._pages_for_sections(directory, wanted)
-            ]
+        ``copy`` names the sections returned (default: the fixed ones),
+        so a model transfers what the paper reads and materialises only
+        what it decodes; each must lie among the fixed sections.  Each is
+        copied once, out of the fixed frames: one ``join`` of its
+        per-page frame slices.
 
+        When the memoised directory matches the resident root frame and
+        every header and needed data page is resident, the two calls
+        become one ``fix_many``/``unfix_many`` over the same pages in the
+        same order: nothing can miss or be evicted, so fixes, hits,
+        policy accesses and fix listeners see exactly the two-call
+        sequence.  Anything else — a miss, a memo mismatch, a bad section
+        id — takes the two-call path and fails where it always did.
+        """
+        out = self._read_resident(address, section_ids, copy)
+        if out is not None:
+            return out
+        directory = self.read_directory(address)
+        wanted, needed_ids = self._plan(directory, section_ids, copy)
         frames = self.buffer.fix_many(needed_ids)
         try:
-            payload = self.payload_per_page
-            offsets, lengths = directory.section_offsets, directory.section_lengths
-            out: list[bytes] = []
-            for sid in wanted:
-                pos = offsets[sid]
-                end = pos + lengths[sid]
-                pieces = []
-                while pos < end:
-                    # The piece runs to the section's end or the page's,
-                    # whichever comes first.  Plain arithmetic, no
-                    # divmod/min calls: this loop runs once per page of
-                    # every section read.
-                    page_index = pos // payload
-                    page_start = page_index * payload
-                    page_end = page_start + payload
-                    stop = end if end < page_end else page_end
-                    at = PAGE_HEADER_SIZE + pos - page_start
-                    pieces.append(
-                        memoryview(frames[data_page_ids[page_index]])[
-                            at : at + stop - pos
-                        ]
-                    )
-                    pos = stop
-                out.append(b"".join(pieces))
+            return self._copy_sections(directory, frames, wanted)
         finally:
             self.buffer.unfix_many(needed_ids)
+
+    def _read_resident(
+        self,
+        address: LongObjectAddress,
+        section_ids: Sequence[int] | None,
+        copy: Sequence[int] | None,
+    ) -> list[bytes] | None:
+        """:meth:`read` in one fix call, or None where it does not apply."""
+        header_ids = address.header_page_ids
+        directory = self._directories.get(header_ids[0])
+        if directory is None or not directory.encoded:
+            return None
+        buffer = self.buffer
+        memo = directory.encoded
+        root = buffer.peek(header_ids[0])
+        if root is None or root[PAGE_HEADER_SIZE : PAGE_HEADER_SIZE + len(memo)] != memo:
+            return None
+        try:
+            wanted, needed_ids = self._plan(directory, section_ids, copy)
+        except (InvalidAddressError, IndexError):
+            # A bad section id, or a torn directory whose bytes were
+            # memoised: the two-call path raises it, after today's fixes.
+            return None
+        is_resident = buffer.is_resident
+        if not (all(map(is_resident, header_ids)) and all(map(is_resident, needed_ids))):
+            return None
+        fixed = [*header_ids, *needed_ids]
+        frames = buffer.fix_many(fixed)
+        try:
+            return self._copy_sections(directory, frames, wanted)
+        finally:
+            buffer.unfix_many(fixed)
+
+    def _plan(
+        self,
+        directory: ObjectDirectory,
+        section_ids: Sequence[int] | None,
+        copy: Sequence[int] | None,
+    ) -> tuple[Sequence[int], list[int]]:
+        """(sections to copy, data page ids to fix) of one read."""
+        n_sections = directory.n_sections
+        if section_ids is None:
+            fixed: Sequence[int] = range(n_sections)
+            needed_ids = list(directory.data_page_ids)
+        else:
+            fixed = list(section_ids)
+            for sid in fixed:
+                if not 0 <= sid < n_sections:
+                    raise InvalidAddressError(f"object has no section {sid}")
+            data_page_ids = directory.data_page_ids
+            needed_ids = [
+                data_page_ids[i] for i in self._pages_for_sections(directory, fixed)
+            ]
+        if copy is None:
+            return fixed, needed_ids
+        for sid in copy:
+            if sid not in fixed:
+                raise InvalidAddressError(f"section {sid} is copied but not fixed")
+        return copy, needed_ids
+
+    def _copy_sections(
+        self,
+        directory: ObjectDirectory,
+        frames: dict[int, bytearray],
+        wanted: Sequence[int],
+    ) -> list[bytes]:
+        payload = self.payload_per_page
+        data_page_ids = directory.data_page_ids
+        offsets, lengths = directory.section_offsets, directory.section_lengths
+        out: list[bytes] = []
+        for sid in wanted:
+            pos = offsets[sid]
+            end = pos + lengths[sid]
+            pieces = []
+            while pos < end:
+                # The piece runs to the section's end or the page's,
+                # whichever comes first.  Plain arithmetic, no divmod/min
+                # calls: this loop runs once per page of every section
+                # copied.
+                page_index = pos // payload
+                page_start = page_index * payload
+                page_end = page_start + payload
+                stop = end if end < page_end else page_end
+                at = PAGE_HEADER_SIZE + pos - page_start
+                pieces.append(
+                    memoryview(frames[data_page_ids[page_index]])[at : at + stop - pos]
+                )
+                pos = stop
+            out.append(b"".join(pieces))
         return out
 
     def pages_of(self, address: LongObjectAddress) -> tuple[int, int]:
@@ -277,32 +361,61 @@ class LongObjectStore:
 
     # -- updating ------------------------------------------------------------------
 
-    def replace(self, address: LongObjectAddress, sections: Sequence[bytes]) -> None:
+    def replace(
+        self,
+        address: LongObjectAddress,
+        sections: Sequence[bytes] | Mapping[int, bytes],
+    ) -> None:
         """Replace the whole object in place (sizes must be unchanged).
 
         This is the "replace entire (nested) tuple" update of Section
-        5.3: every page of the object is rewritten, so every page is
-        marked dirty and will be written back.
+        5.3: every page of the object is fixed and marked dirty, so every
+        page will be written back.  ``sections`` is every section's new
+        image, or a ``{section id: image}`` mapping of the sections that
+        changed; only those byte ranges are copied into the frames (the
+        others already hold their bytes — on a zero-copy backend their
+        pages stay views until write-back detaches them), so the stored
+        bytes equal those of the full replacement.
         """
         directory = self._cached_directory(address)
-        if [len(s) for s in sections] != list(directory.section_lengths):
+        lengths = directory.section_lengths
+        whole = not isinstance(sections, Mapping)
+        changed = dict(enumerate(sections)) if whole else sections
+        if (whole and len(changed) != len(lengths)) or any(
+            not 0 <= sid < len(lengths) or len(image) != lengths[sid]
+            for sid, image in changed.items()
+        ):
             raise StorageError(
                 "replace() requires structure-preserving updates (same section sizes)"
             )
-        all_ids = list(address.header_page_ids) + list(directory.data_page_ids)
+        all_ids = [*address.header_page_ids, *directory.data_page_ids]
         self.buffer.fix_many(all_ids)
         try:
-            stream = b"".join(sections)
-            payload = self.payload_per_page
-            for index, pid in enumerate(directory.data_page_ids):
-                chunk = stream[index * payload : (index + 1) * payload]
-                # page_data, not the raw frame: zero-copy backends hand
-                # out read-only views, so mutation needs the private copy.
-                data = self.buffer.page_data(pid)
-                data[PAGE_HEADER_SIZE : PAGE_HEADER_SIZE + len(chunk)] = chunk
+            for sid, image in changed.items():
+                self._overwrite(directory, directory.section_offsets[sid], image)
         finally:
-            for pid in all_ids:
-                self.buffer.unfix(pid, dirty=True)
+            self.buffer.unfix_many(all_ids, dirty=True)
+
+    def _overwrite(self, directory: ObjectDirectory, start: int, image: bytes) -> None:
+        """Copy ``image`` into the fixed data pages from stream offset
+        ``start`` on, one slice per page it touches.
+
+        ``page_data``, not the raw frame: zero-copy backends hand out
+        read-only views, so mutation needs the private copy.
+        """
+        payload = self.payload_per_page
+        page_data = self.buffer.page_data
+        data_page_ids = directory.data_page_ids
+        pos, end = start, start + len(image)
+        while pos < end:
+            page_index = pos // payload
+            in_page = pos - page_index * payload
+            take = min(end - pos, payload - in_page)
+            at = PAGE_HEADER_SIZE + in_page
+            page_data(data_page_ids[page_index])[at : at + take] = image[
+                pos - start : pos - start + take
+            ]
+            pos += take
 
     def patch_section(
         self,
@@ -325,17 +438,7 @@ class LongObjectStore:
         needed_ids = [directory.data_page_ids[i] for i in page_indexes]
         self.buffer.fix_many(needed_ids)
         try:
-            payload = self.payload_per_page
-            pos = start
-            while pos < end:
-                page_index = pos // payload
-                in_page = pos - page_index * payload
-                take = min(end - pos, payload - in_page)
-                pid = directory.data_page_ids[page_index]
-                self.buffer.page_data(pid)[
-                    PAGE_HEADER_SIZE + in_page : PAGE_HEADER_SIZE + in_page + take
-                ] = new_bytes[pos - start : pos - start + take]
-                pos += take
+            self._overwrite(directory, start, new_bytes)
         finally:
             for pid in needed_ids:
                 self.buffer.unfix(pid, dirty=True)
@@ -355,6 +458,9 @@ class LongObjectStore:
     def capture_state(self) -> dict:
         """Restorable in-memory state: segment pages + directory cache.
 
+        The directory memo travels with it, so a snapshot clone starts
+        warm; that is safe because every use of a memo entry compares
+        its encoding with the root frame's bytes first.
         :class:`ObjectDirectory` values are immutable, so sharing them
         between the captured state and live stores is safe; the
         containers themselves are copied on both capture and restore so

@@ -9,6 +9,9 @@ licenses the runner's ``shards=1`` fast path: if the facade is
 indistinguishable at one shard, skipping it cannot change output.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.benchmark.workload import WorkloadExecutor, WorkloadSpec, compile_trace
@@ -118,3 +121,21 @@ def test_scatter_gather_results_match_shadow(parity_stations, model_name):
     finally:
         plain.engine.close()
         facade.engine.close()
+
+
+def test_closed_facade_is_freed_by_reference_counting(parity_stations):
+    """Closing a sharded engine drops the facade's reset hook, so the
+    facade and its replicas' frames go at once, not at the next full
+    cyclic collection (replays building facades per trace would
+    otherwise pile closed shard sets up in memory)."""
+    facade = build_sharded(
+        PARITY_CONFIG, parity_stations, "DSM", n_shards=2, policy="hash"
+    )
+    alive = weakref.ref(facade)
+    gc.disable()
+    try:
+        facade.engine.close()
+        del facade
+        assert alive() is None
+    finally:
+        gc.enable()

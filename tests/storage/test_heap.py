@@ -112,12 +112,6 @@ class TestScan:
         list(heap.scan())
         assert heap.segment.disk.metrics.snapshot().page_fixes == heap.n_pages
 
-    def test_scan_filter(self, heap):
-        for i in range(10):
-            heap.insert(bytes([i]))
-        matches = heap.scan_filter(lambda record: record[0] % 2 == 0)
-        assert len(matches) == 5
-
 
 class TestZeroCopyReads:
     """read_many's zero-copy contract: views, decoded immediately."""
