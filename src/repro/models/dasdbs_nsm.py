@@ -24,7 +24,7 @@ DASDBS-NSM's query 2b/3b results independent of the object size.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.benchmark.schema import (
     CONNECTION_SCHEMA,
@@ -36,12 +36,13 @@ from repro.errors import InvalidAddressError
 from repro.models.addressing import AddressTable, Row
 from repro.models.base import Ref, StorageModel
 from repro.models.mixed import MixedTupleStore
+from repro.nf2.codec import compiled_assembly
 from repro.nf2.schema import (
+    Part,
     Projection,
     RelationSchema,
     int_attr,
     link_attr,
-    require_projection,
     str_attr,
 )
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
@@ -104,12 +105,17 @@ DNSM_SIGHTSEEING = RelationSchema(
     "DASDBS_NSM_Sightseeing", (int_attr("RootKey"),), (_SIGHTSEEING_ITEM,)
 )
 
-# Proved once here, relied on by every ``_assemble``: a stored item minus
-# its key column has exactly the nested schema's attributes.
-require_projection(DNSM_STATION, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA))
-require_projection(_PLATFORM_ITEM, PLATFORM_SCHEMA, ("OwnKey",), (CONNECTION_SCHEMA,))
-require_projection(_CONNECTION_ITEM, CONNECTION_SCHEMA)
-require_projection(_SIGHTSEEING_ITEM, SIGHTSEEING_SCHEMA)
+#: The join that reassembles an object from its four nested tuples.
+#: Compiling it (in every model's constructor, so before any ``_store``)
+#: proves that a stored item minus its key column is a tuple of the
+#: nested schema, and that the levels above it hold keys only — which
+#: also licenses ``_store``'s relabelling.
+DNSM_PARTS = (
+    Part(DNSM_STATION, STATION_SCHEMA, root_key="Key"),
+    Part(DNSM_PLATFORM, PLATFORM_SCHEMA, root_key="RootKey", own_key="OwnKey"),
+    Part(DNSM_CONNECTION, CONNECTION_SCHEMA, root_key="RootKey", parent_key="ParentKey"),
+    Part(DNSM_SIGHTSEEING, SIGHTSEEING_SCHEMA, root_key="RootKey"),
+)
 
 #: What navigation reads of a stored Connection tuple: the outgoing
 #: references, nothing else.
@@ -142,14 +148,15 @@ class DASDBSNSMModel(StorageModel):
         self.table = AddressTable(
             [self.stations, self.platforms, self.connections, self.sightseeings]
         )
+        self._assembly = compiled_assembly(fmt, DNSM_PARTS)
 
     # -- decomposition: one nested tuple per relation ---------------------------
 
     def _store(self, station: NestedTuple) -> Row:
         # Relabelled, not re-validated (``NestedTuple._from_trusted``):
-        # ``insert_object`` admits only validated Stations, and the
-        # module-level ``require_projection`` calls proved that an item
-        # plus its key column is a tuple of the stored schema.
+        # ``insert_object`` admits only validated Stations, and compiling
+        # ``DNSM_PARTS`` proved that an item plus its key column is a
+        # tuple of the stored schema.
         key = station._atoms["Key"]
         st = _trusted(DNSM_STATION, station._atoms, {})
         platforms = station._subs["Platform"]
@@ -183,45 +190,6 @@ class DASDBSNSMModel(StorageModel):
             (self.sightseeings.insert(si),),
         )
 
-    # -- assembly ----------------------------------------------------------------
-
-    def _assemble(
-        self,
-        st: NestedTuple,
-        pl: NestedTuple,
-        co: NestedTuple,
-        si: NestedTuple,
-    ) -> NestedTuple:
-        """Join the four per-object tuples back into one Station.
-
-        The tuples come straight from the decoder and the module-level
-        ``require_projection`` calls proved that an item minus its key
-        column is a tuple of the nested schema, so the parts are
-        relabelled through the trusted constructor, not re-validated.
-        """
-        conn_by_parent: dict[int, list[NestedTuple]] = {}
-        for group in co._subs["ConnectionsOfPlatform"]:
-            conn_by_parent[group._atoms["ParentKey"]] = [
-                _trusted(CONNECTION_SCHEMA, dict(item._atoms), {})
-                for item in group._subs["ConnectionOfPlatform"]
-            ]
-        rebuilt_platforms = []
-        for item in sorted(pl._subs["PlatformOfStation"], key=lambda item: item._atoms["OwnKey"]):
-            atoms = dict(item._atoms)
-            connections_of = conn_by_parent.get(atoms.pop("OwnKey"), [])
-            rebuilt_platforms.append(
-                _trusted(PLATFORM_SCHEMA, atoms, {"Connection": connections_of})
-            )
-        sights = [
-            _trusted(SIGHTSEEING_SCHEMA, dict(item._atoms), {})
-            for item in si._subs["SightseeingOfStation"]
-        ]
-        return _trusted(
-            STATION_SCHEMA,
-            dict(st._atoms),
-            {"Platform": rebuilt_platforms, "Sightseeing": sights},
-        )
-
     # -- operations ------------------------------------------------------------------
 
     def fetch_full(self, ref: Ref) -> NestedTuple:
@@ -229,11 +197,14 @@ class DASDBSNSMModel(StorageModel):
 
     def _read_assembled(self, row: Row) -> NestedTuple:
         (st_h,), (pl_h,), (co_h,), (si_h,) = row
-        return self._assemble(
-            self.stations.read(st_h),
-            self.platforms.read(pl_h),
-            self.connections.read(co_h),
-            self.sightseeings.read(si_h),
+        # Arguments evaluate left to right: each tuple is read, then
+        # decoded, before the next is read.
+        decode = self._assembly.decode
+        return self._assembly.join(
+            decode[0](self.stations.read_record(st_h)),
+            decode[1](self.platforms.read_record(pl_h)),
+            decode[2](self.connections.read_record(co_h)),
+            decode[3](self.sightseeings.read_record(si_h)),
         )
 
     def fetch_full_by_key(self, key: int) -> NestedTuple:
@@ -252,22 +223,24 @@ class DASDBSNSMModel(StorageModel):
         return self._read_assembled(self.table.row_of_key(key))
 
     def scan_all(self) -> int:
-        longs = self.table.long_handles
-        stations = {row["Key"]: row for row in self.stations.scan(longs(0))}
-        platforms = {row["RootKey"]: row for row in self.platforms.scan(longs(1))}
-        connections = {row["RootKey"]: row for row in self.connections.scan(longs(2))}
-        sights = {row["RootKey"]: row for row in self.sightseeings.scan(longs(3))}
-        count = 0
-        for key, st in stations.items():
-            self._assemble(st, platforms[key], connections[key], sights[key])
-            count += 1
-        return count
+        return sum(1 for _ in self._scan_objects())
+
+    def _scan_objects(self) -> Iterator[NestedTuple]:
+        """Every object, joined from one scan per relation (each
+        relation scanned and decoded before the next)."""
+        assembly, longs = self._assembly, self.table.long_handles
+        return assembly.join_scanned(
+            *[
+                scan(store.scan_records(longs(index)))
+                for index, (scan, store) in enumerate(zip(assembly.scan, self.table.relations))
+            ]
+        )
 
     def _decode_record(self, index: int, blob) -> None:
         self.table.relations[index].decode(blob)
 
     def _decode_long(self, index: int, address) -> None:
-        self.table.relations[index].read_long(address)
+        self.table.relations[index].read(address)
 
     def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
         return [ref for group in self.fetch_refs_grouped(refs) for ref in group]
@@ -286,7 +259,10 @@ class DASDBSNSMModel(StorageModel):
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
         handles = [self.table.row(oid)[0][0] for oid in refs]
-        return [row.atoms() for row in self.stations.read_many(handles)]
+        decode = self.serializer._decode_flat_part
+        return [
+            decode(DNSM_STATION, blob, 0)[0] for blob in self.stations.read_records(handles)
+        ]
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
         """Replace the (small) root tuples, set-oriented and deferred.

@@ -62,55 +62,59 @@ class MixedTupleStore(Relation):
             (blob,) = self.long_store.read(handle)
             self.long_store.replace(handle, [patch(blob)])
 
-    # -- reading ----------------------------------------------------------------
+    # -- reading bytes ------------------------------------------------------------
+    #
+    # What the model's compiled assembly decodes; the typed reads below
+    # are the same storage calls with ``decode_nested`` on top.
+
+    def read_record(self, handle: Handle) -> bytes:
+        """The stored bytes of one tuple."""
+        if type(handle) is Rid:
+            return self.heap.read(handle)
+        (blob,) = self.long_store.read(handle)
+        return blob
+
+    def read_records(self, handles: Sequence[Handle]) -> Iterator[bytes | memoryview]:
+        """Set-oriented read: the heap page set loads in one I/O call.
+
+        Yields the records in ``handles`` order; a long record is read
+        when its turn comes.  Heap records are zero-copy memoryviews
+        aliasing live buffer frames, per ``HeapFile.read_many``'s
+        contract: decode each as it is drawn.
+        """
+        heap_rids = [handle for handle in handles if type(handle) is Rid]
+        blobs_by_rid: dict[Rid, memoryview] = {}
+        if heap_rids:
+            unique = list(dict.fromkeys(heap_rids))
+            blobs_by_rid = dict(zip(unique, self.heap.read_many(unique)))
+        for handle in handles:
+            yield blobs_by_rid[handle] if type(handle) is Rid else self.read_record(handle)
+
+    def scan_records(self, longs: Sequence[LongObjectAddress]) -> Iterator[bytes]:
+        """All records: heap pages in order, then the given long records
+        (the address table lists them: ``long_handles``)."""
+        for _, blob in self.heap.scan():
+            yield blob
+        yield from map(self.read_record, longs)
+
+    # -- reading tuples -------------------------------------------------------------
 
     def decode(self, blob) -> NestedTuple:
         """One stored tuple from its bytes."""
         return self.serializer.decode_nested(self.schema, blob)
 
     def read(self, handle: Handle) -> NestedTuple:
-        if type(handle) is Rid:
-            return self.decode(self.heap.read(handle))
-        return self.read_long(handle)
+        return self.decode(self.read_record(handle))
 
     def read_many(
         self, handles: Sequence[Handle], projection: Projection | None = None
     ) -> list[NestedTuple]:
-        """Set-oriented read: the heap page set loads in one I/O call.
-
-        The same records are read whatever ``projection`` (of the
-        store's schema) says; it only limits what is decoded of them.
-
-        Heap records arrive as zero-copy memoryviews aliasing live
-        buffer frames; they are decoded in this method before anything
-        else touches the pages, per ``HeapFile.read_many``'s contract.
-        """
-        heap_rids = [handle for handle in handles if type(handle) is Rid]
-        blobs_by_rid: dict[Rid, memoryview] = {}
-        if heap_rids:
-            unique = list(dict.fromkeys(heap_rids))
-            for rid, blob in zip(unique, self.heap.read_many(unique)):
-                blobs_by_rid[rid] = blob
+        """:meth:`read_records`, decoded.  The same records are read
+        whatever ``projection`` (of the store's schema) says; it only
+        limits what is decoded of them."""
         decode, schema = self.serializer.decode_nested, projection or self.schema
-        out: list[NestedTuple] = []
-        for handle in handles:
-            if type(handle) is Rid:
-                out.append(decode(schema, blobs_by_rid[handle]))
-            else:
-                (blob,) = self.long_store.read(handle)
-                out.append(decode(schema, blob))
-        return out
+        return [decode(schema, blob) for blob in self.read_records(handles)]
 
     def scan(self, longs: Sequence[LongObjectAddress]) -> Iterator[NestedTuple]:
-        """All tuples: heap pages in order, then the given long tuples
-        (the address table lists them: ``long_handles``)."""
-        decode, schema = self.serializer.decode_nested, self.schema
-        for _, blob in self.heap.scan():
-            yield decode(schema, blob)
-        for address in longs:
-            yield self.read_long(address)
-
-    def read_long(self, address: LongObjectAddress) -> NestedTuple:
-        """Read one long tuple, exactly as :meth:`scan` would."""
-        (blob,) = self.long_store.read(address)
-        return self.decode(blob)
+        """:meth:`scan_records`, decoded."""
+        return map(self.decode, self.scan_records(longs))

@@ -32,7 +32,8 @@ which tuples belong to which object without re-scanning for keys.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.benchmark.schema import (
     CONNECTION_SCHEMA,
@@ -45,13 +46,14 @@ from repro.benchmark.schema import (
 from repro.errors import InvalidAddressError
 from repro.models.addressing import AddressTable, Relation, Row
 from repro.models.base import Ref, StorageModel
+from repro.nf2.codec import compiled_assembly
 from repro.nf2.oid import Rid
 from repro.nf2.schema import (
+    Part,
     Projection,
     RelationSchema,
     int_attr,
     link_attr,
-    require_projection,
     str_attr,
 )
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
@@ -97,20 +99,25 @@ NSM_SIGHTSEEING = RelationSchema.flat(
     str_attr("Remarks"),
 )
 
-# Proved once here, relied on by every ``_assemble``: dropping the key
-# columns of a flat row leaves exactly the nested schema's attributes.
-require_projection(NSM_STATION, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA))
-require_projection(NSM_PLATFORM, PLATFORM_SCHEMA, ("RootKey", "OwnKey"), (CONNECTION_SCHEMA,))
-require_projection(NSM_CONNECTION, CONNECTION_SCHEMA, ("RootKey", "ParentKey"))
-require_projection(NSM_SIGHTSEEING, SIGHTSEEING_SCHEMA, ("RootKey",))
+#: The in-memory join that reassembles an object, one row per tuple.
+#: Compiling it (in every model's constructor, so before any ``_store``)
+#: proves that a row minus its key columns is a tuple of the nested
+#: schema — which also licenses ``_store``'s relabelling.
+NSM_PARTS = (
+    Part(NSM_STATION, STATION_SCHEMA, root_key="Key"),
+    Part(NSM_PLATFORM, PLATFORM_SCHEMA, root_key="RootKey", own_key="OwnKey"),
+    Part(NSM_CONNECTION, CONNECTION_SCHEMA, root_key="RootKey", parent_key="ParentKey"),
+    Part(NSM_SIGHTSEEING, SIGHTSEEING_SCHEMA, root_key="RootKey"),
+)
 
 #: What plain NSM's navigation reads of a matching connection row.
 _CONNECTION_PAIR = Projection(NSM_CONNECTION, ("RootKey", "KeyConnection"))
 
 #: The four flat relations, in table (= scan) order.
-_SCHEMAS = (NSM_STATION, NSM_PLATFORM, NSM_CONNECTION, NSM_SIGHTSEEING)
+_SCHEMAS = tuple(part.stored for part in NSM_PARTS)
 
 _trusted = NestedTuple._from_trusted
+_record = itemgetter(1)
 
 
 class NSMModelBase(StorageModel):
@@ -127,6 +134,7 @@ class NSMModelBase(StorageModel):
             relation.heap for relation in relations
         )
         self.table = AddressTable(relations)
+        self._assembly = compiled_assembly(fmt, NSM_PARTS)
 
     # -- references: logical keys -------------------------------------------
 
@@ -143,9 +151,9 @@ class NSMModelBase(StorageModel):
 
     def _store(self, station: NestedTuple) -> Row:
         # Relabelled, not re-validated (``NestedTuple._from_trusted``):
-        # ``insert_object`` admits only validated Stations, and the
-        # module-level ``require_projection`` calls proved that a part
-        # plus its key columns is a row of the flat schema.
+        # ``insert_object`` admits only validated Stations, and compiling
+        # ``NSM_PARTS`` proved that a part plus its key columns is a row
+        # of the flat schema.
         key = station._atoms["Key"]
         station_rid = self._insert(self.stations, _trusted(NSM_STATION, station._atoms, {}))
         platform_rids: list[Rid] = []
@@ -176,73 +184,19 @@ class NSMModelBase(StorageModel):
     def _insert(self, heap: HeapFile, row: NestedTuple) -> Rid:
         return heap.insert(self.serializer.encode_flat(row))
 
-    def _assemble(
-        self,
-        root: NestedTuple,
-        platforms: Iterable[NestedTuple],
-        connections: Iterable[NestedTuple],
-        sightseeings: Iterable[NestedTuple],
-    ) -> NestedTuple:
-        """In-memory join reassembling the complex object.
-
-        The rows come straight from the decoder and the module-level
-        ``require_projection`` calls proved that a row minus its key
-        columns is a tuple of the nested schema, so the parts are
-        relabelled through the trusted constructor, not re-validated.
-        """
-        conn_by_parent: dict[int, list[NestedTuple]] = {}
-        for row in connections:
-            atoms = dict(row._atoms)
-            del atoms["RootKey"]
-            conn_by_parent.setdefault(atoms.pop("ParentKey"), []).append(
-                _trusted(CONNECTION_SCHEMA, atoms, {})
-            )
-        rebuilt_platforms: list[NestedTuple] = []
-        for row in sorted(platforms, key=lambda row: row._atoms["OwnKey"]):
-            atoms = dict(row._atoms)
-            del atoms["RootKey"]
-            connections_of = conn_by_parent.get(atoms.pop("OwnKey"), [])
-            rebuilt_platforms.append(
-                _trusted(PLATFORM_SCHEMA, atoms, {"Connection": connections_of})
-            )
-        rebuilt_sights: list[NestedTuple] = []
-        for row in sightseeings:
-            atoms = dict(row._atoms)
-            del atoms["RootKey"]
-            rebuilt_sights.append(_trusted(SIGHTSEEING_SCHEMA, atoms, {}))
-        return _trusted(
-            STATION_SCHEMA,
-            dict(root._atoms),
-            {"Platform": rebuilt_platforms, "Sightseeing": rebuilt_sights},
-        )
-
     # -- the full scan ------------------------------------------------------------------
 
     def scan_all(self) -> int:
-        roots = {row["Key"]: row for _, row in self._scan_rows(self.stations, NSM_STATION)}
-        platforms: dict[int, list[NestedTuple]] = {}
-        for _, row in self._scan_rows(self.platforms, NSM_PLATFORM):
-            platforms.setdefault(row["RootKey"], []).append(row)
-        connections: dict[int, list[NestedTuple]] = {}
-        for _, row in self._scan_rows(self.connections, NSM_CONNECTION):
-            connections.setdefault(row["RootKey"], []).append(row)
-        sights: dict[int, list[NestedTuple]] = {}
-        for _, row in self._scan_rows(self.sightseeings, NSM_SIGHTSEEING):
-            sights.setdefault(row["RootKey"], []).append(row)
-        count = 0
-        for key, root in roots.items():
-            self._assemble(
-                root,
-                platforms.get(key, []),
-                connections.get(key, []),
-                sights.get(key, []),
-            )
-            count += 1
-        return count
+        return sum(1 for _ in self._scan_objects())
 
-    def _scan_rows(self, heap: HeapFile, schema: RelationSchema):
-        for rid, blob in heap.scan():
-            yield rid, self.serializer.decode_flat(schema, blob)
+    def _scan_objects(self) -> Iterator[NestedTuple]:
+        """Every object, joined in memory from one scan per relation
+        (each relation scanned and decoded before the next)."""
+        assembly = self._assembly
+        heaps = (self.stations, self.platforms, self.connections, self.sightseeings)
+        return assembly.join_scanned(
+            *[scan(map(_record, heap.scan())) for scan, heap in zip(assembly.scan, heaps)]
+        )
 
     def _decode_record(self, index: int, blob) -> None:
         self.serializer.decode_flat(_SCHEMAS[index], blob)
@@ -299,17 +253,22 @@ class NSMModel(NSMModelBase):
 
     def fetch_full_by_key(self, key: int) -> NestedTuple:
         keys = {key}
-        roots = self._select(self.stations, NSM_STATION, "Key", keys)
+        roots = self._matching(self.stations, NSM_STATION, "Key", keys)
         if not roots:
             raise InvalidAddressError(f"no station with key {key}")
-        platforms = [row for _, row in self._select(self.platforms, NSM_PLATFORM, "RootKey", keys)]
-        connections = [
-            row for _, row in self._select(self.connections, NSM_CONNECTION, "RootKey", keys)
-        ]
-        sights = [
-            row for _, row in self._select(self.sightseeings, NSM_SIGHTSEEING, "RootKey", keys)
-        ]
-        return self._assemble(roots[0][1], platforms, connections, sights)
+
+        def rows(heap: HeapFile, schema: RelationSchema) -> list[bytes]:
+            return [blob for _, blob in self._matching(heap, schema, "RootKey", keys)]
+
+        # Arguments evaluate left to right: each relation is scanned,
+        # then decoded, before the next is scanned.
+        decode = self._assembly.decode
+        return self._assembly.join(
+            decode[0](roots[0][1]),
+            decode[1](rows(self.platforms, NSM_PLATFORM)),
+            decode[2](rows(self.connections, NSM_CONNECTION)),
+            decode[3](rows(self.sightseeings, NSM_SIGHTSEEING)),
+        )
 
     def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
         """One set-oriented scan of NSM_Connection per navigation level."""
@@ -332,9 +291,9 @@ class NSMModel(NSMModelBase):
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
         if not refs:
             return []
-        keys = set(refs)
-        rows = self._select(self.stations, NSM_STATION, "Key", keys)
-        return [row.atoms() for _, row in rows]
+        decode = self.serializer._decode_flat_part
+        rows = self._matching(self.stations, NSM_STATION, "Key", set(refs))
+        return [decode(NSM_STATION, blob, 0)[0] for _, blob in rows]
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
         """Replace the matching NSM_Station tuples (set-oriented).
@@ -414,20 +373,15 @@ class NSMIndexModel(NSMModelBase):
         (station_rid,), platform_rids, connection_rids, sightseeing_rids = (
             self.table.row_of_key(key)
         )
-        root = self.serializer.decode_flat(NSM_STATION, self.stations.read(station_rid))
-        platforms = [
-            self.serializer.decode_flat(NSM_PLATFORM, blob)
-            for blob in self.platforms.read_many(platform_rids)
-        ]
-        connections = [
-            self.serializer.decode_flat(NSM_CONNECTION, blob)
-            for blob in self.connections.read_many(connection_rids)
-        ]
-        sights = [
-            self.serializer.decode_flat(NSM_SIGHTSEEING, blob)
-            for blob in self.sightseeings.read_many(sightseeing_rids)
-        ]
-        return self._assemble(root, platforms, connections, sights)
+        # Arguments evaluate left to right: each relation is read, then
+        # decoded (its zero-copy views at once), before the next is read.
+        decode = self._assembly.decode
+        return self._assembly.join(
+            decode[0](self.stations.read(station_rid)),
+            decode[1](self.platforms.read_many(platform_rids)),
+            decode[2](self.connections.read_many(connection_rids)),
+            decode[3](self.sightseeings.read_many(sightseeing_rids)),
+        )
 
     def fetch_full_by_key(self, key: int) -> NestedTuple:
         # Value selection scans the root relation; sub-tuples via index.
@@ -455,10 +409,8 @@ class NSMIndexModel(NSMModelBase):
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
         rids = [rid for key in refs for rid in self._rids(key, 0)]
-        return [
-            self.serializer.decode_flat(NSM_STATION, blob).atoms()
-            for blob in self.stations.read_many(rids)
-        ]
+        decode = self.serializer._decode_flat_part
+        return [decode(NSM_STATION, blob, 0)[0] for blob in self.stations.read_many(rids)]
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
         patch = self._root_patch(changes)

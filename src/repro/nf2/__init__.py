@@ -10,7 +10,8 @@ valued (sets of nested tuples).  This subpackage provides:
 * :mod:`repro.nf2.serializer` — a byte serialiser with DASDBS-calibrated
   storage overheads (the sizes it produces drive the analytical model),
 * :mod:`repro.nf2.codec` — the compiler behind it: one generated
-  decoder/encoder per stored layout, compiled once per process.
+  decoder/encoder per stored layout, and the reassembly of an object
+  stored in parts, compiled once per process.
 """
 
 from repro.nf2.oid import Oid, Rid

@@ -29,6 +29,15 @@ generator: dropped attributes become pad bytes, dropped sub-relations
 are passed over by their counts, and the outermost tuple stops after its
 last wanted sub-relation.  Projections only decode.
 
+An object stored in parts — one relation per nested relation, joined on
+key columns (the NSM family) — compiles into an **assembly**
+(:func:`compiled_assembly`): per relation one decoder that turns all of
+an object's stored records into tuples of the *nested* schema, with the
+key columns unpacked beside the values for the join and never put in an
+atoms dict, and one ``join`` that attaches them.  It unpacks with the
+same values-only structs (:func:`_values`) as the layout decoders, so it
+reads exactly the bytes they would.
+
 What enters the generated text: ``repr()`` of attribute and relation
 names (which :mod:`repro.nf2.schema` validated as identifiers) and
 integers.  Schemas, bound struct methods, the constant header bytes and
@@ -38,10 +47,11 @@ keeps its :attr:`~_LayoutPlan.source` and registers it with
 (``<nf2 codec Station #3>``), so tracebacks show real lines and a
 profile keeps one row per relation.
 
-Generated functions let ``struct.error`` (truncated buffer, count the
-buffer cannot hold) and ``UnicodeDecodeError`` (corrupt string)
+Generated layout functions let ``struct.error`` (truncated buffer, count
+the buffer cannot hold) and ``UnicodeDecodeError`` (corrupt string)
 propagate; the serializer's entry points translate them, once per call,
-into :class:`~repro.errors.SerializationError`.
+into :class:`~repro.errors.SerializationError`.  An assembly's decoders
+are entry points themselves and translate the same way.
 
 Plans are compiled **once per process**: :func:`compiled_plan` is a
 bounded ``lru_cache`` keyed by ``(StorageFormat, RelationSchema |
@@ -61,10 +71,18 @@ import struct
 import weakref
 from functools import lru_cache
 from itertools import count
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from repro.errors import SerializationError
-from repro.nf2.schema import AttributeType, Projection, RelationSchema
+from repro.errors import SchemaError, SerializationError
+from repro.nf2.schema import (
+    Attribute,
+    AttributeType,
+    Part,
+    Projection,
+    RelationSchema,
+    require_projection,
+)
 from repro.nf2.values import NestedTuple
 
 if TYPE_CHECKING:
@@ -81,6 +99,54 @@ _serial = count(1)
 
 _STRING_FIXUP = '.rstrip(b"\\0").decode("utf-8")'
 _STRING_ENCODE = '.encode("utf-8")'
+
+
+def _undecodable(schema: RelationSchema, exc: Exception) -> SerializationError:
+    """The typed error for bytes that are not a stored ``schema`` tuple.
+
+    The decoder is the only gate in front of trusted tuples, so both
+    ways stored bytes can fail it — a buffer too small for what it
+    claims to hold (``struct.error``) and a corrupt string
+    (``UnicodeDecodeError``) — surface as :class:`SerializationError`,
+    translated once per entry point.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        return SerializationError(
+            f"corrupt string attribute in a {schema.name!r} tuple: {exc}"
+        )
+    return SerializationError(f"buffer too small to decode a {schema.name!r} tuple")
+
+
+def _code(attr: Attribute) -> str:
+    """The struct code of one stored attribute value."""
+    return f"{attr.size}s" if attr.type is AttributeType.STR else "i"
+
+
+def _values(
+    fmt: StorageFormat, stored: RelationSchema, kept: set[str]
+) -> tuple[struct.Struct, list[tuple[str, bool]]]:
+    """The values-only struct of a ``stored`` flat part, and its fields
+    ``(name, is_str)``: the header, the offset array and every attribute
+    not in ``kept`` are pad bytes, so an unpack *is* the kept values."""
+    layout = [f"<{fmt.tuple_header + fmt.attr_overhead * len(stored.attributes)}x"]
+    fields = []
+    for attr in stored.attributes:
+        if attr.name in kept:
+            layout.append(_code(attr))
+            fields.append((attr.name, attr.type is AttributeType.STR))
+        else:
+            layout.append(f"{attr.size}x")
+    return struct.Struct("".join(layout)), fields
+
+
+def _run(owner: object, name: str, source: str, namespace: dict) -> str:
+    """``exec`` generated ``source`` under a pseudo-filename registered
+    with :mod:`linecache` for as long as ``owner`` lives; returns it."""
+    filename = f"<nf2 codec {name} #{next(_serial)}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    weakref.finalize(owner, linecache.cache.pop, filename, None)
+    exec(compile(source, filename, "exec"), namespace)
+    return filename
 
 
 class _LayoutPlan:
@@ -153,30 +219,20 @@ class _LayoutPlan:
         self.is_leaf = stored.is_flat
 
         # -- the structs -----------------------------------------------------
-        value_base = fmt.tuple_header + fmt.attr_overhead * len(stored.attributes)
-        layout = [f"<{value_base}x"]
-        codes: list[str] = []
-        self.fields: list[tuple[str, bool]] = []
+        self.values, self.fields = _values(fmt, stored, kept)
+        codes = [_code(attr) for attr in stored.attributes]
         self.atoms: dict[str, tuple] = {}
         self.writers: dict[str, tuple] | None = {} if full else None
-        pos = value_base
-        for attr in stored.attributes:
-            is_str = attr.type is AttributeType.STR
-            code = f"{attr.size}s" if is_str else "i"
-            codes.append(code)
+        pos = fmt.tuple_header + fmt.attr_overhead * len(stored.attributes)
+        for attr, code in zip(stored.attributes, codes):
             if attr.name in kept:
-                layout.append(code)
-                self.fields.append((attr.name, is_str))
                 self.atoms[attr.name] = (
                     struct.Struct(f"<{pos}x{code}").unpack_from,
-                    is_str,
+                    attr.type is AttributeType.STR,
                 )
-            else:
-                layout.append(f"{attr.size}x")
             if full:
                 self.writers[attr.name] = (struct.Struct(f"<{code}").pack_into, pos, attr)
             pos += attr.size
-        self.values = struct.Struct("".join(layout))
         self.packer = self.prefix = None
         if full:
             self._build_packer(fmt, stored, codes)
@@ -209,15 +265,7 @@ class _LayoutPlan:
                 self._emit_skip(lines)
             self._emit_encoders(lines)
         self.source = "\n".join(lines) + "\n"
-        self.filename = f"<nf2 codec {stored.name} #{next(_serial)}>"
-        linecache.cache[self.filename] = (
-            len(self.source),
-            None,
-            self.source.splitlines(True),
-            self.filename,
-        )
-        weakref.finalize(self, linecache.cache.pop, self.filename, None)
-        exec(compile(self.source, self.filename, "exec"), namespace)
+        self.filename = _run(self, stored.name, self.source, namespace)
         for name in ("decode", "decode_top", "decode_flat", "decode_atoms", "decode_list"):
             setattr(self, name, namespace[name])
         for name in ("skip", "encode_flat", "size", "pack"):
@@ -491,3 +539,386 @@ class _LayoutPlan:
 def compiled_plan(fmt: StorageFormat, spec: RelationSchema | Projection) -> _LayoutPlan:
     """The process-wide plan of ``spec`` under ``fmt``, compiled on first use."""
     return _LayoutPlan(fmt, spec)
+
+
+# -- assemblies: objects joined back from stored parts ---------------------------------
+
+
+def _except(index: int, pad: str) -> list[str]:
+    """The handler closing a decoder's ``try`` at indentation ``pad``."""
+    return [
+        f"{pad}except (error, UnicodeDecodeError) as exc:",
+        f"{pad}    raise undecodable(stored_{index}, exc) from None",
+    ]
+
+
+def _walk(root: RelationSchema) -> tuple[list[RelationSchema], list[int | None]]:
+    """``root.walk()`` and, per relation, the index of its parent."""
+    schemas: list[RelationSchema] = []
+    parents: list[int | None] = []
+
+    def visit(schema: RelationSchema, parent: int | None) -> None:
+        schemas.append(schema)
+        parents.append(parent)
+        here = len(schemas) - 1
+        for sub in schema.subrelations:
+            visit(sub, here)
+
+    visit(root, None)
+    return schemas, parents
+
+
+class _PartCode:
+    """The generator's view of one part: its stored levels, the structs
+    that unpack them, and the variable each unpacked field lands in.
+
+    Four shapes are supported — the NSM family's rule:
+
+    * the root: one flat record per object;
+    * rows: one flat record per tuple, keys beside the values;
+    * a record: one per object, the root key over a list of tuples;
+    * a grouped record: the root key over groups, each a parent key
+      over a list of tuples.
+
+    A relation nested more than two levels below the root would need a
+    part with an own *and* a parent key, and is refused.
+    """
+
+    def __init__(
+        self,
+        fmt: StorageFormat,
+        index: int,
+        part: Part,
+        target: RelationSchema,
+        parent: int | None,
+        namespace: dict,
+    ) -> None:
+        self.index, self.part, self.target = index, part, target
+        stored = part.stored
+        levels = [stored]
+        while levels[-1].subrelations:
+            sub, *others = levels[-1].subrelations
+            if others:
+                raise SchemaError(
+                    f"part {stored.name!r}: {levels[-1].name!r} nests more than one relation"
+                )
+            levels.append(sub)
+        self.depth = len(levels)
+        item = levels[-1]
+
+        wants_own = index > 0 and bool(target.subrelations)
+        wants_parent = parent not in (None, 0)
+        if wants_own and wants_parent:
+            raise SchemaError(
+                f"{target.name!r} is nested more than two levels below the root; "
+                "an assembly does not reach that deep"
+            )
+        allowed = (1,) if index == 0 else (1, 3) if wants_parent else (1, 2)
+        if self.depth not in allowed:
+            raise SchemaError(
+                f"part {stored.name!r} stores {target.name!r} {self.depth} levels deep, "
+                f"not {' or '.join(map(str, allowed))}"
+            )
+        where = {"root_key": 0, "own_key": self.depth - 1, "parent_key": min(1, self.depth - 1)}
+        needed = {"root_key": True, "own_key": wants_own, "parent_key": wants_parent}
+        for role, level in where.items():
+            name = getattr(part, role)
+            if (name is not None) != needed[role]:
+                verb = "needs" if needed[role] else "takes no"
+                raise SchemaError(f"part {stored.name!r} of {target.name!r} {verb} {role}")
+            if name is not None and [
+                depth for depth, stage in enumerate(levels) if stage.has_attribute(name)
+            ] != [level]:
+                raise SchemaError(
+                    f"part {stored.name!r}: {role} {name!r} must be stored on "
+                    f"{levels[level].name!r} and nowhere else"
+                )
+
+        # The proof that licenses labelling decoded tuples with ``target``.
+        keys = tuple(key for key in (part.root_key, part.own_key, part.parent_key) if key)
+        for level in levels[:-1]:
+            extra = [attr.name for attr in level.attributes if attr.name not in keys]
+            if extra:
+                raise SchemaError(f"{level.name!r} stores {extra} beside key columns")
+        require_projection(
+            item,
+            target,
+            tuple(key for key in keys if item.has_attribute(key) and not target.has_attribute(key)),
+            target.subrelations,
+        )
+
+        # -- the structs: values-only, like the layout decoders' -----------------
+        at_item = part.parent_key if self.depth == 1 else None
+        wanted = {attr.name for attr in target.attributes}
+        wanted |= {key for key in (part.own_key, at_item) if key}
+        item_struct, self.fields = _values(fmt, item, wanted)
+        self.item_size = fmt.flat_size(item)
+        # A scan groups rows by their root key, so it unpacks that too.
+        scan_struct, self.scan_fields = item_struct, self.fields
+        if self.rows:
+            scan_struct, self.scan_fields = _values(fmt, item, wanted | {part.root_key})
+        i = index
+        namespace.update(
+            {
+                f"schema_{i}": target,
+                f"stored_{i}": stored,
+                f"unpack_{i}": item_struct.unpack_from,
+                f"items_{i}": item_struct.iter_unpack,
+                f"scan_unpack_{i}": scan_struct.unpack_from,
+            }
+        )
+        self.root_var = self._variable(part.root_key)
+        if self.depth > 1:
+            self.envelope = fmt.flat_size(stored)
+            self.overhead = fmt.subrel_overhead
+            namespace[f"root_{i}"] = _values(fmt, stored, {part.root_key})[0].unpack_from
+        if self.depth == 3:
+            self.group = fmt.flat_size(levels[1])
+            namespace[f"group_{i}"] = _values(fmt, levels[1], {part.parent_key})[0].unpack_from
+
+    @property
+    def rows(self) -> bool:
+        """One stored record per tuple (and not the root)."""
+        return self.index > 0 and self.depth == 1
+
+    def _variable(self, name: str) -> str:
+        part = self.part
+        if self.target.has_attribute(name):
+            return f"v{[attr.name for attr in self.target.attributes].index(name)}"
+        return {part.root_key: "r", part.own_key: "k", part.parent_key: "p"}[name]
+
+    def _targets(self, fields: list[tuple[str, bool]]) -> str:
+        # "v0, k, v1, " — see ``_LayoutPlan._targets``.
+        return "".join(f"{self._variable(name)}, " for name, _ in fields)
+
+    def _build(self, lines: list[str], pad: str) -> None:
+        """Lines building ``child`` from the unpacked values."""
+        atoms = ", ".join(
+            f"{attr.name!r}: v{index}"
+            + (_STRING_FIXUP if attr.type is AttributeType.STR else "")
+            for index, attr in enumerate(self.target.attributes)
+        )
+        lines += [
+            f"{pad}child = new(NT)",
+            f"{pad}child.schema = schema_{self.index}",
+            f"{pad}child._atoms = {{{atoms}}}",
+        ]
+        if self.index and not self.target.subrelations:
+            lines.append(f"{pad}child._subs = {{}}")
+
+    def _add(self, lines: list[str], pad: str, container: str) -> None:
+        """Lines adding ``child`` to ``container`` (a list, or a dict of
+        lists by parent key for rows that carry one)."""
+        if self.rows and self.part.parent_key:
+            lines += [
+                f"{pad}group = {container}.get(p)",
+                f"{pad}if group is None:",
+                f"{pad}    {container}[p] = [child]",
+                f"{pad}else:",
+                f"{pad}    group.append(child)",
+            ]
+        else:
+            entry = "(k, child)" if self.part.own_key and self.index else "child"
+            lines.append(f"{pad}{container}.append({entry})")
+
+    @property
+    def empty(self) -> str:
+        """The part of an object that has no tuple in this relation."""
+        return "{}" if self.part.parent_key else "[]"
+
+    def _emit_items(self, lines: list[str], pad: str, var: str, count: str) -> None:
+        """``count`` stored tuples at ``pos`` into list ``var`` — one
+        ``iter_unpack``, checked against the count (a slice clamps)."""
+        lines += [
+            f"{pad}end = pos + {count} * {self.item_size}",
+            f"{pad}{var} = []",
+            f"{pad}for {self._targets(self.fields)}in items_{self.index}(data[pos:end]):",
+        ]
+        self._build(lines, pad + "    ")
+        self._add(lines, pad + "    ", var)
+        lines += [
+            f"{pad}if len({var}) != {count}:",
+            f'{pad}    raise error("stored count exceeds the buffer")',
+        ]
+
+    def emit(self, lines: list[str]) -> None:
+        i, pad = self.index, " " * 8
+        lines += ["", f"def decode_{i}(records):", "    try:"]
+        if i == 0:
+            lines.append(f"{pad}{self._targets(self.fields)}= unpack_{i}(records, 0)")
+            self._build(lines, pad)
+            lines.append(f"{pad}return child")
+        elif self.rows:
+            lines += [
+                f"{pad}out = {self.empty}",
+                f"{pad}for {self._targets(self.fields)}in map(unpack_{i}, records):",
+            ]
+            self._build(lines, pad + "    ")
+            self._add(lines, pad + "    ", "out")
+            lines.append(f"{pad}return out")
+        else:
+            # The envelope's root key is a pad here: the count read at
+            # its end bounds-checks it as well.
+            lines += [
+                f"{pad}data = memoryview(records)",
+                f"{pad}count, = u32(data, {self.envelope})",
+                f"{pad}pos = {self.envelope + self.overhead}",
+            ]
+            if self.depth == 2:
+                self._emit_items(lines, pad, "out", "count")
+            else:
+                lines += [
+                    f"{pad}out = {{}}",
+                    f"{pad}for _ in range(count):",
+                    f"{pad}    p, = group_{i}(data, pos)",
+                    f"{pad}    n, = u32(data, pos + {self.group})",
+                    f"{pad}    pos += {self.group + self.overhead}",
+                ]
+                self._emit_items(lines, pad + "    ", "items", "n")
+                lines += [f"{pad}    pos = end", f"{pad}    out[p] = items"]
+            lines.append(f"{pad}return out")
+        lines += _except(i, "    ")
+
+        # A scan draws its records from storage inside the loop, so only
+        # the decode of each is guarded: an error raised by a read
+        # stays the reader's.
+        lines += ["", f"def scan_{i}(records):", "    out = {}", "    for data in records:"]
+        lines.append("        try:")
+        if self.depth == 1:
+            lines.append(f"{pad}    {self._targets(self.scan_fields)}= scan_unpack_{i}(data, 0)")
+            self._build(lines, pad + "    ")
+        else:
+            lines.append(f"{pad}    r, = root_{i}(data, 0)")
+        lines += _except(i, pad)
+        if i == 0:
+            lines.append(f"{pad}out[{self.root_var}] = child")
+        elif self.rows:
+            lines += [
+                f"{pad}part = out.get(r)",
+                f"{pad}if part is None:",
+                f"{pad}    part = out[r] = {self.empty}",
+            ]
+            self._add(lines, pad, "part")
+        else:
+            lines.append(f"{pad}out[r] = decode_{i}(data)")
+        lines.append("    return out")
+
+
+class _AssemblyPlan:
+    """The compiled reassembly of an object stored in parts, under one format.
+
+    Compiled from a tuple of :class:`~repro.nf2.schema.Part` — one per
+    relation of the object's schema, in walk order — after proving each
+    (:func:`~repro.nf2.schema.require_projection` on its tuple level,
+    key columns only on the levels above).  The generated functions:
+
+    ``decode[i](records) -> part``
+        one object's records of relation ``i``: the record's bytes where
+        the relation keeps one record per object (always the root), a
+        sequence of row bytes where it keeps one row per tuple.  The
+        part is the root tuple (``i == 0``), else a list of tuples, of
+        ``(own key, tuple)`` pairs, or a ``{parent key: [tuple, ...]}``
+        dict;
+    ``scan[i](records) -> {root key: part}``
+        every record of relation ``i``, from an iterable of bytes drawn
+        one record at a time (each is decoded before the next is read);
+    ``join(part_0, part_1, ...) -> tuple``
+        the object: own-keyed tuples in stable own-key order, each with
+        the children its own key is the parent key of; children whose
+        parent is missing are dropped;
+    ``join_scanned(scan_0, scan_1, ...)``
+        yields ``join`` of each root of a scan, in the root relation's
+        order; a relation with no record for a root gives an empty part.
+
+    Tuples are built in place, as the layout decoders build theirs: the
+    proof is what licenses labelling them with the nested schemas, so
+    ``schema`` is the nested schema at every level and the atoms follow
+    its attribute order.  Every decoder translates ``struct.error`` and
+    ``UnicodeDecodeError`` into :class:`SerializationError`, once per
+    call.  What an assembly does *not* do is read: the caller reads each
+    relation and decodes it before reading the next, so storage calls
+    and their order are the caller's, and the same as without it.
+    """
+
+    __slots__ = ("parts", "decode", "scan", "join", "join_scanned", "source", "filename", "__weakref__")
+
+    def __init__(self, fmt: StorageFormat, parts: tuple[Part, ...]) -> None:
+        if not parts:
+            raise SchemaError("an assembly needs a part per relation of the object")
+        schemas, parents = _walk(parts[0].target)
+        if [part.target for part in parts] != schemas:
+            raise SchemaError(
+                "an assembly needs one part per relation, in walk order: "
+                f"{[schema.name for schema in schemas]}"
+            )
+        self.parts = parts
+        namespace: dict[str, object] = {
+            "u32": _U32.unpack_from,
+            "error": struct.error,
+            "undecodable": _undecodable,
+            "new": NestedTuple.__new__,
+            "NT": NestedTuple,
+            "first": itemgetter(0),
+        }
+        codes = [
+            _PartCode(fmt, index, part, schemas[index], parents[index], namespace)
+            for index, part in enumerate(parts)
+        ]
+        lines = [
+            f"# assembly of {schemas[0].name!r} from "
+            + ", ".join(repr(part.stored.name) for part in parts),
+        ]
+        for code in codes:
+            code.emit(lines)
+        self._emit_join(lines, codes, parents)
+        self.source = "\n".join(lines) + "\n"
+        self.filename = _run(self, f"{schemas[0].name} assembly", self.source, namespace)
+        self.decode = tuple(namespace[f"decode_{index}"] for index in range(len(parts)))
+        self.scan = tuple(namespace[f"scan_{index}"] for index in range(len(parts)))
+        self.join = namespace["join"]
+        self.join_scanned = namespace["join_scanned"]
+
+    @staticmethod
+    def _emit_join(lines: list[str], codes: list[_PartCode], parents: list[int | None]) -> None:
+        parts = ", ".join(f"part_{code.index}" for code in codes)
+        lines += ["", f"def join({parts}):"]
+        subs = []
+        for code in codes:
+            if parents[code.index] != 0:
+                continue
+            i, name = code.index, code.target.name
+            if not code.part.own_key:
+                subs.append(f"{name!r}: part_{i}")
+                continue
+            children = ", ".join(
+                f"{child.target.name!r}: part_{child.index}.get(k) or []"
+                for child in codes
+                if parents[child.index] == i
+            )
+            lines += [
+                f"    part_{i}.sort(key=first)",
+                f"    subs_{i} = []",
+                f"    for k, child in part_{i}:",
+                f"        child._subs = {{{children}}}",
+                f"        subs_{i}.append(child)",
+            ]
+            subs.append(f"{name!r}: subs_{i}")
+        lines += [f"    part_0._subs = {{{', '.join(subs)}}}", "    return part_0"]
+
+        scanned = "".join(
+            f", part_{code.index}.get(key) or {code.empty}" for code in codes[1:]
+        )
+        lines += [
+            "",
+            f"def join_scanned({parts}):",
+            "    for key, root in part_0.items():",
+            f"        yield join(root{scanned})",
+        ]
+
+
+@lru_cache(maxsize=64)
+def compiled_assembly(fmt: StorageFormat, parts: tuple[Part, ...]) -> _AssemblyPlan:
+    """The process-wide assembly of ``parts`` under ``fmt``, proved and
+    compiled on first use; :class:`SchemaError` if the parts do not
+    reassemble their object."""
+    return _AssemblyPlan(fmt, parts)

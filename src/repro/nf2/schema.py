@@ -170,9 +170,10 @@ def require_projection(
     rest with the target schema.  That is only sound when the remaining
     attributes equal the target's in name, type, size and order, and
     when the tuples it attaches (``children``: their schemas, in order)
-    are exactly the target's sub-relations.  Both are checked here once,
-    when the model module is imported, so reassembly need not
-    re-validate every decoded tuple.  Raises :class:`SchemaError`
+    are exactly the target's sub-relations.  Both are checked here once
+    per storage schema (when an assembly of :class:`Part` declarations
+    is compiled, or when a model module is imported), so reassembly need
+    not re-validate every decoded tuple.  Raises :class:`SchemaError`
     otherwise.
     """
     for name in key_columns:
@@ -241,6 +242,36 @@ class Projection:
             ),
         )
         object.__setattr__(self, "schema", derived)
+
+
+@dataclass(frozen=True)
+class Part:
+    """Where the tuples of one nested relation of an object are stored.
+
+    ``stored`` is the schema of the stored records, ``target`` the
+    nested relation whose tuples they hold.  Either each record is one
+    target tuple (a flat row, NSM), or a record holds all of one
+    object's target tuples, possibly in groups, under levels that carry
+    key columns only (DASDBS-NSM): every stored level but the last has
+    exactly one sub-relation, and the last, flat level's attributes
+    minus its key columns are ``target``'s.
+
+    The key columns name the join: ``root_key`` (on the record) the
+    object a tuple belongs to, ``own_key`` the tuple its children point
+    to (and the order the tuples are reassembled in), ``parent_key`` the
+    tuple of the parent relation a tuple belongs to.  A declared key
+    that is also a target attribute (the root's ``Key``) stays an
+    attribute.  :func:`repro.nf2.codec.compiled_assembly` proves a
+    tuple of parts (one per relation of the object, in
+    :meth:`RelationSchema.walk` order) and compiles the code that
+    reassembles objects from them.
+    """
+
+    stored: RelationSchema
+    target: RelationSchema
+    root_key: str
+    own_key: str | None = None
+    parent_key: str | None = None
 
 
 def int_attr(name: str) -> Attribute:

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import SchemaError, SerializationError
-from repro.nf2.codec import _LayoutPlan, compiled_plan
+from repro.nf2.codec import _LayoutPlan, _undecodable, compiled_plan
 from repro.nf2.schema import AttributeType, Projection, RelationSchema
 from repro.nf2.values import NestedTuple, _check_atom
 
@@ -165,22 +165,6 @@ class StorageFormat:
 
 #: Format calibrated against the tuple sizes the paper reports (Table 2).
 DASDBS_FORMAT = StorageFormat()
-
-
-def _undecodable(schema: RelationSchema, exc: Exception) -> SerializationError:
-    """The typed error for bytes that are not a stored ``schema`` tuple.
-
-    The decoder is the only gate in front of trusted tuples, so both
-    ways stored bytes can fail it — a buffer too small for what it
-    claims to hold (``struct.error``) and a corrupt string
-    (``UnicodeDecodeError``) — surface as :class:`SerializationError`,
-    translated once per entry point.
-    """
-    if isinstance(exc, UnicodeDecodeError):
-        return SerializationError(
-            f"corrupt string attribute in a {schema.name!r} tuple: {exc}"
-        )
-    return SerializationError(f"buffer too small to decode a {schema.name!r} tuple")
 
 
 class NF2Serializer:

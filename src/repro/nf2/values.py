@@ -70,7 +70,8 @@ class NestedTuple:
         bytes that were validated when they were encoded; a storage
         model's reassembly, which relabels such decoded parts under a
         schema that :func:`repro.nf2.schema.require_projection` proved
-        equivalent when the model module was imported; and a storage
+        equivalent (the NSM family's generated assembly builds its
+        tuples the same way, under the same proof); and a storage
         model's ``_store``, which relabels the parts of a validated
         Station (``insert_object`` checks the schema) the other way
         under the same proofs, adding only key columns that are the

@@ -275,7 +275,7 @@ class LongObjectStore:
             return None
         try:
             wanted, needed_ids = self._plan(directory, section_ids, copy)
-        except (InvalidAddressError, IndexError):
+        except InvalidAddressError:
             # A bad section id, or a torn directory whose bytes were
             # memoised: the two-call path raises it, after today's fixes.
             return None
@@ -302,10 +302,16 @@ class LongObjectStore:
             needed_ids = list(directory.data_page_ids)
         else:
             fixed = list(section_ids)
+            data_page_ids = directory.data_page_ids
+            capacity = len(data_page_ids) * self.payload_per_page
             for sid in fixed:
                 if not 0 <= sid < n_sections:
                     raise InvalidAddressError(f"object has no section {sid}")
-            data_page_ids = directory.data_page_ids
+                # A torn directory can name a range of millions of
+                # pages; refuse it before a page index is computed.
+                start, end = directory.section_range(sid)
+                if end > start and end > capacity:
+                    raise InvalidAddressError(f"section {sid} runs past the object's data pages")
             needed_ids = [
                 data_page_ids[i] for i in self._pages_for_sections(directory, fixed)
             ]

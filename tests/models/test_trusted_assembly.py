@@ -1,9 +1,12 @@
 """Trusted assembly is indistinguishable from validated assembly.
 
-The models reassemble objects through ``NestedTuple._from_trusted``: the
-per-tuple validation of the public constructor is replaced by one proof
-per storage schema (``require_projection``, run when the model module is
-imported).  These tests hold the fast path to the slow path's contract:
+The models reassemble objects without the public constructor's
+per-tuple validation — the NSM family in code ``compiled_assembly``
+generates, DSM through ``NestedTuple._from_trusted`` — which is replaced
+by one proof per storage schema (``require_projection``, run when the
+assembly is compiled or the model module imported).  These tests hold
+the fast path to the slow
+path's contract:
 every assembled object equals the generated one, rebuilds unchanged
 through the validating constructor, and shares no mutable state with
 the next fetch — in every state a model can be in.
@@ -120,14 +123,23 @@ class TestAssembledObjects:
 
     def test_scan_assembles_the_generated_objects(self, model_and_expected, monkeypatch):
         model, expected = model_and_expected
-        # The scan discards what it assembles; record it on the way out.
-        seam = "_assemble" if hasattr(model, "_assemble") else "_decode_sections"
-        assemble = getattr(model, seam)
+        # The scan discards what it assembles; record it on the way out:
+        # every object the NSM family's compiled assembly joins, or every
+        # long object a direct model decodes by sections.
         assembled = []
+        if hasattr(model, "_scan_objects"):
+            seam, scan_objects = "_scan_objects", model._scan_objects
 
-        def recording(*parts):
-            assembled.append(assemble(*parts))
-            return assembled[-1]
+            def recording():
+                for station in scan_objects():
+                    assembled.append(station)
+                    yield station
+        else:
+            seam, decode_sections = "_decode_sections", model._decode_sections
+
+            def recording(sections):
+                assembled.append(decode_sections(sections))
+                return assembled[-1]
 
         monkeypatch.setattr(model, seam, recording)
         assert model.scan_all() == len(expected)

@@ -68,6 +68,10 @@ def reference_read(store, address, section_ids=None, copy=None):
     for sid in fixed:
         if not 0 <= sid < n_sections:
             raise InvalidAddressError(f"object has no section {sid}")
+        # A torn directory's section may run past the data pages: a
+        # subset read refuses it before any data page is fixed.
+        if section_ids is not None and lengths[sid] and offsets[sid] + lengths[sid] > n_data * PAYLOAD:
+            raise InvalidAddressError(f"section {sid} runs past the data pages")
     for sid in copy or ():
         if sid not in fixed:
             raise InvalidAddressError(f"section {sid} is copied but not fixed")
@@ -354,6 +358,33 @@ class TestErrorPathsKeepTodaysCounters:
         for address, _ in objects:
             for section_ids, copy in READS:
                 both(pair, lambda twin: twin.read(address, section_ids, copy))
+
+    def test_section_past_the_data_pages(self, twins):
+        """A torn section length is refused by a subset read after the
+        header fixes and before any data page is fixed."""
+        pair = twins(64)
+        (address, _), = store_objects(pair, random.Random(5), 1)
+        data_pages = set(both(pair, lambda twin: twin.store.read_directory(address).data_page_ids))
+
+        def tear(twin):
+            buffer = twin.engine.buffer
+            buffer.fix(address.root_page_id)
+            frame = buffer.page_data(address.root_page_id)
+            # section 0's length: after the 12-byte header, the page ids
+            # and section 0's offset
+            struct.pack_into("<I", frame, PAGE_HEADER_SIZE + 12 + 4 * len(data_pages) + 4, 2**31)
+            buffer.unfix(address.root_page_id, dirty=True)
+
+        both(pair, tear)
+        for section_ids, copy in READS:
+            if section_ids is None or SECTION_ROOT not in section_ids:
+                continue
+            del pair[0].events[:]
+            del pair[1].events[:]
+            assert both(pair, lambda twin: twin.read(address, section_ids, copy)) is InvalidAddressError
+            fixed = {pid for kind, pid in pair[0].events if kind == "fix"}
+            assert fixed == set(address.header_page_ids)
+            assert not fixed & data_pages
 
     def test_non_directory_root(self, twins):
         pair = twins(64)
