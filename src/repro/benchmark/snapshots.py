@@ -41,15 +41,13 @@ instead of one full rebuild per cell.
 
 The module-level :data:`DEFAULT_STORE` is shared process-wide so that
 independent :class:`~repro.benchmark.runner.BenchmarkRunner` instances
-(the sweeps create one per grid cell) reuse each other's builds; access
-is thread-safe and builds are serialised per key.
+(the sweeps create one per grid cell) reuse each other's builds.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -115,12 +113,10 @@ class ExtensionSnapshot:
 
 
 class SnapshotStore:
-    """Thread-safe build-once cache of :class:`ExtensionSnapshot` values."""
+    """Build-once cache of :class:`ExtensionSnapshot` values."""
 
     def __init__(self, max_snapshots: int = DEFAULT_MAX_SNAPSHOTS) -> None:
-        self._lock = threading.Lock()
         self._snapshots: OrderedDict[tuple, ExtensionSnapshot] = OrderedDict()
-        self._build_locks: dict[tuple, threading.Lock] = {}
         #: Spilled-artifact memo: path -> the key it loaded into.  Only
         #: honoured while that key is still cached, so an eviction makes
         #: the next preload re-read the artifact instead of silently
@@ -144,9 +140,7 @@ class SnapshotStore:
 
         ``stations`` is a zero-argument callable returning the generated
         extension — a callable, not a list, so a cache hit never forces
-        generation.  Concurrent callers of the same key block on one
-        build (per-key lock); callers of different keys build in
-        parallel.
+        generation.
         """
         key = snapshot_key(config, model_name, fmt)
         return self._get_or_build(
@@ -213,19 +207,11 @@ class SnapshotStore:
         return self._get_or_build(key, build)
 
     def _get_or_build(self, key: tuple, build) -> ExtensionSnapshot:
-        with self._lock:
-            snapshot = self._snapshots.get(key)
-            if snapshot is not None:
-                return snapshot
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        with build_lock:
-            with self._lock:
-                snapshot = self._snapshots.get(key)
-                if snapshot is not None:
-                    return snapshot
+        snapshot = self._snapshots.get(key)
+        if snapshot is None:
             snapshot = build()
             self.put(snapshot)
-            return snapshot
+        return snapshot
 
     def _build(
         self,
@@ -262,18 +248,15 @@ class SnapshotStore:
 
     def put(self, snapshot: ExtensionSnapshot) -> None:
         """Insert (or refresh) a snapshot under its own key."""
-        with self._lock:
-            self._snapshots[snapshot.key] = snapshot
-            self._snapshots.move_to_end(snapshot.key)
-            while len(self._snapshots) > self.max_snapshots:
-                self._snapshots.popitem(last=False)
+        self._snapshots[snapshot.key] = snapshot
+        self._snapshots.move_to_end(snapshot.key)
+        while len(self._snapshots) > self.max_snapshots:
+            self._snapshots.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every cached snapshot (and the preloaded-path memo)."""
-        with self._lock:
-            self._snapshots.clear()
-            self._build_locks.clear()
-            self._preloaded_paths.clear()
+        self._snapshots.clear()
+        self._preloaded_paths.clear()
 
     # -- cloning ------------------------------------------------------------
 
@@ -350,14 +333,12 @@ class SnapshotStore:
         re-reads it (rather than falling back to a rebuild) if cache
         pressure evicted it in between.
         """
-        with self._lock:
-            key = self._preloaded_paths.get(path)
-            if key is not None and key in self._snapshots:
-                return
+        key = self._preloaded_paths.get(path)
+        if key is not None and key in self._snapshots:
+            return
         snapshot = self.load(path)
         self.put(snapshot)
-        with self._lock:
-            self._preloaded_paths[path] = snapshot.key
+        self._preloaded_paths[path] = snapshot.key
 
 
 #: Process-wide store shared by every runner (one build per key per

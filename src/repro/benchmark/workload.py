@@ -431,14 +431,9 @@ class WorkloadExecutor:
     def _resilient(self, fn):
         """Wrap an operation primitive in the bounded retry loop."""
         from repro.fault.retry import call_with_retries
-        from repro.errors import LatchError, TransientIOError
 
         def wrapped(*args, **kwargs):
-            result, used = call_with_retries(
-                lambda: fn(*args, **kwargs),
-                limit=self.retry_limit,
-                retry_on=(TransientIOError, LatchError),
-            )
+            result, used = call_with_retries(lambda: fn(*args, **kwargs), limit=self.retry_limit)
             self.retries += used
             return result
 

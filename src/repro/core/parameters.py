@@ -35,6 +35,9 @@ from repro.benchmark.schema import (
 )
 from repro.core import formulas
 from repro.errors import BenchmarkError
+from repro.models.dasdbs_nsm import DNSM_PARTS
+from repro.models.nsm import NSM_PARTS
+from repro.nf2.schema import Part, RelationSchema
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.storage.constants import EFFECTIVE_PAGE_SIZE, SLOT_ENTRY_SIZE
 
@@ -160,13 +163,25 @@ class StructureCounts:
 
     @property
     def connections_per_platform(self) -> float:
-        if self.platforms == 0:
-            return 0.0
-        return self.connections / self.platforms
+        return self.per_parent(CONNECTION_SCHEMA, PLATFORM_SCHEMA)
 
     @property
     def subtuples(self) -> float:
         return self.platforms + self.connections + self.sightseeings
+
+    def per_object(self, relation: RelationSchema) -> float:
+        """Average tuples of ``relation`` in one Station (1 for the root)."""
+        return {
+            STATION_SCHEMA.name: 1.0,
+            PLATFORM_SCHEMA.name: self.platforms,
+            CONNECTION_SCHEMA.name: self.connections,
+            SIGHTSEEING_SCHEMA.name: self.sightseeings,
+        }[relation.name]
+
+    def per_parent(self, relation: RelationSchema, parent: RelationSchema) -> float:
+        """Average tuples of ``relation`` per tuple of its ``parent``."""
+        above = self.per_object(parent)
+        return self.per_object(relation) / above if above else 0.0
 
     @staticmethod
     def from_config(config: BenchmarkConfig) -> "StructureCounts":
@@ -193,6 +208,33 @@ def _direct_sections(fmt: StorageFormat, counts: StructureCounts) -> tuple[float
     return root, platforms, sights
 
 
+def _row(
+    name: str,
+    per_object: float,
+    n_objects: int,
+    data: float,
+    header: float,
+    page_bytes: int,
+    slot_bytes: int,
+    sections: tuple[float, ...] = (),
+) -> RelationParameters:
+    """Table 2 row of a relation keeping ``per_object`` records of
+    ``data`` bytes per object; a record larger than a page is a large
+    tuple, its ``header`` directory on pages of their own."""
+    total = per_object * n_objects
+    if data > page_bytes - slot_bytes:
+        p = formulas.pages_per_large_tuple(header, data, page_bytes)
+        return RelationParameters(
+            name, per_object, total, header + data, is_large=True, k=None, p=p,
+            m=float(total * p), header_bytes=header, data_bytes=data, section_bytes=sections,
+        )
+    k = _small_k(page_bytes, slot_bytes, data)
+    m = float(formulas.pages_for_relation(total, k))
+    return RelationParameters(
+        name, per_object, total, data, is_large=False, k=k, p=None, m=m, section_bytes=sections
+    )
+
+
 def derive_direct_parameters(
     model: str,
     config: BenchmarkConfig = DEFAULT_CONFIG,
@@ -204,40 +246,59 @@ def derive_direct_parameters(
     """Table 2 rows of DSM / DASDBS-DSM under our storage format."""
     counts = counts or StructureCounts.from_config(config)
     root, platforms, sights = _direct_sections(fmt, counts)
+    # The inline nested encoding has the same payload as the sections.
     data_bytes = root + platforms + sights
     header_bytes = float(fmt.directory_size(3, round(counts.subtuples)))
-    inline_size = data_bytes  # the inline nested encoding has the same payload
-    is_large = inline_size > page_bytes - slot_bytes
-
-    if is_large:
-        p = formulas.pages_per_large_tuple(header_bytes, data_bytes, page_bytes)
-        rel = RelationParameters(
-            relation=f"{model}_Station",
-            tuples_per_object=1.0,
-            tuples_total=float(config.n_objects),
-            s_tuple=header_bytes + data_bytes,
-            is_large=True,
-            k=None,
-            p=p,
-            m=float(config.n_objects * p),
-            header_bytes=header_bytes,
-            data_bytes=data_bytes,
-            section_bytes=(root, platforms, sights),
-        )
-    else:
-        k = _small_k(page_bytes, slot_bytes, inline_size)
-        rel = RelationParameters(
-            relation=f"{model}_Station",
-            tuples_per_object=1.0,
-            tuples_total=float(config.n_objects),
-            s_tuple=inline_size,
-            is_large=False,
-            k=k,
-            p=None,
-            m=float(formulas.pages_for_relation(config.n_objects, k)),
-            section_bytes=(root, platforms, sights),
-        )
+    rel = _row(
+        f"{model}_Station", 1.0, config.n_objects, data_bytes, header_bytes,
+        page_bytes, slot_bytes, (root, platforms, sights),
+    )
     return ModelParameters(model, page_bytes, slot_bytes, (rel,))
+
+
+def _derived_parameters(
+    model: str,
+    parts: tuple[Part, ...],
+    config: BenchmarkConfig,
+    fmt: StorageFormat,
+    counts: StructureCounts | None,
+    page_bytes: int,
+    slot_bytes: int,
+) -> ModelParameters:
+    """Table 2 rows of a layout derived by rule, one per part.
+
+    Each stored level of a part holds tuples of one relation on the path
+    from the root down to the part's nested relation, and the relation
+    keeps one record per tuple of its top level's (a row per tuple of a
+    flat part, one record per object of a nested one).  A record's
+    expected size folds its levels from the items up, ``flat +
+    subrel_overhead + n * below`` with ``n`` the tuples per tuple of the
+    level above; one larger than a page carries a directory over the
+    sub-tuples below its top level.
+    """
+    counts = counts or StructureCounts.from_config(config)
+    parents = {sub: up for up in parts[0].target.walk() for sub in up.subrelations}
+    rows = []
+    for part in parts:
+        levels, path = [part.stored], [part.target]
+        while levels[-1].subrelations:
+            levels.append(levels[-1].subrelations[0])
+        while path[0] in parents:
+            path.insert(0, parents[path[0]])
+        path = path[len(path) - len(levels) :]
+        s_tuple = float(fmt.flat_size(levels[-1]))
+        for level, above, relation in reversed(list(zip(levels, path, path[1:]))):
+            n = counts.per_parent(relation, above)
+            s_tuple = fmt.flat_size(level) + fmt.subrel_overhead + n * s_tuple
+        subtuples = round(sum(map(counts.per_object, path[1:])))
+        header = float(fmt.directory_size(1, subtuples))
+        rows.append(
+            _row(
+                part.stored.name, counts.per_object(path[0]), config.n_objects, s_tuple, header,
+                page_bytes, slot_bytes,
+            )
+        )
+    return ModelParameters(model, page_bytes, slot_bytes, tuple(rows))
 
 
 def derive_nsm_parameters(
@@ -247,41 +308,8 @@ def derive_nsm_parameters(
     page_bytes: int = EFFECTIVE_PAGE_SIZE,
     slot_bytes: int = SLOT_ENTRY_SIZE,
 ) -> ModelParameters:
-    """Table 2 rows of NSM (also used by NSM+index)."""
-    counts = counts or StructureCounts.from_config(config)
-    n = config.n_objects
-
-    def flat_row(name: str, per_object: float, n_attrs_extra: int, base_width: int) -> RelationParameters:
-        s_tuple = float(fmt.tuple_header + fmt.attr_overhead * n_attrs_extra + base_width)
-        k = _small_k(page_bytes, slot_bytes, s_tuple)
-        total = per_object * n
-        return RelationParameters(
-            relation=name,
-            tuples_per_object=per_object,
-            tuples_total=total,
-            s_tuple=s_tuple,
-            is_large=False,
-            k=k,
-            p=None,
-            m=float(formulas.pages_for_relation(total, k)),
-        )
-
-    # Attribute widths from Figure 3: flat attributes plus the added
-    # foreign keys (RootKey and, for Connection, ParentKey; Platform
-    # carries its OwnKey).
-    station = flat_row("NSM_Station", 1.0, 4, STATION_SCHEMA.atomic_width)
-    platform = flat_row(
-        "NSM_Platform", counts.platforms, 6, PLATFORM_SCHEMA.atomic_width + 8
-    )
-    connection = flat_row(
-        "NSM_Connection", counts.connections, 6, CONNECTION_SCHEMA.atomic_width + 8
-    )
-    sightseeing = flat_row(
-        "NSM_Sightseeing", counts.sightseeings, 6, SIGHTSEEING_SCHEMA.atomic_width + 4
-    )
-    return ModelParameters(
-        "NSM", page_bytes, slot_bytes, (station, platform, connection, sightseeing)
-    )
+    """Table 2 rows of NSM (also used by NSM+index): Figure 3's rows."""
+    return _derived_parameters("NSM", NSM_PARTS, config, fmt, counts, page_bytes, slot_bytes)
 
 
 def derive_dasdbs_nsm_parameters(
@@ -292,63 +320,8 @@ def derive_dasdbs_nsm_parameters(
     slot_bytes: int = SLOT_ENTRY_SIZE,
 ) -> ModelParameters:
     """Table 2 rows of DASDBS-NSM: one nested tuple per relation per object."""
-    counts = counts or StructureCounts.from_config(config)
-    n = config.n_objects
-
-    def nested_row(name: str, s_tuple: float, n_subtuples: float) -> RelationParameters:
-        is_large = s_tuple > page_bytes - slot_bytes
-        if is_large:
-            header = float(fmt.directory_size(1, round(n_subtuples)))
-            p = formulas.pages_per_large_tuple(header, s_tuple, page_bytes)
-            return RelationParameters(
-                relation=name,
-                tuples_per_object=1.0,
-                tuples_total=float(n),
-                s_tuple=header + s_tuple,
-                is_large=True,
-                k=None,
-                p=p,
-                m=float(n * p),
-                header_bytes=header,
-                data_bytes=s_tuple,
-            )
-        k = _small_k(page_bytes, slot_bytes, s_tuple)
-        return RelationParameters(
-            relation=name,
-            tuples_per_object=1.0,
-            tuples_total=float(n),
-            s_tuple=s_tuple,
-            is_large=False,
-            k=k,
-            p=None,
-            m=float(formulas.pages_for_relation(n, k)),
-        )
-
-    wrapper = fmt.tuple_header + fmt.attr_overhead + 4  # RootKey-only flat part
-    station = nested_row("DASDBS_NSM_Station", float(fmt.flat_size(STATION_SCHEMA)), 0)
-    platform_item = fmt.tuple_header + 5 * fmt.attr_overhead + PLATFORM_SCHEMA.atomic_width + 4
-    platform = nested_row(
-        "DASDBS_NSM_Platform",
-        wrapper + fmt.subrel_overhead + counts.platforms * platform_item,
-        counts.platforms,
-    )
-    conn_item = float(fmt.flat_size(CONNECTION_SCHEMA))
-    group = wrapper + fmt.subrel_overhead  # ParentKey wrapper per platform
-    connection = nested_row(
-        "DASDBS_NSM_Connection",
-        wrapper
-        + fmt.subrel_overhead
-        + counts.platforms * (group + counts.connections_per_platform * conn_item),
-        counts.platforms + counts.connections,
-    )
-    sight_item = fmt.tuple_header + 5 * fmt.attr_overhead + SIGHTSEEING_SCHEMA.atomic_width
-    sightseeing = nested_row(
-        "DASDBS_NSM_Sightseeing",
-        wrapper + fmt.subrel_overhead + counts.sightseeings * sight_item,
-        counts.sightseeings,
-    )
-    return ModelParameters(
-        "DASDBS-NSM", page_bytes, slot_bytes, (station, platform, connection, sightseeing)
+    return _derived_parameters(
+        "DASDBS-NSM", DNSM_PARTS, config, fmt, counts, page_bytes, slot_bytes
     )
 
 

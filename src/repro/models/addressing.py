@@ -20,7 +20,9 @@ retrieve the tables with addresses", Section 5.1).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import InvalidAddressError
 from repro.nf2.oid import Rid
@@ -58,6 +60,18 @@ class Relation:
             self.long_store = LongObjectStore(
                 engine.new_segment(f"{name}_large"), long_fmt
             )
+
+    def read_record(self, handle: Handle) -> bytes:
+        """The stored bytes of one record."""
+        if type(handle) is Rid:
+            return self.heap.read(handle)
+        (blob,) = self.long_store.read(handle)
+        return blob
+
+    def scan_records(self, longs: Sequence[LongObjectAddress]) -> Iterator[bytes]:
+        """All records: heap pages in order, then the given long records
+        (the address table lists them: ``long_handles``)."""
+        return chain(map(itemgetter(1), self.heap.scan()), map(self.read_record, longs))
 
     def delete(self, handle: Handle) -> None:
         """Delete one record (private pages of a long record are freed)."""

@@ -64,15 +64,9 @@ class MixedTupleStore(Relation):
 
     # -- reading bytes ------------------------------------------------------------
     #
-    # What the model's compiled assembly decodes; the typed reads below
-    # are the same storage calls with ``decode_nested`` on top.
-
-    def read_record(self, handle: Handle) -> bytes:
-        """The stored bytes of one tuple."""
-        if type(handle) is Rid:
-            return self.heap.read(handle)
-        (blob,) = self.long_store.read(handle)
-        return blob
+    # What the model's compiled assembly decodes (with ``Relation``'s
+    # ``read_record`` and ``scan_records``); the typed reads below are
+    # the same storage calls with ``decode_nested`` on top.
 
     def read_records(self, handles: Sequence[Handle]) -> Iterator[bytes | memoryview]:
         """Set-oriented read: the heap page set loads in one I/O call.
@@ -89,13 +83,6 @@ class MixedTupleStore(Relation):
             blobs_by_rid = dict(zip(unique, self.heap.read_many(unique)))
         for handle in handles:
             yield blobs_by_rid[handle] if type(handle) is Rid else self.read_record(handle)
-
-    def scan_records(self, longs: Sequence[LongObjectAddress]) -> Iterator[bytes]:
-        """All records: heap pages in order, then the given long records
-        (the address table lists them: ``long_handles``)."""
-        for _, blob in self.heap.scan():
-            yield blob
-        yield from map(self.read_record, longs)
 
     # -- reading tuples -------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """NSM — the Normalized Storage Model (paper Section 3.3), plus NSM+index.
 
-The complex object is unnested into four flat relations (Figure 3):
+The complex object is unnested into four flat relations (Figure 3),
+derived from the Station schema by the rule ``nf2.schema.unnest``:
 
 * ``NSM_Station(Key, NoPlatform, NoSeeing, Name)``
 * ``NSM_Platform(RootKey, OwnKey, PlatformNr, NoLine, TicketCode, Information)``
@@ -22,9 +23,11 @@ of one object together, the layout Equations 6/7 assume.
 from object key to the record ids of all its tuples, so "a page is read
 from disk then and only then if a tuple it stores is requested".
 
-Both carry the same address table (one row of record ids per object,
-kept current by the shared kernel).  For NSM+index the table *is* the
-index.  Plain NSM never reads it: its six access paths and its delete
+What the two share with DASDBS-NSM — relations, decomposition,
+reassembly and the full scan, all read off the parts — is
+:class:`NSMFamilyModel`.  Both carry the same address table (one row of
+record ids per object, kept current by the shared kernel).  For
+NSM+index the table *is* the index.  Plain NSM never reads it: its six access paths and its delete
 find tuples by value, exactly as before — the table only lets the
 unmeasured reorganisation, recovery and scan-partitioning code know
 which tuples belong to which object without re-scanning for keys.
@@ -32,109 +35,106 @@ which tuples belong to which object without re-scanning for keys.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.benchmark.schema import (
-    CONNECTION_SCHEMA,
-    PLATFORM_SCHEMA,
-    SIGHTSEEING_SCHEMA,
-    STATION_SCHEMA,
-    key_of_oid,
-    oid_of_key,
-)
+from repro.benchmark.schema import STATION_SCHEMA, key_of_oid, oid_of_key
 from repro.errors import InvalidAddressError
-from repro.models.addressing import AddressTable, Relation, Row
+from repro.models.addressing import AddressTable, Handle, Relation, Row
 from repro.models.base import Ref, StorageModel
+from repro.models.mixed import MixedTupleStore
 from repro.nf2.codec import compiled_assembly
 from repro.nf2.oid import Rid
-from repro.nf2.schema import (
-    Part,
-    Projection,
-    RelationSchema,
-    int_attr,
-    link_attr,
-    str_attr,
-)
+from repro.nf2.schema import ROOT_KEY, Part, Projection, RelationSchema, unnest
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
 from repro.storage.heap import HeapFile
 
-NSM_STATION = RelationSchema.flat(
-    "NSM_Station",
-    int_attr("Key"),
-    int_attr("NoPlatform"),
-    int_attr("NoSeeing"),
-    str_attr("Name"),
-)
-
-NSM_PLATFORM = RelationSchema.flat(
-    "NSM_Platform",
-    int_attr("RootKey"),
-    int_attr("OwnKey"),
-    int_attr("PlatformNr"),
-    int_attr("NoLine"),
-    int_attr("TicketCode"),
-    str_attr("Information"),
-)
-
-NSM_CONNECTION = RelationSchema.flat(
-    "NSM_Connection",
-    int_attr("RootKey"),
-    int_attr("ParentKey"),
-    int_attr("LineNr"),
-    int_attr("KeyConnection"),
-    link_attr("OidConnection"),
-    str_attr("DepartureTimes"),
-)
-
-NSM_SIGHTSEEING = RelationSchema.flat(
-    "NSM_Sightseeing",
-    int_attr("RootKey"),
-    int_attr("SeeingNr"),
-    str_attr("Description"),
-    str_attr("Location"),
-    str_attr("History"),
-    str_attr("Remarks"),
-)
-
-#: The in-memory join that reassembles an object, one row per tuple.
-#: Compiling it (in every model's constructor, so before any ``_store``)
-#: proves that a row minus its key columns is a tuple of the nested
-#: schema — which also licenses ``_store``'s relabelling.
-NSM_PARTS = (
-    Part(NSM_STATION, STATION_SCHEMA, root_key="Key"),
-    Part(NSM_PLATFORM, PLATFORM_SCHEMA, root_key="RootKey", own_key="OwnKey"),
-    Part(NSM_CONNECTION, CONNECTION_SCHEMA, root_key="RootKey", parent_key="ParentKey"),
-    Part(NSM_SIGHTSEEING, SIGHTSEEING_SCHEMA, root_key="RootKey"),
-)
+#: Figure 3 by rule: one flat relation per nested relation, in walk order.
+NSM_PARTS = unnest(STATION_SCHEMA, "NSM")
+NSM_STATION, NSM_PLATFORM, NSM_CONNECTION, NSM_SIGHTSEEING = (part.stored for part in NSM_PARTS)
 
 #: What plain NSM's navigation reads of a matching connection row.
-_CONNECTION_PAIR = Projection(NSM_CONNECTION, ("RootKey", "KeyConnection"))
-
-#: The four flat relations, in table (= scan) order.
-_SCHEMAS = tuple(part.stored for part in NSM_PARTS)
-
-_trusted = NestedTuple._from_trusted
-_record = itemgetter(1)
+_CONNECTION_PAIR = Projection(NSM_CONNECTION, (ROOT_KEY, "KeyConnection"))
 
 
-class NSMModelBase(StorageModel):
-    """What NSM and NSM+index share: the four flat relations, the
-    decomposition into them, the in-memory reassembly join and the
-    full scan.  References are logical keys."""
+class NSMFamilyModel(StorageModel):
+    """What NSM, NSM+index and DASDBS-NSM share, read off their ``parts``.
 
+    One relation per part — a heap-only :class:`Relation` of one row
+    per tuple when every stored schema is flat (``unnest``), else a
+    :class:`MixedTupleStore` of one record per object (``nest_by_root``)
+    — the address table over them, and the compiled assembly: the
+    decomposition of an object into its records, its reassembly and the
+    full scan.
+    """
+
+    #: One part per relation of the Station schema, in walk order.
+    parts: tuple[Part, ...]
+
+    def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
+        super().__init__(engine, fmt)
+        # Compiled before any ``_store``: its proof licenses the relabelling.
+        self._assembly = compiled_assembly(fmt, self.parts)
+        self._rows = all(part.stored.is_flat for part in self.parts)
+        self.relations = tuple(
+            Relation(engine, part.stored.name)
+            if self._rows
+            else MixedTupleStore(engine, part.stored.name, part.stored, fmt)
+            for part in self.parts
+        )
+        self.table = AddressTable(self.relations)
+
+    # -- decomposition ---------------------------------------------------------------
+
+    def _store(self, station: NestedTuple) -> Row:
+        # The assembly's generated inverse of its join relabels the parts
+        # of the station (``NestedTuple._from_trusted``, not re-validated):
+        # ``insert_object`` admits only validated Stations, and compiling
+        # the parts proved that a tuple plus its key columns is an item of
+        # its stored schema.
+        return self._assembly.store(station, self._insert)
+
+    def _insert(self, index: int, value: NestedTuple) -> Handle:
+        """Write one record of relation ``index``; returns its handle."""
+        relation = self.relations[index]
+        if self._rows:
+            return relation.heap.insert(self.serializer.encode_flat(value))
+        return relation.insert(value)
+
+    # -- the full scan ---------------------------------------------------------------
+
+    def scan_all(self) -> int:
+        return sum(1 for _ in self._scan_objects())
+
+    def _scan_objects(self) -> Iterator[NestedTuple]:
+        """Every object, joined in memory from one scan per relation
+        (each relation scanned and decoded before the next).  Only a
+        relation with long records asks the table for them."""
+        scans = []
+        for index, (scan, relation) in enumerate(zip(self._assembly.scan, self.relations)):
+            longs = self.table.long_handles(index) if relation.long_store else ()
+            scans.append(scan(relation.scan_records(longs)))
+        return self._assembly.join_scanned(*scans)
+
+    def _decode_record(self, index: int, blob) -> None:
+        self.serializer.decode_nested(self.parts[index].stored, blob)
+
+    def _decode_long(self, index: int, address) -> None:
+        self._decode_record(index, self.relations[index].read_record(address))
+
+
+class NSMModelBase(NSMFamilyModel):
+    """What NSM and NSM+index share: the four flat relations of
+    Figure 3 and logical keys as references."""
+
+    parts = NSM_PARTS
     root_schema = NSM_STATION
 
     def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
         super().__init__(engine, fmt)
-        relations = [Relation(engine, schema.name) for schema in _SCHEMAS]
-        self.stations, self.platforms, self.connections, self.sightseeings = (
-            relation.heap for relation in relations
-        )
-        self.table = AddressTable(relations)
-        self._assembly = compiled_assembly(fmt, NSM_PARTS)
+        self.heaps = tuple(relation.heap for relation in self.relations)
+        self.stations, self.platforms, self.connections, self.sightseeings = self.heaps
 
     # -- references: logical keys -------------------------------------------
 
@@ -146,60 +146,6 @@ class NSMModelBase(StorageModel):
 
     def all_refs(self) -> list[Ref]:
         return self.table.live_keys()
-
-    # -- decomposition: one flat tuple per (sub)tuple ------------------------------
-
-    def _store(self, station: NestedTuple) -> Row:
-        # Relabelled, not re-validated (``NestedTuple._from_trusted``):
-        # ``insert_object`` admits only validated Stations, and compiling
-        # ``NSM_PARTS`` proved that a part plus its key columns is a row
-        # of the flat schema.
-        key = station._atoms["Key"]
-        station_rid = self._insert(self.stations, _trusted(NSM_STATION, station._atoms, {}))
-        platform_rids: list[Rid] = []
-        connection_rids: list[Rid] = []
-        for own_key, platform in enumerate(station._subs["Platform"]):
-            row = _trusted(
-                NSM_PLATFORM, {"RootKey": key, "OwnKey": own_key, **platform._atoms}, {}
-            )
-            platform_rids.append(self._insert(self.platforms, row))
-            for connection in platform._subs["Connection"]:
-                row = _trusted(
-                    NSM_CONNECTION,
-                    {"RootKey": key, "ParentKey": own_key, **connection._atoms},
-                    {},
-                )
-                connection_rids.append(self._insert(self.connections, row))
-        sightseeing_rids: list[Rid] = []
-        for sight in station._subs["Sightseeing"]:
-            row = _trusted(NSM_SIGHTSEEING, {"RootKey": key, **sight._atoms}, {})
-            sightseeing_rids.append(self._insert(self.sightseeings, row))
-        return (
-            (station_rid,),
-            tuple(platform_rids),
-            tuple(connection_rids),
-            tuple(sightseeing_rids),
-        )
-
-    def _insert(self, heap: HeapFile, row: NestedTuple) -> Rid:
-        return heap.insert(self.serializer.encode_flat(row))
-
-    # -- the full scan ------------------------------------------------------------------
-
-    def scan_all(self) -> int:
-        return sum(1 for _ in self._scan_objects())
-
-    def _scan_objects(self) -> Iterator[NestedTuple]:
-        """Every object, joined in memory from one scan per relation
-        (each relation scanned and decoded before the next)."""
-        assembly = self._assembly
-        heaps = (self.stations, self.platforms, self.connections, self.sightseeings)
-        return assembly.join_scanned(
-            *[scan(map(_record, heap.scan())) for scan, heap in zip(assembly.scan, heaps)]
-        )
-
-    def _decode_record(self, index: int, blob) -> None:
-        self.serializer.decode_flat(_SCHEMAS[index], blob)
 
 
 class NSMModel(NSMModelBase):
@@ -257,17 +203,14 @@ class NSMModel(NSMModelBase):
         if not roots:
             raise InvalidAddressError(f"no station with key {key}")
 
-        def rows(heap: HeapFile, schema: RelationSchema) -> list[bytes]:
-            return [blob for _, blob in self._matching(heap, schema, "RootKey", keys)]
-
-        # Arguments evaluate left to right: each relation is scanned,
-        # then decoded, before the next is scanned.
-        decode = self._assembly.decode
-        return self._assembly.join(
-            decode[0](roots[0][1]),
-            decode[1](rows(self.platforms, NSM_PLATFORM)),
-            decode[2](rows(self.connections, NSM_CONNECTION)),
-            decode[3](rows(self.sightseeings, NSM_SIGHTSEEING)),
+        # Each relation is scanned, then decoded, before the next is scanned.
+        assembly = self._assembly
+        return assembly.join(
+            assembly.decode[0](roots[0][1]),
+            *[
+                decode([blob for _, blob in self._matching(heap, part.stored, part.root_key, keys)])
+                for decode, heap, part in zip(assembly.decode[1:], self.heaps[1:], self.parts[1:])
+            ],
         )
 
     def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
@@ -285,8 +228,8 @@ class NSMModel(NSMModelBase):
         if not refs:
             return []
         keys = set(refs)
-        rows = self._select(self.connections, _CONNECTION_PAIR, "RootKey", keys)
-        return [(row["RootKey"], row["KeyConnection"]) for _, row in rows]
+        rows = self._select(self.connections, _CONNECTION_PAIR, ROOT_KEY, keys)
+        return [(row[ROOT_KEY], row["KeyConnection"]) for _, row in rows]
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
         if not refs:
@@ -318,13 +261,8 @@ class NSMModel(NSMModelBase):
         """
         keys = {ref}
         found = False
-        for heap, schema, attr in (
-            (self.stations, NSM_STATION, "Key"),
-            (self.platforms, NSM_PLATFORM, "RootKey"),
-            (self.connections, NSM_CONNECTION, "RootKey"),
-            (self.sightseeings, NSM_SIGHTSEEING, "RootKey"),
-        ):
-            for rid, _ in self._select(heap, schema, attr, keys):
+        for heap, part in zip(self.heaps, self.parts):
+            for rid, _ in self._select(heap, part.stored, part.root_key, keys):
                 heap.delete(rid)
                 found = True
         if not found:
@@ -424,6 +362,7 @@ class NSMIndexModel(NSMModelBase):
 
 
 __all__ = [
+    "NSMFamilyModel",
     "NSMModelBase",
     "NSMModel",
     "NSMIndexModel",

@@ -34,9 +34,9 @@ key columns (the NSM family) — compiles into an **assembly**
 (:func:`compiled_assembly`): per relation one decoder that turns all of
 an object's stored records into tuples of the *nested* schema, with the
 key columns unpacked beside the values for the join and never put in an
-atoms dict, and one ``join`` that attaches them.  It unpacks with the
-same values-only structs (:func:`_values`) as the layout decoders, so it
-reads exactly the bytes they would.
+atoms dict, one ``join`` that attaches them, and its inverse ``store``.
+It unpacks with the same values-only structs (:func:`_values`) as the
+layout decoders, so it reads exactly the bytes they would.
 
 What enters the generated text: ``repr()`` of attribute and relation
 names (which :mod:`repro.nf2.schema` validated as identifiers) and
@@ -572,7 +572,7 @@ class _PartCode:
     """The generator's view of one part: its stored levels, the structs
     that unpack them, and the variable each unpacked field lands in.
 
-    Four shapes are supported — the NSM family's rule:
+    Four shapes are supported — what ``nf2.schema``'s two rules derive:
 
     * the root: one flat record per object;
     * rows: one flat record per tuple, keys beside the values;
@@ -603,7 +603,7 @@ class _PartCode:
                     f"part {stored.name!r}: {levels[-1].name!r} nests more than one relation"
                 )
             levels.append(sub)
-        self.depth = len(levels)
+        self.levels, self.depth = levels, len(levels)
         item = levels[-1]
 
         wants_own = index > 0 and bool(target.subrelations)
@@ -665,6 +665,7 @@ class _PartCode:
                 f"unpack_{i}": item_struct.unpack_from,
                 f"items_{i}": item_struct.iter_unpack,
                 f"scan_unpack_{i}": scan_struct.unpack_from,
+                **{f"level_{i}_{depth}": level for depth, level in enumerate(levels[1:], 1)},
             }
         )
         self.root_var = self._variable(part.root_key)
@@ -828,7 +829,14 @@ class _AssemblyPlan:
         parent is missing are dropped;
     ``join_scanned(scan_0, scan_1, ...)``
         yields ``join`` of each root of a scan, in the root relation's
-        order; a relation with no record for a root gives an empty part.
+        order; a relation with no record for a root gives an empty part;
+    ``store(value, insert) -> row``
+        the inverse of ``join``: writes the records of one object
+        through ``insert(relation index, record)`` and returns their
+        handles per relation.  Rows go in the pre-order walk of the
+        object's tuples (a platform, then its connections), records one
+        per relation in walk order; own and parent keys are
+        ``enumerate`` positions.
 
     Tuples are built in place, as the layout decoders build theirs: the
     proof is what licenses labelling them with the nested schemas, so
@@ -840,7 +848,17 @@ class _AssemblyPlan:
     and their order are the caller's, and the same as without it.
     """
 
-    __slots__ = ("parts", "decode", "scan", "join", "join_scanned", "source", "filename", "__weakref__")
+    __slots__ = (
+        "parts",
+        "decode",
+        "scan",
+        "join",
+        "join_scanned",
+        "store",
+        "source",
+        "filename",
+        "__weakref__",
+    )
 
     def __init__(self, fmt: StorageFormat, parts: tuple[Part, ...]) -> None:
         if not parts:
@@ -859,6 +877,7 @@ class _AssemblyPlan:
             "new": NestedTuple.__new__,
             "NT": NestedTuple,
             "first": itemgetter(0),
+            "trusted": NestedTuple._from_trusted,
         }
         codes = [
             _PartCode(fmt, index, part, schemas[index], parents[index], namespace)
@@ -871,12 +890,14 @@ class _AssemblyPlan:
         for code in codes:
             code.emit(lines)
         self._emit_join(lines, codes, parents)
+        self._emit_store(lines, codes, parents)
         self.source = "\n".join(lines) + "\n"
         self.filename = _run(self, f"{schemas[0].name} assembly", self.source, namespace)
         self.decode = tuple(namespace[f"decode_{index}"] for index in range(len(parts)))
         self.scan = tuple(namespace[f"scan_{index}"] for index in range(len(parts)))
         self.join = namespace["join"]
         self.join_scanned = namespace["join_scanned"]
+        self.store = namespace["store"]
 
     @staticmethod
     def _emit_join(lines: list[str], codes: list[_PartCode], parents: list[int | None]) -> None:
@@ -914,6 +935,59 @@ class _AssemblyPlan:
             "    for key, root in part_0.items():",
             f"        yield join(root{scanned})",
         ]
+
+    @staticmethod
+    def _emit_store(lines: list[str], codes: list[_PartCode], parents: list[int | None]) -> None:
+        # Built through ``trusted``: the proofs that license labelling
+        # decoded tuples license relabelling a validated object's parts.
+        if len({code.rows for code in codes[1:]}) > 1:
+            raise SchemaError("an assembly stores rows or records, not both")
+        lines += [
+            "",
+            "def store(value, insert):",
+            "    atoms = value._atoms",
+            f"    key = atoms[{codes[0].part.root_key!r}]",
+            "    out_0 = insert(0, trusted(stored_0, atoms, {}))",
+            *[f"    out_{code.index} = []" for code in codes[1:] if code.rows],
+        ]
+
+        def rows(code: _PartCode, source: str, pad: str) -> None:
+            i, part, up = code.index, code.part, parents[code.index]
+            keys = {part.root_key: "key", part.own_key: f"k_{i}", part.parent_key: f"k_{up}"}
+            row = "".join(f"{name!r}: {value}, " for name, value in keys.items() if name)
+            lines.extend(
+                [
+                    f"{pad}for k_{i}, t_{i} in enumerate({source}._subs[{code.target.name!r}]):",
+                    f"{pad}    out_{i}.append(insert({i}, trusted(stored_{i}, "
+                    f"{{{row}**t_{i}._atoms}}, {{}})))",
+                ]
+            )
+            for child in codes:
+                if parents[child.index] == i:
+                    rows(child, f"t_{i}", pad + "    ")
+
+        for code in codes[1:]:
+            i, part, levels, name = code.index, code.part, code.levels, code.target.name
+            if code.rows:
+                if parents[i] == 0:
+                    rows(code, "value", "    ")
+                continue
+            atoms = f"{{{part.own_key!r}: k, **t._atoms}}" if part.own_key else "t._atoms"
+            item = f"trusted(level_{i}_{code.depth - 1}, {atoms}, {{}})"
+            loop = f"k, t in enumerate(value._subs[{name!r}])"
+            if code.depth == 3:  # one group per parent tuple, its position the parent key
+                item = (
+                    f"trusted(level_{i}_1, {{{part.parent_key!r}: k}}, "
+                    f"{{{levels[2].name!r}: [{item} for t in p._subs[{name!r}]]}})"
+                )
+                loop = f"k, p in enumerate(value._subs[{codes[parents[i]].target.name!r}])"
+            lines += [
+                f"    items = [{item} for {loop}]",
+                f"    out_{i} = insert({i}, trusted(stored_{i}, {{{part.root_key!r}: key}}, "
+                f"{{{levels[1].name!r}: items}}))",
+            ]
+        handles = [f"tuple(out_{c.index})" if c.rows else f"(out_{c.index},)" for c in codes]
+        lines.append(f"    return ({', '.join(handles)},)")
 
 
 @lru_cache(maxsize=64)

@@ -254,7 +254,8 @@ class Part:
     object's target tuples, possibly in groups, under levels that carry
     key columns only (DASDBS-NSM): every stored level but the last has
     exactly one sub-relation, and the last, flat level's attributes
-    minus its key columns are ``target``'s.
+    minus its key columns are ``target``'s.  The paper's Section 3
+    rules, :func:`unnest` and :func:`nest_by_root`, derive them.
 
     The key columns name the join: ``root_key`` (on the record) the
     object a tuple belongs to, ``own_key`` the tuple its children point
@@ -272,6 +273,67 @@ class Part:
     root_key: str
     own_key: str | None = None
     parent_key: str | None = None
+
+
+# -- the paper's Section 3 rules: an NF² schema's parts --------------------------------
+
+#: The key columns the rules add: the object a tuple belongs to, the
+#: tuple its children point to (its position among its siblings), and
+#: that parent tuple's own key on a child.
+ROOT_KEY, OWN_KEY, PARENT_KEY = "RootKey", "OwnKey", "ParentKey"
+
+
+def _parts(schema: RelationSchema, prefix: str, store) -> tuple[Part, ...]:
+    """The parts of ``schema``'s relations, in walk order.
+
+    The root, whose first attribute is its key, is stored as it is;
+    ``store(name, relation, parent, own_key, parent_key)`` gives the
+    stored schema of every other relation, keyed by the root key, by an
+    own key if it has children, and by a parent key if its parent is not
+    the root.  A relation with both would have children three levels
+    below the root, which no rule (and no assembly) reaches.
+    """
+    if schema.depth > 3:
+        raise SchemaError(f"{schema.name!r} nests relations three levels below its root")
+    if not schema.attributes:
+        raise SchemaError(f"root {schema.name!r} has no key attribute")
+    root = RelationSchema(f"{prefix}_{schema.name}", schema.attributes)
+    parts = [Part(root, schema, schema.attributes[0].name)]
+    for child in schema.subrelations:
+        for relation, parent in ((child, schema), *((sub, child) for sub in child.subrelations)):
+            own = OWN_KEY if relation.subrelations else None
+            up = PARENT_KEY if parent is not schema else None
+            stored = store(f"{prefix}_{relation.name}", relation, parent, own, up)
+            parts.append(Part(stored, relation, ROOT_KEY, own, up))
+    return tuple(parts)
+
+
+def unnest(schema: RelationSchema, prefix: str) -> tuple[Part, ...]:
+    """Figure 3 (NSM): one flat relation ``<prefix>_<R>`` per nested
+    relation, one row per tuple, its key columns ahead of its attributes."""
+
+    def row(name, relation, parent, own, up):
+        keys = tuple(int_attr(key) for key in (ROOT_KEY, own, up) if key)
+        return RelationSchema(name, keys + relation.attributes)
+
+    return _parts(schema, prefix, row)
+
+
+def nest_by_root(schema: RelationSchema, prefix: str) -> tuple[Part, ...]:
+    """Figure 4 (DASDBS-NSM): the unnested relations nested again on
+    their root key, one record per object per relation — a ``RootKey``
+    envelope over the items ``<R>Of<Parent>``, grouped below the first
+    nesting level under ``<R>sOf<Parent>`` levels that carry the parent
+    key."""
+
+    def record(name, relation, parent, own, up):
+        keys = (int_attr(own),) if own else ()
+        level = RelationSchema(f"{relation.name}Of{parent.name}", keys + relation.attributes)
+        if up:
+            level = RelationSchema(f"{relation.name}sOf{parent.name}", (int_attr(up),), (level,))
+        return RelationSchema(name, (int_attr(ROOT_KEY),), (level,))
+
+    return _parts(schema, prefix, record)
 
 
 def int_attr(name: str) -> Attribute:

@@ -50,12 +50,7 @@ from repro.benchmark.workload import (
     WorkloadTrace,
     compile_trace,
 )
-from repro.errors import (
-    LatchError,
-    RetryExhaustedError,
-    ServingError,
-    TransientIOError,
-)
+from repro.errors import RetryExhaustedError, ServingError
 from repro.fault.retry import (
     DEFAULT_BACKOFF_BASE_MS,
     DEFAULT_RETRY_LIMIT,
@@ -223,7 +218,7 @@ class ServingExecutor:
         #: operation reports its touched OIDs, in grant order.
         self.stats = stats
         #: Graceful degradation under injected faults: transient read
-        #: errors and latch conflicts are retried up to ``retry_limit``
+        #: errors are retried up to ``retry_limit``
         #: times with a deterministic exponential backoff charged to the
         #: simulated clock; an operation that exhausts its budget is
         #: abandoned (counted in the session's ``errors``) and serving
@@ -330,7 +325,6 @@ class ServingExecutor:
             touched, retries_used = call_with_retries(
                 lambda: self._execute_op(op, index),
                 limit=self.retry_limit,
-                retry_on=(TransientIOError, LatchError),
                 on_retry=on_retry,
             )
         except RetryExhaustedError:

@@ -7,7 +7,8 @@ small scale.  These tests re-run the same experiments through today's
 optimised stack and require bit-identical results:
 
 * the rendered text of Tables 3-8 (which embeds every normalised
-  counter the paper reports),
+  counter the paper reports) and of Table 2 (the derived stored tuple
+  sizes beside the measured pages per relation),
 * the raw integer counters (I/O calls, I/O pages, page fixes, buffer
   hits/misses) of every model x query cell of the measurement campaign,
 * the sweep-grid JSON — byte-for-byte once the fields this PR *added*
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import sweep, table3, table4, table5, table6, table7, table8
+from repro.experiments import sweep, table2, table3, table4, table5, table6, table7, table8
 from repro.experiments.measure import FAST_CONFIG, measured_runs
 from repro.models.registry import MEASURED_MODELS
 from repro.benchmark.queries import QUERY_NAMES
@@ -42,6 +43,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 CONFIG = FAST_CONFIG.with_changes(n_objects=GOLDEN["config"]["n_objects"])
 
 TABLES = {
+    "table2": table2,
     "table3": table3,
     "table4": table4,
     "table5": table5,
@@ -57,10 +59,10 @@ def _sha(text: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_table_render_matches_seed(name):
-    """Tables 3-8 render byte-identically to the seed implementation.
+    """Tables 2-8 render byte-identically to the seed implementation.
 
     (The shared measurement campaign is cached by ``measured_runs``, so
-    the six tables cost two campaigns, not six.)
+    Tables 3-8 cost two campaigns, not six.)
     """
     assert _sha(TABLES[name].render(CONFIG)) == GOLDEN["table_sha256"][name], (
         f"{name} output drifted from the seed capture — an optimisation "
@@ -151,7 +153,7 @@ def test_recluster_none_is_byte_identical_to_the_seed_format(sweep_result):
 
 
 def test_recluster_none_config_keeps_table_goldens():
-    """An explicit ``recluster="none"`` config renders Tables 3-8 to the
+    """An explicit ``recluster="none"`` config renders Tables 2-8 to the
     exact seed bytes (the fixed query suites never retrain)."""
     config = CONFIG.with_changes(recluster="none")
     for name, module in sorted(TABLES.items()):

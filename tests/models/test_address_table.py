@@ -29,7 +29,8 @@ from repro.fault.backend import FaultyBackend
 from repro.fault.plan import FaultPlan
 from repro.models.addressing import AddressTable, Relation
 from repro.models.base import StorageModel
-from repro.models.nsm import NSMIndexModel, NSMModel, NSMModelBase
+from repro.models.dasdbs_nsm import DASDBSNSMModel
+from repro.models.nsm import NSMFamilyModel, NSMIndexModel, NSMModel, NSMModelBase
 from repro.models.registry import MODEL_CLASSES, create_model
 from repro.nf2.oid import Rid
 from repro.nf2.serializer import DASDBS_FORMAT
@@ -603,8 +604,9 @@ def _model_classes() -> set[type]:
 def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
     """A model is its relations, ``_store``, its access paths and the
     decode of one scan unit; everything else is ``StorageModel`` over
-    the table.  The exceptions are the NSM family's, and each is
-    explicit: references are keys (``all_refs``, and NSM+index's delete
+    the table, and in the NSM family ``NSMFamilyModel`` over its parts.
+    The exceptions are the NSM family's, and each is explicit:
+    references are keys (``all_refs``, and NSM+index's delete
     translating its key before calling ``super()``), plain NSM's
     documented no-op move and its value-based delete, whose only use of
     the table is the tombstone (the fidelity guard above)."""
@@ -620,6 +622,13 @@ def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
             if name in vars(cls)
         }
         assert overridden == allowed.get(cls, set()), cls.__name__
+
+    # The NSM family's decomposition, full scan and scan-unit decode are
+    # read off its parts once, on the family's base.
+    family = {cls for cls in _model_classes() if issubclass(cls, NSMFamilyModel)}
+    assert family == {NSMFamilyModel, NSMModelBase, NSMModel, NSMIndexModel, DASDBSNSMModel}
+    for name in ("_store", "scan_all", "_decode_record"):
+        assert [cls for cls in family if name in vars(cls)] == [NSMFamilyModel], name
 
     assert NSMModel(StorageEngine(buffer_pages=8)).move_objects([0, 1], 4) == 0
     deleted = []

@@ -32,8 +32,7 @@ from repro.benchmark.generator import generate_stations
 from repro.benchmark.snapshots import SnapshotStore
 from repro.errors import SchemaError
 from repro.models import dasdbs_nsm, nsm
-from repro.models.dasdbs_nsm import DASDBSNSMModel
-from repro.models.nsm import NSM_PLATFORM, NSMModelBase
+from repro.models.nsm import NSM_PLATFORM, NSMFamilyModel
 from repro.nf2.schema import (
     Attribute,
     AttributeType,
@@ -236,28 +235,35 @@ class TestProjectionProof:
 
 
 def _validated_nsm_store(self, station):
-    """``NSMModelBase._store`` through the validating constructor."""
+    """``NSMFamilyModel._store`` of NSM's rows through the validating constructor."""
     key = station["Key"]
-    rids = [[self._insert(self.stations, NestedTuple(nsm.NSM_STATION, station.atoms()))], [], [], []]
+    rids = [[self._insert(0, NestedTuple(nsm.NSM_STATION, station.atoms()))], [], [], []]
     for own_key, platform in enumerate(station.subtuples("Platform")):
         row = NestedTuple(
             nsm.NSM_PLATFORM, {"RootKey": key, "OwnKey": own_key, **platform.atoms()}
         )
-        rids[1].append(self._insert(self.platforms, row))
+        rids[1].append(self._insert(1, row))
         for connection in platform.subtuples("Connection"):
             row = NestedTuple(
                 nsm.NSM_CONNECTION,
                 {"RootKey": key, "ParentKey": own_key, **connection.atoms()},
             )
-            rids[2].append(self._insert(self.connections, row))
+            rids[2].append(self._insert(2, row))
     for sight in station.subtuples("Sightseeing"):
         row = NestedTuple(nsm.NSM_SIGHTSEEING, {"RootKey": key, **sight.atoms()})
-        rids[3].append(self._insert(self.sightseeings, row))
+        rids[3].append(self._insert(3, row))
     return tuple(tuple(part) for part in rids)
 
 
+(_PLATFORM_ITEM,) = dasdbs_nsm.DNSM_PLATFORM.subrelations
+(_CONNECTION_GROUP,) = dasdbs_nsm.DNSM_CONNECTION.subrelations
+(_CONNECTION_ITEM,) = _CONNECTION_GROUP.subrelations
+(_SIGHTSEEING_ITEM,) = dasdbs_nsm.DNSM_SIGHTSEEING.subrelations
+
+
 def _validated_dasdbs_nsm_store(self, station):
-    """``DASDBSNSMModel._store`` through the validating constructor."""
+    """``NSMFamilyModel._store`` of DASDBS-NSM's records through the
+    validating constructor."""
     key = station["Key"]
     platforms = station.subtuples("Platform")
     pl = NestedTuple(
@@ -265,18 +271,18 @@ def _validated_dasdbs_nsm_store(self, station):
         {"RootKey": key},
         {
             "PlatformOfStation": [
-                NestedTuple(dasdbs_nsm._PLATFORM_ITEM, {"OwnKey": i, **p.atoms()})
+                NestedTuple(_PLATFORM_ITEM, {"OwnKey": i, **p.atoms()})
                 for i, p in enumerate(platforms)
             ]
         },
     )
     groups = [
         NestedTuple(
-            dasdbs_nsm._CONNECTION_GROUP,
+            _CONNECTION_GROUP,
             {"ParentKey": i},
             {
                 "ConnectionOfPlatform": [
-                    NestedTuple(dasdbs_nsm._CONNECTION_ITEM, c.atoms())
+                    NestedTuple(_CONNECTION_ITEM, c.atoms())
                     for c in platform.subtuples("Connection")
                 ]
             },
@@ -291,44 +297,39 @@ def _validated_dasdbs_nsm_store(self, station):
         {"RootKey": key},
         {
             "SightseeingOfStation": [
-                NestedTuple(dasdbs_nsm._SIGHTSEEING_ITEM, s.atoms())
+                NestedTuple(_SIGHTSEEING_ITEM, s.atoms())
                 for s in station.subtuples("Sightseeing")
             ]
         },
     )
     return (
-        (self.stations.insert(NestedTuple(dasdbs_nsm.DNSM_STATION, station.atoms())),),
-        (self.platforms.insert(pl),),
-        (self.connections.insert(co),),
-        (self.sightseeings.insert(si),),
+        (self._insert(0, NestedTuple(dasdbs_nsm.DNSM_STATION, station.atoms())),),
+        (self._insert(1, pl),),
+        (self._insert(2, co),),
+        (self._insert(3, si),),
     )
 
 
-#: model name -> (class owning ``_store``, its validated reference)
+#: model name -> the validated reference of its ``_store``
 VALIDATED_STORES = {
-    "NSM": (NSMModelBase, _validated_nsm_store),
-    "NSM+index": (NSMModelBase, _validated_nsm_store),
-    "DASDBS-NSM": (DASDBSNSMModel, _validated_dasdbs_nsm_store),
+    "NSM": _validated_nsm_store,
+    "NSM+index": _validated_nsm_store,
+    "DASDBS-NSM": _validated_dasdbs_nsm_store,
 }
 
 
 def _loaded_recording_rows(name, stations):
-    """A loaded model and every row its ``_store`` wrote, in order."""
+    """A loaded model and every record its ``_store`` wrote through the
+    ``_insert`` seam, in order, with its relation index."""
     model = build_loaded_model(name, [])
     rows = []
+    insert = model._insert
 
-    def recording(insert):
-        def wrapper(*args):  # (value) of a store, (heap, row) of ``_insert``
-            rows.append((args[-1], model.serializer.encode_nested(args[-1])))
-            return insert(*args)
+    def recording(index, value):
+        rows.append((index, value, model.serializer.encode_nested(value)))
+        return insert(index, value)
 
-        return wrapper
-
-    if name == "DASDBS-NSM":
-        for relation in model.table.relations:
-            relation.insert = recording(relation.insert)
-    else:
-        model._insert = recording(model._insert)
+    model._insert = recording
     model.load(stations)
     return model, rows
 
@@ -340,14 +341,14 @@ def test_trusted_store_equals_validated_store(monkeypatch, name, seed):
         BenchmarkConfig(n_objects=40, max_sightseeing=5, probability=0.5, seed=seed)
     )
     trusted_model, trusted_rows = _loaded_recording_rows(name, stations)
-    owner, validated_store = VALIDATED_STORES[name]
-    monkeypatch.setattr(owner, "_store", validated_store)
+    monkeypatch.setattr(NSMFamilyModel, "_store", VALIDATED_STORES[name])
     validated_model, validated_rows = _loaded_recording_rows(name, stations)
 
     assert len(trusted_rows) == len(validated_rows) > len(stations)
-    for (trusted, trusted_bytes), (validated, validated_bytes) in zip(
+    for (index, trusted, trusted_bytes), (validated_index, validated, validated_bytes) in zip(
         trusted_rows, validated_rows
     ):
+        assert index == validated_index
         assert trusted == validated
         assert trusted.schema is validated.schema
         assert revalidated(trusted) == trusted
