@@ -31,6 +31,7 @@ from repro.core.parameters import (
     WorkloadParameters,
 )
 from repro.errors import BenchmarkError
+from repro.models.dasdbs_dsm import DASDBSDSMModel
 
 QUERIES = ("1a", "1b", "1c", "2a", "2b", "3a", "3b")
 
@@ -189,8 +190,10 @@ class AnalyticalEvaluator:
             full = header_pages + rel.data_bytes / page
         else:
             full = 1.0
-        nav = self._partial_pages(rel, 2, primed)  # root + Platform sections
-        root = self._partial_pages(rel, 1, primed)  # root section only
+        # The prefixes through the last section the model transfers:
+        # navigation's (root + Platform), and the root's.
+        nav = self._partial_pages(rel, 1 + max(DASDBSDSMModel.navigation_sections), primed)
+        root = self._partial_pages(rel, 1 + max(DASDBSDSMModel.root_sections), primed)
 
         if query == "1a":
             return full

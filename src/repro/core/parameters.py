@@ -16,8 +16,8 @@ DASDBS storage structures"; we obtain them two ways:
 
 Direct models store one relation; the normalized models four.  For the
 direct models the Station "relation" additionally carries the byte
-layout of its three sections (root, Platform sub-tree, Sightseeing
-sub-tree), which Equation 5-style partial-access estimates need.
+layout of its sections (the root's flat part, then one per sub-relation
+of the root), which Equation 5-style partial-access estimates need.
 """
 
 from __future__ import annotations
@@ -197,17 +197,6 @@ def _small_k(page: int, slot: int, s_tuple: float) -> int:
     return formulas.tuples_per_page(page, s_tuple, slot)
 
 
-def _direct_sections(fmt: StorageFormat, counts: StructureCounts) -> tuple[float, float, float]:
-    """Byte sizes of the three sections of a direct-model Station."""
-    root = float(fmt.flat_size(STATION_SCHEMA))
-    platform_each = fmt.flat_size(PLATFORM_SCHEMA) + fmt.subrel_overhead + (
-        counts.connections_per_platform * fmt.flat_size(CONNECTION_SCHEMA)
-    )
-    platforms = fmt.subrel_overhead + counts.platforms * platform_each
-    sights = fmt.subrel_overhead + counts.sightseeings * fmt.flat_size(SIGHTSEEING_SCHEMA)
-    return root, platforms, sights
-
-
 def _row(
     name: str,
     per_object: float,
@@ -243,15 +232,29 @@ def derive_direct_parameters(
     page_bytes: int = EFFECTIVE_PAGE_SIZE,
     slot_bytes: int = SLOT_ENTRY_SIZE,
 ) -> ModelParameters:
-    """Table 2 rows of DSM / DASDBS-DSM under our storage format."""
+    """Table 2 rows of DSM / DASDBS-DSM under our storage format.
+
+    One record per object, cut as a long object is (``models.dsm``):
+    section 0 is the root's flat part, then one section per sub-relation
+    of the root, each its expected encoding under the per-parent counts.
+    The inline nested encoding has the same payload as the sections.
+    """
     counts = counts or StructureCounts.from_config(config)
-    root, platforms, sights = _direct_sections(fmt, counts)
-    # The inline nested encoding has the same payload as the sections.
-    data_bytes = root + platforms + sights
-    header_bytes = float(fmt.directory_size(3, round(counts.subtuples)))
+    root = STATION_SCHEMA
+    per_parent = {
+        sub.name: counts.per_parent(sub, up) for up in root.walk() for sub in up.subrelations
+    }
+    sections = (
+        float(fmt.flat_size(root)),
+        *(
+            fmt.subrel_overhead + per_parent[sub.name] * fmt.expected_nested_size(sub, per_parent)
+            for sub in root.subrelations
+        ),
+    )
+    header = float(fmt.directory_size(len(sections), round(counts.subtuples)))
     rel = _row(
-        f"{model}_Station", 1.0, config.n_objects, data_bytes, header_bytes,
-        page_bytes, slot_bytes, (root, platforms, sights),
+        f"{model}_Station", 1.0, config.n_objects, sum(sections), header,
+        page_bytes, slot_bytes, sections,
     )
     return ModelParameters(model, page_bytes, slot_bytes, (rel,))
 

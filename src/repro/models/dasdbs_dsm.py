@@ -9,8 +9,9 @@ object."
 Differences from plain DSM, all reproduced here:
 
 * navigation (queries 2/3) reads the header plus only the data pages of
-  the root + Platform sections — for the benchmark object typically
-  "the header page and a single data page" (Section 4);
+  the root section and the sections holding references — for the
+  benchmark object typically "the header page and a single data page"
+  (Section 4);
 * the root-record read of a loop's last step transfers the header plus
   the root section's page only;
 * value selection (query 1b) scans header + root-section pages instead
@@ -23,51 +24,20 @@ Differences from plain DSM, all reproduced here:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.benchmark.schema import STATION_SCHEMA
 from repro.models.base import Ref
-from repro.models.dsm import (
-    SECTION_PLATFORMS,
-    SECTION_ROOT,
-    DirectModelBase,
-)
+from repro.models.dsm import LINK_SECTIONS, SECTION_ROOT, DirectModelBase
 from repro.nf2.oid import Rid
-from repro.nf2.values import NestedTuple
-
 
 class DASDBSDSMModel(DirectModelBase):
     """Direct storage model with section-granular access."""
 
     name = "DASDBS-DSM"
-
-    # -- access granularity ----------------------------------------------------
-
-    def _navigation_sections(self) -> list[int] | None:
-        return [SECTION_ROOT, SECTION_PLATFORMS]
-
-    def _root_sections(self) -> list[int] | None:
-        return [SECTION_ROOT]
-
-    # -- value selection ----------------------------------------------------------
-
-    def _scan_for_key(self, key: int) -> Iterator[NestedTuple]:
-        """Scan reading only header + root section per large object.
-
-        The predicate is evaluated on the stored ``Key`` alone (it sits
-        in the root's flat part, at offset 0 of a root section and of a
-        small object's record alike).  Matching objects are then
-        fetched and decoded in full; the non-matching majority never
-        transfers its Platform/Sightseeing data pages.
-        """
-        decode_atom = self.serializer.decode_atom
-        for _, blob in self.heap.scan():
-            if decode_atom(STATION_SCHEMA, blob, "Key") == key:
-                yield self.serializer.decode_nested(STATION_SCHEMA, blob)
-        for handle in self.table.long_handles(0):
-            (root_blob,) = self.long_store.read(handle, [SECTION_ROOT])
-            if decode_atom(STATION_SCHEMA, root_blob, "Key") == key:
-                yield self._decode_sections(self.long_store.read(handle))
+    #: Navigation transfers the root section and the sections holding
+    #: references, a root read the root section alone.
+    navigation_sections = (SECTION_ROOT, *LINK_SECTIONS)
+    root_sections = (SECTION_ROOT,)
 
     # -- update: change-attribute with page-pool write-through ------------------------
 
@@ -88,7 +58,7 @@ class DASDBSDSMModel(DirectModelBase):
                     handle, patch(self.heap.read(handle)), write_through=True
                 )
             else:
-                (root_blob,) = self.long_store.read(handle, [SECTION_ROOT])
+                (root_blob,) = self.long_store.read(handle, self.root_sections)
                 self.long_store.patch_section(
                     handle, SECTION_ROOT, patch(root_blob), write_through=True
                 )

@@ -32,9 +32,9 @@ from repro.errors import InvalidAddressError
 from repro.models.addressing import Row
 from repro.models.base import Ref
 from repro.models.nsm import NSMFamilyModel
-from repro.nf2.schema import Projection, nest_by_root
+from repro.nf2.schema import links, nest_by_root
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
-from repro.nf2.values import NestedTuple
+from repro.nf2.values import NestedTuple, links_of
 from repro.storage import StorageEngine
 
 #: Figure 4 by rule: the unnested relations nested again on their root key.
@@ -42,16 +42,11 @@ DNSM_PARTS = nest_by_root(STATION_SCHEMA, "DASDBS_NSM")
 DNSM_STATION, DNSM_PLATFORM, DNSM_CONNECTION, DNSM_SIGHTSEEING = (
     part.stored for part in DNSM_PARTS
 )
-(_CONNECTION_GROUP,) = DNSM_CONNECTION.subrelations
-(_CONNECTION_ITEM,) = _CONNECTION_GROUP.subrelations
 
-#: What navigation reads of a stored Connection tuple: the outgoing
-#: references, nothing else.
-_CONNECTION_LINKS = Projection(
-    DNSM_CONNECTION,
-    (),
-    (Projection(_CONNECTION_GROUP, (), (Projection(_CONNECTION_ITEM, ("OidConnection",)),)),),
-)
+#: The one relation whose records hold references, and what navigation
+#: reads of a record: the references, nothing else.
+(DNSM_LINKED,) = [index for index, part in enumerate(DNSM_PARTS) if links(part.stored)]
+_LINKS = links(DNSM_PARTS[DNSM_LINKED].stored)
 
 
 class DASDBSNSMModel(NSMFamilyModel):
@@ -71,15 +66,12 @@ class DASDBSNSMModel(NSMFamilyModel):
         return self._read_assembled(self.table.row(ref))
 
     def _read_assembled(self, row: Row) -> NestedTuple:
-        (st_h,), (pl_h,), (co_h,), (si_h,) = row
-        # Arguments evaluate left to right: each tuple is read, then
-        # decoded, before the next is read.
-        decode = self._assembly.decode
+        # Each tuple is read, then decoded, before the next is read.
         return self._assembly.join(
-            decode[0](self.stations.read_record(st_h)),
-            decode[1](self.platforms.read_record(pl_h)),
-            decode[2](self.connections.read_record(co_h)),
-            decode[3](self.sightseeings.read_record(si_h)),
+            *[
+                decode(relation.read_record(handle))
+                for decode, relation, (handle,) in zip(self._assembly.decode, self.relations, row)
+            ]
         )
 
     def fetch_full_by_key(self, key: int) -> NestedTuple:
@@ -89,9 +81,10 @@ class DASDBSNSMModel(NSMFamilyModel):
         based on a value selection, whereupon we use the addresses in
         the index table to retrieve all other data by address."
         """
+        decode_atom = self.serializer.decode_atom
         found = False
-        for row in self.stations.scan(self.table.long_handles(0)):
-            if row["Key"] == key:
+        for blob in self.stations.scan_records(self.table.long_handles(0)):
+            if decode_atom(DNSM_STATION, blob, "Key") == key:
                 found = True
         if not found:
             raise InvalidAddressError(f"no station with key {key}")
@@ -102,15 +95,9 @@ class DASDBSNSMModel(NSMFamilyModel):
 
     def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
         """Grouped navigation: the same batched read as ``fetch_refs``."""
-        handles = [self.table.row(oid)[2][0] for oid in refs]
-        return [
-            [
-                item["OidConnection"]
-                for group in tuple_.subtuples(_CONNECTION_GROUP.name)
-                for item in group.subtuples(_CONNECTION_ITEM.name)
-            ]
-            for tuple_ in self.connections.read_many(handles, _CONNECTION_LINKS)
-        ]
+        handles = [self.table.row(oid)[DNSM_LINKED][0] for oid in refs]
+        records = self.relations[DNSM_LINKED].read_many(handles, _LINKS)
+        return [links_of((record,)) for record in records]
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
         handles = [self.table.row(oid)[0][0] for oid in refs]
@@ -137,4 +124,5 @@ __all__ = [
     "DNSM_PLATFORM",
     "DNSM_CONNECTION",
     "DNSM_SIGHTSEEING",
+    "DNSM_LINKED",
 ]

@@ -14,43 +14,33 @@ replacement of the entire nested tuple (Section 5.3).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.benchmark.schema import (
-    CONNECTION_SCHEMA,
-    PLATFORM_SCHEMA,
-    SIGHTSEEING_SCHEMA,
-    STATION_SCHEMA,
-)
+from repro.benchmark.schema import STATION_SCHEMA
 from repro.errors import InvalidAddressError
 from repro.models.addressing import AddressTable, Handle, Relation, Row
 from repro.models.base import Ref, StorageModel
 from repro.nf2.oid import Rid
-from repro.nf2.schema import Projection, require_projection
+from repro.nf2.schema import links
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
-from repro.nf2.values import NestedTuple
+from repro.nf2.values import NestedTuple, links_of
 from repro.storage import StorageEngine
 
-#: Section indexes of the long-object layout.
+#: A long object's sections: the root's flat part (section 0), then one
+#: section per sub-relation of the root, in schema order.
 SECTION_ROOT = 0
-SECTION_PLATFORMS = 1
-SECTION_SIGHTSEEINGS = 2
+
+#: What navigation reads of an object: its references, nothing else (of
+#: a whole stored Station, or of the sections of the sub-relations that
+#: hold any, which it copies).
+_STATION_LINKS = links(STATION_SCHEMA)
+LINK_SECTIONS = tuple(
+    1 + STATION_SCHEMA.subrelations.index(sub.stored) for sub in _STATION_LINKS.subrelations
+)
 
 #: ``copy=`` of a read whose pages are fixed at the model's granularity
-#: but of which only one section is decoded.
+#: but of which only the root section is decoded.
 _ROOT_ONLY = (SECTION_ROOT,)
-_PLATFORMS_ONLY = (SECTION_PLATFORMS,)
-
-# Proved once here, relied on by every ``_decode_sections``: the three
-# sections are the Station's own attributes and its two sub-relations.
-require_projection(STATION_SCHEMA, STATION_SCHEMA, (), (PLATFORM_SCHEMA, SIGHTSEEING_SCHEMA))
-
-#: What navigation reads of an object: the outgoing references, nothing
-#: else (of a whole stored Station, or of its Platform section).
-_PLATFORM_LINKS = Projection(
-    PLATFORM_SCHEMA, (), (Projection(CONNECTION_SCHEMA, ("OidConnection",)),)
-)
-_STATION_LINKS = Projection(STATION_SCHEMA, (), (_PLATFORM_LINKS,))
 
 
 class DirectModelBase(StorageModel):
@@ -58,12 +48,16 @@ class DirectModelBase(StorageModel):
 
     Both store objects identically — one relation, one record per
     object: small objects in shared pages, large objects as header +
-    data pages in three sections (root attributes, Platform sub-tree,
-    Sightseeing sub-tree).  They differ only in *how much* of an object
-    each operation transfers, which the hooks
-    :meth:`_navigation_sections` / :meth:`_root_sections` and the update
-    protocol encode.
+    data pages in one section per sub-relation of the root after the
+    root's own attributes.  They differ only in *how much* of an object
+    each operation transfers, which :attr:`navigation_sections` /
+    :attr:`root_sections` and the update protocol encode.
     """
+
+    #: Sections of a long object transferred when looking for references,
+    #: and when reading the root record (None = all; DASDBS-DSM narrows).
+    navigation_sections: Sequence[int] | None = None
+    root_sections: Sequence[int] | None = None
 
     def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
         super().__init__(engine, fmt)
@@ -88,34 +82,22 @@ class DirectModelBase(StorageModel):
         return self.table.row(oid)[0][0]
 
     def _encode_sections(self, station: NestedTuple) -> list[bytes]:
+        encode = self.serializer.encode_subtuple_list
         return [
             self.serializer.encode_flat(station),
-            self.serializer.encode_subtuple_list(
-                PLATFORM_SCHEMA, station.subtuples("Platform")
-            ),
-            self.serializer.encode_subtuple_list(
-                SIGHTSEEING_SCHEMA, station.subtuples("Sightseeing")
-            ),
+            *(encode(sub, station.subtuples(sub.name)) for sub in self.root_schema.subrelations),
         ]
 
     def _decode_sections(self, sections: Sequence[bytes]) -> NestedTuple:
-        atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, sections[0], 0)
-        platforms = self.serializer.decode_subtuple_list(PLATFORM_SCHEMA, sections[1])
-        sights = self.serializer.decode_subtuple_list(SIGHTSEEING_SCHEMA, sections[2])
-        # Decoded parts of a proven layout: relabelled, not re-validated.
+        schema = self.root_schema
+        atoms, _ = self.serializer._decode_flat_part(schema, sections[0], 0)
+        decode = self.serializer.decode_subtuple_list
+        subs = zip(schema.subrelations, sections[1:])
+        # Each sub-relation decoded under the root schema's own schema for
+        # it: relabelled, not re-validated.
         return NestedTuple._from_trusted(
-            STATION_SCHEMA, atoms, {"Platform": platforms, "Sightseeing": sights}
+            schema, atoms, {sub.name: decode(sub, blob) for sub, blob in subs}
         )
-
-    # -- access-granularity hooks (overridden by DASDBS-DSM) -------------------
-
-    def _navigation_sections(self) -> list[int] | None:
-        """Sections transferred when looking for references (None = all)."""
-        return None
-
-    def _root_sections(self) -> list[int] | None:
-        """Sections transferred when reading the root record (None = all)."""
-        return None
 
     # -- retrieval ----------------------------------------------------------------
 
@@ -128,26 +110,29 @@ class DirectModelBase(StorageModel):
     def fetch_full_by_key(self, key: int) -> NestedTuple:
         """Value selection: a full scan of the station relation.
 
-        DSM has no access path on ``Key``, so every object is read (in
-        its access granularity) and tested.  Live keys are unique
-        (``insert_object`` refuses a repeat), yet the scan does not stop
-        at the first hit: the paper's value selection reads the whole
-        unordered relation, and the counters must say so.
+        There is no access path on ``Key``, so every object is read (a
+        long one at :attr:`root_sections` granularity) and its stored
+        ``Key`` tested where it sits: at offset 0 of a small object's
+        record and of a root section alike.  Only the match is decoded,
+        a partially read one after reading the rest of it.  Live keys
+        are unique (``insert_object`` refuses a repeat), yet the scan
+        does not stop at the first hit: the paper's value selection reads
+        the whole unordered relation, and the counters must say so.
         """
+        decode_atom = self.serializer.decode_atom
         match: NestedTuple | None = None
-        for station in self._scan_for_key(key):
-            if station["Key"] == key:
-                match = station
+        for _, blob in self.heap.scan():
+            if decode_atom(STATION_SCHEMA, blob, "Key") == key:
+                match = self.serializer.decode_nested(STATION_SCHEMA, blob)
+        wanted = self.root_sections
+        for handle in self.table.long_handles(0):
+            sections = self.long_store.read(handle, wanted)
+            if decode_atom(STATION_SCHEMA, sections[0], "Key") == key:
+                whole = sections if wanted is None else self.long_store.read(handle)
+                match = self._decode_sections(whole)
         if match is None:
             raise InvalidAddressError(f"no station with key {key}")
         return match
-
-    def _scan_for_key(self, key: int) -> Iterator[NestedTuple]:
-        """Objects in storage order, read at full granularity (DSM)."""
-        for _, blob in self.heap.scan():
-            yield self.serializer.decode_nested(STATION_SCHEMA, blob)
-        for handle in self.table.long_handles(0):
-            yield self._decode_sections(self.long_store.read(handle))
 
     def scan_all(self) -> int:
         count = 0
@@ -180,27 +165,24 @@ class DirectModelBase(StorageModel):
         back into input order despite variable per-object arity.
         """
         out: list[list[Ref]] = []
-        wanted = self._navigation_sections()
+        wanted = self.navigation_sections
+        decode_list = self.serializer.decode_subtuple_list
         for ref in refs:
             handle = self._handle(ref)
             if type(handle) is Rid:
-                station = self.serializer.decode_nested(
-                    _STATION_LINKS, self.heap.read(handle)
-                )
-                platforms = station.subtuples("Platform")
+                station = self.serializer.decode_nested(_STATION_LINKS, self.heap.read(handle))
+                out.append(links_of((station,)))
             else:
-                (blob,) = self.long_store.read(handle, wanted, copy=_PLATFORMS_ONLY)
-                platforms = self.serializer.decode_subtuple_list(_PLATFORM_LINKS, blob)
-            group: list[Ref] = []
-            for platform in platforms:
-                for connection in platform.subtuples("Connection"):
-                    group.append(connection["OidConnection"])
-            out.append(group)
+                group: list[Ref] = []
+                blobs = self.long_store.read(handle, wanted, copy=LINK_SECTIONS)
+                for sub, blob in zip(_STATION_LINKS.subrelations, blobs):
+                    links_of(decode_list(sub, blob), group)
+                out.append(group)
         return out
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
         out: list[dict[str, Any]] = []
-        wanted = self._root_sections()
+        wanted = self.root_sections
         for ref in refs:
             handle = self._handle(ref)
             if type(handle) is Rid:
@@ -236,4 +218,4 @@ class DSMModel(DirectModelBase):
     name = "DSM"
 
 
-__all__ = ["DSMModel", "DirectModelBase", "SECTION_ROOT", "SECTION_PLATFORMS", "SECTION_SIGHTSEEINGS"]
+__all__ = ["DSMModel", "DirectModelBase", "LINK_SECTIONS", "SECTION_ROOT"]

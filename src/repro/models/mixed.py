@@ -19,11 +19,10 @@ from repro.nf2.schema import Projection, RelationSchema
 from repro.nf2.serializer import NF2Serializer, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
-from repro.storage.longobj import LongObjectAddress
 
 
 class MixedTupleStore(Relation):
-    """One nested relation: typed read/write/scan over a :class:`Relation`.
+    """One nested relation: typed writes and reads over a :class:`Relation`.
 
     The store keeps no addresses of its own — whoever inserts a tuple
     keeps the returned handle (the models' address table does).
@@ -62,11 +61,10 @@ class MixedTupleStore(Relation):
             (blob,) = self.long_store.read(handle)
             self.long_store.replace(handle, [patch(blob)])
 
-    # -- reading bytes ------------------------------------------------------------
+    # -- reading ------------------------------------------------------------------
     #
     # What the model's compiled assembly decodes (with ``Relation``'s
-    # ``read_record`` and ``scan_records``); the typed reads below are
-    # the same storage calls with ``decode_nested`` on top.
+    # ``read_record`` and ``scan_records``), and one typed read.
 
     def read_records(self, handles: Sequence[Handle]) -> Iterator[bytes | memoryview]:
         """Set-oriented read: the heap page set loads in one I/O call.
@@ -84,15 +82,6 @@ class MixedTupleStore(Relation):
         for handle in handles:
             yield blobs_by_rid[handle] if type(handle) is Rid else self.read_record(handle)
 
-    # -- reading tuples -------------------------------------------------------------
-
-    def decode(self, blob) -> NestedTuple:
-        """One stored tuple from its bytes."""
-        return self.serializer.decode_nested(self.schema, blob)
-
-    def read(self, handle: Handle) -> NestedTuple:
-        return self.decode(self.read_record(handle))
-
     def read_many(
         self, handles: Sequence[Handle], projection: Projection | None = None
     ) -> list[NestedTuple]:
@@ -101,7 +90,3 @@ class MixedTupleStore(Relation):
         limits what is decoded of them."""
         decode, schema = self.serializer.decode_nested, projection or self.schema
         return [decode(schema, blob) for blob in self.read_records(handles)]
-
-    def scan(self, longs: Sequence[LongObjectAddress]) -> Iterator[NestedTuple]:
-        """:meth:`scan_records`, decoded."""
-        return map(self.decode, self.scan_records(longs))

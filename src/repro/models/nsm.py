@@ -44,7 +44,7 @@ from repro.models.base import Ref, StorageModel
 from repro.models.mixed import MixedTupleStore
 from repro.nf2.codec import compiled_assembly
 from repro.nf2.oid import Rid
-from repro.nf2.schema import ROOT_KEY, Part, Projection, RelationSchema, unnest
+from repro.nf2.schema import ROOT_KEY, Part, Projection, RelationSchema, links, unnest
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
@@ -53,6 +53,9 @@ from repro.storage.heap import HeapFile
 #: Figure 3 by rule: one flat relation per nested relation, in walk order.
 NSM_PARTS = unnest(STATION_SCHEMA, "NSM")
 NSM_STATION, NSM_PLATFORM, NSM_CONNECTION, NSM_SIGHTSEEING = (part.stored for part in NSM_PARTS)
+
+#: The one relation whose rows hold references: the one navigation reads.
+(NSM_LINKED,) = [index for index, part in enumerate(NSM_PARTS) if links(part.stored)]
 
 #: What plain NSM's navigation reads of a matching connection row.
 _CONNECTION_PAIR = Projection(NSM_CONNECTION, (ROOT_KEY, "KeyConnection"))
@@ -308,17 +311,16 @@ class NSMIndexModel(NSMModelBase):
         return self._fetch_assembled(ref)
 
     def _fetch_assembled(self, key: int) -> NestedTuple:
-        (station_rid,), platform_rids, connection_rids, sightseeing_rids = (
-            self.table.row_of_key(key)
-        )
+        (station_rid,), *rids = self.table.row_of_key(key)
         # Arguments evaluate left to right: each relation is read, then
         # decoded (its zero-copy views at once), before the next is read.
-        decode = self._assembly.decode
+        decode, heaps = self._assembly.decode, self.heaps
         return self._assembly.join(
             decode[0](self.stations.read(station_rid)),
-            decode[1](self.platforms.read_many(platform_rids)),
-            decode[2](self.connections.read_many(connection_rids)),
-            decode[3](self.sightseeings.read_many(sightseeing_rids)),
+            *[
+                decode_part(heap.read_many(part_rids))
+                for decode_part, heap, part_rids in zip(decode[1:], heaps[1:], rids)
+            ],
         )
 
     def fetch_full_by_key(self, key: int) -> NestedTuple:
@@ -332,7 +334,7 @@ class NSMIndexModel(NSMModelBase):
         return self._fetch_assembled(key)
 
     def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
-        rids = [rid for key in refs for rid in self._rids(key, 2)]
+        rids = [rid for key in refs for rid in self._rids(key, NSM_LINKED)]
         decode_atom = self.serializer.decode_atom
         return [
             decode_atom(NSM_CONNECTION, blob, "KeyConnection")
@@ -341,7 +343,7 @@ class NSMIndexModel(NSMModelBase):
 
     def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
         """Grouped navigation: one batched read, split back per ref."""
-        sizes = [len(self._rids(key, 2)) for key in refs]
+        sizes = [len(self._rids(key, NSM_LINKED)) for key in refs]
         children = iter(self.fetch_refs(refs))
         return [[next(children) for _ in range(size)] for size in sizes]
 
@@ -370,4 +372,5 @@ __all__ = [
     "NSM_PLATFORM",
     "NSM_CONNECTION",
     "NSM_SIGHTSEEING",
+    "NSM_LINKED",
 ]

@@ -336,6 +336,16 @@ def nest_by_root(schema: RelationSchema, prefix: str) -> tuple[Part, ...]:
     return _parts(schema, prefix, record)
 
 
+def links(schema: RelationSchema) -> Projection | None:
+    """The references of ``schema``: its ``LINK`` attributes and the
+    sub-relations that hold any, each projected alike; ``None`` when it
+    holds none.  What navigation decodes of a stored object, whatever the
+    model; :func:`repro.nf2.values.links_of` collects them."""
+    subs = tuple(sub for sub in map(links, schema.subrelations) if sub is not None)
+    names = tuple(attr.name for attr in schema.attributes if attr.type is AttributeType.LINK)
+    return Projection(schema, names, subs) if names or subs else None
+
+
 def int_attr(name: str) -> Attribute:
     """Shorthand for a 4-byte INT attribute."""
     return Attribute(name, AttributeType.INT)

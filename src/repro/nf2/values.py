@@ -8,7 +8,7 @@ on construction, so a tuple that exists is a tuple that is well formed.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError, SerializationError
 from repro.nf2.schema import AttributeType, Projection, RelationSchema
@@ -178,6 +178,18 @@ class NestedTuple:
     def __repr__(self) -> str:
         subs = {name: len(children) for name, children in self._subs.items()}
         return f"NestedTuple({self.schema.name!r}, atoms={self._atoms!r}, subs={subs!r})"
+
+
+def links_of(tuples: Iterable[NestedTuple], out: list[Any] | None = None) -> list[Any]:
+    """The references in ``tuples`` decoded under a
+    :func:`~repro.nf2.schema.links` projection, appended to ``out``:
+    every atom, depth-first in schema order."""
+    out = [] if out is None else out
+    for value in tuples:
+        out.extend(value._atoms.values())
+        for children in value._subs.values():
+            links_of(children, out)
+    return out
 
 
 def _check_atom(name: str, type_: AttributeType, size: int, value: Any) -> Any:

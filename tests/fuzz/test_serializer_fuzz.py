@@ -235,12 +235,21 @@ def test_embedded_nul_is_kept_like_the_reference_keeps_it(fuzz_seed):
 
 # -- projections: a projected decode equals the projected full decode ----------------
 
+def _reachable(name: str, projection: Projection):
+    """``projection`` and its sub-projections, which a model decodes on
+    their own too (a long object's sections, one sub-relation each)."""
+    yield name, projection
+    for sub in projection.subrelations:
+        yield from _reachable(f"{name}.{sub.stored.name}", sub)
+
+
 #: Every projection a storage model reads through.
 MODEL_PROJECTIONS = [
-    (f"{module.__name__.rsplit('.', 1)[-1]}.{name}", value)
+    reachable
     for module in (dsm, dasdbs_dsm, nsm, dasdbs_nsm)
     for name, value in sorted(vars(module).items())
     if isinstance(value, Projection)
+    for reachable in _reachable(f"{module.__name__.rsplit('.', 1)[-1]}.{name}", value)
 ]
 
 
@@ -248,9 +257,9 @@ def test_the_models_projections_are_found():
     names = {name for name, _ in MODEL_PROJECTIONS}
     assert {
         "dsm._STATION_LINKS",
-        "dsm._PLATFORM_LINKS",
+        "dsm._STATION_LINKS.Platform",
         "nsm._CONNECTION_PAIR",
-        "dasdbs_nsm._CONNECTION_LINKS",
+        "dasdbs_nsm._LINKS",
     } <= names
 
 

@@ -183,19 +183,24 @@ def _nsm_index_fetch_roots(model, refs) -> list[dict[str, Any]]:
 # -- DASDBS-NSM: one nested tuple per relation and object ---------------------------------
 
 
+def _decode(store, blob) -> NestedTuple:
+    """One stored tuple of ``store`` from its bytes, in full."""
+    return store.serializer.decode_nested(store.schema, blob)
+
+
 def _dasdbs_read(store, handle) -> NestedTuple:
     if type(handle) is Rid:
-        return store.decode(store.heap.read(handle))
+        return _decode(store, store.heap.read(handle))
     (blob,) = store.long_store.read(handle)
-    return store.decode(blob)
+    return _decode(store, blob)
 
 
 def _dasdbs_scan(store, longs):
     for _, blob in store.heap.scan():
-        yield store.decode(blob)
+        yield _decode(store, blob)
     for address in longs:
         (blob,) = store.long_store.read(address)
-        yield store.decode(blob)
+        yield _decode(store, blob)
 
 
 def _dasdbs_read_assembled(model, row) -> NestedTuple:
@@ -213,9 +218,15 @@ def _dasdbs_fetch_full(model, oid: int) -> NestedTuple:
 
 
 def _dasdbs_fetch_full_by_key(model, key: int) -> NestedTuple:
-    found = False
-    for row in _dasdbs_scan(model.stations, model.table.long_handles(0)):
-        if row["Key"] == key:
+    """The root relation scanned with ``Key`` tested in place, as
+    NSM+index does; only the match is decoded, by address."""
+    store, found = model.stations, False
+    for _, blob in store.heap.scan():
+        if model.serializer.decode_atom(store.schema, blob, "Key") == key:
+            found = True
+    for address in model.table.long_handles(0):
+        (blob,) = store.long_store.read(address)
+        if model.serializer.decode_atom(store.schema, blob, "Key") == key:
             found = True
     if not found:
         raise InvalidAddressError(f"no station with key {key}")
@@ -243,10 +254,10 @@ def _dasdbs_fetch_roots(model, refs) -> list[dict[str, Any]]:
     out = []
     for handle in handles:
         if type(handle) is Rid:
-            out.append(store.decode(views[handle]).atoms())
+            out.append(_decode(store, views[handle]).atoms())
         else:
             (blob,) = store.long_store.read(handle)
-            out.append(store.decode(blob).atoms())
+            out.append(_decode(store, blob).atoms())
     return out
 
 

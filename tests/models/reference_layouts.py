@@ -1,10 +1,12 @@
-"""The NSM family's layouts and Table 2 rows, written out by hand.
+"""The models' layouts and Table 2 rows, written out by hand.
 
 The specification the Section 3 rules (``nf2.schema.unnest`` /
-``nest_by_root``) and ``core.parameters``' derived row sizes are held
-to: every storage schema of Figures 3 and 4 attribute by attribute, the
-``Part`` declarations over them, and the two ``derive_*_parameters``
-bodies with their key-column arithmetic (``6, width + 8``) spelt out.
+``nest_by_root`` / ``links``) and ``core.parameters``' derived row
+sizes are held to: every storage schema of Figures 3 and 4 attribute by
+attribute, the ``Part`` declarations over them, the link projections
+navigation reads, and the ``derive_*_parameters`` bodies with their
+key-column arithmetic (``6, width + 8``) and the direct models' three
+sections spelt out.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from repro.core.parameters import (
     ModelParameters,
     RelationParameters,
     StructureCounts,
+    _row,
     _small_k,
 )
-from repro.nf2.schema import Part, RelationSchema, int_attr, link_attr, str_attr
+from repro.nf2.schema import Part, Projection, RelationSchema, int_attr, link_attr, str_attr
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.storage.constants import EFFECTIVE_PAGE_SIZE, SLOT_ENTRY_SIZE
 
@@ -135,6 +138,21 @@ DNSM_PARTS = (
     Part(DNSM_PLATFORM, PLATFORM_SCHEMA, root_key="RootKey", own_key="OwnKey"),
     Part(DNSM_CONNECTION, CONNECTION_SCHEMA, root_key="RootKey", parent_key="ParentKey"),
     Part(DNSM_SIGHTSEEING, SIGHTSEEING_SCHEMA, root_key="RootKey"),
+)
+
+# -- what navigation reads: the references, nothing else ------------------------------
+
+#: Of a Platform section, and of a whole stored Station (DSM family).
+PLATFORM_LINKS = Projection(
+    PLATFORM_SCHEMA, (), (Projection(CONNECTION_SCHEMA, ("OidConnection",)),)
+)
+STATION_LINKS = Projection(STATION_SCHEMA, (), (PLATFORM_LINKS,))
+
+#: Of a stored DASDBS_NSM_Connection tuple.
+CONNECTION_LINKS = Projection(
+    DNSM_CONNECTION,
+    (),
+    (Projection(CONNECTION_GROUP, (), (Projection(CONNECTION_ITEM, ("OidConnection",)),)),),
 )
 
 # -- Table 2 rows with the key columns counted by hand ---------------------------------
@@ -250,3 +268,35 @@ def dasdbs_nsm_parameters(
     return ModelParameters(
         "DASDBS-NSM", page_bytes, slot_bytes, (station, platform, connection, sightseeing)
     )
+
+
+def _direct_sections(fmt: StorageFormat, counts: StructureCounts) -> tuple[float, float, float]:
+    """Byte sizes of the three sections of a direct-model Station."""
+    root = float(fmt.flat_size(STATION_SCHEMA))
+    platform_each = fmt.flat_size(PLATFORM_SCHEMA) + fmt.subrel_overhead + (
+        counts.connections_per_platform * fmt.flat_size(CONNECTION_SCHEMA)
+    )
+    platforms = fmt.subrel_overhead + counts.platforms * platform_each
+    sights = fmt.subrel_overhead + counts.sightseeings * fmt.flat_size(SIGHTSEEING_SCHEMA)
+    return root, platforms, sights
+
+
+def direct_parameters(
+    model: str,
+    config: BenchmarkConfig = DEFAULT_CONFIG,
+    fmt: StorageFormat = DASDBS_FORMAT,
+    counts: StructureCounts | None = None,
+    page_bytes: int = EFFECTIVE_PAGE_SIZE,
+    slot_bytes: int = SLOT_ENTRY_SIZE,
+) -> ModelParameters:
+    """Table 2 rows of DSM / DASDBS-DSM under our storage format."""
+    counts = counts or StructureCounts.from_config(config)
+    root, platforms, sights = _direct_sections(fmt, counts)
+    # The inline nested encoding has the same payload as the sections.
+    data_bytes = root + platforms + sights
+    header_bytes = float(fmt.directory_size(3, round(counts.subtuples)))
+    rel = _row(
+        f"{model}_Station", 1.0, config.n_objects, data_bytes, header_bytes,
+        page_bytes, slot_bytes, (root, platforms, sights),
+    )
+    return ModelParameters(model, page_bytes, slot_bytes, (rel,))

@@ -83,7 +83,8 @@ def _dasdbs_nsm(model, refs, changes):
     store = model.stations
     for oid in model._dedupe(refs):
         handle = model.table.row(oid)[0][0]
-        blob = store.serializer.encode_nested(store.read(handle).replace_atoms(**changes))
+        stored = store.serializer.decode_nested(store.schema, store.read_record(handle))
+        blob = store.serializer.encode_nested(stored.replace_atoms(**changes))
         if type(handle) is Rid:
             store.heap.update(handle, blob)
         else:

@@ -29,7 +29,9 @@ from repro.fault.backend import FaultyBackend
 from repro.fault.plan import FaultPlan
 from repro.models.addressing import AddressTable, Relation
 from repro.models.base import StorageModel
+from repro.models.dasdbs_dsm import DASDBSDSMModel
 from repro.models.dasdbs_nsm import DASDBSNSMModel
+from repro.models.dsm import DirectModelBase, DSMModel
 from repro.models.nsm import NSMFamilyModel, NSMIndexModel, NSMModel, NSMModelBase
 from repro.models.registry import MODEL_CLASSES, create_model
 from repro.nf2.oid import Rid
@@ -604,7 +606,8 @@ def _model_classes() -> set[type]:
 def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
     """A model is its relations, ``_store``, its access paths and the
     decode of one scan unit; everything else is ``StorageModel`` over
-    the table, and in the NSM family ``NSMFamilyModel`` over its parts.
+    the table, in the NSM family ``NSMFamilyModel`` over its parts, and
+    in the direct family ``DirectModelBase`` over the schema.
     The exceptions are the NSM family's, and each is explicit:
     references are keys (``all_refs``, and NSM+index's delete
     translating its key before calling ``super()``), plain NSM's
@@ -629,6 +632,12 @@ def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
     assert family == {NSMFamilyModel, NSMModelBase, NSMModel, NSMIndexModel, DASDBSNSMModel}
     for name in ("_store", "scan_all", "_decode_record"):
         assert [cls for cls in family if name in vars(cls)] == [NSMFamilyModel], name
+    # The direct family's decomposition, full scan and value selection
+    # are read off the schema once, on its base.
+    direct = {cls for cls in _model_classes() if issubclass(cls, DirectModelBase)}
+    assert direct == {DirectModelBase, DSMModel, DASDBSDSMModel}
+    for name in ("_store", "scan_all", "fetch_full_by_key"):
+        assert [cls for cls in direct if name in vars(cls)] == [DirectModelBase], name
 
     assert NSMModel(StorageEngine(buffer_pages=8)).move_objects([0, 1], 4) == 0
     deleted = []

@@ -239,7 +239,7 @@ CORRUPTIONS = {
 def _stored(model, index: int, blob) -> NestedTuple:
     relation = model.table.relations[index]
     if model.name == "DASDBS-NSM":
-        return relation.decode(blob)
+        return relation.serializer.decode_nested(relation.schema, blob)
     return model.serializer.decode_flat(model._assembly.parts[index].stored, blob)
 
 

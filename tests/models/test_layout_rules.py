@@ -1,12 +1,14 @@
-"""The paper's Section 3 rules derive the NSM family's layouts.
+"""The paper's Section 3 rules derive the models' layouts.
 
 ``nf2.schema.unnest`` (Figure 3) and ``nest_by_root`` (Figure 4) must
 reproduce the hand-written storage schemas and ``Part``s kept in
-``reference_layouts`` exactly, Table 2's derived row sizes must equal
-the hand-counted ones bit for bit, and both rules must lay out any
-schema the assembly reaches — here a toy order schema whose stored
-records go through the generated ``store``, the decoders and the join
-back to the object they came from.
+``reference_layouts`` exactly, ``links`` the hand-written projections
+navigation reads, Table 2's derived row sizes (the direct models' cut
+into sections included) must equal the hand-counted ones bit for bit,
+and the rules must lay out any schema the assembly reaches — here a toy
+order schema whose stored records go through the generated ``store``,
+the decoders and the join back to the object they came from, and whose
+long-object sections and references round-trip like the Station's.
 """
 
 from __future__ import annotations
@@ -16,25 +18,35 @@ import random
 import pytest
 
 from repro.benchmark.config import DEFAULT_CONFIG
-from repro.benchmark.schema import STATION_SCHEMA
+from repro.benchmark.schema import (
+    CONNECTION_SCHEMA,
+    PLATFORM_SCHEMA,
+    SIGHTSEEING_SCHEMA,
+    STATION_SCHEMA,
+)
 from repro.core.parameters import (
     StructureCounts,
     derive_dasdbs_nsm_parameters,
+    derive_direct_parameters,
     derive_nsm_parameters,
 )
 from repro.errors import SchemaError
-from repro.models.dasdbs_nsm import DNSM_PARTS
-from repro.models.nsm import NSM_PARTS
+from repro.models.dasdbs_nsm import DNSM_CONNECTION, DNSM_LINKED, DNSM_PARTS
+from repro.models.dsm import DSMModel
+from repro.models.nsm import NSM_LINKED, NSM_PARTS
 from repro.nf2.codec import compiled_assembly
 from repro.nf2.schema import (
     RelationSchema,
     int_attr,
+    link_attr,
+    links,
     nest_by_root,
     str_attr,
     unnest,
 )
 from repro.nf2.serializer import DASDBS_FORMAT, NF2Serializer, StorageFormat
-from repro.nf2.values import NestedTuple
+from repro.nf2.values import NestedTuple, links_of
+from repro.storage import StorageEngine
 from tests.models import reference_layouts as reference
 
 RULES = {"unnest": unnest, "nest_by_root": nest_by_root}
@@ -58,6 +70,17 @@ class TestStationLayouts:
                 assert got.name == want.name
                 assert got.attributes == want.attributes
 
+    def test_links_are_the_hand_written_projections(self):
+        assert links(STATION_SCHEMA) == reference.STATION_LINKS
+        assert links(PLATFORM_SCHEMA) == reference.PLATFORM_LINKS
+        assert links(DNSM_CONNECTION) == reference.CONNECTION_LINKS
+        assert links(CONNECTION_SCHEMA) == reference.PLATFORM_LINKS.subrelations[0]
+        assert links(SIGHTSEEING_SCHEMA) is None
+
+    def test_the_relation_holding_references_is_connection(self):
+        assert NSM_PARTS[NSM_LINKED].target is CONNECTION_SCHEMA
+        assert DNSM_PARTS[DNSM_LINKED].target is CONNECTION_SCHEMA
+
 
 FORMATS = [
     DASDBS_FORMAT,
@@ -70,17 +93,32 @@ COUNTS = [
 ]
 
 
+def _direct(model):
+    def derive(config, fmt, counts):
+        return derive_direct_parameters(model, config, fmt, counts)
+
+    def written(config, fmt, counts):
+        return reference.direct_parameters(model, config, fmt, counts)
+
+    return derive, written
+
+
+DERIVATIONS = {
+    "NSM": (derive_nsm_parameters, reference.nsm_parameters),
+    "DASDBS-NSM": (derive_dasdbs_nsm_parameters, reference.dasdbs_nsm_parameters),
+    "DSM": _direct("DSM"),
+    "DASDBS-DSM": _direct("DASDBS-DSM"),
+}
+
+
 @pytest.mark.parametrize("fmt", FORMATS, ids=["dasdbs", "wide"])
 @pytest.mark.parametrize("counts", COUNTS, ids=["config", "no-platforms", "large"])
 @pytest.mark.parametrize("n_objects", [1500, 77])
 def test_derived_table2_rows_are_bit_identical(fmt, counts, n_objects):
     config = DEFAULT_CONFIG.with_changes(n_objects=n_objects)
-    for derive, written in (
-        (derive_nsm_parameters, reference.nsm_parameters),
-        (derive_dasdbs_nsm_parameters, reference.dasdbs_nsm_parameters),
-    ):
+    for model, (derive, written) in DERIVATIONS.items():
         got, want = derive(config, fmt, counts), written(config, fmt, counts)
-        assert got == want
+        assert got == want, model
         for got_row, want_row in zip(got.relations, want.relations):
             for field in got_row.__dataclass_fields__:
                 # ``repr`` tells 1500 from 1500.0 and -0.0 from 0.0.
@@ -89,8 +127,10 @@ def test_derived_table2_rows_are_bit_identical(fmt, counts, n_objects):
 
 # -- any schema the assembly reaches ----------------------------------------------------
 
-SHIPMENT = RelationSchema.flat("Shipment", int_attr("ShipNo"), str_attr("Carrier", 12))
-LINE = RelationSchema("Line", (int_attr("LineNo"), int_attr("Qty")), (SHIPMENT,))
+SHIPMENT = RelationSchema.flat(
+    "Shipment", int_attr("ShipNo"), str_attr("Carrier", 12), link_attr("Depot")
+)
+LINE = RelationSchema("Line", (int_attr("LineNo"), link_attr("Product"), int_attr("Qty")), (SHIPMENT,))
 NOTE = RelationSchema.flat("Note", str_attr("Text", 30))
 ORDER = RelationSchema("Order", (int_attr("Id"), str_attr("Customer", 20)), (LINE, NOTE))
 
@@ -99,10 +139,13 @@ def _order(rng: random.Random, key: int) -> NestedTuple:
     lines = [
         NestedTuple(
             LINE,
-            {"LineNo": n, "Qty": rng.randrange(100)},
+            {"LineNo": n, "Product": rng.randrange(500), "Qty": rng.randrange(100)},
             {
                 "Shipment": [
-                    NestedTuple(SHIPMENT, {"ShipNo": s, "Carrier": rng.choice(["ups", "dhl"])})
+                    NestedTuple(
+                        SHIPMENT,
+                        {"ShipNo": s, "Carrier": rng.choice(["ups", "dhl"]), "Depot": -s},
+                    )
                     for s in range(rng.randrange(3))
                 ]
             },
@@ -122,7 +165,13 @@ def test_rules_name_the_toy_schema_like_the_figures():
         "SHOP_Note",
     ]
     shipment = rows[2].stored.attributes
-    assert [attr.name for attr in shipment] == ["RootKey", "ParentKey", "ShipNo", "Carrier"]
+    assert [attr.name for attr in shipment] == [
+        "RootKey",
+        "ParentKey",
+        "ShipNo",
+        "Carrier",
+        "Depot",
+    ]
     records = nest_by_root(ORDER, "SHOP")
     assert [level.name for level in records[2].stored.walk()] == [
         "SHOP_Shipment",
@@ -166,3 +215,46 @@ def test_a_relation_three_levels_below_the_root_is_refused(rule):
     too_deep = RelationSchema("Order", (int_attr("Id"),), (line,))
     with pytest.raises(SchemaError, match="three levels"):
         RULES[rule](too_deep, "SHOP")
+
+
+class OrderDSM(DSMModel):
+    """A direct model of the toy schema: the section cut is the rule's."""
+
+    root_schema = ORDER
+
+
+def test_the_section_cut_round_trips_a_toy_schema():
+    """Section 0 is the root's flat part, then one section per
+    sub-relation in schema order; stored as a long object and read back,
+    the sections decode to the order they came from.  Navigation's
+    walk finds the same references in a nested decode under
+    ``links(ORDER)`` as in the decodes of the sections holding any."""
+    model = OrderDSM(StorageEngine(buffer_pages=64))
+    serializer = model.serializer
+    order_links = links(ORDER)
+    assert [sub.stored for sub in order_links.subrelations] == [LINE]
+    assert order_links.subrelations[0].attributes == ("Product",)
+    rng = random.Random(23)
+    for key in range(40):
+        order = _order(rng, key)
+        sections = model._encode_sections(order)
+        assert len(sections) == 1 + len(ORDER.subrelations)
+        assert sections[0] == serializer.encode_flat(order)
+        address = model.long_store.store(sections, order.count_subtuples())
+        stored = model.long_store.read(address)
+        assert stored == sections
+        assert model._decode_sections(stored) == order
+        # The inline nested encoding has the same payload (Table 2).
+        assert sum(map(len, stored)) == DASDBS_FORMAT.nested_size(order)
+
+        whole = links_of([serializer.decode_nested(order_links, serializer.encode_nested(order))])
+        by_section = []
+        for sub in order_links.subrelations:
+            section = stored[1 + ORDER.subrelations.index(sub.stored)]
+            links_of(serializer.decode_subtuple_list(sub, section), by_section)
+        expected = [
+            ref
+            for line in order.subtuples("Line")
+            for ref in (line["Product"], *(s["Depot"] for s in line.subtuples("Shipment")))
+        ]
+        assert whole == by_section == expected

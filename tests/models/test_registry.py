@@ -61,6 +61,11 @@ def wrapper_tuple(key, n_items):
     return NestedTuple(WRAPPER, {"RootKey": key}, {"Item": items})
 
 
+def read(store, handle):
+    """One stored tuple, read and decoded in full."""
+    return store.serializer.decode_nested(WRAPPER, store.read_record(handle))
+
+
 class TestMixedTupleStore:
     @pytest.fixture
     def store(self):
@@ -70,13 +75,13 @@ class TestMixedTupleStore:
     def test_small_tuples_go_to_heap(self, store):
         handle = store.insert(wrapper_tuple(1, 2))
         assert isinstance(handle, Rid)
-        assert store.read(handle) == wrapper_tuple(1, 2)
+        assert read(store, handle) == wrapper_tuple(1, 2)
 
     def test_large_tuples_go_to_long_store(self, store):
         big = wrapper_tuple(2, 30)  # 30 * ~150 B exceeds one page
         handle = store.insert(big)
         assert isinstance(handle, LongObjectAddress)
-        assert store.read(handle) == big
+        assert read(store, handle) == big
 
     def test_read_many_mixes_kinds(self, store):
         small = store.insert(wrapper_tuple(1, 1))
@@ -95,14 +100,15 @@ class TestMixedTupleStore:
         handles = [store.insert(wrapper_tuple(i, 1 if i % 2 else 25)) for i in range(5)]
         longs = [h for h in handles if isinstance(h, LongObjectAddress)]
         assert len(longs) == 3
-        keys = sorted(v["RootKey"] for v in store.scan(longs))
+        decode = store.serializer.decode_nested
+        keys = sorted(decode(WRAPPER, blob)["RootKey"] for blob in store.scan_records(longs))
         assert keys == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("n_items", [2, 30], ids=["heap", "long"])
     def test_patch_rewrites_the_root_attribute_only(self, store, n_items):
         handle = store.insert(wrapper_tuple(7, n_items))
         store.patch(handle, store.serializer.compile_patch(WRAPPER, {"RootKey": 8}))
-        assert store.read(handle) == wrapper_tuple(8, n_items)
+        assert read(store, handle) == wrapper_tuple(8, n_items)
 
     def test_n_pages_counts_both_segments(self, store):
         store.insert(wrapper_tuple(1, 1))

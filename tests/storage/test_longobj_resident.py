@@ -21,7 +21,7 @@ import pytest
 from repro.errors import InvalidAddressError
 from repro.fault.backend import FaultyBackend
 from repro.fault.plan import FaultPlan
-from repro.models.dsm import SECTION_PLATFORMS, SECTION_ROOT, SECTION_SIGHTSEEINGS
+from repro.models.dsm import SECTION_ROOT
 from repro.nf2.serializer import DASDBS_FORMAT
 from repro.storage import StorageEngine
 from repro.storage.backends import MemoryBackend
@@ -32,6 +32,9 @@ from repro.storage.longobj import LongObjectAddress, LongObjectStore
 PAGE = 512
 PAYLOAD = PAGE - PAGE_HEADER_SIZE
 BACKENDS = ("memory", "file", "mmap")
+
+#: The Station's sub-relation sections, in schema order after the root's.
+SECTION_PLATFORMS, SECTION_SIGHTSEEINGS = 1, 2
 
 #: (fixed sections, copied sections) as the models issue them — DSM
 #: fixes everything and copies one section, DASDBS-DSM fixes the root
