@@ -8,6 +8,11 @@
   of Table 3),
 * :class:`~repro.models.dasdbs_nsm.DASDBSNSMModel` — normalized with
   per-object nesting and an in-memory transformation table.
+
+A model is its parts plus its addressing: stored relations
+(``addressing.Relation``) under one ``AddressTable`` of every object's
+record handles; the NSM family's access by address is defined once, on
+``nsm.NSMFamilyModel``.
 """
 
 from repro.models.addressing import AddressTable, Relation
@@ -15,7 +20,6 @@ from repro.models.base import Ref, StorageModel
 from repro.models.dasdbs_dsm import DASDBSDSMModel
 from repro.models.dasdbs_nsm import DASDBSNSMModel
 from repro.models.dsm import DSMModel
-from repro.models.mixed import MixedTupleStore
 from repro.models.nsm import NSMIndexModel, NSMModel
 from repro.models.registry import (
     FOCUS_MODELS,
@@ -35,7 +39,6 @@ __all__ = [
     "MEASURED_MODELS",
     "MODEL_ALIASES",
     "MODEL_CLASSES",
-    "MixedTupleStore",
     "NSMIndexModel",
     "NSMModel",
     "Ref",

@@ -61,12 +61,48 @@ class Relation:
                 engine.new_segment(f"{name}_large"), long_fmt
             )
 
+    def insert(self, blob: bytes, n_subtuples: int) -> Handle:
+        """Store one record: on a shared heap page if it fits or the
+        relation has no long store, else on private header and data
+        pages; returns its handle."""
+        if self.long_store is None or len(blob) <= self.small_threshold:
+            return self.heap.insert(blob)
+        return self.long_store.store([blob], n_subtuples)
+
+    def patch(self, handle: Handle, patch: Callable[[bytes], bytes]) -> None:
+        """Replace a record by ``patch`` of its leading bytes (same size;
+        see ``NF2Serializer.compile_patch``): a read, then a replace.  A
+        heap record's page is fixed twice and dirtied; every page of a
+        long record is, but only its first section is copied and written.
+        """
+        if type(handle) is Rid:
+            self.heap.update(handle, patch(self.heap.read(handle)))
+        else:
+            (first,) = self.long_store.read(handle, copy=(0,))
+            self.long_store.replace(handle, {0: patch(first)})
+
     def read_record(self, handle: Handle) -> bytes:
         """The stored bytes of one record."""
         if type(handle) is Rid:
             return self.heap.read(handle)
         (blob,) = self.long_store.read(handle)
         return blob
+
+    def read_records(self, handles: Sequence[Handle]) -> Sequence[bytes | memoryview]:
+        """The records in ``handles`` order; the heap page set loads in
+        one I/O call.  Heap records are zero-copy views (``HeapFile.
+        read_many``); with a long store the records are drawn one at a
+        time, a long one read in its turn, so decode each as it is drawn.
+        """
+        if self.long_store is None:
+            return self.heap.read_many(handles)
+        return self._read_mixed(handles)
+
+    def _read_mixed(self, handles: Sequence[Handle]) -> Iterator[bytes | memoryview]:
+        unique = list(dict.fromkeys([handle for handle in handles if type(handle) is Rid]))
+        views = dict(zip(unique, self.heap.read_many(unique))) if unique else {}
+        for handle in handles:
+            yield views[handle] if type(handle) is Rid else self.read_record(handle)
 
     def scan_records(self, longs: Sequence[LongObjectAddress]) -> Iterator[bytes]:
         """All records: heap pages in order, then the given long records

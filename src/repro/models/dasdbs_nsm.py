@@ -25,17 +25,9 @@ DASDBS-NSM's query 2b/3b results independent of the object size.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
-
 from repro.benchmark.schema import STATION_SCHEMA
-from repro.errors import InvalidAddressError
-from repro.models.addressing import Row
-from repro.models.base import Ref
 from repro.models.nsm import NSMFamilyModel
 from repro.nf2.schema import links, nest_by_root
-from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
-from repro.nf2.values import NestedTuple, links_of
-from repro.storage import StorageEngine
 
 #: Figure 4 by rule: the unnested relations nested again on their root key.
 DNSM_PARTS = nest_by_root(STATION_SCHEMA, "DASDBS_NSM")
@@ -55,67 +47,7 @@ class DASDBSNSMModel(NSMFamilyModel):
     name = "DASDBS-NSM"
     parts = DNSM_PARTS
     root_schema = DNSM_STATION
-
-    def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
-        super().__init__(engine, fmt)
-        self.stations, self.platforms, self.connections, self.sightseeings = self.relations
-
-    # -- operations ------------------------------------------------------------------
-
-    def fetch_full(self, ref: Ref) -> NestedTuple:
-        return self._read_assembled(self.table.row(ref))
-
-    def _read_assembled(self, row: Row) -> NestedTuple:
-        # Each tuple is read, then decoded, before the next is read.
-        return self._assembly.join(
-            *[
-                decode(relation.read_record(handle))
-                for decode, relation, (handle,) in zip(self._assembly.decode, self.relations, row)
-            ]
-        )
-
-    def fetch_full_by_key(self, key: int) -> NestedTuple:
-        """Value selection on the root relation, then access by address.
-
-        "With query 1b, only the root tuple of the object is selected
-        based on a value selection, whereupon we use the addresses in
-        the index table to retrieve all other data by address."
-        """
-        decode_atom = self.serializer.decode_atom
-        found = False
-        for blob in self.stations.scan_records(self.table.long_handles(0)):
-            if decode_atom(DNSM_STATION, blob, "Key") == key:
-                found = True
-        if not found:
-            raise InvalidAddressError(f"no station with key {key}")
-        return self._read_assembled(self.table.row_of_key(key))
-
-    def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
-        return [ref for group in self.fetch_refs_grouped(refs) for ref in group]
-
-    def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
-        """Grouped navigation: the same batched read as ``fetch_refs``."""
-        handles = [self.table.row(oid)[DNSM_LINKED][0] for oid in refs]
-        records = self.relations[DNSM_LINKED].read_many(handles, _LINKS)
-        return [links_of((record,)) for record in records]
-
-    def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
-        handles = [self.table.row(oid)[0][0] for oid in refs]
-        decode = self.serializer._decode_flat_part
-        return [
-            decode(DNSM_STATION, blob, 0)[0] for blob in self.stations.read_records(handles)
-        ]
-
-    def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
-        """Replace the (small) root tuples, set-oriented and deferred.
-
-        "With DASDBS-NSM only small root tuples in the
-        DASDBS-NSM-Station relation are updated, of which there are
-        many on a single page."
-        """
-        patch = self._root_patch(changes)
-        for oid in self._dedupe(refs):
-            self.stations.patch(self.table.row(oid)[0][0], patch)
+    navigation = _LINKS
 
 
 __all__ = [

@@ -204,12 +204,7 @@ class DirectModelBase(StorageModel):
         long one, the only section copied and rewritten)."""
         patch = self._root_patch(changes)
         for ref in self._dedupe(refs):
-            handle = self._handle(ref)
-            if type(handle) is Rid:
-                self.heap.update(handle, patch(self.heap.read(handle)))
-            else:
-                (root,) = self.long_store.read(handle, copy=_ROOT_ONLY)
-                self.long_store.replace(handle, {SECTION_ROOT: patch(root)})
+            self.relation.patch(self._handle(ref), patch)
 
 
 class DSMModel(DirectModelBase):

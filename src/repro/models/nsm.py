@@ -24,29 +24,27 @@ from object key to the record ids of all its tuples, so "a page is read
 from disk then and only then if a tuple it stores is requested".
 
 What the two share with DASDBS-NSM — relations, decomposition,
-reassembly and the full scan, all read off the parts — is
-:class:`NSMFamilyModel`.  Both carry the same address table (one row of
-record ids per object, kept current by the shared kernel).  For
-NSM+index the table *is* the index.  Plain NSM never reads it: its six access paths and its delete
-find tuples by value, exactly as before — the table only lets the
-unmeasured reorganisation, recovery and scan-partitioning code know
-which tuples belong to which object without re-scanning for keys.
+reassembly, the full scan and access by address, all read off the
+parts — is :class:`NSMFamilyModel`.  For NSM+index the address table
+*is* the index.  Plain NSM never reads it: its access paths and its
+delete find tuples by value, and only the unmeasured reorganisation,
+recovery and scan-partitioning code use its rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from itertools import islice
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.benchmark.schema import STATION_SCHEMA, key_of_oid, oid_of_key
 from repro.errors import InvalidAddressError
 from repro.models.addressing import AddressTable, Handle, Relation, Row
 from repro.models.base import Ref, StorageModel
-from repro.models.mixed import MixedTupleStore
 from repro.nf2.codec import compiled_assembly
 from repro.nf2.oid import Rid
 from repro.nf2.schema import ROOT_KEY, Part, Projection, RelationSchema, links, unnest
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
-from repro.nf2.values import NestedTuple
+from repro.nf2.values import NestedTuple, links_of
 from repro.storage import StorageEngine
 from repro.storage.heap import HeapFile
 
@@ -64,16 +62,22 @@ _CONNECTION_PAIR = Projection(NSM_CONNECTION, (ROOT_KEY, "KeyConnection"))
 class NSMFamilyModel(StorageModel):
     """What NSM, NSM+index and DASDBS-NSM share, read off their ``parts``.
 
-    One relation per part — a heap-only :class:`Relation` of one row
-    per tuple when every stored schema is flat (``unnest``), else a
-    :class:`MixedTupleStore` of one record per object (``nest_by_root``)
-    — the address table over them, and the compiled assembly: the
-    decomposition of an object into its records, its reassembly and the
-    full scan.
+    One relation per part — heap-only, one row per tuple, when every
+    stored schema is flat (``unnest``); else with a long store, one
+    record per object (``nest_by_root``) — the address table over them,
+    the compiled assembly (decomposition, reassembly, full scan) and the
+    access paths by address (Section 3.4's transformation table, Table
+    3's NSM+index): only the records the table names are read.  A model
+    declares its parts, root schema and :attr:`navigation`; references
+    that are keys are :meth:`_row`/:meth:`_handles`.  Plain NSM, which
+    has no addresses, overrides the paths with value selections.
     """
 
     #: One part per relation of the Station schema, in walk order.
     parts: tuple[Part, ...]
+
+    #: What navigation decodes of a record of the linked relation.
+    navigation: Projection
 
     def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
         super().__init__(engine, fmt)
@@ -81,12 +85,11 @@ class NSMFamilyModel(StorageModel):
         self._assembly = compiled_assembly(fmt, self.parts)
         self._rows = all(part.stored.is_flat for part in self.parts)
         self.relations = tuple(
-            Relation(engine, part.stored.name)
-            if self._rows
-            else MixedTupleStore(engine, part.stored.name, part.stored, fmt)
+            Relation(engine, part.stored.name, None if self._rows else fmt)
             for part in self.parts
         )
         self.table = AddressTable(self.relations)
+        (self._linked,) = [index for index, part in enumerate(self.parts) if links(part.stored)]
 
     # -- decomposition ---------------------------------------------------------------
 
@@ -103,22 +106,108 @@ class NSMFamilyModel(StorageModel):
         relation = self.relations[index]
         if self._rows:
             return relation.heap.insert(self.serializer.encode_flat(value))
-        return relation.insert(value)
+        return relation.insert(self.serializer.encode_nested(value), value.count_subtuples())
+
+    # -- addressing ------------------------------------------------------------------
+
+    def _row(self, ref: Ref) -> Row:
+        """The row of the object ``ref`` names; raises if none is live."""
+        return self.table.row(ref)
+
+    def _handles(self, ref: Ref, index: int) -> tuple[Handle, ...]:
+        """The object's records in relation ``index`` (set-oriented paths)."""
+        return self.table.row(ref)[index]
+
+    # -- access by address -----------------------------------------------------------
+
+    def fetch_full(self, ref: Ref) -> NestedTuple:
+        return self._read_assembled(self._row(ref))
+
+    def _read_assembled(self, row: Row) -> NestedTuple:
+        # Arguments evaluate left to right: each relation is read, then
+        # decoded (its zero-copy views at once), before the next is read.
+        (root,), *rest = row
+        decode, relations, rows = self._assembly.decode, self.relations, self._rows
+        return self._assembly.join(
+            decode[0](relations[0].read_record(root)),
+            *[
+                decode_part(
+                    relation.read_records(handles) if rows else relation.read_record(handles[0])
+                )
+                for decode_part, relation, handles in zip(decode[1:], relations[1:], rest)
+            ],
+        )
+
+    def fetch_full_by_key(self, key: int) -> NestedTuple:
+        """Value selection on the root relation, then access by address:
+        "with query 1b, only the root tuple of the object is selected
+        based on a value selection, whereupon we use the addresses in
+        the index table to retrieve all other data by address."  The
+        scan tests the key in place and does not stop at the match."""
+        decode_atom, schema = self.serializer.decode_atom, self.root_schema
+        attr = self.parts[0].root_key
+        found = False
+        for blob in self._scan_records(0):
+            if decode_atom(schema, blob, attr) == key:
+                found = True
+        if not found:
+            raise InvalidAddressError(f"no station with key {key}")
+        return self._read_assembled(self.table.row_of_key(key))
+
+    def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
+        # The flattening of ``fetch_refs_grouped``, decoded in one pass.
+        linked, handles_of = self._linked, self._handles
+        handles = [handle for ref in refs for handle in handles_of(ref, linked)]
+        return self._refs_in(self.relations[linked].read_records(handles))
+
+    def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
+        """One batched read of the linked relation, split back per ref."""
+        linked, handles_of, refs_in = self._linked, self._handles, self._refs_in
+        groups = [handles_of(ref, linked) for ref in refs]
+        records = iter(self.relations[linked].read_records([h for group in groups for h in group]))
+        return [refs_in(islice(records, len(group))) for group in groups]
+
+    def _refs_in(self, records: Iterable[bytes]) -> list[Ref]:
+        """The references in records of the linked relation, in order."""
+        decode, navigation = self.serializer.decode_nested, self.navigation
+        return links_of([decode(navigation, blob) for blob in records])
+
+    def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
+        handles_of = self._handles
+        handles = [handle for ref in refs for handle in handles_of(ref, 0)]
+        decode, schema = self.serializer._decode_flat_part, self.root_schema
+        return [decode(schema, blob, 0)[0] for blob in self.relations[0].read_records(handles)]
+
+    def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
+        """Patch the small root records, set-oriented and deferred.
+
+        "With DASDBS-NSM only small root tuples in the
+        DASDBS-NSM-Station relation are updated, of which there are
+        many on a single page."
+        """
+        patch = self._root_patch(changes)
+        relation = self.relations[0]
+        for ref in self._dedupe(refs):
+            for handle in self._handles(ref, 0):
+                relation.patch(handle, patch)
 
     # -- the full scan ---------------------------------------------------------------
 
     def scan_all(self) -> int:
         return sum(1 for _ in self._scan_objects())
 
+    def _scan_records(self, index: int) -> Iterator[bytes]:
+        """Every record of relation ``index``; only a relation with long
+        records asks the table for them."""
+        relation = self.relations[index]
+        return relation.scan_records(self.table.long_handles(index) if relation.long_store else ())
+
     def _scan_objects(self) -> Iterator[NestedTuple]:
         """Every object, joined in memory from one scan per relation
-        (each relation scanned and decoded before the next).  Only a
-        relation with long records asks the table for them."""
-        scans = []
-        for index, (scan, relation) in enumerate(zip(self._assembly.scan, self.relations)):
-            longs = self.table.long_handles(index) if relation.long_store else ()
-            scans.append(scan(relation.scan_records(longs)))
-        return self._assembly.join_scanned(*scans)
+        (each relation scanned and decoded before the next)."""
+        return self._assembly.join_scanned(
+            *[scan(self._scan_records(index)) for index, scan in enumerate(self._assembly.scan)]
+        )
 
     def _decode_record(self, index: int, blob) -> None:
         self.serializer.decode_nested(self.parts[index].stored, blob)
@@ -137,7 +226,6 @@ class NSMModelBase(NSMFamilyModel):
     def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
         super().__init__(engine, fmt)
         self.heaps = tuple(relation.heap for relation in self.relations)
-        self.stations, self.platforms, self.connections, self.sightseeings = self.heaps
 
     # -- references: logical keys -------------------------------------------
 
@@ -149,6 +237,15 @@ class NSMModelBase(NSMFamilyModel):
 
     def all_refs(self) -> list[Ref]:
         return self.table.live_keys()
+
+    def _row(self, ref: Ref) -> Row:
+        # The index resolves a key to its record addresses at no I/O cost.
+        return self.table.row_of_key(ref)
+
+    def _handles(self, ref: Ref, index: int) -> tuple[Handle, ...]:
+        # No records for a key no live object carries: set-oriented paths skip it.
+        row = self.table.find(ref)
+        return () if row is None else row[index]
 
 
 class NSMModel(NSMModelBase):
@@ -202,7 +299,7 @@ class NSMModel(NSMModelBase):
 
     def fetch_full_by_key(self, key: int) -> NestedTuple:
         keys = {key}
-        roots = self._matching(self.stations, NSM_STATION, "Key", keys)
+        roots = self._matching(self.heaps[0], NSM_STATION, "Key", keys)
         if not roots:
             raise InvalidAddressError(f"no station with key {key}")
 
@@ -231,14 +328,18 @@ class NSMModel(NSMModelBase):
         if not refs:
             return []
         keys = set(refs)
-        rows = self._select(self.connections, _CONNECTION_PAIR, ROOT_KEY, keys)
+        rows = self._select(self.heaps[NSM_LINKED], _CONNECTION_PAIR, ROOT_KEY, keys)
         return [(row[ROOT_KEY], row["KeyConnection"]) for _, row in rows]
+
+    def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
+        # Without addresses there are no per-object rows to group by.
+        raise self._not_supported("grouped navigation")
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
         if not refs:
             return []
         decode = self.serializer._decode_flat_part
-        rows = self._matching(self.stations, NSM_STATION, "Key", set(refs))
+        rows = self._matching(self.heaps[0], NSM_STATION, "Key", set(refs))
         return [decode(NSM_STATION, blob, 0)[0] for _, blob in rows]
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
@@ -251,8 +352,9 @@ class NSMModel(NSMModelBase):
         patch = self._root_patch(changes)
         if not refs:
             return
-        for rid, blob in self._matching(self.stations, NSM_STATION, "Key", set(refs)):
-            self.stations.update(rid, patch(blob))
+        stations = self.heaps[0]
+        for rid, blob in self._matching(stations, NSM_STATION, "Key", set(refs)):
+            stations.update(rid, patch(blob))
 
     # -- object lifecycle ----------------------------------------------------------------
 
@@ -297,66 +399,10 @@ class NSMIndexModel(NSMModelBase):
 
     name = "NSM+index"
 
-    def _rids(self, key: int, index: int) -> tuple[Rid, ...]:
-        """Indexed record ids of ``key`` in relation ``index``; none for
-        a key no live object carries (set-oriented accesses skip it)."""
-        row = self.table.find(key)
-        return () if row is None else row[index]
-
-    # -- indexed operations ------------------------------------------------------
-
-    def fetch_full(self, ref: Ref) -> NestedTuple:
-        # References of the NSM family are logical keys (see ref_of);
-        # the index resolves them to record addresses at no I/O cost.
-        return self._fetch_assembled(ref)
-
-    def _fetch_assembled(self, key: int) -> NestedTuple:
-        (station_rid,), *rids = self.table.row_of_key(key)
-        # Arguments evaluate left to right: each relation is read, then
-        # decoded (its zero-copy views at once), before the next is read.
-        decode, heaps = self._assembly.decode, self.heaps
-        return self._assembly.join(
-            decode[0](self.stations.read(station_rid)),
-            *[
-                decode_part(heap.read_many(part_rids))
-                for decode_part, heap, part_rids in zip(decode[1:], heaps[1:], rids)
-            ],
-        )
-
-    def fetch_full_by_key(self, key: int) -> NestedTuple:
-        # Value selection scans the root relation; sub-tuples via index.
-        found = False
-        for _, blob in self.stations.scan():
-            if self.serializer.decode_atom(NSM_STATION, blob, "Key") == key:
-                found = True
-        if not found:
-            raise InvalidAddressError(f"no station with key {key}")
-        return self._fetch_assembled(key)
-
-    def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
-        rids = [rid for key in refs for rid in self._rids(key, NSM_LINKED)]
+    def _refs_in(self, records: Iterable[bytes]) -> list[Ref]:
+        # One reference per flat connection row, at its fixed offset.
         decode_atom = self.serializer.decode_atom
-        return [
-            decode_atom(NSM_CONNECTION, blob, "KeyConnection")
-            for blob in self.connections.read_many(rids)
-        ]
-
-    def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
-        """Grouped navigation: one batched read, split back per ref."""
-        sizes = [len(self._rids(key, NSM_LINKED)) for key in refs]
-        children = iter(self.fetch_refs(refs))
-        return [[next(children) for _ in range(size)] for size in sizes]
-
-    def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
-        rids = [rid for key in refs for rid in self._rids(key, 0)]
-        decode = self.serializer._decode_flat_part
-        return [decode(NSM_STATION, blob, 0)[0] for blob in self.stations.read_many(rids)]
-
-    def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
-        patch = self._root_patch(changes)
-        for key in self._dedupe(refs):
-            for rid in self._rids(key, 0):
-                self.stations.update(rid, patch(self.stations.read(rid)))
+        return [decode_atom(NSM_CONNECTION, blob, "KeyConnection") for blob in records]
 
     def delete_object(self, ref: Ref) -> None:
         """Indexed delete: record accesses only, no scans."""

@@ -55,13 +55,12 @@ are entry points themselves and translate the same way.
 
 Plans are compiled **once per process**: :func:`compiled_plan` is a
 bounded ``lru_cache`` keyed by ``(StorageFormat, RelationSchema |
-Projection)`` — all frozen dataclasses.  Every model and every
-``MixedTupleStore`` owns a serializer and a sweep builds dozens of
-models per replay, so a per-serializer cache would recompile the same
-sixteen plans over and over; the bound is there because the fuzz suites
-create thousands of schemas.  Nothing generated is ever pickled: a
-snapshot holds model *state*, and a ``--processes`` worker compiles its
-own plans.
+Projection)`` — all frozen dataclasses.  Every model owns a serializer
+and a sweep builds dozens of models per replay, so a per-serializer
+cache would recompile the same sixteen plans over and over; the bound
+is there because the fuzz suites create thousands of schemas.  Nothing
+generated is ever pickled: a snapshot holds model *state*, and a
+``--processes`` worker compiles its own plans.
 """
 
 from __future__ import annotations

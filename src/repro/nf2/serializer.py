@@ -39,9 +39,9 @@ one ``iter_unpack`` per instance; ``pack_into`` with the atoms named in
 the call) and compiles it with one ``exec``.  The compiled
 :class:`~repro.nf2.codec._LayoutPlan` is cached **process-wide**
 (:func:`~repro.nf2.codec.compiled_plan`, a bounded ``lru_cache`` keyed
-by format and schema): every model and every ``MixedTupleStore`` owns a
-serializer, so a per-instance cache would recompile the same plans for
-each of the dozens of models a sweep builds.  A serializer only keeps an
+by format and schema): every storage model owns a serializer, so a
+per-instance cache would recompile the same plans for each of the
+dozens of models a sweep builds.  A serializer only keeps an
 ``id(schema)`` dict in front of that cache; the entry points below are
 each one dict lookup, one generated call and the translation of the two
 errors stored bytes can cause.  A :class:`~repro.nf2.schema.Projection`

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence
 
+from repro.benchmark.schema import key_of_oid
 from repro.errors import ShardingError
 from repro.models.base import Ref, StorageModel
 from repro.sharding.engine import ShardedEngine
@@ -233,6 +234,15 @@ class ShardedModel(StorageModel):
             for shard, (positions, group) in self._group(refs).items():
                 self._visit(shard)
                 roots = self.replicas[shard].fetch_roots(group)
+                if len(roots) < len(group):
+                    # NSM+index returns no root for a key no object
+                    # carries: keep the positions of the objects it found.
+                    found = {root["Key"] for root in roots}
+                    positions = [
+                        position
+                        for position, ref in zip(positions, group)
+                        if key_of_oid(self.oid_of(ref)) in found
+                    ]
                 for position, root in zip(positions, roots):
                     slots[position] = root
             return [root for root in slots if root is not None]

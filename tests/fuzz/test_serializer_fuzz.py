@@ -261,6 +261,10 @@ def test_the_models_projections_are_found():
         "nsm._CONNECTION_PAIR",
         "dasdbs_nsm._LINKS",
     } <= names
+    # The projection the NSM family's navigation decodes through is the
+    # one DASDBS-NSM declares, so it is fuzzed above.
+    found = [projection for _, projection in MODEL_PROJECTIONS]
+    assert any(p is dasdbs_nsm.DASDBSNSMModel.navigation for p in found)
 
 
 def _check_projection(rng, fast, projection, fanout):

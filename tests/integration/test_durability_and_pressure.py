@@ -95,7 +95,7 @@ class TestWriteBackOrdering:
         from repro.storage.buffer import BufferManager
 
         fresh = BufferManager(model.engine.disk, capacity=150)
-        pid = model.stations.segment.page_ids[0]
+        pid = model.relations[0].heap.segment.page_ids[0]
         data = fresh.fix(pid)
         assert b"durable" in bytes(data)
         fresh.unfix(pid)

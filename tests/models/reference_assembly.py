@@ -24,6 +24,12 @@ from repro.benchmark.schema import (
 )
 from repro.errors import InvalidAddressError
 from repro.models.base import StorageModel
+from repro.models.dasdbs_nsm import (
+    DNSM_CONNECTION,
+    DNSM_PLATFORM,
+    DNSM_SIGHTSEEING,
+    DNSM_STATION,
+)
 from repro.models.nsm import NSM_CONNECTION, NSM_PLATFORM, NSM_SIGHTSEEING, NSM_STATION
 from repro.nf2.oid import Rid
 from repro.nf2.values import NestedTuple
@@ -99,7 +105,14 @@ _NSM_SCHEMAS = (NSM_STATION, NSM_PLATFORM, NSM_CONNECTION, NSM_SIGHTSEEING)
 
 
 def _nsm_heaps(model):
-    return (model.stations, model.platforms, model.connections, model.sightseeings)
+    return tuple(relation.heap for relation in model.table.relations)
+
+
+def _nsm_index_rids(model, key: int, index: int):
+    """The indexed record ids of ``key`` in relation ``index``; none for
+    a key no live object carries."""
+    row = model.table.find(key)
+    return () if row is None else row[index]
 
 
 def _nsm_select(model, index: int, key_attr: str, keys: set[int]) -> list[NestedTuple]:
@@ -127,23 +140,22 @@ def _nsm_fetch_full_by_key(model, key: int) -> NestedTuple:
 
 def _nsm_index_fetch_full(model, key: int) -> NestedTuple:
     decode = model.serializer.decode_flat
+    stations, platforms, connections, sightseeings = _nsm_heaps(model)
     (station_rid,), platform_rids, connection_rids, sightseeing_rids = (
         model.table.row_of_key(key)
     )
-    root = decode(NSM_STATION, model.stations.read(station_rid))
-    platforms = [decode(NSM_PLATFORM, blob) for blob in model.platforms.read_many(platform_rids)]
-    connections = [
-        decode(NSM_CONNECTION, blob) for blob in model.connections.read_many(connection_rids)
+    root = decode(NSM_STATION, stations.read(station_rid))
+    platform_rows = [decode(NSM_PLATFORM, blob) for blob in platforms.read_many(platform_rids)]
+    connection_rows = [
+        decode(NSM_CONNECTION, blob) for blob in connections.read_many(connection_rids)
     ]
-    sights = [
-        decode(NSM_SIGHTSEEING, blob) for blob in model.sightseeings.read_many(sightseeing_rids)
-    ]
-    return assemble_nsm(root, platforms, connections, sights)
+    sights = [decode(NSM_SIGHTSEEING, blob) for blob in sightseeings.read_many(sightseeing_rids)]
+    return assemble_nsm(root, platform_rows, connection_rows, sights)
 
 
 def _nsm_index_fetch_full_by_key(model, key: int) -> NestedTuple:
     found = False
-    for _, blob in model.stations.scan():
+    for _, blob in _nsm_heaps(model)[0].scan():
         if model.serializer.decode_atom(NSM_STATION, blob, "Key") == key:
             found = True
     if not found:
@@ -175,41 +187,89 @@ def _nsm_fetch_roots(model, refs) -> list[dict[str, Any]]:
 
 
 def _nsm_index_fetch_roots(model, refs) -> list[dict[str, Any]]:
-    rids = [rid for key in refs for rid in model._rids(key, 0)]
+    rids = [rid for key in refs for rid in _nsm_index_rids(model, key, 0)]
     decode = model.serializer.decode_flat
-    return [decode(NSM_STATION, blob).atoms() for blob in model.stations.read_many(rids)]
+    return [decode(NSM_STATION, blob).atoms() for blob in _nsm_heaps(model)[0].read_many(rids)]
+
+
+def _nsm_fetch_ref_pairs(model, refs) -> list[tuple[int, int]]:
+    """One value scan of the connection rows, each match decoded in full."""
+    if not refs:
+        return []
+    return [
+        (row["RootKey"], row["KeyConnection"])
+        for row in _nsm_select(model, 2, "RootKey", set(refs))
+    ]
+
+
+def _nsm_fetch_refs(model, refs) -> list[int]:
+    return [child for _, child in _nsm_fetch_ref_pairs(model, refs)]
+
+
+def _nsm_index_fetch_refs_grouped(model, refs) -> list[list[int]]:
+    """One batched read of every indexed connection row, split per key."""
+    groups = [_nsm_index_rids(model, key, 2) for key in refs]
+    rows = iter(_nsm_heaps(model)[2].read_many([rid for group in groups for rid in group]))
+    decode = model.serializer.decode_flat
+    return [
+        [decode(NSM_CONNECTION, next(rows))["KeyConnection"] for _ in group] for group in groups
+    ]
+
+
+def _flattened(grouped):
+    def fetch_refs(model, refs) -> list[int]:
+        return [child for group in grouped(model, refs) for child in group]
+
+    return fetch_refs
 
 
 # -- DASDBS-NSM: one nested tuple per relation and object ---------------------------------
 
 
-def _decode(store, blob) -> NestedTuple:
+_DNSM_SCHEMAS = (DNSM_STATION, DNSM_PLATFORM, DNSM_CONNECTION, DNSM_SIGHTSEEING)
+
+
+def _stores(model):
+    """``(relation, stored schema)`` of DASDBS-NSM's four relations."""
+    return tuple(zip(model.table.relations, _DNSM_SCHEMAS))
+
+
+def _decode(model, store, blob) -> NestedTuple:
     """One stored tuple of ``store`` from its bytes, in full."""
-    return store.serializer.decode_nested(store.schema, blob)
+    return model.serializer.decode_nested(store[1], blob)
 
 
-def _dasdbs_read(store, handle) -> NestedTuple:
+def _dasdbs_read(model, store, handle) -> NestedTuple:
+    relation = store[0]
     if type(handle) is Rid:
-        return _decode(store, store.heap.read(handle))
-    (blob,) = store.long_store.read(handle)
-    return _decode(store, blob)
+        return _decode(model, store, relation.heap.read(handle))
+    (blob,) = relation.long_store.read(handle)
+    return _decode(model, store, blob)
 
 
-def _dasdbs_scan(store, longs):
-    for _, blob in store.heap.scan():
-        yield _decode(store, blob)
+def _dasdbs_read_many(model, store, handles) -> list[NestedTuple]:
+    """The heap page set in one call, each long record when its turn
+    comes; every record decoded as it is drawn."""
+    heap_rids = list(dict.fromkeys(handle for handle in handles if type(handle) is Rid))
+    views = dict(zip(heap_rids, store[0].heap.read_many(heap_rids))) if heap_rids else {}
+    return [
+        _decode(model, store, views[handle])
+        if type(handle) is Rid
+        else _dasdbs_read(model, store, handle)
+        for handle in handles
+    ]
+
+
+def _dasdbs_scan(model, store, longs):
+    for _, blob in store[0].heap.scan():
+        yield _decode(model, store, blob)
     for address in longs:
-        (blob,) = store.long_store.read(address)
-        yield _decode(store, blob)
+        yield _dasdbs_read(model, store, address)
 
 
 def _dasdbs_read_assembled(model, row) -> NestedTuple:
-    (st,), (pl,), (co,), (si,) = row
     return assemble_dasdbs_nsm(
-        _dasdbs_read(model.stations, st),
-        _dasdbs_read(model.platforms, pl),
-        _dasdbs_read(model.connections, co),
-        _dasdbs_read(model.sightseeings, si),
+        *(_dasdbs_read(model, store, handle) for store, (handle,) in zip(_stores(model), row))
     )
 
 
@@ -220,13 +280,13 @@ def _dasdbs_fetch_full(model, oid: int) -> NestedTuple:
 def _dasdbs_fetch_full_by_key(model, key: int) -> NestedTuple:
     """The root relation scanned with ``Key`` tested in place, as
     NSM+index does; only the match is decoded, by address."""
-    store, found = model.stations, False
-    for _, blob in store.heap.scan():
-        if model.serializer.decode_atom(store.schema, blob, "Key") == key:
+    relation, found = model.table.relations[0], False
+    for _, blob in relation.heap.scan():
+        if model.serializer.decode_atom(DNSM_STATION, blob, "Key") == key:
             found = True
     for address in model.table.long_handles(0):
-        (blob,) = store.long_store.read(address)
-        if model.serializer.decode_atom(store.schema, blob, "Key") == key:
+        (blob,) = relation.long_store.read(address)
+        if model.serializer.decode_atom(DNSM_STATION, blob, "Key") == key:
             found = True
     if not found:
         raise InvalidAddressError(f"no station with key {key}")
@@ -235,10 +295,11 @@ def _dasdbs_fetch_full_by_key(model, key: int) -> NestedTuple:
 
 def _dasdbs_scan_all(model) -> list[NestedTuple]:
     longs = model.table.long_handles
-    stores = (model.stations, model.platforms, model.connections, model.sightseeings)
     stations, platforms, connections, sights = (
-        {row[key]: row for row in _dasdbs_scan(store, longs(index))}
-        for index, (store, key) in enumerate(zip(stores, ("Key", "RootKey", "RootKey", "RootKey")))
+        {row[key]: row for row in _dasdbs_scan(model, store, longs(index))}
+        for index, (store, key) in enumerate(
+            zip(_stores(model), ("Key", "RootKey", "RootKey", "RootKey"))
+        )
     )
     return [
         assemble_dasdbs_nsm(st, platforms[key], connections[key], sights[key])
@@ -247,22 +308,30 @@ def _dasdbs_scan_all(model) -> list[NestedTuple]:
 
 
 def _dasdbs_fetch_roots(model, refs) -> list[dict[str, Any]]:
-    store = model.stations
     handles = [model.table.row(oid)[0][0] for oid in refs]
-    heap_rids = list(dict.fromkeys(handle for handle in handles if type(handle) is Rid))
-    views = dict(zip(heap_rids, store.heap.read_many(heap_rids))) if heap_rids else {}
-    out = []
-    for handle in handles:
-        if type(handle) is Rid:
-            out.append(_decode(store, views[handle]).atoms())
-        else:
-            (blob,) = store.long_store.read(handle)
-            out.append(_decode(store, blob).atoms())
-    return out
+    return [root.atoms() for root in _dasdbs_read_many(model, _stores(model)[0], handles)]
+
+
+def _dasdbs_fetch_refs_grouped(model, refs) -> list[list[int]]:
+    """One batched read of the connection tuples; each one's OIDs
+    collected by the walk of its groups."""
+    handles = [model.table.row(oid)[2][0] for oid in refs]
+    return [
+        [
+            item["OidConnection"]
+            for group in tuple_._subs["ConnectionsOfPlatform"]
+            for item in group._subs["ConnectionOfPlatform"]
+        ]
+        for tuple_ in _dasdbs_read_many(model, _stores(model)[2], handles)
+    ]
 
 
 def _unsupported(model, *_):
     raise model._not_supported("retrieval by OID (query 1a); NSM stores no identifiers")
+
+
+def _ungrouped(model, *_):
+    raise model._not_supported("grouped navigation")
 
 
 _REFERENCE = {
@@ -271,18 +340,25 @@ _REFERENCE = {
         "fetch_full_by_key": _nsm_fetch_full_by_key,
         "scan_all": _nsm_scan_all,
         "fetch_roots": _nsm_fetch_roots,
+        "fetch_refs": _nsm_fetch_refs,
+        "fetch_ref_pairs": _nsm_fetch_ref_pairs,
+        "fetch_refs_grouped": _ungrouped,
     },
     "NSM+index": {
         "fetch_full": _nsm_index_fetch_full,
         "fetch_full_by_key": _nsm_index_fetch_full_by_key,
         "scan_all": _nsm_scan_all,
         "fetch_roots": _nsm_index_fetch_roots,
+        "fetch_refs": _flattened(_nsm_index_fetch_refs_grouped),
+        "fetch_refs_grouped": _nsm_index_fetch_refs_grouped,
     },
     "DASDBS-NSM": {
         "fetch_full": _dasdbs_fetch_full,
         "fetch_full_by_key": _dasdbs_fetch_full_by_key,
         "scan_all": _dasdbs_scan_all,
         "fetch_roots": _dasdbs_fetch_roots,
+        "fetch_refs": _flattened(_dasdbs_fetch_refs_grouped),
+        "fetch_refs_grouped": _dasdbs_fetch_refs_grouped,
     },
 }
 

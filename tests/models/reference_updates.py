@@ -16,6 +16,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.benchmark.schema import STATION_SCHEMA
 from repro.models.base import StorageModel
+from repro.models.dasdbs_nsm import DNSM_STATION
 from repro.models.dsm import SECTION_ROOT
 from repro.models.nsm import NSM_STATION
 from repro.nf2.oid import Rid
@@ -65,30 +66,31 @@ def _nsm(model, refs, changes):
     """Value scan for the root tuples, then replace them."""
     if not refs:
         return
-    for rid, row in model._select(model.stations, NSM_STATION, "Key", set(refs)):
-        model.stations.update(rid, model.serializer.encode_flat(row.replace_atoms(**changes)))
+    stations = model.table.relations[0].heap
+    for rid, row in model._select(stations, NSM_STATION, "Key", set(refs)):
+        stations.update(rid, model.serializer.encode_flat(row.replace_atoms(**changes)))
 
 
 def _nsm_index(model, refs, changes):
+    stations = model.table.relations[0].heap
     for key in model._dedupe(refs):
-        for rid in model._rids(key, 0):
-            row = model.serializer.decode_flat(NSM_STATION, model.stations.read(rid))
-            model.stations.update(
-                rid, model.serializer.encode_flat(row.replace_atoms(**changes))
-            )
+        row = model.table.find(key)
+        for rid in () if row is None else row[0]:
+            stored = model.serializer.decode_flat(NSM_STATION, stations.read(rid))
+            stations.update(rid, model.serializer.encode_flat(stored.replace_atoms(**changes)))
 
 
 def _dasdbs_nsm(model, refs, changes):
     """Replace the small root tuples, deferred."""
-    store = model.stations
+    relation = model.table.relations[0]
     for oid in model._dedupe(refs):
         handle = model.table.row(oid)[0][0]
-        stored = store.serializer.decode_nested(store.schema, store.read_record(handle))
-        blob = store.serializer.encode_nested(stored.replace_atoms(**changes))
+        stored = model.serializer.decode_nested(DNSM_STATION, relation.read_record(handle))
+        blob = model.serializer.encode_nested(stored.replace_atoms(**changes))
         if type(handle) is Rid:
-            store.heap.update(handle, blob)
+            relation.heap.update(handle, blob)
         else:
-            store.long_store.replace(handle, [blob])
+            relation.long_store.replace(handle, [blob])
 
 
 _REFERENCE = {

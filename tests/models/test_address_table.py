@@ -545,6 +545,10 @@ def test_plain_nsm_never_reads_its_table(stations):
         with pytest.raises(UnsupportedOperationError):
             model.fetch_full(refs[0])
 
+    def fetch_refs_grouped(model):
+        with pytest.raises(UnsupportedOperationError):
+            model.fetch_refs_grouped(refs)
+
     def delete_twice(model):
         model.delete_object(refs[1])
         with pytest.raises(InvalidAddressError):
@@ -558,6 +562,7 @@ def test_plain_nsm_never_reads_its_table(stations):
         lambda model: model.scan_all(),
         lambda model: model.fetch_refs(refs),
         lambda model: model.fetch_ref_pairs(refs),
+        fetch_refs_grouped,
         lambda model: model.fetch_roots(refs),
         lambda model: model.update_roots(refs, {"Name": "guarded"}),
         lambda model: model.fetch_roots(refs),
@@ -601,6 +606,33 @@ def _model_classes() -> set[type]:
         for base in cls.__mro__
         if issubclass(base, StorageModel) and base is not StorageModel
     }
+
+
+def _defined(cls: type) -> set[str]:
+    return {name for name, value in vars(cls).items() if callable(value)}
+
+
+#: The primitives the executors call, which the e2e tracer spans.
+PRIMITIVES = (
+    "fetch_full",
+    "fetch_full_by_key",
+    "fetch_roots",
+    "fetch_refs",
+    "scan_all",
+    "update_roots",
+)
+
+#: The NSM family's access by address (Section 3.4's transformation
+#: table, Table 3's NSM+index row).
+ADDRESSED = (
+    "fetch_full",
+    "_read_assembled",
+    "fetch_full_by_key",
+    "fetch_refs",
+    "fetch_refs_grouped",
+    "fetch_roots",
+    "update_roots",
+)
 
 
 def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
@@ -649,6 +681,30 @@ def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
     )
     build_loaded_model("NSM+index", stations[:8]).delete_object(key_of_oid(3))
     assert deleted == [3]
+
+    # The NSM family's access by address lives on its base; the only
+    # branches are declared.  Plain NSM, which has no addresses,
+    # overrides every path with its value selections (and refuses
+    # grouped navigation rather than read the table); references are
+    # keys on ``NSMModelBase`` (two lookups); NSM+index adds its
+    # key-translating delete and the decode of a flat connection row;
+    # DASDBS-NSM is declarations only.
+    for name in ADDRESSED:
+        owners = {cls for cls in family if name in vars(cls)}
+        assert owners <= {NSMFamilyModel, NSMModel} and NSMFamilyModel in owners, name
+    assert {*ADDRESSED} & _defined(NSMModel) == {*ADDRESSED} - {"_read_assembled"}
+    assert _defined(NSMModelBase) == {
+        "__init__", "ref_of", "oid_of", "all_refs", "_row", "_handles"
+    }
+    assert _defined(NSMIndexModel) == {"_refs_in", "delete_object"}
+    assert _defined(DASDBSNSMModel) == set()
+    assert {"name", "parts", "root_schema", "navigation"} <= set(vars(DASDBSNSMModel))
+    # The e2e tracer spans a primitive where a subclass defines it and
+    # never on ``StorageModel``: none may resolve there.
+    for cls in MODEL_CLASSES.values():
+        for name in PRIMITIVES:
+            owner = next(base for base in cls.__mro__ if name in vars(base))
+            assert owner is not StorageModel, (cls.__name__, name)
 
 
 def test_every_model_declares_its_relations_on_the_kernel():

@@ -12,10 +12,11 @@ no list or dict shared between two fetched objects.  That holds in every
 state a model can be in, and for corrupt stored bytes, which must raise
 :class:`SerializationError` at the same point on both twins.
 
-Every object is fetched by reference and scanned in every state.  A
-lookup by key costs a scan of the root relation first (of all four on
-plain NSM: 8 ms at 300 objects), so ``fetch_full_by_key`` samples the
-extension outside the fresh state (``_point_reads``).
+Every object is fetched by reference, navigated from (``_navigations``)
+and scanned in every state.  A lookup by key costs a scan of the root
+relation first (of all four on plain NSM: 8 ms at 300 objects), so
+``fetch_full_by_key`` samples the extension outside the fresh state
+(``_point_reads``).
 """
 
 from __future__ import annotations
@@ -192,6 +193,49 @@ def test_every_path_equals_the_reference(twins, stations, name, state):
     assert model.engine.metrics.snapshot() == twin.engine.metrics.snapshot()
 
 
+#: Keys no object of the extension carries (NSM+index skips them).
+UNKNOWN_KEYS = (key_of_oid(10_000), -1)
+
+
+def _navigations(model, state: str):
+    """(operation, refs) of every navigation call the oracle runs.
+
+    The addressed models navigate from every live object, five per
+    call, flattened and grouped, plus calls that repeat a ref and an
+    empty one.  Plain NSM scans its connection relation per call, so it
+    navigates from every thirtieth object, by pairs and flattened, and
+    is refused grouped navigation.  A deleted object stays in the calls
+    after a delete: NSM+index skips its key like an unknown one,
+    DASDBS-NSM refuses its OID.
+    """
+    refs = [model.ref_of(oid) for oid in model.table.live_oids()]
+    if state == "after-delete":
+        refs += [model.ref_of(oid) for oid in DELETED_OIDS]
+    if model.name == "NSM":
+        batches = [refs[start : start + 5] for start in range(0, len(refs), 30 * 5)]
+        operations = ("fetch_refs", "fetch_ref_pairs", "fetch_refs_grouped")
+    else:
+        batches = [refs[start : start + 5] for start in range(0, len(refs), 5)]
+        operations = ("fetch_refs", "fetch_refs_grouped")
+    batches += [[refs[1], refs[3], refs[1]], []]
+    if model.name == "NSM+index":
+        batches += [[*UNKNOWN_KEYS], [refs[2], UNKNOWN_KEYS[0], refs[4]]]
+    for batch in batches:
+        for operation in operations:
+            yield operation, batch
+
+
+@pytest.mark.parametrize("state", sorted(STATES))
+@pytest.mark.parametrize("name", NAMES)
+def test_navigation_equals_the_reference(twins, stations, name, state):
+    pair = twins(name, state, stations)
+    navigated = 0
+    for operation, refs in _navigations(pair[0], state):
+        got = run_both(pair, operation, refs)
+        navigated += isinstance(got, list) and any(got)
+    assert navigated
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_fetch_roots_returns_fresh_dicts(twins, stations, name):
     pair = twins(name, "updated", stations)
@@ -237,10 +281,7 @@ CORRUPTIONS = {
 
 
 def _stored(model, index: int, blob) -> NestedTuple:
-    relation = model.table.relations[index]
-    if model.name == "DASDBS-NSM":
-        return relation.serializer.decode_nested(relation.schema, blob)
-    return model.serializer.decode_flat(model._assembly.parts[index].stored, blob)
+    return model.serializer.decode_nested(model.parts[index].stored, blob)
 
 
 def corrupt(model, oid: int, index: int, kind: str) -> None:

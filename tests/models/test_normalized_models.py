@@ -34,7 +34,7 @@ class TestNSMScans:
         cold(nsm)
         nsm.fetch_refs([key_of_oid(oid)])
         fixes = nsm.engine.metrics.snapshot().page_fixes
-        assert fixes == nsm.connections.n_pages  # exactly one scan
+        assert fixes == nsm.relations[2].n_pages  # exactly one scan
 
     def test_second_scan_hits_cache(self, stations):
         nsm = build_loaded_model("NSM", stations)
@@ -57,13 +57,13 @@ class TestNSMScans:
     def test_tuple_counts_match_structure(self, stations):
         nsm = build_loaded_model("NSM", stations)
         n_platforms = sum(len(s.subtuples("Platform")) for s in stations)
-        assert nsm.platforms.count_records() == n_platforms
+        assert nsm.relations[1].heap.count_records() == n_platforms
         n_conns = sum(
             len(p.subtuples("Connection"))
             for s in stations
             for p in s.subtuples("Platform")
         )
-        assert nsm.connections.count_records() == n_conns
+        assert nsm.relations[2].heap.count_records() == n_conns
 
 
 class TestNSMIndex:
@@ -86,7 +86,7 @@ class TestNSMIndex:
         cold(idx)
         idx.fetch_full_by_key(key_of_oid(3))
         pages = idx.engine.metrics.snapshot().pages_read
-        assert pages >= idx.stations.n_pages
+        assert pages >= idx.relations[0].n_pages
 
     def test_navigation_uses_one_call_per_level(self, stations):
         idx = build_loaded_model("NSM+index", stations)
@@ -123,13 +123,14 @@ class TestDASDBSNSM:
         model.fetch_full_by_key(key_of_oid(9))
         pages = model.engine.metrics.snapshot().pages_read
         assert pages < model.total_pages() / 2
-        assert pages >= model.stations.n_pages
+        assert pages >= model.relations[0].n_pages
 
     def test_navigation_avoids_sightseeing_relation(self, stations):
         """Figure 5: queries 2/3 never touch DASDBS_NSM_Sightseeing."""
         model = build_loaded_model("DASDBS-NSM", stations)
-        sight_pages = set(model.sightseeings.heap.segment.page_ids) | set(
-            model.sightseeings.long_store.segment.page_ids
+        sightseeings = model.relations[3]
+        sight_pages = set(sightseeings.heap.segment.page_ids) | set(
+            sightseeings.long_store.segment.page_ids
         )
         cold(model)
         children = model.fetch_refs([0])
@@ -148,7 +149,7 @@ class TestDASDBSNSM:
         model.engine.flush()
         snap = model.engine.metrics.snapshot()
         # Small root tuples share pages: batched write-back of few pages.
-        assert snap.pages_written <= model.stations.n_pages
+        assert snap.pages_written <= model.relations[0].n_pages
 
     def test_transformation_table_has_four_addresses(self, stations):
         model = build_loaded_model("DASDBS-NSM", stations)

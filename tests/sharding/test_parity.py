@@ -14,6 +14,7 @@ import weakref
 
 import pytest
 
+from repro.benchmark.generator import generate_stations
 from repro.benchmark.workload import WorkloadExecutor, WorkloadSpec, compile_trace
 from tests.sharding.conftest import (
     MODEL_NAMES,
@@ -118,6 +119,35 @@ def test_scatter_gather_results_match_shadow(parity_stations, model_name):
 
                 key = key_of_oid(oid)
                 assert facade.fetch_full_by_key(key) == plain.fetch_full_by_key(key)
+    finally:
+        plain.engine.close()
+        facade.engine.close()
+
+
+def test_roots_stay_in_order_past_a_key_no_object_carries():
+    """NSM+index skips a key no object carries, so a replica may return
+    fewer roots than it was asked for; the facade places each root by
+    its object, not by position.  ``u`` names no object and shares a
+    shard with ``b`` but not with ``a``."""
+    config = PARITY_CONFIG.with_changes(n_objects=60)
+    stations = generate_stations(config)
+    plain = build_plain(config, stations, "NSM+index")
+    facade = build_sharded(config, stations, "NSM+index", n_shards=4, policy="hash")
+    try:
+        shard_of = facade.router.shard_of
+        a, b = plain.ref_of(0), plain.ref_of(3)
+        assert shard_of(0) != shard_of(3)
+        unknown = next(
+            oid for oid in range(config.n_objects, 10 * config.n_objects)
+            if shard_of(oid) == shard_of(3)
+        )
+        refs = [plain.ref_of(unknown), a, b]
+        want = plain.fetch_roots(refs)
+        assert [root["Key"] for root in want] == [a, b]
+        assert facade.fetch_roots(refs) == want
+        assert facade.fetch_roots([*refs, a, plain.ref_of(unknown)]) == plain.fetch_roots(
+            [*refs, a, plain.ref_of(unknown)]
+        )
     finally:
         plain.engine.close()
         facade.engine.close()
