@@ -16,10 +16,10 @@ comparing clustering techniques:
   buffer configuration in a sweep) executes the identical access
   pattern;
 * a :class:`WorkloadExecutor` replays the trace against any loaded
-  :class:`~repro.models.base.StorageModel` using the same operation
-  primitives and measurement discipline as the paper queries
-  (:class:`~repro.benchmark.queries.QuerySuite`), producing the same
-  :class:`~repro.storage.metrics.MetricsSnapshot` accounting.
+  :class:`~repro.models.base.StorageModel` and measures it as a
+  :class:`~repro.storage.metrics.MetricsSnapshot`.  It is the one
+  executor: the paper's seven queries are traces too
+  (:func:`~repro.benchmark.queries.paper_trace`), run by the same loop.
 
 Zipfian skew ranks objects by OID (rank 1 = OID 0, probability
 ∝ 1/rank^θ), so the hot set coincides with the low OIDs, which bulk
@@ -195,10 +195,10 @@ class WorkloadTrace:
     ops: tuple[Operation, ...]
 
     def op_counts(self) -> dict[str, int]:
-        """How many operations of each kind the trace contains."""
-        counts = {kind: 0 for kind in OP_KINDS}
+        """Operations per kind: every :data:`OP_KINDS` entry, plus the others present."""
+        counts = dict.fromkeys(OP_KINDS, 0)
         for op in self.ops:
-            counts[op.kind] += 1
+            counts[op.kind] = counts.get(op.kind, 0) + 1
         return counts
 
 
@@ -369,23 +369,26 @@ class WorkloadResult:
 class WorkloadExecutor:
     """Replays a compiled trace against one loaded storage model.
 
-    Operation semantics, mapped onto the model primitives the paper
-    queries use:
+    Operation semantics, mapped onto the model primitives:
 
-    * **point** — full-object retrieval by OID (query-1a style); models
-      without physical identifiers (plain NSM) fall back to the value
-      selection ``fetch_full_by_key`` (query-1b style), which is what a
-      "point lookup" costs on a model with no access path;
-    * **navigate** — the query-2 traversal: root → children →
-      grand-children, projecting only the needed parts;
+    * **point** — full-object retrieval by OID (query 1a,
+      :func:`fetch_point`); models without physical identifiers (plain
+      NSM) fall back to the value selection ``fetch_full_by_key``,
+      which is what a "point lookup" costs on a model with no access
+      path;
+    * **navigate** — the query-2 traversal, :func:`navigate`;
     * **scan** — read every object in storage order (query 1c);
     * **update** — rewrite the atomic root attributes of one object
-      (the query-3 update step, without the traversal).
+      (the query-3 update step, without the traversal);
+    * **key** — a value selection by key (query 1b), and
+      **navigate_update** — the traversal, then a rewrite of the
+      grand-children's roots (queries 3a/3b).  Only the paper queries'
+      traces hold these two, tested last so mix traces pay nothing.
 
-    Measurement discipline mirrors ``QuerySuite._measure``: the buffer
-    restarts cold, counters reset, the trace runs (``warm=False``
-    additionally restarts the buffer before every operation), a final
-    flush models the database disconnect, then the counters are read.
+    Measurement discipline, the paper's: the buffer restarts cold,
+    counters reset, the trace runs (``warm=False`` additionally
+    restarts the buffer before every operation), a final flush models
+    the database disconnect, then the counters are read.
     """
 
     def __init__(
@@ -452,17 +455,21 @@ class WorkloadExecutor:
         navigate = self._navigate
         scan_all = model.scan_all
         update_roots = model.update_roots
+        fetch_by_key = model.fetch_full_by_key
         ref_of = model.ref_of
+        key_of = model.key_of
         oid_of = model.oid_of
         restart = engine.restart_buffer
         stats = self.stats
         online = self.online
+        observed = stats is not None or online is not None
         buffer = engine.buffer
         if self.retry_limit:
             point = self._resilient(point)
             navigate = self._resilient(navigate)
             scan_all = self._resilient(scan_all)
             update_roots = self._resilient(update_roots)
+            fetch_by_key = self._resilient(fetch_by_key)
         if stats is not None:
             # Registered alongside (not instead of) any other hooks —
             # the serving layer's latch bookkeeping may be listening on
@@ -475,33 +482,33 @@ class WorkloadExecutor:
                 kind = op.kind
                 if kind == "point":
                     point(op.oid)
-                    if stats is not None:
-                        stats.record_operation((op.oid,))
-                    if online is not None:
-                        online.note_operation((op.oid,))
+                    if observed:
+                        observe(stats, online, (op.oid,))
                 elif kind == "navigate":
                     children, grand = navigate(op.oid)
-                    if stats is not None or online is not None:
-                        touched = [
-                            op.oid, *map(oid_of, children), *map(oid_of, grand)
-                        ]
-                        if stats is not None:
-                            stats.record_operation(touched)
-                        if online is not None:
-                            online.note_operation(touched)
+                    if observed:
+                        touched = [op.oid, *map(oid_of, children), *map(oid_of, grand)]
+                        observe(stats, online, touched)
                 elif kind == "scan":
                     scan_all()
-                    if stats is not None:
-                        stats.record_scan()
-                    if online is not None:
-                        online.note_scan()
+                    if observed:
+                        observe(stats, online, None)
                 elif kind == "update":
                     update_roots([ref_of(op.oid)], {"Name": f"workload-{index}"})
-                    if stats is not None:
-                        stats.record_operation((op.oid,))
-                    if online is not None:
-                        online.note_operation((op.oid,))
-                else:  # pragma: no cover - specs cannot produce unknown kinds
+                    if observed:
+                        observe(stats, online, (op.oid,))
+                elif kind == "key":
+                    fetch_by_key(key_of(op.oid))
+                    if observed:
+                        observe(stats, online, (op.oid,))
+                elif kind == "navigate_update":
+                    children, grand = navigate(op.oid)
+                    if grand:
+                        update_roots(grand, {"Name": f"updated-{index}"})
+                    if observed:
+                        touched = [op.oid, *map(oid_of, children), *map(oid_of, grand)]
+                        observe(stats, online, touched)
+                else:  # pragma: no cover - traces cannot produce unknown kinds
                     raise BenchmarkError(f"unknown operation kind {kind!r}")
         finally:
             if stats is not None:
@@ -514,25 +521,53 @@ class WorkloadExecutor:
             op_counts=self.trace.op_counts(),
         )
 
-    # -- operation dispatch --------------------------------------------------
+    # -- operation dispatch (methods: the e2e tracer spans each operation) --
 
     def _point(self, oid: int) -> None:
-        if self.model.supports_oid_access:
-            self.model.fetch_full(self.model.ref_of(oid))
-        else:
-            # No physical identifiers (plain NSM): a point lookup is a
-            # value selection, exactly as in query 1b.
-            self.model.fetch_full_by_key(self.model.key_of(oid))
+        fetch_point(self.model, oid)
 
     def _navigate(self, oid: int) -> tuple[list, list]:
-        model = self.model
-        root_ref = model.ref_of(oid)
-        model.fetch_roots([root_ref])
-        children = model._dedupe(model.fetch_refs([root_ref]))
-        grand = model._dedupe(model.fetch_refs(children)) if children else []
-        if grand:
-            model.fetch_roots(grand)
-        return children, grand
+        return navigate(self.model, oid)
+
+
+def observe(stats, online, touched) -> None:
+    """Report one operation's touched OIDs (None: a full scan) to the observers."""
+    if touched is None:
+        if stats is not None:
+            stats.record_scan()
+        if online is not None:
+            online.note_scan()
+        return
+    if stats is not None:
+        stats.record_operation(touched)
+    if online is not None:
+        online.note_operation(touched)
+
+
+def fetch_point(model: StorageModel, oid: int) -> None:
+    """Retrieve one whole object by OID: the ``point`` operation."""
+    if model.supports_oid_access:
+        model.fetch_full(model.ref_of(oid))
+    else:
+        # No physical identifiers (plain NSM): a point lookup is a
+        # value selection, exactly as in query 1b.
+        model.fetch_full_by_key(model.key_of(oid))
+
+
+def navigate(model: StorageModel, oid: int) -> tuple[list, list]:
+    """The query-2 traversal root → children → grand-children.
+
+    Projects only the needed parts and returns the children's and the
+    grand-children's references, each level de-duplicated: an object
+    is fetched once per level (repeats would only inflate fixes).
+    """
+    root_ref = model.ref_of(oid)
+    model.fetch_roots([root_ref])
+    children = model._dedupe(model.fetch_refs([root_ref]))
+    grand = model._dedupe(model.fetch_refs(children)) if children else []
+    if grand:
+        model.fetch_roots(grand)
+    return children, grand
 
 
 def run_workload(
@@ -540,36 +575,9 @@ def run_workload(
     model: StorageModel,
     n_objects: int | None = None,
 ) -> WorkloadResult:
-    """Compile ``spec`` for ``model`` and execute it."""
-    trace = compile_trace(spec, n_objects or model.n_objects)
+    """Compile ``spec`` for ``model`` (its whole extension by default) and execute it."""
+    trace = compile_trace(spec, model.n_objects if n_objects is None else n_objects)
     return WorkloadExecutor(model, trace).run()
-
-
-def run_multi_session(
-    spec: WorkloadSpec,
-    model: StorageModel,
-    clients: int,
-    n_objects: int | None = None,
-    **serving_kwargs: Any,
-):
-    """Drive ``clients`` concurrent sessions of ``spec`` on one model.
-
-    The multi-session sibling of :func:`run_workload`: client 0 replays
-    the spec's own trace, further clients replay derived traces (same
-    mix and skew, derived seeds), and the serving layer runs them over
-    the shared engine in the scheduler's grant order, one operation at
-    a time.  With ``clients=1`` the aggregate counters are identical to
-    :func:`run_workload`.
-    Keyword arguments (``scheduler``, ``priorities``, ``online``, …)
-    pass through to :class:`~repro.serving.server.ServingExecutor`;
-    returns its :class:`~repro.serving.server.ServingResult`.  Imported
-    lazily — the serving layer sits above this module.
-    """
-    from repro.serving import run_serving
-
-    return run_serving(
-        model, spec, clients, n_objects=n_objects, **serving_kwargs
-    )
 
 
 # -- CLI spec parsing ---------------------------------------------------------
@@ -638,15 +646,19 @@ def parse_workload(text: str) -> WorkloadSpec:
     Accepted forms, separable by commas (later tokens override):
 
     * a preset name — ``uniform``, ``zipf``, ``read-heavy``,
-      ``update-heavy``, ``scan-only``;
+      ``update-heavy``, ``scan-only``, or one of the scenario presets
+      ``ticket-inventory`` and ``activity-stream``;
     * ``zipf(θ)`` — Zipfian skew with parameter θ, e.g. ``zipf(1.0)``;
     * ``warm`` / ``cold`` — buffer regime;
     * ``key=value`` — ``point=2``, ``navigate=1``, ``scan=0.1``,
       ``update=0.5``, ``theta=1.2``, ``ops=500``, ``seed=7``,
       ``skew=zipf``, ``name=mine``, ``drift=step``, ``period=40``,
-      ``window=0.1``.
+      ``window=0.1``, ``scenario=ticket-inventory``, ``records=32``
+      (the scenario's hot record block), ``hold=25`` (operations a
+      ticket hold survives).
 
-    Example: ``"zipf(1.2),point=3,update=1,ops=400,cold"``.
+    Examples: ``"zipf(1.2),point=3,update=1,ops=400,cold"``,
+    ``"ticket-inventory,ops=300"``.
 
     A preset supplies the *base* spec, so it must be the first token;
     accepting it later would silently discard the overrides parsed

@@ -7,7 +7,8 @@ The executor takes one compiled trace per client, asks the scheduler
 for a grant order (:mod:`repro.serving.scheduler`), and replays the
 granted operations against the **shared** model/engine with exactly the
 measurement discipline of the single-stream
-:class:`~repro.benchmark.workload.WorkloadExecutor`: buffer restarted
+:class:`~repro.benchmark.workload.WorkloadExecutor`, through the same
+operation definitions: buffer restarted
 cold, counters zeroed, ``warm=False`` restarts before every operation,
 one final flush models the database disconnect.  With one client and
 the original trace, the replay *is* the single-stream replay — same
@@ -49,6 +50,9 @@ from repro.benchmark.workload import (
     WorkloadSpec,
     WorkloadTrace,
     compile_trace,
+    fetch_point,
+    navigate,
+    observe,
 )
 from repro.errors import RetryExhaustedError, ServingError
 from repro.fault.retry import (
@@ -357,18 +361,8 @@ class ServingExecutor:
         # its fixes to no session and no service time — the "background"
         # half of online reclustering, at a fixed point of the grant
         # order.
-        if errored:
-            return  # an abandoned operation feeds no observers
-        if self.stats is not None:
-            if touched is None:
-                self.stats.record_scan()
-            else:
-                self.stats.record_operation(touched)
-        if self.online is not None:
-            if touched is None:
-                self.online.note_scan()
-            else:
-                self.online.note_operation(touched)
+        if not errored:  # an abandoned operation feeds no observers
+            observe(self.stats, self.online, touched)
 
     def _execute_op(self, op, index: int) -> list[int] | tuple[int, ...] | None:
         """One operation, with exactly the single-stream semantics.
@@ -376,32 +370,24 @@ class ServingExecutor:
         Returns the touched OIDs in the single-stream executor's
         reporting order (root, children, grand-children), or ``None``
         for a full scan — the shape the stats/online observers consume.
+        Kinds outside :data:`~repro.benchmark.workload.OP_KINDS` are refused.
         """
         model = self.model
         kind = op.kind
         if kind == "point":
-            if model.supports_oid_access:
-                model.fetch_full(model.ref_of(op.oid))
-            else:
-                model.fetch_full_by_key(model.key_of(op.oid))
+            fetch_point(model, op.oid)
             return (op.oid,)
         elif kind == "navigate":
-            root_ref = model.ref_of(op.oid)
-            model.fetch_roots([root_ref])
-            children = model._dedupe(model.fetch_refs([root_ref]))
-            grand = model._dedupe(model.fetch_refs(children)) if children else []
-            if grand:
-                model.fetch_roots(grand)
-            oid_of = model.oid_of
-            return [op.oid, *map(oid_of, children), *map(oid_of, grand)]
+            children, grand = navigate(model, op.oid)
+            return [op.oid, *map(model.oid_of, children), *map(model.oid_of, grand)]
         elif kind == "scan":
             model.scan_all()
             return None
         elif kind == "update":
             model.update_roots([model.ref_of(op.oid)], {"Name": f"workload-{index}"})
             return (op.oid,)
-        else:  # pragma: no cover - specs cannot produce unknown kinds
-            raise ServingError(f"unknown operation kind {kind!r}")
+        else:
+            raise ServingError(f"cannot serve operation kind {kind!r}")
 
     # -- results -------------------------------------------------------------
 
@@ -454,12 +440,14 @@ def run_serving(
     n_objects: int | None = None,
     **kwargs,
 ) -> ServingResult:
-    """Compile per-client traces for ``spec`` and serve them.
+    """Compile per-client traces for ``spec`` (by default over the whole
+    extension) and serve them.
 
     The convenience entry point mirroring
     :func:`repro.benchmark.workload.run_workload` for the multi-session
     case; extra keyword arguments pass through to
     :class:`ServingExecutor`.
     """
-    traces = make_client_traces(spec, n_objects or model.n_objects, clients)
+    n_objects = model.n_objects if n_objects is None else n_objects
+    traces = make_client_traces(spec, n_objects, clients)
     return ServingExecutor(model, traces, scheduler=scheduler, **kwargs).run()

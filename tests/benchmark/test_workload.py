@@ -7,10 +7,14 @@ from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.workload import (
     OP_KINDS,
     PRESET_WORKLOADS,
+    Operation,
     WorkloadExecutor,
     WorkloadSpec,
+    WorkloadTrace,
     compile_trace,
+    navigate,
     parse_workload,
+    run_workload,
 )
 from repro.errors import BenchmarkError
 
@@ -181,6 +185,17 @@ class TestExecution:
         result = runner.run_workload("DASDBS-NSM", self.SPEC)
         assert result.per_op.page_fixes == pytest.approx(result.raw.page_fixes / 30)
 
+    def test_an_explicit_empty_extension_is_refused(self, runner):
+        """``n_objects=0`` is not "the whole extension"."""
+        model = runner.build_model("DASDBS-NSM")
+        try:
+            with pytest.raises(BenchmarkError, match="empty extension"):
+                run_workload(self.SPEC, model, n_objects=0)
+            assert model.engine.metrics.snapshot().page_fixes == 0
+            assert run_workload(self.SPEC, model, n_objects=None).n_ops == 30
+        finally:
+            model.engine.close()
+
     def test_trace_larger_than_extension_rejected(self, runner):
         model = runner.build_model("DASDBS-NSM")
         try:
@@ -220,3 +235,46 @@ class TestRunnerIntegration:
         shared = BenchmarkRunner(CFG)
         shared.adopt_extension(BenchmarkRunner(CFG).stations)
         assert shared.run_workload("DASDBS-NSM", spec).raw == solo.raw
+
+
+class TestPaperQueryKinds:
+    """``key`` and ``navigate_update``: the two kinds only paper queries use."""
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        return BenchmarkRunner(CFG)
+
+    @staticmethod
+    def replay(model, ops):
+        spec = WorkloadSpec(name="paper", n_ops=len(ops))
+        return WorkloadExecutor(model, WorkloadTrace(spec, CFG.n_objects, ops)).run()
+
+    def test_key_is_the_value_selection_a_point_costs_without_oids(self, runner):
+        model = runner.build_model("NSM")
+        try:
+            by_key = self.replay(model, (Operation("key", 3), Operation("key", 11)))
+            by_point = self.replay(model, (Operation("point", 3), Operation("point", 11)))
+        finally:
+            model.engine.close()
+        assert by_key.raw.page_fixes > 0
+        assert by_key.raw == by_point.raw
+        assert by_key.op_counts == {**dict.fromkeys(OP_KINDS, 0), "key": 2}
+        assert set(by_point.op_counts) == set(OP_KINDS)
+
+    def test_navigate_update_is_navigate_then_a_root_update(self, runner):
+        roots = (1, 5, 9)
+        model = runner.build_model("DSM")
+        try:
+            plain = self.replay(model, tuple(Operation("navigate", oid) for oid in roots))
+            updating = self.replay(
+                model, tuple(Operation("navigate_update", oid) for oid in roots)
+            )
+            grand = navigate(model, roots[-1])[1]
+            names = {root["Name"] for root in model.fetch_roots(grand)}
+        finally:
+            model.engine.close()
+        assert plain.raw.pages_written == 0
+        assert updating.raw.pages_written > 0
+        assert updating.raw.page_fixes > plain.raw.page_fixes
+        assert updating.op_counts["navigate_update"] == len(roots)
+        assert grand and names == {f"updated-{len(roots) - 1}"}

@@ -11,8 +11,10 @@ import pytest
 
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.generator import generate_stations
+from repro.benchmark.workload import WorkloadExecutor, WorkloadSpec, compile_trace
 from repro.clustering.online import OnlineRecluster
 from repro.errors import BenchmarkError
+from repro.serving import ServingExecutor
 from tests.conftest import build_loaded_model
 
 CONFIG = BenchmarkConfig(n_objects=30, buffer_pages=64)
@@ -55,6 +57,22 @@ class TestTriggers:
         ctl.note_scan()
         ctl.note_scan()
         assert ctl.triggers == 1
+
+    def test_both_executors_note_every_operation_scans_included(self, model):
+        spec = WorkloadSpec(
+            name="mixed", point_weight=2, navigate_weight=1, scan_weight=1, update_weight=1,
+            n_ops=24, seed=5,
+        )
+        trace = compile_trace(spec, model.n_objects)
+        assert trace.op_counts()["scan"] > 0
+        for run in (
+            lambda ctl: WorkloadExecutor(model, trace, online=ctl).run(),
+            lambda ctl: ServingExecutor(model, [trace], online=ctl).run(),
+        ):
+            ctl = OnlineRecluster(model, trigger_ops=4, max_moves_per_trigger=0)
+            run(ctl)
+            assert ctl.ops_seen == len(trace.ops)
+            assert ctl.triggers == len(trace.ops) // 4
 
     def test_zero_budget_never_moves(self, model):
         ctl = OnlineRecluster(model, trigger_ops=2, max_moves_per_trigger=0)

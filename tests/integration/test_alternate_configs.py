@@ -9,7 +9,10 @@ regime (30), and the skewed extension of Table 7.
 import pytest
 
 from repro.benchmark.config import BenchmarkConfig
+from repro.benchmark.queries import paper_trace
 from repro.benchmark.runner import BenchmarkRunner
+from repro.benchmark.workload import WorkloadExecutor
+from repro.clustering.stats import AccessStats
 from repro.core.estimators import AnalyticalEvaluator
 from repro.core.parameters import WorkloadParameters, derive_parameters
 from tests.conftest import build_loaded_model
@@ -148,6 +151,18 @@ class TestTinyDatabases:
             assert run.results["1c"] is not None
 
     def test_objects_without_children(self):
+        """Without children, 2b/3b touch only the roots and 3b writes nothing."""
         runner = make_runner(n_objects=30, probability=0.0, loops=5, q2a_sample=2)
-        run = runner.run_model("DASDBS-NSM", queries=("2b", "3b"))
-        assert run.results["2b"].extras["grandchildren"] == 0
+        model = runner.build_model("DASDBS-NSM")
+        try:
+            raw = {}
+            for query in ("2b", "3b"):
+                trace = paper_trace(query, runner.config, model)
+                stats = AccessStats(model.n_objects)
+                raw[query] = WorkloadExecutor(model, trace, stats=stats).run().raw
+                assert stats.n_ops == len(trace.ops) == 5
+                assert sum(stats.heat) == len(trace.ops)
+                assert not stats.affinity
+            assert raw["3b"].pages_written == 0
+        finally:
+            model.engine.close()

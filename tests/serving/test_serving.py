@@ -14,9 +14,10 @@ The two contracts everything else hangs off:
 import pytest
 
 from repro.benchmark.config import BenchmarkConfig
+from repro.benchmark.queries import paper_trace
 from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.workload import WorkloadExecutor, WorkloadSpec, compile_trace
-from repro.errors import ConfigError, ServingError
+from repro.errors import BenchmarkError, ConfigError, ServingError
 from repro.models.registry import MODEL_CLASSES
 from repro.serving import (
     FIFOScheduler,
@@ -174,6 +175,16 @@ class TestSessions:
         finally:
             model.engine.close()
 
+    def test_an_explicit_empty_extension_is_refused(self, runner):
+        """``n_objects=0`` is not "the whole extension"."""
+        model = runner.build_model(MODEL)
+        try:
+            with pytest.raises(BenchmarkError, match="empty extension"):
+                run_serving(model, WorkloadSpec(name="conv", n_ops=8), clients=1, n_objects=0)
+            assert model.engine.metrics.snapshot().page_fixes == 0
+        finally:
+            model.engine.close()
+
 
 class _BrokenScheduler(Scheduler):
     name = "broken"
@@ -201,6 +212,17 @@ class TestValidation:
             traces = make_client_traces(spec, model.n_objects, 1)
             with pytest.raises(ServingError):
                 ServingExecutor(model, traces, priorities=[1, 2])
+        finally:
+            model.engine.close()
+
+    @pytest.mark.parametrize("query", ["1b", "3b"])
+    def test_paper_query_kinds_are_refused(self, runner, query):
+        """Serving runs the four mix kinds; ``key``/``navigate_update`` are refused."""
+        model = runner.build_model(MODEL)
+        try:
+            executor = ServingExecutor(model, [paper_trace(query, CFG, model)])
+            with pytest.raises(ServingError, match="cannot serve operation kind"):
+                executor.run()
         finally:
             model.engine.close()
 
