@@ -9,10 +9,10 @@
 * :class:`~repro.models.dasdbs_nsm.DASDBSNSMModel` — normalized with
   per-object nesting and an in-memory transformation table.
 
-A model is its parts plus its addressing: stored relations
-(``addressing.Relation``) under one ``AddressTable`` of every object's
-record handles; the NSM family's access by address is defined once, on
-``nsm.NSMFamilyModel``.
+Each model is declarations — its parts (none for the direct layout),
+what navigation decodes, how much a read transfers, its update protocol
+— read by one base, ``base.AddressedModel``, over stored relations
+(``addressing.Relation``) and one ``AddressTable`` of record handles.
 """
 
 from repro.models.addressing import AddressTable, Relation

@@ -26,7 +26,8 @@ from typing import Callable, Iterator, Sequence
 
 from repro.errors import InvalidAddressError
 from repro.nf2.oid import Rid
-from repro.nf2.serializer import StorageFormat
+from repro.nf2.serializer import NF2Serializer, StorageFormat
+from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
 from repro.storage.longobj import LongObjectAddress, LongObjectStore
 from repro.storage.page import SlottedPage
@@ -38,20 +39,37 @@ Handle = Rid | LongObjectAddress
 #: One table row: per relation, the handles of the object's records.
 Row = tuple[tuple[Handle, ...], ...]
 
+#: Which sections of a long record a read fixes or copies (``None``: all).
+Sections = Sequence[int] | None
+
+#: A long record's first section: a cut record's root, an uncut one whole.
+FIRST_SECTION = (0,)
+
 
 class Relation:
     """One stored relation: a heap plus an optional long-object store.
 
     Without ``long_fmt`` the relation is heap-only and its segment
     carries the relation's name; with it, records that outgrow a page
-    go to ``<name>_large`` and the heap is ``<name>_small``.
+    go to ``<name>_large`` and the heap is ``<name>_small``.  A long
+    record is one section or, ``cut``, the root's flat part and one
+    section per sub-relation of the root, of which a read may fix and
+    copy some.  A list of records is read ``set_oriented`` or one by one.
     """
 
     def __init__(
-        self, engine: StorageEngine, name: str, long_fmt: StorageFormat | None = None
+        self,
+        engine: StorageEngine,
+        name: str,
+        long_fmt: StorageFormat | None = None,
+        cut: bool = False,
+        set_oriented: bool = True,
     ) -> None:
         self.name = name
         self.small_threshold = SlottedPage.max_record_size(engine.page_size)
+        #: Encodes the sections of a cut long record; ``None`` when uncut.
+        self.cut = NF2Serializer(long_fmt) if cut else None
+        self.set_oriented = set_oriented
         if long_fmt is None:
             self.heap = engine.new_heap(name)
             self.long_store: LongObjectStore | None = None
@@ -61,53 +79,119 @@ class Relation:
                 engine.new_segment(f"{name}_large"), long_fmt
             )
 
-    def insert(self, blob: bytes, n_subtuples: int) -> Handle:
-        """Store one record: on a shared heap page if it fits or the
-        relation has no long store, else on private header and data
-        pages; returns its handle."""
+    def insert(self, blob: bytes, value: NestedTuple) -> Handle:
+        """Store ``value``, encoded as ``blob``: on a shared heap page if
+        it fits or the relation has no long store, else on private
+        header and data pages, cut into sections; returns its handle."""
         if self.long_store is None or len(blob) <= self.small_threshold:
             return self.heap.insert(blob)
-        return self.long_store.store([blob], n_subtuples)
+        return self.long_store.store(
+            self.sections(value) if self.cut else [blob], value.count_subtuples()
+        )
 
-    def patch(self, handle: Handle, patch: Callable[[bytes], bytes]) -> None:
+    def sections(self, value: NestedTuple) -> list[bytes]:
+        """The cut of a long record: section 0 the flat part, then one
+        section per sub-relation, in schema order."""
+        encode = self.cut.encode_subtuple_list
+        return [
+            self.cut.encode_flat(value),
+            *(encode(sub, value.subtuples(sub.name)) for sub in value.schema.subrelations),
+        ]
+
+    def patch(
+        self, handle: Handle, patch: Callable[[bytes], bytes], write_through: bool = False
+    ) -> None:
         """Replace a record by ``patch`` of its leading bytes (same size;
         see ``NF2Serializer.compile_patch``): a read, then a replace.  A
         heap record's page is fixed twice and dirtied; every page of a
         long record is, but only its first section is copied and written.
+        ``write_through`` is DASDBS's ``change attribute`` (Section 5.3):
+        only the first section's pages are read and patched, and each is
+        written at once, in its own call.
         """
         if type(handle) is Rid:
-            self.heap.update(handle, patch(self.heap.read(handle)))
+            self.heap.update(handle, patch(self.heap.read(handle)), write_through=write_through)
+        elif write_through:
+            (first,) = self.long_store.read(handle, FIRST_SECTION)
+            self.long_store.patch_section(handle, 0, patch(first), write_through=True)
         else:
-            (first,) = self.long_store.read(handle, copy=(0,))
+            (first,) = self.long_store.read(handle, copy=FIRST_SECTION)
             self.long_store.replace(handle, {0: patch(first)})
 
-    def read_record(self, handle: Handle) -> bytes:
-        """The stored bytes of one record."""
+    def read_record(
+        self, handle: Handle, sections: Sections = None, copy: Sections = None
+    ) -> bytes:
+        """The stored bytes of one record: of a long record, ``sections``
+        are fixed and ``copy`` of them (default: those) returned joined.
+        A cut record's sections are its nested encoding cut at the
+        sub-relations, and decoders find fields by the schema, never by
+        a stored length, so its leading sections joined decode as that
+        encoding would: the flat part alone, or the object up to the
+        last sub-relation copied.
+        """
         if type(handle) is Rid:
             return self.heap.read(handle)
-        (blob,) = self.long_store.read(handle)
-        return blob
+        return b"".join(self.long_store.read(handle, sections, copy))
 
-    def read_records(self, handles: Sequence[Handle]) -> Sequence[bytes | memoryview]:
-        """The records in ``handles`` order; the heap page set loads in
-        one I/O call.  Heap records are zero-copy views (``HeapFile.
-        read_many``); with a long store the records are drawn one at a
-        time, a long one read in its turn, so decode each as it is drawn.
+    def read_records(
+        self, handles: Sequence[Handle], sections: Sections = None, copy: Sections = None
+    ) -> Sequence[bytes | memoryview]:
+        """The records in ``handles`` order, each as :meth:`read_record`
+        reads it.  Set-oriented, the heap page set loads in one I/O
+        call: heap records are zero-copy views (``HeapFile.read_many``);
+        with a long store the records are drawn one at a time, a long
+        one read in its turn, so decode each as it is drawn.  Else each
+        heap record's page is fixed on its own, as the record's turn comes.
         """
+        if not self.set_oriented:
+            read, long_store, join = self.heap.read, self.long_store, b"".join
+            return [
+                read(h) if type(h) is Rid else join(long_store.read(h, sections, copy))
+                for h in handles
+            ]
         if self.long_store is None:
             return self.heap.read_many(handles)
-        return self._read_mixed(handles)
+        return self._read_mixed(handles, sections, copy)
 
-    def _read_mixed(self, handles: Sequence[Handle]) -> Iterator[bytes | memoryview]:
+    def _read_mixed(
+        self, handles: Sequence[Handle], sections: Sections, copy: Sections
+    ) -> Iterator[bytes | memoryview]:
         unique = list(dict.fromkeys([handle for handle in handles if type(handle) is Rid]))
         views = dict(zip(unique, self.heap.read_many(unique))) if unique else {}
         for handle in handles:
-            yield views[handle] if type(handle) is Rid else self.read_record(handle)
+            yield views[handle] if type(handle) is Rid else self.read_record(handle, sections, copy)
 
-    def scan_records(self, longs: Sequence[LongObjectAddress]) -> Iterator[bytes]:
-        """All records: heap pages in order, then the given long records
-        (the address table lists them: ``long_handles``)."""
-        return chain(map(itemgetter(1), self.heap.scan()), map(self.read_record, longs))
+    def select(
+        self,
+        longs: Sequence[LongObjectAddress],
+        key_of: Callable[[bytes, str], object],
+        attr: str,
+        key: object,
+        sections: Sections = None,
+    ) -> bytes | None:
+        """The record whose ``key_of(record, attr)`` is ``key``: a scan
+        of every record — heap pages, then ``longs`` with ``sections``
+        fixed, a partly read match read again whole at once — that does
+        not stop at the match, as the paper's value selection reads."""
+        match = None
+        for _, blob in self.heap.scan():
+            if key_of(blob, attr) == key:
+                match = blob
+        for handle in longs:
+            # The key sits in the first section: the root's flat part.
+            read = self.long_store.read(handle, sections)
+            if key_of(read[0], attr) == key:
+                match = b"".join(read if sections is None else self.long_store.read(handle))
+        return match
+
+    def scan_records(
+        self, longs: Sequence[LongObjectAddress], pages: list[int] | None = None
+    ) -> Iterator[bytes]:
+        """All records, each whole: heap pages in order (or only
+        ``pages``), then the given long records (the address table
+        lists them: ``long_handles``)."""
+        heap = self.heap.scan() if pages is None else self.heap.scan_pages(pages)
+        return chain(map(itemgetter(1), heap), map(self.read_record, longs))
 
     def delete(self, handle: Handle) -> None:
         """Delete one record (private pages of a long record are freed)."""
@@ -358,4 +442,4 @@ class AddressTable:
         return units
 
 
-__all__ = ["AddressTable", "Handle", "Relation", "Row"]
+__all__ = ["AddressTable", "FIRST_SECTION", "Handle", "Relation", "Row", "Sections"]

@@ -1,4 +1,4 @@
-"""Abstract interface of a complex-object storage model.
+"""The storage models' interface, and the one base they share.
 
 The four storage models of the paper differ in how a `Station` object is
 fragmented over pages, but they serve the same operations, which are
@@ -21,25 +21,29 @@ navigates by logical key (``KeyConnection``).
 
 Everything that is *not* decomposition or access path — load, insert,
 delete, reclustering, online moves, crash recovery, snapshots, sharded
-scan partitioning, page statistics — is implemented here, once, over
-the model's :class:`~repro.models.addressing.AddressTable`.  A concrete
-model declares its relations (``self.table = AddressTable([...])``),
-writes an object's records (:meth:`StorageModel._store`), reads them
-back (the six access paths) and says how one scanned record is decoded.
+scan partitioning, page statistics — is :class:`StorageModel`'s, over
+the model's :class:`~repro.models.addressing.AddressTable`.  The
+decomposition and the access paths are :class:`AddressedModel`'s, read
+off what each model declares: its parts, what navigation decodes, how
+much of an object a read transfers and its update protocol.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Mapping, Sequence
+from functools import partial
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.benchmark.schema import STATION_SCHEMA, key_of_oid
-from repro.errors import ModelError, SchemaError, UnsupportedOperationError
-from repro.models.addressing import AddressTable, Row
-from repro.nf2.schema import RelationSchema
+from repro.errors import InvalidAddressError, ModelError, SchemaError, UnsupportedOperationError
+from repro.models.addressing import FIRST_SECTION, AddressTable, Handle, Relation, Row, Sections
+from repro.nf2.codec import compiled_assembly
+from repro.nf2.schema import Part, Projection, RelationSchema, links
 from repro.nf2.serializer import DASDBS_FORMAT, NF2Serializer, StorageFormat
-from repro.nf2.values import NestedTuple
+from repro.nf2.values import NestedTuple, links_of
 from repro.storage import StorageEngine
+from repro.storage.longobj import LongObjectAddress
 
 #: A model-specific object reference: an OID or a logical key.
 Ref = int
@@ -58,8 +62,7 @@ class StorageModel(ABC):
     #: what :meth:`update_roots` patches.
     root_schema: RelationSchema = STATION_SCHEMA
 
-    #: Every object's record addresses; built by the concrete model's
-    #: constructor from the relations it declares.
+    #: Every object's record addresses, over the model's relations.
     table: AddressTable
 
     #: This replica's share of a scatter-gather scan, per relation
@@ -111,14 +114,6 @@ class StorageModel(ABC):
         for station in stations:
             self.insert_object(station)
         self.engine.flush()
-
-    def _store(self, station: NestedTuple) -> Row:
-        """Write the records of one object; returns its table row.
-
-        The model's decomposition: which relations a Station is spread
-        over, and as which records.
-        """
-        raise self._not_supported("storing objects")
 
     @abstractmethod
     def fetch_full(self, ref: Ref) -> NestedTuple:
@@ -220,23 +215,13 @@ class StorageModel(ABC):
         for index, (relation, (pages, longs)) in enumerate(
             zip(self.table.relations, self._scan_units)
         ):
-            records = len(longs)
-            for _, blob in relation.heap.scan_pages(pages):
+            records = 0
+            for blob in relation.scan_records(longs, pages):
                 self._decode_record(index, blob)
                 records += 1
-            for address in longs:
-                self._decode_long(index, address)
             if index == 0:
                 count = records
         return count
-
-    def _decode_record(self, index: int, blob) -> None:
-        """Decode one scanned heap record of relation ``index``."""
-        raise self._not_supported("sharded scan partitioning")
-
-    def _decode_long(self, index: int, address) -> None:
-        """Read and decode one long record of relation ``index``."""
-        raise self._not_supported("sharded scan partitioning")
 
     # -- reorganisation ------------------------------------------------------------
 
@@ -389,3 +374,210 @@ class StorageModel(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}: {self.n_objects} objects>"
+
+
+def link_sections(schema: RelationSchema) -> tuple[int, ...]:
+    """The sections of a cut ``schema`` record navigation decodes: the
+    root's flat part through the last sub-relation holding references."""
+    holding = [index for index, sub in enumerate(schema.subrelations, 1) if links(sub)]
+    return tuple(range(1 + max(holding, default=0)))
+
+
+class _WholeObjects:
+    """The assembly of a layout without parts: every record is a whole
+    object, stored by one insert and scanned with nothing to join."""
+
+    def __init__(self, decode: Callable[[bytes], NestedTuple]) -> None:
+        self.decode, self.scan = (decode,), (partial(map, decode),)
+
+    @staticmethod
+    def store(value: NestedTuple, insert: Callable[[int, NestedTuple], Handle]) -> Row:
+        return ((insert(0, value),),)
+
+    @staticmethod
+    def join_scanned(objects: Iterator[NestedTuple]) -> Iterator[NestedTuple]:
+        return objects
+
+
+class AddressedModel(StorageModel):
+    """The layout and the access paths by address of every model, read
+    off its declarations.  One relation per part — heap-only, one row
+    per tuple, when every stored schema is flat (``unnest``), else with
+    a long store, one record per object (``nest_by_root``) — under the
+    compiled assembly; no parts is Section 3.1's direct layout, one
+    relation ``<name>_Station`` whose long records are cut.  The paths
+    read only the records the address table names.  A reference is an
+    OID (``NSMModelBase`` makes it a key); plain NSM, which has no
+    addresses, overrides the paths with value selections.
+    """
+
+    #: One part per relation of the Station schema, in walk order.
+    parts: tuple[Part, ...] = ()
+
+    #: What navigation decodes of a record of the linked relation.
+    navigation: Projection | None = None
+
+    #: Sections of a cut record fixed when looking for references, and
+    #: when reading the root record (``None``: all of them).
+    navigation_sections: Sections = None
+    root_sections: Sections = None
+
+    #: Whether the records of a list of refs are read together, their heap
+    #: page set in one I/O call, or one object at a time (``Relation``).
+    set_oriented: bool = True
+
+    #: Whether a root patch is DASDBS's ``change attribute``, each page
+    #: written through at once (Section 5.3), or written back later.
+    write_through: bool = False
+
+    def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
+        super().__init__(engine, fmt)
+        if self.parts:
+            # Compiled before any ``_store``: its proof licenses the relabelling.
+            self._assembly = compiled_assembly(fmt, self.parts)
+            self._rows = all(part.stored.is_flat for part in self.parts)
+            self._stored = tuple(part.stored for part in self.parts)
+            names = [stored.name for stored in self._stored]
+        else:
+            self._assembly = _WholeObjects(partial(self.serializer.decode_nested, self.root_schema))
+            self._rows, self._stored = False, (self.root_schema,)
+            names = [f"{self.name}_{self.root_schema.name}"]
+        long_fmt = None if self._rows else fmt
+        self.relations = tuple(
+            Relation(engine, name, long_fmt, not self.parts, self.set_oriented) for name in names
+        )
+        self.table = AddressTable(self.relations)
+        (self._linked,) = [index for index, stored in enumerate(self._stored) if links(stored)]
+        self._navigation_copy = link_sections(self.root_schema)
+        self._decode_links = partial(self.serializer.decode_nested, self.navigation)
+
+    # -- decomposition ---------------------------------------------------------------
+
+    def _store(self, station: NestedTuple) -> Row:
+        # The assembly's generated inverse of its join relabels the parts
+        # of the station (``NestedTuple._from_trusted``, not re-validated):
+        # ``insert_object`` admits only validated Stations, and compiling
+        # the parts proved that a tuple plus its key columns is an item of
+        # its stored schema.
+        return self._assembly.store(station, self._insert)
+
+    def _insert(self, index: int, value: NestedTuple) -> Handle:
+        """Write one record of relation ``index``; returns its handle."""
+        relation = self.relations[index]
+        if self._rows:
+            return relation.heap.insert(self.serializer.encode_flat(value))
+        return relation.insert(self.serializer.encode_nested(value), value)
+
+    # -- addressing ------------------------------------------------------------------
+
+    def _row(self, ref: Ref) -> Row:
+        """The row of the object ``ref`` names; raises if none is live."""
+        return self.table.row(ref)
+
+    def _handles(self, refs: Sequence[Ref], index: int) -> list[tuple[Handle, ...]]:
+        """Per ref, the object's records in relation ``index``: every
+        ref is resolved (and refused) before a path fixes a page."""
+        row = self.table.row
+        return [row(ref)[index] for ref in refs]
+
+    # -- access by address -----------------------------------------------------------
+
+    def fetch_full(self, ref: Ref) -> NestedTuple:
+        return self._read_assembled(self._row(ref))
+
+    def _read_assembled(self, row: Row) -> NestedTuple:
+        # Arguments evaluate left to right: each relation is read, then
+        # decoded (its zero-copy views at once), before the next is read.
+        (root,), *rest = row
+        decode, relations, rows = self._assembly.decode, self.relations, self._rows
+        record = decode[0](relations[0].read_record(root))
+        if not rest:
+            return record  # a whole object
+        return self._assembly.join(
+            record,
+            *[
+                decode_part(
+                    relation.read_records(handles) if rows else relation.read_record(handles[0])
+                )
+                for decode_part, relation, handles in zip(decode[1:], relations[1:], rest)
+            ],
+        )
+
+    def fetch_full_by_key(self, key: int) -> NestedTuple:
+        """Value selection on relation 0 (``Relation.select``, a cut
+        record read at :attr:`root_sections` granularity), then, unless
+        that read the whole object, "we use the addresses in the index
+        table to retrieve all other data by address"."""
+        schema = self.root_schema
+        key_of = partial(self.serializer.decode_atom, schema)
+        # The root's key is its first attribute (``nf2.schema._parts``).
+        attr = schema.attributes[0].name
+        match = self.relations[0].select(self._longs(0), key_of, attr, key, self.root_sections)
+        if match is None:
+            raise InvalidAddressError(f"no station with key {key}")
+        if len(self.relations) == 1:
+            return self._assembly.decode[0](match)
+        return self._read_assembled(self.table.row_of_key(key))
+
+    def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
+        # The flattening of ``fetch_refs_grouped``, decoded in one pass.
+        return self._refs_in(self._linked_records(self._handles(refs, self._linked)))
+
+    def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
+        """The records of :meth:`fetch_refs`, read as it reads them and
+        split back per ref."""
+        groups, refs_in = self._handles(refs, self._linked), self._refs_in
+        records = iter(self._linked_records(groups))
+        return [refs_in(islice(records, len(group))) for group in groups]
+
+    def _linked_records(self, groups: list[tuple[Handle, ...]]) -> Sequence[bytes]:
+        return self.relations[self._linked].read_records(
+            [*chain.from_iterable(groups)], self.navigation_sections, self._navigation_copy
+        )
+
+    def _refs_in(self, records: Iterable[bytes]) -> list[Ref]:
+        """The references in records of the linked relation, in order."""
+        return links_of(map(self._decode_links, records))
+
+    def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
+        # The root's flat part leads its record, and a cut record's root section.
+        decode, schema = self.serializer._decode_flat_part, self.root_schema
+        records = self.relations[0].read_records(
+            [*chain.from_iterable(self._handles(refs, 0))], self.root_sections, FIRST_SECTION
+        )
+        return [decode(schema, blob, 0)[0] for blob in records]
+
+    def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
+        """``Relation.patch`` of each root record, written back or
+        :attr:`write_through` (Section 5.3).  Every ref is resolved
+        before the first page is fixed: a refused one leaves the others
+        untouched."""
+        patch = self._root_patch(changes)
+        relation, write_through = self.relations[0], self.write_through
+        for handle in [*chain.from_iterable(self._handles(self._dedupe(refs), 0))]:
+            relation.patch(handle, patch, write_through)
+
+    # -- the full scan ---------------------------------------------------------------
+
+    def scan_all(self) -> int:
+        return sum(1 for _ in self._scan_objects())
+
+    def _scan_objects(self) -> Iterator[NestedTuple]:
+        """Every object, joined in memory from one scan per relation
+        (each relation scanned and decoded before the next)."""
+        relations, longs = self.relations, self._longs
+        return self._assembly.join_scanned(
+            *[
+                scan(relations[index].scan_records(longs(index)))
+                for index, scan in enumerate(self._assembly.scan)
+            ]
+        )
+
+    def _longs(self, index: int) -> list[LongObjectAddress]:
+        # Only a relation with a long store asks the table for its long records.
+        return self.table.long_handles(index) if self.relations[index].long_store else []
+
+    def _decode_record(self, index: int, blob) -> None:
+        """Decode one record of relation ``index``, as a sharded scan's
+        units are: the per-record work of :meth:`scan_all`."""
+        self.serializer.decode_nested(self._stored[index], blob)

@@ -26,7 +26,7 @@ DASDBS-NSM's query 2b/3b results independent of the object size.
 from __future__ import annotations
 
 from repro.benchmark.schema import STATION_SCHEMA
-from repro.models.nsm import NSMFamilyModel
+from repro.models.base import AddressedModel
 from repro.nf2.schema import links, nest_by_root
 
 #: Figure 4 by rule: the unnested relations nested again on their root key.
@@ -41,7 +41,7 @@ DNSM_STATION, DNSM_PLATFORM, DNSM_CONNECTION, DNSM_SIGHTSEEING = (
 _LINKS = links(DNSM_PARTS[DNSM_LINKED].stored)
 
 
-class DASDBSNSMModel(NSMFamilyModel):
+class DASDBSNSMModel(AddressedModel):
     """Normalized storage with per-object nesting and address table."""
 
     name = "DASDBS-NSM"

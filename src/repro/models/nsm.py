@@ -23,28 +23,26 @@ of one object together, the layout Equations 6/7 assume.
 from object key to the record ids of all its tuples, so "a page is read
 from disk then and only then if a tuple it stores is requested".
 
-What the two share with DASDBS-NSM — relations, decomposition,
-reassembly, the full scan and access by address, all read off the
-parts — is :class:`NSMFamilyModel`.  For NSM+index the address table
-*is* the index.  Plain NSM never reads it: its access paths and its
-delete find tuples by value, and only the unmeasured reorganisation,
-recovery and scan-partitioning code use its rows.
+Relations, decomposition, reassembly, the full scan and access by
+address are read off the parts by ``base.AddressedModel``.  For
+NSM+index the address table *is* the index.  Plain NSM never reads it:
+its access paths and its delete find tuples by value, and only the
+unmeasured reorganisation, recovery and scan-partitioning code use its
+rows.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.benchmark.schema import STATION_SCHEMA, key_of_oid, oid_of_key
 from repro.errors import InvalidAddressError
-from repro.models.addressing import AddressTable, Handle, Relation, Row
-from repro.models.base import Ref, StorageModel
-from repro.nf2.codec import compiled_assembly
+from repro.models.addressing import Handle, Row
+from repro.models.base import AddressedModel, Ref
 from repro.nf2.oid import Rid
-from repro.nf2.schema import ROOT_KEY, Part, Projection, RelationSchema, links, unnest
+from repro.nf2.schema import ROOT_KEY, Projection, RelationSchema, links, unnest
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
-from repro.nf2.values import NestedTuple, links_of
+from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
 from repro.storage.heap import HeapFile
 
@@ -59,164 +57,7 @@ NSM_STATION, NSM_PLATFORM, NSM_CONNECTION, NSM_SIGHTSEEING = (part.stored for pa
 _CONNECTION_PAIR = Projection(NSM_CONNECTION, (ROOT_KEY, "KeyConnection"))
 
 
-class NSMFamilyModel(StorageModel):
-    """What NSM, NSM+index and DASDBS-NSM share, read off their ``parts``.
-
-    One relation per part — heap-only, one row per tuple, when every
-    stored schema is flat (``unnest``); else with a long store, one
-    record per object (``nest_by_root``) — the address table over them,
-    the compiled assembly (decomposition, reassembly, full scan) and the
-    access paths by address (Section 3.4's transformation table, Table
-    3's NSM+index): only the records the table names are read.  A model
-    declares its parts, root schema and :attr:`navigation`; references
-    that are keys are :meth:`_row`/:meth:`_handles`.  Plain NSM, which
-    has no addresses, overrides the paths with value selections.
-    """
-
-    #: One part per relation of the Station schema, in walk order.
-    parts: tuple[Part, ...]
-
-    #: What navigation decodes of a record of the linked relation.
-    navigation: Projection
-
-    def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
-        super().__init__(engine, fmt)
-        # Compiled before any ``_store``: its proof licenses the relabelling.
-        self._assembly = compiled_assembly(fmt, self.parts)
-        self._rows = all(part.stored.is_flat for part in self.parts)
-        self.relations = tuple(
-            Relation(engine, part.stored.name, None if self._rows else fmt)
-            for part in self.parts
-        )
-        self.table = AddressTable(self.relations)
-        (self._linked,) = [index for index, part in enumerate(self.parts) if links(part.stored)]
-
-    # -- decomposition ---------------------------------------------------------------
-
-    def _store(self, station: NestedTuple) -> Row:
-        # The assembly's generated inverse of its join relabels the parts
-        # of the station (``NestedTuple._from_trusted``, not re-validated):
-        # ``insert_object`` admits only validated Stations, and compiling
-        # the parts proved that a tuple plus its key columns is an item of
-        # its stored schema.
-        return self._assembly.store(station, self._insert)
-
-    def _insert(self, index: int, value: NestedTuple) -> Handle:
-        """Write one record of relation ``index``; returns its handle."""
-        relation = self.relations[index]
-        if self._rows:
-            return relation.heap.insert(self.serializer.encode_flat(value))
-        return relation.insert(self.serializer.encode_nested(value), value.count_subtuples())
-
-    # -- addressing ------------------------------------------------------------------
-
-    def _row(self, ref: Ref) -> Row:
-        """The row of the object ``ref`` names; raises if none is live."""
-        return self.table.row(ref)
-
-    def _handles(self, ref: Ref, index: int) -> tuple[Handle, ...]:
-        """The object's records in relation ``index`` (set-oriented paths)."""
-        return self.table.row(ref)[index]
-
-    # -- access by address -----------------------------------------------------------
-
-    def fetch_full(self, ref: Ref) -> NestedTuple:
-        return self._read_assembled(self._row(ref))
-
-    def _read_assembled(self, row: Row) -> NestedTuple:
-        # Arguments evaluate left to right: each relation is read, then
-        # decoded (its zero-copy views at once), before the next is read.
-        (root,), *rest = row
-        decode, relations, rows = self._assembly.decode, self.relations, self._rows
-        return self._assembly.join(
-            decode[0](relations[0].read_record(root)),
-            *[
-                decode_part(
-                    relation.read_records(handles) if rows else relation.read_record(handles[0])
-                )
-                for decode_part, relation, handles in zip(decode[1:], relations[1:], rest)
-            ],
-        )
-
-    def fetch_full_by_key(self, key: int) -> NestedTuple:
-        """Value selection on the root relation, then access by address:
-        "with query 1b, only the root tuple of the object is selected
-        based on a value selection, whereupon we use the addresses in
-        the index table to retrieve all other data by address."  The
-        scan tests the key in place and does not stop at the match."""
-        decode_atom, schema = self.serializer.decode_atom, self.root_schema
-        attr = self.parts[0].root_key
-        found = False
-        for blob in self._scan_records(0):
-            if decode_atom(schema, blob, attr) == key:
-                found = True
-        if not found:
-            raise InvalidAddressError(f"no station with key {key}")
-        return self._read_assembled(self.table.row_of_key(key))
-
-    def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
-        # The flattening of ``fetch_refs_grouped``, decoded in one pass.
-        linked, handles_of = self._linked, self._handles
-        handles = [handle for ref in refs for handle in handles_of(ref, linked)]
-        return self._refs_in(self.relations[linked].read_records(handles))
-
-    def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
-        """One batched read of the linked relation, split back per ref."""
-        linked, handles_of, refs_in = self._linked, self._handles, self._refs_in
-        groups = [handles_of(ref, linked) for ref in refs]
-        records = iter(self.relations[linked].read_records([h for group in groups for h in group]))
-        return [refs_in(islice(records, len(group))) for group in groups]
-
-    def _refs_in(self, records: Iterable[bytes]) -> list[Ref]:
-        """The references in records of the linked relation, in order."""
-        decode, navigation = self.serializer.decode_nested, self.navigation
-        return links_of([decode(navigation, blob) for blob in records])
-
-    def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
-        handles_of = self._handles
-        handles = [handle for ref in refs for handle in handles_of(ref, 0)]
-        decode, schema = self.serializer._decode_flat_part, self.root_schema
-        return [decode(schema, blob, 0)[0] for blob in self.relations[0].read_records(handles)]
-
-    def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
-        """Patch the small root records, set-oriented and deferred.
-
-        "With DASDBS-NSM only small root tuples in the
-        DASDBS-NSM-Station relation are updated, of which there are
-        many on a single page."
-        """
-        patch = self._root_patch(changes)
-        relation = self.relations[0]
-        for ref in self._dedupe(refs):
-            for handle in self._handles(ref, 0):
-                relation.patch(handle, patch)
-
-    # -- the full scan ---------------------------------------------------------------
-
-    def scan_all(self) -> int:
-        return sum(1 for _ in self._scan_objects())
-
-    def _scan_records(self, index: int) -> Iterator[bytes]:
-        """Every record of relation ``index``; only a relation with long
-        records asks the table for them."""
-        relation = self.relations[index]
-        return relation.scan_records(self.table.long_handles(index) if relation.long_store else ())
-
-    def _scan_objects(self) -> Iterator[NestedTuple]:
-        """Every object, joined in memory from one scan per relation
-        (each relation scanned and decoded before the next)."""
-        return self._assembly.join_scanned(
-            *[scan(self._scan_records(index)) for index, scan in enumerate(self._assembly.scan)]
-        )
-
-    def _decode_record(self, index: int, blob) -> None:
-        self.serializer.decode_nested(self.parts[index].stored, blob)
-
-    def _decode_long(self, index: int, address) -> None:
-        self._decode_record(index, self.relations[index].read_record(address))
-
-
-class NSMModelBase(NSMFamilyModel):
+class NSMModelBase(AddressedModel):
     """What NSM and NSM+index share: the four flat relations of
     Figure 3 and logical keys as references."""
 
@@ -242,10 +83,9 @@ class NSMModelBase(NSMFamilyModel):
         # The index resolves a key to its record addresses at no I/O cost.
         return self.table.row_of_key(ref)
 
-    def _handles(self, ref: Ref, index: int) -> tuple[Handle, ...]:
+    def _handles(self, refs: Sequence[Ref], index: int) -> list[tuple[Handle, ...]]:
         # No records for a key no live object carries: set-oriented paths skip it.
-        row = self.table.find(ref)
-        return () if row is None else row[index]
+        return [() if row is None else row[index] for row in map(self.table.find, refs)]
 
 
 class NSMModel(NSMModelBase):
@@ -410,7 +250,6 @@ class NSMIndexModel(NSMModelBase):
 
 
 __all__ = [
-    "NSMFamilyModel",
     "NSMModelBase",
     "NSMModel",
     "NSMIndexModel",

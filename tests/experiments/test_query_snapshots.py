@@ -4,9 +4,12 @@
 one configuration (LRU, 240 pages, 60 objects).  This golden pins the
 whole :class:`~repro.storage.metrics.MetricsSnapshot` and the divisor
 of every (model, query) pair for all five registered models, at 120
-objects, under three configurations that reach paths the seed golden
+objects, under five configurations that reach paths the seed golden
 does not: an LRU-K buffer small enough to evict, a 2Q buffer over
-objects without children, and three hash shards.
+objects without children, three hash shards, objects without
+Sightseeings (every direct object small, sharing pages) and objects
+with up to 30 (direct objects long: section-granular reads and
+DASDBS-DSM's write-through under an evicting LRU-K buffer).
 
 Regenerate only when a query's semantics deliberately change:
 ``PYTHONPATH=src python tests/experiments/test_query_snapshots.py``.
@@ -33,6 +36,8 @@ CONFIGS = {
     "lru-k-24": BASE.with_changes(policy="lru-k", buffer_pages=24),
     "2q-64-childless": BASE.with_changes(policy="2q", buffer_pages=64, probability=0.0),
     "shards-3": BASE.with_changes(shards=3),
+    "sight-0": BASE.with_changes(max_sightseeing=0),
+    "sight-30-lru-k-24": BASE.with_changes(max_sightseeing=30, policy="lru-k", buffer_pages=24),
 }
 
 

@@ -55,28 +55,28 @@ def _handle(model, oid: int):
 def _fetch_full(model, oid: int) -> NestedTuple:
     handle = _handle(model, oid)
     if type(handle) is Rid:
-        return model.serializer.decode_nested(STATION_SCHEMA, model.heap.read(handle))
-    return decode_sections(model, model.long_store.read(handle))
+        return model.serializer.decode_nested(STATION_SCHEMA, model.relations[0].heap.read(handle))
+    return decode_sections(model, model.relations[0].long_store.read(handle))
 
 
 def _dsm_scan_for_key(model, key: int) -> Iterator[NestedTuple]:
     """Objects in storage order, read and decoded whole."""
-    for _, blob in model.heap.scan():
+    for _, blob in model.relations[0].heap.scan():
         yield model.serializer.decode_nested(STATION_SCHEMA, blob)
     for handle in model.table.long_handles(0):
-        yield decode_sections(model, model.long_store.read(handle))
+        yield decode_sections(model, model.relations[0].long_store.read(handle))
 
 
 def _dasdbs_dsm_scan_for_key(model, key: int) -> Iterator[NestedTuple]:
     """Header + root section per long object; matches fetched whole."""
     decode_atom = model.serializer.decode_atom
-    for _, blob in model.heap.scan():
+    for _, blob in model.relations[0].heap.scan():
         if decode_atom(STATION_SCHEMA, blob, "Key") == key:
             yield model.serializer.decode_nested(STATION_SCHEMA, blob)
     for handle in model.table.long_handles(0):
-        (root_blob,) = model.long_store.read(handle, [SECTION_ROOT])
+        (root_blob,) = model.relations[0].long_store.read(handle, [SECTION_ROOT])
         if decode_atom(STATION_SCHEMA, root_blob, "Key") == key:
-            yield decode_sections(model, model.long_store.read(handle))
+            yield decode_sections(model, model.relations[0].long_store.read(handle))
 
 
 _SCAN_FOR_KEY = {"DSM": _dsm_scan_for_key, "DASDBS-DSM": _dasdbs_dsm_scan_for_key}
@@ -94,10 +94,11 @@ def _fetch_full_by_key(model, key: int) -> NestedTuple:
 
 def _scan_all(model) -> list[NestedTuple]:
     decoded = [
-        model.serializer.decode_nested(STATION_SCHEMA, blob) for _, blob in model.heap.scan()
+        model.serializer.decode_nested(STATION_SCHEMA, blob)
+        for _, blob in model.relations[0].heap.scan()
     ]
     for handle in model.table.long_handles(0):
-        decoded.append(decode_sections(model, model.long_store.read(handle)))
+        decoded.append(decode_sections(model, model.relations[0].long_store.read(handle)))
     return decoded
 
 
@@ -107,10 +108,12 @@ def _fetch_refs_grouped(model, refs: Sequence[int]) -> list[list[int]]:
     for ref in refs:
         handle = _handle(model, ref)
         if type(handle) is Rid:
-            station = model.serializer.decode_nested(STATION_LINKS, model.heap.read(handle))
+            station = model.serializer.decode_nested(
+                STATION_LINKS, model.relations[0].heap.read(handle)
+            )
             platforms = station.subtuples("Platform")
         else:
-            (blob,) = model.long_store.read(handle, wanted, copy=(SECTION_PLATFORMS,))
+            (blob,) = model.relations[0].long_store.read(handle, wanted, copy=(SECTION_PLATFORMS,))
             platforms = model.serializer.decode_subtuple_list(PLATFORM_LINKS, blob)
         out.append(
             [
@@ -132,9 +135,9 @@ def _fetch_roots(model, refs: Sequence[int]) -> list[dict[str, Any]]:
     for ref in refs:
         handle = _handle(model, ref)
         if type(handle) is Rid:
-            blob = model.heap.read(handle)
+            blob = model.relations[0].heap.read(handle)
         else:
-            (blob,) = model.long_store.read(handle, wanted, copy=(SECTION_ROOT,))
+            (blob,) = model.relations[0].long_store.read(handle, wanted, copy=(SECTION_ROOT,))
         out.append(model.serializer._decode_flat_part(STATION_SCHEMA, blob, 0)[0])
     return out
 

@@ -21,40 +21,45 @@ from repro.models.dsm import SECTION_ROOT
 from repro.models.nsm import NSM_STATION
 from repro.nf2.oid import Rid
 from repro.nf2.values import NestedTuple
+from tests.models.reference_direct import decode_sections, encode_sections
 
 
 def _dsm(model, refs, changes):
     """Replace the entire (nested) tuple."""
     for ref in model._dedupe(refs):
-        handle = model._handle(ref)
+        handle = model.table.row(ref)[0][0]
         if type(handle) is Rid:
-            station = model.serializer.decode_nested(STATION_SCHEMA, model.heap.read(handle))
+            station = model.serializer.decode_nested(
+                STATION_SCHEMA, model.relations[0].heap.read(handle)
+            )
             updated = station.replace_atoms(**changes)
-            model.heap.update(handle, model.serializer.encode_nested(updated))
+            model.relations[0].heap.update(handle, model.serializer.encode_nested(updated))
         else:
-            station = model._decode_sections(model.long_store.read(handle))
+            station = decode_sections(model, model.relations[0].long_store.read(handle))
             updated = station.replace_atoms(**changes)
-            model.long_store.replace(handle, model._encode_sections(updated))
+            model.relations[0].long_store.replace(handle, encode_sections(model, updated))
 
 
 def _dasdbs_dsm(model, refs, changes):
     """``change attribute`` through a written-through page pool."""
     for ref in model._dedupe(refs):
-        handle = model._handle(ref)
+        handle = model.table.row(ref)[0][0]
         if type(handle) is Rid:
-            station = model.serializer.decode_nested(STATION_SCHEMA, model.heap.read(handle))
+            station = model.serializer.decode_nested(
+                STATION_SCHEMA, model.relations[0].heap.read(handle)
+            )
             updated = station.replace_atoms(**changes)
-            model.heap.update(
+            model.relations[0].heap.update(
                 handle, model.serializer.encode_nested(updated), write_through=True
             )
         else:
-            (root_blob,) = model.long_store.read(handle, [SECTION_ROOT])
+            (root_blob,) = model.relations[0].long_store.read(handle, [SECTION_ROOT])
             shell = NestedTuple(
                 STATION_SCHEMA,
                 model.serializer.decode_flat(STATION_SCHEMA, root_blob).atoms(),
                 {"Platform": [], "Sightseeing": []},
             )
-            model.long_store.patch_section(
+            model.relations[0].long_store.patch_section(
                 handle,
                 SECTION_ROOT,
                 model.serializer.encode_flat(shell.replace_atoms(**changes)),

@@ -28,11 +28,11 @@ from repro.errors import (
 from repro.fault.backend import FaultyBackend
 from repro.fault.plan import FaultPlan
 from repro.models.addressing import AddressTable, Relation
-from repro.models.base import StorageModel
+from repro.models.base import AddressedModel, StorageModel
 from repro.models.dasdbs_dsm import DASDBSDSMModel
 from repro.models.dasdbs_nsm import DASDBSNSMModel
-from repro.models.dsm import DirectModelBase, DSMModel
-from repro.models.nsm import NSMFamilyModel, NSMIndexModel, NSMModel, NSMModelBase
+from repro.models.dsm import DSMModel
+from repro.models.nsm import NSMIndexModel, NSMModel, NSMModelBase
 from repro.models.registry import MODEL_CLASSES, create_model
 from repro.nf2.oid import Rid
 from repro.nf2.serializer import DASDBS_FORMAT
@@ -282,13 +282,22 @@ def _disk_digest(model) -> str:
     return disk_digest(model.engine)
 
 
+#: Each takes a list of OIDs; a single-object path is given the last.
 OID_OPERATIONS = {
-    "fetch_full": lambda model, oid: model.fetch_full(oid),
-    "fetch_roots": lambda model, oid: model.fetch_roots([oid]),
-    "fetch_refs": lambda model, oid: model.fetch_refs([oid]),
-    "update_roots": lambda model, oid: model.update_roots([oid], {"Name": "aliased"}),
-    "delete_object": lambda model, oid: model.delete_object(oid),
+    "fetch_full": lambda model, oids: model.fetch_full(oids[-1]),
+    "fetch_roots": lambda model, oids: model.fetch_roots(oids),
+    "fetch_refs": lambda model, oids: model.fetch_refs(oids),
+    "update_roots": lambda model, oids: model.update_roots(oids, {"Name": "aliased"}),
+    "delete_object": lambda model, oids: model.delete_object(oids[-1]),
 }
+
+#: The object deleted before the refusals: a live ref ahead of it in a
+#: list must not be touched either.
+DELETED = 5
+
+
+def _dirty_pages(model) -> set[int]:
+    return {pid for pid, frame in model.engine.buffer._frames.items() if frame.dirty}
 
 
 class TestOutOfRangeOids:
@@ -298,14 +307,21 @@ class TestOutOfRangeOids:
     @pytest.mark.parametrize("operation", sorted(OID_OPERATIONS))
     @pytest.mark.parametrize("name", ["DSM", "DASDBS-DSM", "DASDBS-NSM"])
     def test_oid_addressed_models_refuse(self, name, operation, stations):
+        """Every ref is resolved before the first page is fixed, so a
+        live ref ahead of a refused one is left as it was: nothing
+        dirtied in the buffer or written through to disk."""
         model = build_loaded_model(name, stations)
+        model.delete_object(DELETED)
         digest, refs = _disk_digest(model), model.all_refs()
+        root = model.fetch_roots([1])
         n = model.n_objects
-        for oid in (-1, -n, n):
+        for oids in ([-1], [-n], [n], [1, DELETED], [1, n]):
             with pytest.raises(InvalidAddressError):
-                OID_OPERATIONS[operation](model, oid)
-        assert model.all_refs() == refs
-        assert _disk_digest(model) == digest
+                OID_OPERATIONS[operation](model, oids)
+            assert _dirty_pages(model) == set(), oids
+            assert model.all_refs() == refs
+            assert _disk_digest(model) == digest, oids
+            assert model.fetch_roots([1]) == root
         assert model.fetch_full(n - 1) == stations[n - 1]
 
     @pytest.mark.parametrize("operation", sorted(OID_OPERATIONS))
@@ -318,9 +334,9 @@ class TestOutOfRangeOids:
         for oid in (-1, -n, n):
             if operation in ("fetch_full", "delete_object"):
                 with pytest.raises(InvalidAddressError):
-                    OID_OPERATIONS[operation](model, oid)
+                    OID_OPERATIONS[operation](model, [oid])
             else:
-                assert not OID_OPERATIONS[operation](model, oid)
+                assert not OID_OPERATIONS[operation](model, [oid])
         assert model.all_refs() == refs
         assert _disk_digest(model) == digest
 
@@ -622,29 +638,32 @@ PRIMITIVES = (
     "update_roots",
 )
 
-#: The NSM family's access by address (Section 3.4's transformation
-#: table, Table 3's NSM+index row).
+#: The access paths by address (Section 3.4's transformation table,
+#: Table 3's NSM+index row, the direct models' OIDs).
 ADDRESSED = (
     "fetch_full",
-    "_read_assembled",
     "fetch_full_by_key",
+    "scan_all",
     "fetch_refs",
     "fetch_refs_grouped",
     "fetch_roots",
     "update_roots",
 )
 
+#: The four models that address objects, and so run the paths above.
+ADDRESSED_MODELS = (DSMModel, DASDBSDSMModel, NSMIndexModel, DASDBSNSMModel)
+
 
 def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
-    """A model is its relations, ``_store``, its access paths and the
-    decode of one scan unit; everything else is ``StorageModel`` over
-    the table, in the NSM family ``NSMFamilyModel`` over its parts, and
-    in the direct family ``DirectModelBase`` over the schema.
-    The exceptions are the NSM family's, and each is explicit:
-    references are keys (``all_refs``, and NSM+index's delete
-    translating its key before calling ``super()``), plain NSM's
-    documented no-op move and its value-based delete, whose only use of
-    the table is the tombstone (the fidelity guard above)."""
+    """A model declares its layout and how its accesses transfer data;
+    everything else is ``StorageModel`` over the table and
+    ``AddressedModel`` over the declarations.  The exceptions are the
+    NSM models', and each is explicit: references are keys
+    (``NSMModelBase``: ``all_refs`` and two lookups, NSM+index's delete
+    translating its key before calling ``super()``, and the decode of a
+    flat connection row), plain NSM's value selections, documented
+    no-op move and value-based delete, whose only use of the table is
+    the tombstone (the fidelity guard above)."""
     allowed = {
         NSMModelBase: {"all_refs"},
         NSMModel: {"move_objects", "delete_object"},
@@ -658,18 +677,30 @@ def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
         }
         assert overridden == allowed.get(cls, set()), cls.__name__
 
-    # The NSM family's decomposition, full scan and scan-unit decode are
-    # read off its parts once, on the family's base.
-    family = {cls for cls in _model_classes() if issubclass(cls, NSMFamilyModel)}
-    assert family == {NSMFamilyModel, NSMModelBase, NSMModel, NSMIndexModel, DASDBSNSMModel}
-    for name in ("_store", "scan_all", "_decode_record"):
-        assert [cls for cls in family if name in vars(cls)] == [NSMFamilyModel], name
-    # The direct family's decomposition, full scan and value selection
-    # are read off the schema once, on its base.
-    direct = {cls for cls in _model_classes() if issubclass(cls, DirectModelBase)}
-    assert direct == {DirectModelBase, DSMModel, DASDBSDSMModel}
-    for name in ("_store", "scan_all", "fetch_full_by_key"):
-        assert [cls for cls in direct if name in vars(cls)] == [DirectModelBase], name
+    # One base under every model: decomposition, full scan, scan-unit
+    # decode and the paths by address are defined on it alone (plain
+    # NSM, which has no addresses, overrides the paths).
+    assert _model_classes() == {AddressedModel, NSMModelBase, *ADDRESSED_MODELS, NSMModel}
+    for name in ("_store", "_read_assembled", "_decode_record", *ADDRESSED):
+        owners = {cls for cls in _model_classes() if name in vars(cls)}
+        assert owners - {NSMModel} == {AddressedModel}, name
+    for cls in ADDRESSED_MODELS:
+        for name in ADDRESSED:
+            owner = next(base for base in cls.__mro__ if name in vars(base))
+            assert owner is AddressedModel, (cls.__name__, name)
+    assert {*ADDRESSED} & _defined(NSMModel) == {*ADDRESSED} - {"scan_all"}
+
+    # The rest is declarations: the direct models and DASDBS-NSM define
+    # no function, NSM+index its key-translating delete and flat decode.
+    for cls in (DSMModel, DASDBSDSMModel, DASDBSNSMModel):
+        assert _defined(cls) == set(), cls.__name__
+    assert {"name", "navigation", "set_oriented"} <= set(vars(DSMModel))
+    assert {"navigation_sections", "root_sections", "write_through"} <= set(vars(DASDBSDSMModel))
+    assert {"name", "parts", "root_schema", "navigation"} <= set(vars(DASDBSNSMModel))
+    assert _defined(NSMModelBase) == {
+        "__init__", "ref_of", "oid_of", "all_refs", "_row", "_handles"
+    }
+    assert _defined(NSMIndexModel) == {"_refs_in", "delete_object"}
 
     assert NSMModel(StorageEngine(buffer_pages=8)).move_objects([0, 1], 4) == 0
     deleted = []
@@ -682,23 +713,6 @@ def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
     build_loaded_model("NSM+index", stations[:8]).delete_object(key_of_oid(3))
     assert deleted == [3]
 
-    # The NSM family's access by address lives on its base; the only
-    # branches are declared.  Plain NSM, which has no addresses,
-    # overrides every path with its value selections (and refuses
-    # grouped navigation rather than read the table); references are
-    # keys on ``NSMModelBase`` (two lookups); NSM+index adds its
-    # key-translating delete and the decode of a flat connection row;
-    # DASDBS-NSM is declarations only.
-    for name in ADDRESSED:
-        owners = {cls for cls in family if name in vars(cls)}
-        assert owners <= {NSMFamilyModel, NSMModel} and NSMFamilyModel in owners, name
-    assert {*ADDRESSED} & _defined(NSMModel) == {*ADDRESSED} - {"_read_assembled"}
-    assert _defined(NSMModelBase) == {
-        "__init__", "ref_of", "oid_of", "all_refs", "_row", "_handles"
-    }
-    assert _defined(NSMIndexModel) == {"_refs_in", "delete_object"}
-    assert _defined(DASDBSNSMModel) == set()
-    assert {"name", "parts", "root_schema", "navigation"} <= set(vars(DASDBSNSMModel))
     # The e2e tracer spans a primitive where a subclass defines it and
     # never on ``StorageModel``: none may resolve there.
     for cls in MODEL_CLASSES.values():

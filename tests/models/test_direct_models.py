@@ -98,7 +98,7 @@ class TestUpdateProtocols:
         dsm.engine.reset_metrics()
         dsm.update_roots([2], {"Name": "upd"})
         dsm.engine.flush()
-        header, data = dsm.long_store.pages_of(dsm.table.row(2)[0][0])
+        header, data = dsm.relations[0].long_store.pages_of(dsm.table.row(2)[0][0])
         assert dsm.engine.metrics.snapshot().pages_written == header + data
 
     def test_dasdbs_dsm_writes_pool_immediately(self, large_stations):
@@ -141,10 +141,10 @@ class TestSmallObjectRegime:
     def test_small_objects_share_pages(self, small_stations_0):
         """Without sightseeings objects drop below a page (Section 5.3)."""
         dsm = build_loaded_model("DSM", small_stations_0)
-        assert dsm.heap.n_pages > 0
+        assert dsm.relations[0].heap.n_pages > 0
         # Several objects per page: fewer pages than objects in the heap.
         heap_objects = len(dsm.table.live_oids()) - len(dsm.table.long_handles(0))
-        assert heap_objects > dsm.heap.n_pages
+        assert heap_objects > dsm.relations[0].heap.n_pages
 
     def test_large_objects_get_private_pages(self, large_stations):
         dsm = build_loaded_model("DSM", large_stations)

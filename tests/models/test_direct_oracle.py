@@ -151,11 +151,12 @@ def test_the_stored_image_is_the_reference_cut(name, stations):
     for oid in model.table.live_oids():
         handle = model.table.row(oid)[0][0]
         if type(handle) is not Rid:
-            assert model.long_store.read(handle) == encode_sections(model, stations[oid])
+            stored = model.relations[0].long_store.read(handle)
+            assert stored == encode_sections(model, stations[oid])
             longs += 1
     assert longs
     twin = build_loaded_model(name, [], CONFIG.buffer_pages)
-    twin._encode_sections = lambda station: encode_sections(twin, station)
+    twin.relations[0].sections = lambda station: encode_sections(twin, station)
     twin.load(stations)
     assert disk_digest(model.engine) == disk_digest(twin.engine)
     assert model.relation_pages() == twin.relation_pages()

@@ -32,6 +32,7 @@ from repro.core.parameters import (
 )
 from repro.errors import SchemaError
 from repro.models.dasdbs_nsm import DNSM_CONNECTION, DNSM_LINKED, DNSM_PARTS
+from repro.models.base import link_sections
 from repro.models.dsm import DSMModel
 from repro.models.nsm import NSM_LINKED, NSM_PARTS
 from repro.nf2.codec import compiled_assembly
@@ -226,32 +227,33 @@ class OrderDSM(DSMModel):
 def test_the_section_cut_round_trips_a_toy_schema():
     """Section 0 is the root's flat part, then one section per
     sub-relation in schema order; stored as a long object and read back,
-    the sections decode to the order they came from.  Navigation's
-    walk finds the same references in a nested decode under
-    ``links(ORDER)`` as in the decodes of the sections holding any."""
+    the sections decode to the order they came from, and joined they
+    decode as its nested encoding.  Navigation finds the same references
+    in a nested decode under ``links(ORDER)`` as in the decode of the
+    leading sections through the last one holding any, the only ones it
+    copies."""
     model = OrderDSM(StorageEngine(buffer_pages=64))
-    serializer = model.serializer
+    relation, serializer = model.relations[0], model.serializer
     order_links = links(ORDER)
     assert [sub.stored for sub in order_links.subrelations] == [LINE]
     assert order_links.subrelations[0].attributes == ("Product",)
+    assert link_sections(ORDER) == model._navigation_copy == (0, 1)
     rng = random.Random(23)
     for key in range(40):
         order = _order(rng, key)
-        sections = model._encode_sections(order)
+        sections = relation.sections(order)
         assert len(sections) == 1 + len(ORDER.subrelations)
         assert sections[0] == serializer.encode_flat(order)
-        address = model.long_store.store(sections, order.count_subtuples())
-        stored = model.long_store.read(address)
+        address = relation.long_store.store(sections, order.count_subtuples())
+        stored = relation.long_store.read(address)
         assert stored == sections
-        assert model._decode_sections(stored) == order
+        assert serializer.decode_nested(ORDER, relation.read_record(address)) == order
         # The inline nested encoding has the same payload (Table 2).
         assert sum(map(len, stored)) == DASDBS_FORMAT.nested_size(order)
 
         whole = links_of([serializer.decode_nested(order_links, serializer.encode_nested(order))])
-        by_section = []
-        for sub in order_links.subrelations:
-            section = stored[1 + ORDER.subrelations.index(sub.stored)]
-            links_of(serializer.decode_subtuple_list(sub, section), by_section)
+        leading = relation.read_record(address, copy=link_sections(ORDER))
+        by_section = links_of([serializer.decode_nested(order_links, leading)])
         expected = [
             ref
             for line in order.subtuples("Line")

@@ -63,7 +63,7 @@ def wrapper_tuple(key, n_items):
 
 
 def insert(store, value):
-    return store.insert(SERIALIZER.encode_nested(value), value.count_subtuples())
+    return store.insert(SERIALIZER.encode_nested(value), value)
 
 
 def decode(blob):

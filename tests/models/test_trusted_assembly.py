@@ -32,7 +32,8 @@ from repro.benchmark.generator import generate_stations
 from repro.benchmark.snapshots import SnapshotStore
 from repro.errors import SchemaError
 from repro.models import dasdbs_nsm, nsm
-from repro.models.nsm import NSM_PLATFORM, NSMFamilyModel
+from repro.models.base import AddressedModel
+from repro.models.nsm import NSM_PLATFORM
 from repro.nf2.schema import (
     Attribute,
     AttributeType,
@@ -123,24 +124,17 @@ class TestAssembledObjects:
     def test_scan_assembles_the_generated_objects(self, model_and_expected, monkeypatch):
         model, expected = model_and_expected
         # The scan discards what it assembles; record it on the way out:
-        # every object the NSM family's compiled assembly joins, or every
-        # long object a direct model decodes by sections.
+        # every object the model's assembly joins (a direct model's
+        # records are whole objects).
         assembled = []
-        if hasattr(model, "_scan_objects"):
-            seam, scan_objects = "_scan_objects", model._scan_objects
+        scan_objects = model._scan_objects
 
-            def recording():
-                for station in scan_objects():
-                    assembled.append(station)
-                    yield station
-        else:
-            seam, decode_sections = "_decode_sections", model._decode_sections
+        def recording():
+            for station in scan_objects():
+                assembled.append(station)
+                yield station
 
-            def recording(sections):
-                assembled.append(decode_sections(sections))
-                return assembled[-1]
-
-        monkeypatch.setattr(model, seam, recording)
+        monkeypatch.setattr(model, "_scan_objects", recording)
         assert model.scan_all() == len(expected)
         by_key = {station["Key"]: station for station in expected}
         assert assembled  # every model stores some object through the seam
@@ -235,7 +229,7 @@ class TestProjectionProof:
 
 
 def _validated_nsm_store(self, station):
-    """``NSMFamilyModel._store`` of NSM's rows through the validating constructor."""
+    """``AddressedModel._store`` of NSM's rows through the validating constructor."""
     key = station["Key"]
     rids = [[self._insert(0, NestedTuple(nsm.NSM_STATION, station.atoms()))], [], [], []]
     for own_key, platform in enumerate(station.subtuples("Platform")):
@@ -262,7 +256,7 @@ def _validated_nsm_store(self, station):
 
 
 def _validated_dasdbs_nsm_store(self, station):
-    """``NSMFamilyModel._store`` of DASDBS-NSM's records through the
+    """``AddressedModel._store`` of DASDBS-NSM's records through the
     validating constructor."""
     key = station["Key"]
     platforms = station.subtuples("Platform")
@@ -341,7 +335,7 @@ def test_trusted_store_equals_validated_store(monkeypatch, name, seed):
         BenchmarkConfig(n_objects=40, max_sightseeing=5, probability=0.5, seed=seed)
     )
     trusted_model, trusted_rows = _loaded_recording_rows(name, stations)
-    monkeypatch.setattr(NSMFamilyModel, "_store", VALIDATED_STORES[name])
+    monkeypatch.setattr(AddressedModel, "_store", VALIDATED_STORES[name])
     validated_model, validated_rows = _loaded_recording_rows(name, stations)
 
     assert len(trusted_rows) == len(validated_rows) > len(stations)

@@ -85,7 +85,7 @@ def test_patched_updates_equal_value_round_trip(store, stations, tmp_path, name,
     patched, reference = _clone_pair(store, stations, name, backend, tmp_path)
     try:
         if name in ("DSM", "DASDBS-DSM"):
-            kinds = {type(patched._handle(oid)) is Rid for oid in range(len(stations))}
+            kinds = {type(patched.table.row(oid)[0][0]) is Rid for oid in range(len(stations))}
             assert kinds == {True, False}  # heap-resident and long objects
         rng = random.Random(seed)
         expected = list(stations)
