@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Container, Iterator, Sequence
 
 from repro.errors import InvalidAddressError
 from repro.nf2.oid import Rid
@@ -163,26 +163,26 @@ class Relation:
 
     def select(
         self,
-        longs: Sequence[LongObjectAddress],
+        keys: Container[object],
         key_of: Callable[[bytes, str], object],
         attr: str,
-        key: object,
+        longs: Sequence[LongObjectAddress] = (),
         sections: Sections = None,
-    ) -> bytes | None:
-        """The record whose ``key_of(record, attr)`` is ``key``: a scan
-        of every record — heap pages, then ``longs`` with ``sections``
-        fixed, a partly read match read again whole at once — that does
-        not stop at the match, as the paper's value selection reads."""
-        match = None
-        for _, blob in self.heap.scan():
-            if key_of(blob, attr) == key:
-                match = blob
+    ) -> list[tuple[Handle, bytes]]:
+        """Value selection, the one scan by key: every record whose
+        ``key_of(record, attr)`` is in ``keys``, with its handle, found
+        by a scan of every record — heap pages in order, then ``longs``
+        with ``sections`` fixed, a partly read match read again whole at
+        once — that does not stop at a match, as the paper's value
+        selection reads (Section 3.3)."""
+        matches = [(rid, blob) for rid, blob in self.heap.scan() if key_of(blob, attr) in keys]
         for handle in longs:
             # The key sits in the first section: the root's flat part.
             read = self.long_store.read(handle, sections)
-            if key_of(read[0], attr) == key:
-                match = b"".join(read if sections is None else self.long_store.read(handle))
-        return match
+            if key_of(read[0], attr) in keys:
+                whole = read if sections is None else self.long_store.read(handle)
+                matches.append((handle, b"".join(whole)))
+        return matches
 
     def scan_records(
         self, longs: Sequence[LongObjectAddress], pages: list[int] | None = None

@@ -406,9 +406,11 @@ class AddressedModel(StorageModel):
     a long store, one record per object (``nest_by_root``) — under the
     compiled assembly; no parts is Section 3.1's direct layout, one
     relation ``<name>_Station`` whose long records are cut.  The paths
-    read only the records the address table names.  A reference is an
-    OID (``NSMModelBase`` makes it a key); plain NSM, which has no
-    addresses, overrides the paths with value selections.
+    read only the records the address table names, through one seam,
+    :meth:`_records`, and query 1b selects by value on relation 0
+    (``Relation.select``).  A reference is an OID (``NSMModelBase``
+    makes it a key); plain NSM, which has no addresses, makes the seam
+    a value selection and keeps only what the paper makes different.
     """
 
     #: One part per relation of the Station schema, in walk order.
@@ -512,28 +514,39 @@ class AddressedModel(StorageModel):
         key_of = partial(self.serializer.decode_atom, schema)
         # The root's key is its first attribute (``nf2.schema._parts``).
         attr = schema.attributes[0].name
-        match = self.relations[0].select(self._longs(0), key_of, attr, key, self.root_sections)
-        if match is None:
+        matches = self.relations[0].select({key}, key_of, attr, self._longs(0), self.root_sections)
+        if not matches:
             raise InvalidAddressError(f"no station with key {key}")
         if len(self.relations) == 1:
-            return self._assembly.decode[0](match)
+            return self._assembly.decode[0](matches[-1][1])
         return self._read_assembled(self.table.row_of_key(key))
+
+    def _records(
+        self, refs: Sequence[Ref], index: int, sections: Sections = None, copy: Sections = None
+    ) -> Sequence[bytes]:
+        """The records of relation ``index`` of the objects ``refs``
+        name, by address: once per ref, in ref order, each as
+        ``Relation.read_records`` reads it.  The seam of the navigation
+        reads; plain NSM, without addresses, selects them by value."""
+        handles = [*chain.from_iterable(self._handles(refs, index))]
+        return self.relations[index].read_records(handles, sections, copy)
 
     def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
         # The flattening of ``fetch_refs_grouped``, decoded in one pass.
-        return self._refs_in(self._linked_records(self._handles(refs, self._linked)))
+        return self._refs_in(
+            self._records(refs, self._linked, self.navigation_sections, self._navigation_copy)
+        )
 
     def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
         """The records of :meth:`fetch_refs`, read as it reads them and
         split back per ref."""
         groups, refs_in = self._handles(refs, self._linked), self._refs_in
-        records = iter(self._linked_records(groups))
-        return [refs_in(islice(records, len(group))) for group in groups]
-
-    def _linked_records(self, groups: list[tuple[Handle, ...]]) -> Sequence[bytes]:
-        return self.relations[self._linked].read_records(
-            [*chain.from_iterable(groups)], self.navigation_sections, self._navigation_copy
+        records = iter(
+            self.relations[self._linked].read_records(
+                [*chain.from_iterable(groups)], self.navigation_sections, self._navigation_copy
+            )
         )
+        return [refs_in(islice(records, len(group))) for group in groups]
 
     def _refs_in(self, records: Iterable[bytes]) -> list[Ref]:
         """The references in records of the linked relation, in order."""
@@ -542,9 +555,7 @@ class AddressedModel(StorageModel):
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
         # The root's flat part leads its record, and a cut record's root section.
         decode, schema = self.serializer._decode_flat_part, self.root_schema
-        records = self.relations[0].read_records(
-            [*chain.from_iterable(self._handles(refs, 0))], self.root_sections, FIRST_SECTION
-        )
+        records = self._records(refs, 0, self.root_sections, FIRST_SECTION)
         return [decode(schema, blob, 0)[0] for blob in records]
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:

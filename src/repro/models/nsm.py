@@ -23,28 +23,26 @@ of one object together, the layout Equations 6/7 assume.
 from object key to the record ids of all its tuples, so "a page is read
 from disk then and only then if a tuple it stores is requested".
 
-Relations, decomposition, reassembly, the full scan and access by
-address are read off the parts by ``base.AddressedModel``.  For
-NSM+index the address table *is* the index.  Plain NSM never reads it:
-its access paths and its delete find tuples by value, and only the
-unmeasured reorganisation, recovery and scan-partitioning code use its
-rows.
+Relations, decomposition, reassembly, the full scan and the
+navigation reads are read off the parts by ``base.AddressedModel``.
+For NSM+index the address table *is* the index.  Plain NSM never reads
+it: its seam of the navigation reads (``_records``), query 1b, updates
+and delete find rows by value with ``Relation.select``, the one scan by
+key, and only the unmeasured reorganisation, recovery and
+scan-partitioning code use its rows.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.benchmark.schema import STATION_SCHEMA, key_of_oid, oid_of_key
 from repro.errors import InvalidAddressError
-from repro.models.addressing import Handle, Row
+from repro.models.addressing import Handle, Row, Sections
 from repro.models.base import AddressedModel, Ref
-from repro.nf2.oid import Rid
-from repro.nf2.schema import ROOT_KEY, Projection, RelationSchema, links, unnest
-from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
+from repro.nf2.schema import ROOT_KEY, Projection, links, unnest
 from repro.nf2.values import NestedTuple
-from repro.storage import StorageEngine
-from repro.storage.heap import HeapFile
 
 #: Figure 3 by rule: one flat relation per nested relation, in walk order.
 NSM_PARTS = unnest(STATION_SCHEMA, "NSM")
@@ -53,7 +51,7 @@ NSM_STATION, NSM_PLATFORM, NSM_CONNECTION, NSM_SIGHTSEEING = (part.stored for pa
 #: The one relation whose rows hold references: the one navigation reads.
 (NSM_LINKED,) = [index for index, part in enumerate(NSM_PARTS) if links(part.stored)]
 
-#: What plain NSM's navigation reads of a matching connection row.
+#: What plain NSM's ``fetch_ref_pairs`` decodes of a matching connection row.
 _CONNECTION_PAIR = Projection(NSM_CONNECTION, (ROOT_KEY, "KeyConnection"))
 
 
@@ -63,10 +61,6 @@ class NSMModelBase(AddressedModel):
 
     parts = NSM_PARTS
     root_schema = NSM_STATION
-
-    def __init__(self, engine: StorageEngine, fmt: StorageFormat = DASDBS_FORMAT) -> None:
-        super().__init__(engine, fmt)
-        self.heaps = tuple(relation.heap for relation in self.relations)
 
     # -- references: logical keys -------------------------------------------
 
@@ -87,6 +81,11 @@ class NSMModelBase(AddressedModel):
         # No records for a key no live object carries: set-oriented paths skip it.
         return [() if row is None else row[index] for row in map(self.table.find, refs)]
 
+    def _refs_in(self, records: Iterable[bytes]) -> list[Ref]:
+        # One reference per flat connection row, at its fixed offset.
+        decode_atom = self.serializer.decode_atom
+        return [decode_atom(NSM_CONNECTION, blob, "KeyConnection") for blob in records]
+
 
 class NSMModel(NSMModelBase):
     """Normalized storage model without physical identifiers.
@@ -100,37 +99,18 @@ class NSMModel(NSMModelBase):
     name = "NSM"
     supports_oid_access = False
 
-    def _matching(
-        self,
-        heap: HeapFile,
-        schema: RelationSchema | Projection,
-        key_attr: str,
-        keys: set[int],
-    ) -> list[tuple[Rid, bytes]]:
-        """Value selection by full scan (NSM has no access paths): the
-        stored tuples whose ``key_attr`` is in ``keys``.  The predicate
-        is evaluated on the stored key attribute only."""
-        decode_atom = self.serializer.decode_atom
-        return [
-            (rid, blob)
-            for rid, blob in heap.scan()
-            if decode_atom(schema, blob, key_attr) in keys
-        ]
-
-    def _select(
-        self,
-        heap: HeapFile,
-        schema: RelationSchema | Projection,
-        key_attr: str,
-        keys: set[int],
-    ) -> list[tuple[Rid, NestedTuple]]:
-        """:meth:`_matching`, with what ``schema`` asks for of each
-        matching tuple materialised."""
-        decode_flat = self.serializer.decode_flat
-        return [
-            (rid, decode_flat(schema, blob))
-            for rid, blob in self._matching(heap, schema, key_attr, keys)
-        ]
+    def _records(
+        self, refs: Sequence[Ref], index: int, sections: Sections = None, copy: Sections = None
+    ) -> list[bytes]:
+        """The seam of the shared navigation reads, by value: one scan
+        of relation ``index`` (``Relation.select`` on the stored root
+        key) for the rows of ``refs``, a repeated ref's once, in heap
+        order; no scan for no refs.  The address table is never read."""
+        if not refs:
+            return []
+        part = self.parts[index]
+        key_of = partial(self.serializer.decode_atom, part.stored)
+        return [blob for _, blob in self.relations[index].select(set(refs), key_of, part.root_key)]
 
     # -- operations --------------------------------------------------------------------
 
@@ -138,24 +118,19 @@ class NSMModel(NSMModelBase):
         raise self._not_supported("retrieval by OID (query 1a); NSM stores no identifiers")
 
     def fetch_full_by_key(self, key: int) -> NestedTuple:
-        keys = {key}
-        roots = self._matching(self.heaps[0], NSM_STATION, "Key", keys)
+        """One value selection per relation, each scanned, then decoded,
+        before the next is scanned."""
+        refs, assembly = [key], self._assembly
+        roots = self._records(refs, 0)
         if not roots:
             raise InvalidAddressError(f"no station with key {key}")
-
-        # Each relation is scanned, then decoded, before the next is scanned.
-        assembly = self._assembly
         return assembly.join(
-            assembly.decode[0](roots[0][1]),
+            assembly.decode[0](roots[0]),
             *[
-                decode([blob for _, blob in self._matching(heap, part.stored, part.root_key, keys)])
-                for decode, heap, part in zip(assembly.decode[1:], self.heaps[1:], self.parts[1:])
+                decode(self._records(refs, index))
+                for index, decode in enumerate(assembly.decode[1:], 1)
             ],
         )
-
-    def fetch_refs(self, refs: Sequence[Ref]) -> list[Ref]:
-        """One set-oriented scan of NSM_Connection per navigation level."""
-        return [child for _, child in self.fetch_ref_pairs(refs)]
 
     def fetch_ref_pairs(self, refs: Sequence[Ref]) -> list[tuple[int, Ref]]:
         """``(RootKey, KeyConnection)`` of matching rows, in heap order.
@@ -165,22 +140,13 @@ class NSMModel(NSMModelBase):
         merge per-shard results back into the unsharded scan order (heap
         order groups rows by ascending root key under bulk load).
         """
-        if not refs:
-            return []
-        keys = set(refs)
-        rows = self._select(self.heaps[NSM_LINKED], _CONNECTION_PAIR, ROOT_KEY, keys)
-        return [(row[ROOT_KEY], row["KeyConnection"]) for _, row in rows]
+        decode = partial(self.serializer.decode_flat, _CONNECTION_PAIR)
+        rows = map(decode, self._records(refs, NSM_LINKED))
+        return [(row[ROOT_KEY], row["KeyConnection"]) for row in rows]
 
     def fetch_refs_grouped(self, refs: Sequence[Ref]) -> list[list[Ref]]:
         # Without addresses there are no per-object rows to group by.
         raise self._not_supported("grouped navigation")
-
-    def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
-        if not refs:
-            return []
-        decode = self.serializer._decode_flat_part
-        rows = self._matching(self.heaps[0], NSM_STATION, "Key", set(refs))
-        return [decode(NSM_STATION, blob, 0)[0] for _, blob in rows]
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
         """Replace the matching NSM_Station tuples (set-oriented).
@@ -192,9 +158,10 @@ class NSMModel(NSMModelBase):
         patch = self._root_patch(changes)
         if not refs:
             return
-        stations = self.heaps[0]
-        for rid, blob in self._matching(stations, NSM_STATION, "Key", set(refs)):
-            stations.update(rid, patch(blob))
+        stations = self.relations[0]
+        key_of = partial(self.serializer.decode_atom, NSM_STATION)
+        for rid, blob in stations.select(set(refs), key_of, "Key"):
+            stations.heap.update(rid, patch(blob))
 
     # -- object lifecycle ----------------------------------------------------------------
 
@@ -204,11 +171,10 @@ class NSMModel(NSMModelBase):
         The table row is tombstoned, not read: the tuples were found
         and removed by value.
         """
-        keys = {ref}
-        found = False
-        for heap, part in zip(self.heaps, self.parts):
-            for rid, _ in self._select(heap, part.stored, part.root_key, keys):
-                heap.delete(rid)
+        keys, found, decode_atom = {ref}, False, self.serializer.decode_atom
+        for relation, part in zip(self.relations, self.parts):
+            for rid, _ in relation.select(keys, partial(decode_atom, part.stored), part.root_key):
+                relation.delete(rid)
                 found = True
         if not found:
             raise InvalidAddressError(f"no station with key {ref}")
@@ -238,11 +204,6 @@ class NSMIndexModel(NSMModelBase):
     """
 
     name = "NSM+index"
-
-    def _refs_in(self, records: Iterable[bytes]) -> list[Ref]:
-        # One reference per flat connection row, at its fixed offset.
-        decode_atom = self.serializer.decode_atom
-        return [decode_atom(NSM_CONNECTION, blob, "KeyConnection") for blob in records]
 
     def delete_object(self, ref: Ref) -> None:
         """Indexed delete: record accesses only, no scans."""

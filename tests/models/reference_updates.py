@@ -71,9 +71,14 @@ def _nsm(model, refs, changes):
     """Value scan for the root tuples, then replace them."""
     if not refs:
         return
-    stations = model.table.relations[0].heap
-    for rid, row in model._select(stations, NSM_STATION, "Key", set(refs)):
-        stations.update(rid, model.serializer.encode_flat(row.replace_atoms(**changes)))
+    stations, serializer, keys = model.table.relations[0].heap, model.serializer, set(refs)
+    rows = [
+        (rid, serializer.decode_flat(NSM_STATION, blob))
+        for rid, blob in stations.scan()
+        if serializer.decode_atom(NSM_STATION, blob, "Key") in keys
+    ]
+    for rid, row in rows:
+        stations.update(rid, serializer.encode_flat(row.replace_atoms(**changes)))
 
 
 def _nsm_index(model, refs, changes):

@@ -11,8 +11,10 @@
 
 from __future__ import annotations
 
+import ast
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.errors import (
 )
 from repro.fault.backend import FaultyBackend
 from repro.fault.plan import FaultPlan
+from repro.models import addressing
 from repro.models.addressing import AddressTable, Relation
 from repro.models.base import AddressedModel, StorageModel
 from repro.models.dasdbs_dsm import DASDBSDSMModel
@@ -653,17 +656,42 @@ ADDRESSED = (
 #: The four models that address objects, and so run the paths above.
 ADDRESSED_MODELS = (DSMModel, DASDBSDSMModel, NSMIndexModel, DASDBSNSMModel)
 
+#: All plain NSM may define: its seam of the navigation reads, the
+#: two refusals, query 1b over every relation, the pairs the sharded
+#: facade merges, and updates, delete and move by value.
+PLAIN_NSM = (
+    "_records",
+    "fetch_full",
+    "fetch_full_by_key",
+    "fetch_ref_pairs",
+    "fetch_refs_grouped",
+    "update_roots",
+    "delete_object",
+    "move_objects",
+)
+
+
+def _scan_calls(tree: ast.AST) -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "scan"
+    ]
+
 
 def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
     """A model declares its layout and how its accesses transfer data;
     everything else is ``StorageModel`` over the table and
     ``AddressedModel`` over the declarations.  The exceptions are the
     NSM models', and each is explicit: references are keys
-    (``NSMModelBase``: ``all_refs`` and two lookups, NSM+index's delete
-    translating its key before calling ``super()``, and the decode of a
-    flat connection row), plain NSM's value selections, documented
-    no-op move and value-based delete, whose only use of the table is
-    the tombstone (the fidelity guard above)."""
+    (``NSMModelBase``: ``all_refs``, two lookups and the decode of a
+    flat connection row; NSM+index's delete translating its key before
+    calling ``super()``), plain NSM's seam selecting by value, query 1b,
+    documented no-op move and value-based update and delete, whose only
+    use of the table is the tombstone (the fidelity guard above).
+    ``Relation.select`` is the one scan by key."""
     allowed = {
         NSMModelBase: {"all_refs"},
         NSMModel: {"move_objects", "delete_object"},
@@ -679,28 +707,40 @@ def test_cross_cutting_operations_are_defined_once(monkeypatch, stations):
 
     # One base under every model: decomposition, full scan, scan-unit
     # decode and the paths by address are defined on it alone (plain
-    # NSM, which has no addresses, overrides the paths).
+    # NSM, which has no addresses, overrides what the paper makes
+    # different); the navigation reads are defined there only, plain
+    # NSM's running over its own seam.
     assert _model_classes() == {AddressedModel, NSMModelBase, *ADDRESSED_MODELS, NSMModel}
-    for name in ("_store", "_read_assembled", "_decode_record", *ADDRESSED):
+    for name in ("_store", "_read_assembled", "_decode_record", "_records", *ADDRESSED):
         owners = {cls for cls in _model_classes() if name in vars(cls)}
         assert owners - {NSMModel} == {AddressedModel}, name
     for cls in ADDRESSED_MODELS:
         for name in ADDRESSED:
             owner = next(base for base in cls.__mro__ if name in vars(base))
             assert owner is AddressedModel, (cls.__name__, name)
-    assert {*ADDRESSED} & _defined(NSMModel) == {*ADDRESSED} - {"scan_all"}
+    for name in ("fetch_refs", "fetch_roots"):
+        assert {cls for cls in _model_classes() if name in vars(cls)} == {AddressedModel}, name
+    assert _defined(NSMModel) <= {*PLAIN_NSM}
+    assert "_records" in vars(NSMModel)
+
+    # Within ``repro.models`` a heap is scanned only inside ``Relation``.
+    for path in sorted(Path(addressing.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        relations = [node for node in tree.body if getattr(node, "name", None) == "Relation"]
+        inside = [call for relation in relations for call in _scan_calls(relation)]
+        assert _scan_calls(tree) == inside, path.name
 
     # The rest is declarations: the direct models and DASDBS-NSM define
-    # no function, NSM+index its key-translating delete and flat decode.
+    # no function, NSM+index its key-translating delete.
     for cls in (DSMModel, DASDBSDSMModel, DASDBSNSMModel):
         assert _defined(cls) == set(), cls.__name__
     assert {"name", "navigation", "set_oriented"} <= set(vars(DSMModel))
     assert {"navigation_sections", "root_sections", "write_through"} <= set(vars(DASDBSDSMModel))
     assert {"name", "parts", "root_schema", "navigation"} <= set(vars(DASDBSNSMModel))
     assert _defined(NSMModelBase) == {
-        "__init__", "ref_of", "oid_of", "all_refs", "_row", "_handles"
+        "ref_of", "oid_of", "all_refs", "_row", "_handles", "_refs_in"
     }
-    assert _defined(NSMIndexModel) == {"_refs_in", "delete_object"}
+    assert _defined(NSMIndexModel) == {"delete_object"}
 
     assert NSMModel(StorageEngine(buffer_pages=8)).move_objects([0, 1], 4) == 0
     deleted = []

@@ -10,6 +10,7 @@ import pytest
 from repro.benchmark.schema import key_of_oid
 from repro.errors import UnsupportedOperationError
 from tests.conftest import build_loaded_model
+from tests.sharding.conftest import build_sharded
 
 
 class TestFullRetrievalEquivalence:
@@ -60,8 +61,27 @@ class TestNavigationEquivalence:
         assert got == {key_of_oid(oid) for oid in oids}
 
     def test_empty_refs(self, loaded_model):
-        assert loaded_model.fetch_refs([]) == []
-        assert loaded_model.fetch_roots([]) == []
+        """No refs: nothing returned, nothing changed, no page fixed
+        (plain NSM does not scan)."""
+        model = loaded_model
+        grouped = model.fetch_refs_grouped if model.supports_oid_access else model.fetch_ref_pairs
+        _assert_empty_refs_touch_nothing(model, grouped)
+
+    def test_empty_refs_sharded(self, any_model_name, small_config, small_stations):
+        model = build_sharded(small_config, small_stations, any_model_name, 3, "hash")
+        _assert_empty_refs_touch_nothing(model)
+
+
+def _assert_empty_refs_touch_nothing(model, *reads) -> None:
+    model.engine.restart_buffer()
+    model.engine.reset_metrics()
+    before = model.engine.metrics.snapshot()
+    for read in (model.fetch_refs, model.fetch_roots, *reads):
+        assert read([]) == []
+        assert model.engine.metrics.snapshot() == before, read.__name__
+    model.update_roots([], {"Name": "nobody"})
+    model.engine.flush()
+    assert model.engine.metrics.snapshot() == before
 
 
 class TestUpdateEquivalence:
