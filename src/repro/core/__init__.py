@@ -18,9 +18,7 @@ from repro.core.parameters import (
     RelationParameters,
     StructureCounts,
     WorkloadParameters,
-    derive_dasdbs_nsm_parameters,
     derive_direct_parameters,
-    derive_nsm_parameters,
     derive_parameters,
     paper_parameters,
 )
@@ -44,9 +42,7 @@ __all__ = [
     "RelationParameters",
     "StructureCounts",
     "WorkloadParameters",
-    "derive_dasdbs_nsm_parameters",
     "derive_direct_parameters",
-    "derive_nsm_parameters",
     "derive_parameters",
     "formulas",
     "paper_conclusion_holds",

@@ -14,26 +14,27 @@ the expected number of page I/Os, combining the formulas of
 * query-1 results are per object, query-2/3 results per loop;
 * query-3 results include the pages written back.
 
-Derivations of the individual terms are documented inline; each closed
-form was cross-checked against the legible Table 3 anchor values (DSM
-row, DSM′ 2a = 65.2, NSM+index 1a = 5.96 / 2a = 23.2, DASDBS-NSM′
-1b = 120 / 2a = 21.8) and against the engine's measurements.
+One costing serves every model of ``models.registry.MODEL_CLASSES``:
+it prices what the model declares (its parts, whether it has addresses,
+the sections it reads, whether root patches write through) with its
+Table 2 rows, so a new layout needs no code here.  Derivations of the
+individual terms are documented inline; each closed form was
+cross-checked against the legible Table 3 anchor values (DSM row, DSM′
+2a = 65.2, NSM+index 1a = 5.96 / 2a = 23.2, DASDBS-NSM′ 1b = 120 /
+2a = 21.8) and against the engine's measurements.
 """
 
 from __future__ import annotations
 
 from math import ceil
 
+from repro.benchmark.queries import QUERY_NAMES as QUERIES
 from repro.core import formulas
-from repro.core.parameters import (
-    ModelParameters,
-    RelationParameters,
-    WorkloadParameters,
-)
+from repro.core.parameters import ModelParameters, RelationParameters, WorkloadParameters
 from repro.errors import BenchmarkError
-from repro.models.dasdbs_dsm import DASDBSDSMModel
-
-QUERIES = ("1a", "1b", "1c", "2a", "2b", "3a", "3b")
+from repro.models.registry import MODEL_CLASSES
+from repro.nf2.schema import links
+from repro.storage.constants import EFFECTIVE_PAGE_SIZE
 
 
 def _run_pages(t: float, k: float) -> float:
@@ -46,22 +47,12 @@ def _run_pages(t: float, k: float) -> float:
 class AnalyticalEvaluator:
     """Computes the Table 3 estimates for one parameter set."""
 
-    def __init__(
-        self,
-        params: dict[str, ModelParameters],
-        workload: WorkloadParameters,
-    ) -> None:
+    def __init__(self, params: dict[str, ModelParameters], workload: WorkloadParameters) -> None:
         self.params = params
         self.workload = workload
 
-    # -- public API --------------------------------------------------------
-
     def estimate(
-        self,
-        model: str,
-        query: str,
-        primed: bool = False,
-        worst: bool = False,
+        self, model: str, query: str, primed: bool = False, worst: bool = False
     ) -> float | None:
         """Expected page I/Os for ``model`` on ``query``.
 
@@ -75,287 +66,113 @@ class AnalyticalEvaluator:
             raise BenchmarkError(f"unknown query {query!r}")
         if worst and query in ("2b", "3b"):
             return self.estimate(model, "2a" if query == "2b" else "3a", primed=primed)
-        handler = {
-            "DSM": self._dsm,
-            "DASDBS-DSM": self._dasdbs_dsm,
-            "NSM": self._nsm,
-            "NSM+index": self._nsm_index,
-            "DASDBS-NSM": self._dasdbs_nsm,
-        }.get(model)
-        if handler is None:
+        if model not in MODEL_CLASSES or model not in self.params:
             raise BenchmarkError(f"unknown storage model {model!r}")
-        return handler(query, primed)
+        relations = self.params[model].relations
+        return _Costing(MODEL_CLASSES[model], relations, self.workload, primed).query(query)
 
     def estimate_all(self, model: str, primed: bool = False) -> dict[str, float | None]:
         return {query: self.estimate(model, query, primed) for query in QUERIES}
 
-    # -- shared workload quantities ------------------------------------------------
 
-    @property
-    def _w(self) -> WorkloadParameters:
-        return self.workload
+class _Costing:
+    """Table 3 of one model, read off its declarations and Table 2 rows."""
 
-    def _per_loop_objects(self) -> float:
-        """Distinct objects accessed in one cold loop (root included)."""
-        return self._w.distinct_per_loop()
+    def __init__(self, cls: type, relations: tuple, w: WorkloadParameters, primed: bool) -> None:
+        self.cls, self.relations, self.w, self.primed = cls, relations, w, primed
+        #: The relation whose records hold the references (relation 0 without parts).
+        self.linked = next((i for i, part in enumerate(cls.parts) if links(part.stored)), 0)
 
-    def _per_loop_objects_warm(self) -> float:
-        """Distinct objects per loop amortised over all warm loops."""
-        return self._w.distinct_over_loops() / self._w.loops
-
-    # ------------------------------------------------------------------------------
-    # DSM — whole-object transfers only
-    # ------------------------------------------------------------------------------
-
-    def _dsm_cost_full(self, rel: RelationParameters, primed: bool) -> float:
-        if rel.is_large:
-            return rel.p_unwasted if primed else float(rel.p or 0)
-        return 1.0  # the whole object lives in one shared page
-
-    def _dsm(self, query: str, primed: bool) -> float | None:
-        rel = self.params["DSM"].relations[0]
-        n = self._w.n_objects
-        full = self._dsm_cost_full(rel, primed)
-        m = rel.tuples_total / (rel.k or 1) if not rel.is_large else rel.m
-        m_eff = n * full if rel.is_large else m
-
-        if query == "1a":
-            return full
-        if query == "1b":
-            return m_eff  # unordered value selection scans the relation
-        if query == "1c":
-            return m_eff / n
-
-        if rel.is_large:
-            read_2a = self._per_loop_objects() * full
-            read_2b = self._per_loop_objects_warm() * full
-            write_a = self._w.distinct_updated_per_loop() * full
-            write_b = self._w.distinct_updated_over_loops() * full / self._w.loops
-        else:
-            read_2a = formulas.pages_small_random(self._per_loop_objects(), m)
-            read_2b = (
-                formulas.pages_small_random(self._w.distinct_over_loops(), m)
-                / self._w.loops
-            )
-            write_a = formulas.pages_small_random(self._w.distinct_updated_per_loop(), m)
-            write_b = (
-                formulas.pages_small_random(self._w.distinct_updated_over_loops(), m)
-                / self._w.loops
-            )
-
-        if query == "2a":
-            return read_2a
-        if query == "2b":
-            return read_2b
-        if query == "3a":
-            return read_2a + write_a
-        if query == "3b":
-            return read_2b + write_b
-        return None  # pragma: no cover
-
-    # ------------------------------------------------------------------------------
-    # DASDBS-DSM — header-guided partial transfers
-    # ------------------------------------------------------------------------------
-
-    def _partial_pages(self, rel: RelationParameters, n_sections: int, primed: bool) -> float:
-        """Pages to read the first ``n_sections`` sections of an object.
-
-        Sections are laid out back to back from the start of the data
-        stream, so a prefix of the sections occupies a prefix of the
-        data pages.  Unprimed: header page(s) plus the data pages the
-        prefix overlaps; primed: header merged into the stream.
-        """
+    def pages(self, rel: RelationParameters, sections: tuple[int, ...] | None = None) -> float:
+        """Pages of one object's records in ``rel``: all of them, or the
+        leading ``sections`` of a cut record (laid out back to back from
+        the start of the data stream, so a prefix of the sections
+        occupies a prefix of the data pages)."""
         if not rel.is_large:
-            return 1.0
-        page = self.params["DASDBS-DSM"].page_bytes
-        prefix = sum(rel.section_bytes[:n_sections])
-        if primed:
+            return _run_pages(rel.tuples_per_object, rel.k)
+        if sections is None:
+            # All data pages hold used data, so a section-guided full
+            # retrieval reads header + S_data/S_page pages in expectation
+            # — waste never transfers (this is why DASDBS-DSM == DSM′ in
+            # Table 3 for query 1, both 3.00).
+            by_section = self.cls.root_sections is not None
+            return rel.p_unwasted if self.primed or by_section else float(rel.p)
+        page, prefix = EFFECTIVE_PAGE_SIZE, sum(rel.section_bytes[: 1 + max(sections)])
+        if self.primed:
             # Without wasted space the (unpadded) directory shares the
             # data stream: root + Platform fit one page — the paper's
             # DASDBS-DSM' values of 21.7 (2a) and 4.94 (2b).
             return max(1.0, ceil((rel.directory_bytes + prefix) / page))
-        header_pages = max(1, ceil(rel.header_bytes / page))
-        return header_pages + max(1.0, ceil(prefix / page))
+        return max(1, ceil(rel.header_bytes / page)) + max(1.0, ceil(prefix / page))
 
-    def _dasdbs_dsm(self, query: str, primed: bool) -> float | None:
-        rel = self.params["DASDBS-DSM"].relations[0]
-        n = self._w.n_objects
-        page = self.params["DASDBS-DSM"].page_bytes
-        if rel.is_large:
-            # All data pages hold used data, so a full retrieval reads
-            # header + S_data/S_page pages in expectation — waste never
-            # transfers (this is why DASDBS-DSM == DSM′ in Table 3 for
-            # query 1, both 3.00).
-            header_pages = max(1, ceil(rel.header_bytes / page))
-            full = header_pages + rel.data_bytes / page
+    def touched(self, rel: RelationParameters, x: float, sections=None) -> float:
+        """Pages of ``rel`` holding the records of ``x`` distinct objects:
+        a long record of a layout without parts is read on its own pages,
+        everything else in clusters over the relation (Equation 7, which
+        for one tuple per object is Equation 4)."""
+        if rel.is_large and not self.cls.parts:
+            return x * self.pages(rel, sections)
+        return formulas.pages_clustered_groups(x, rel.tuples_per_object, rel.m, rel.k or 1)
+
+    def reads(self, rel: RelationParameters, x: float, sections=None) -> float:
+        """Pages read finding ``x`` objects' records in ``rel``: by
+        address, or — "with NSM we have no identifiers" — a scan."""
+        return self.touched(rel, x, sections) if self.cls.supports_oid_access else rel.m
+
+    def scan(self, rel: RelationParameters, sections=None) -> float:
+        """Pages of a scan of ``rel`` reading ``sections`` of each record."""
+        return rel.tuples_total * self.pages(rel, sections) if rel.is_large else rel.m
+
+    def objects(self, refs: float, cold: bool) -> float:
+        """Distinct objects of the root and ``refs`` references per loop:
+        in one cold loop, or over all loops (Equation 8)."""
+        n, loops = self.w.n_objects, self.w.loops
+        if cold:
+            return 1.0 + formulas.distinct_selected(n, refs)
+        return formulas.distinct_selected(n, loops * (1.0 + refs))
+
+    def navigation(self, cold: bool) -> float:
+        """Pages one loop reads: the linked relation for the root and its
+        children, relation 0 for the root and its grand-children (plain
+        NSM: one scan pass of each, the second from cache); a layout of
+        one relation reads the union.  Warm loops amortise all loops."""
+        w, rels, cls = self.w, self.relations, self.cls
+        if len(rels) == 1:
+            x = w.distinct_per_loop() if cold else w.distinct_over_loops()
+            pages = self.reads(rels[0], x, cls.navigation_sections)
         else:
-            full = 1.0
-        # The prefixes through the last section the model transfers:
-        # navigation's (root + Platform), and the root's.
-        nav = self._partial_pages(rel, 1 + max(DASDBSDSMModel.navigation_sections), primed)
-        root = self._partial_pages(rel, 1 + max(DASDBSDSMModel.root_sections), primed)
-
-        if query == "1a":
-            return full
-        if query == "1b":
-            # Scan headers + root sections of every object, then fetch
-            # the single match in full.
-            return n * root + max(0.0, full - root)
-        if query == "1c":
-            return full
-
-        if query == "2a":
-            return self._per_loop_objects() * nav
-        if query == "2b":
-            return self._per_loop_objects_warm() * nav
-        # Updates: one change-attribute call per object, each writing
-        # its single-page page pool immediately (Section 5.3) — no
-        # write batching, no cross-loop coalescing.
-        writes_per_loop = self._w.distinct_updated_per_loop()
-        if query == "3a":
-            return self._per_loop_objects() * nav + writes_per_loop
-        if query == "3b":
-            return self._per_loop_objects_warm() * nav + writes_per_loop
-        return None  # pragma: no cover
-
-    # ------------------------------------------------------------------------------
-    # NSM — value scans only
-    # ------------------------------------------------------------------------------
-
-    def _nsm(self, query: str, primed: bool) -> float | None:
-        params = self.params["NSM"]
-        m_total = params.total_pages
-        m_station = params.relation("NSM_Station").m
-        m_conn = params.relation("NSM_Connection").m
-        n = self._w.n_objects
-
-        if query == "1a":
-            return None  # "With NSM we have no identifiers"
-        if query == "1b":
-            return m_total
-        if query == "1c":
-            return m_total / n
-        # One navigation loop touches the Station and Connection
-        # relations (two scan passes each, the second from cache).
-        if query == "2a":
-            return m_station + m_conn
-        if query == "2b":
-            return (m_station + m_conn) / self._w.loops
-        upd_tuples = self._w.distinct_updated_per_loop()
-        if query == "3a":
-            return m_station + m_conn + formulas.pages_small_random(upd_tuples, m_station)
-        if query == "3b":
-            total_upd = self._w.distinct_updated_over_loops()
-            dirty = formulas.pages_small_random(total_upd, m_station)
-            return (m_station + m_conn + dirty) / self._w.loops
-        return None  # pragma: no cover
-
-    # ------------------------------------------------------------------------------
-    # NSM+index — record access through an address index
-    # ------------------------------------------------------------------------------
-
-    def _nsm_index(self, query: str, primed: bool) -> float | None:
-        params = self.params["NSM+index"]
-        station = params.relation("NSM_Station")
-        platform = params.relation("NSM_Platform")
-        conn = params.relation("NSM_Connection")
-        sight = params.relation("NSM_Sightseeing")
-        w = self._w
-        n = w.n_objects
-
-        per_object = (
-            1.0
-            + _run_pages(platform.tuples_per_object, platform.k or 1)
-            + _run_pages(conn.tuples_per_object, conn.k or 1)
-            + _run_pages(sight.tuples_per_object, sight.k or 1)
-        )
-        if query == "1a":
-            return per_object
-        if query == "1b":
-            return station.m + (per_object - 1.0)
-        if query == "1c":
-            return params.total_pages / n
-
-        def nav_reads(objects_conn: float, objects_station: float) -> float:
-            conn_pages = formulas.pages_clustered_groups(
-                objects_conn, conn.tuples_per_object, conn.m, conn.k or 1
+            linked = self.objects(w.children, cold)
+            pages = self.reads(rels[self.linked], linked, cls.navigation_sections) + self.reads(
+                rels[0], self.objects(w.grandchildren, cold), cls.root_sections
             )
-            station_pages = formulas.pages_small_random(objects_station, station.m)
-            return conn_pages + station_pages
+        return pages if cold else pages / w.loops
 
-        # Per cold loop: the root and its children are read in the
-        # Connection relation; the root and the grand-children in the
-        # Station relation.
-        conn_objects = 1.0 + formulas.distinct_selected(n, w.children)
-        station_objects = 1.0 + formulas.distinct_selected(n, w.grandchildren)
-        if query == "2a":
-            return nav_reads(conn_objects, station_objects)
-        conn_total = formulas.distinct_selected(n, w.loops * (1.0 + w.children))
-        station_total = formulas.distinct_selected(n, w.loops * (1.0 + w.grandchildren))
-        if query == "2b":
-            return nav_reads(conn_total, station_total) / w.loops
-        if query == "3a":
-            dirty = formulas.pages_small_random(w.distinct_updated_per_loop(), station.m)
-            return nav_reads(conn_objects, station_objects) + dirty
-        if query == "3b":
-            dirty = formulas.pages_small_random(
-                w.distinct_updated_over_loops(), station.m
-            )
-            return (nav_reads(conn_total, station_total) + dirty) / w.loops
-        return None  # pragma: no cover
-
-    # ------------------------------------------------------------------------------
-    # DASDBS-NSM — one nested tuple per relation per object + address table
-    # ------------------------------------------------------------------------------
-
-    def _dasdbs_nsm(self, query: str, primed: bool) -> float | None:
-        params = self.params["DASDBS-NSM"]
-        station = params.relation("DASDBS_NSM_Station")
-        platform = params.relation("DASDBS_NSM_Platform")
-        conn = params.relation("DASDBS_NSM_Connection")
-        sight = params.relation("DASDBS_NSM_Sightseeing")
-        w = self._w
-        n = w.n_objects
-
-        def tuple_cost(rel: RelationParameters) -> float:
-            if rel.is_large:
-                return rel.p_unwasted if primed else float(rel.p or 0)
-            return 1.0
-
-        per_object = sum(tuple_cost(rel) for rel in (station, platform, conn, sight))
+    def query(self, query: str) -> float | None:
+        rels, w, cls = self.relations, self.w, self.cls
+        root = rels[0]
         if query == "1a":
-            return per_object
+            return sum(map(self.pages, rels)) if cls.supports_oid_access else None
         if query == "1b":
-            # Value selection on the root relation only; everything
-            # else by address through the transformation table.
-            return station.m + (per_object - 1.0)
+            if not cls.supports_oid_access:
+                return sum(map(self.scan, rels))
+            # Value selection on the root relation only (the root
+            # sections of every object), then everything else by
+            # address through the transformation table.
+            sections = cls.root_sections
+            rest = max(0.0, self.pages(root) - self.pages(root, sections))
+            return self.scan(root, sections) + rest + sum(map(self.pages, rels[1:]))
         if query == "1c":
-            if primed:
-                return sum(
-                    rel.p_unwasted if rel.is_large else rel.m / n
-                    for rel in params.relations
-                )
-            return params.total_pages / n
-
-        def nav_reads(objects_conn: float, objects_station: float) -> float:
-            conn_pages = formulas.pages_small_random(objects_conn, conn.m)
-            station_pages = formulas.pages_small_random(objects_station, station.m)
-            return conn_pages + station_pages
-
-        conn_objects = 1.0 + formulas.distinct_selected(n, w.children)
-        station_objects = 1.0 + formulas.distinct_selected(n, w.grandchildren)
-        if query == "2a":
-            return nav_reads(conn_objects, station_objects)
-        conn_total = formulas.distinct_selected(n, w.loops * (1.0 + w.children))
-        station_total = formulas.distinct_selected(n, w.loops * (1.0 + w.grandchildren))
-        if query == "2b":
-            return nav_reads(conn_total, station_total) / w.loops
-        if query == "3a":
-            dirty = formulas.pages_small_random(w.distinct_updated_per_loop(), station.m)
-            return nav_reads(conn_objects, station_objects) + dirty
-        if query == "3b":
-            dirty = formulas.pages_small_random(
-                w.distinct_updated_over_loops(), station.m
-            )
-            return (nav_reads(conn_total, station_total) + dirty) / w.loops
-        return None  # pragma: no cover
+            return sum(self.pages(rel) if rel.is_large else rel.m / w.n_objects for rel in rels)
+        cold = query in ("2a", "3a")
+        reads = self.navigation(cold)
+        if query in ("2a", "2b"):
+            return reads
+        if cls.write_through:
+            # Updates: one change-attribute call per object, each writing
+            # its single-page page pool immediately (Section 5.3) — no
+            # write batching, no cross-loop coalescing.
+            return reads + w.distinct_updated_per_loop()
+        # Otherwise the dirty root pages are written back once, coalesced across loops.
+        updated = w.distinct_updated_per_loop() if cold else w.distinct_updated_over_loops()
+        dirty = self.touched(root, updated)
+        return reads + (dirty if cold else dirty / w.loops)

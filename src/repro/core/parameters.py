@@ -6,7 +6,8 @@ parameters ``k`` (tuples per page), ``p`` (pages per large tuple) and
 ``m`` (pages per relation).  The paper measured these "by analyzing the
 DASDBS storage structures"; we obtain them two ways:
 
-* :func:`derive_parameters` computes them from the
+* :func:`derive_parameters` computes them for every registered model
+  from its declared parts, the
   :class:`~repro.nf2.serializer.StorageFormat` and the benchmark
   configuration — the self-consistent mode whose estimates the engine
   measurements should match;
@@ -35,8 +36,7 @@ from repro.benchmark.schema import (
 )
 from repro.core import formulas
 from repro.errors import BenchmarkError
-from repro.models.dasdbs_nsm import DNSM_PARTS
-from repro.models.nsm import NSM_PARTS
+from repro.models.registry import MODEL_CLASSES
 from repro.nf2.schema import Part, RelationSchema
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.storage.constants import EFFECTIVE_PAGE_SIZE, SLOT_ENTRY_SIZE
@@ -86,8 +86,6 @@ class ModelParameters:
     """All Table 2 rows of one storage model."""
 
     model: str
-    page_bytes: int
-    slot_bytes: int
     relations: tuple[RelationParameters, ...]
 
     def relation(self, name: str) -> RelationParameters:
@@ -193,31 +191,25 @@ class StructureCounts:
         )
 
 
-def _small_k(page: int, slot: int, s_tuple: float) -> int:
-    return formulas.tuples_per_page(page, s_tuple, slot)
-
-
 def _row(
     name: str,
     per_object: float,
     n_objects: int,
     data: float,
     header: float,
-    page_bytes: int,
-    slot_bytes: int,
     sections: tuple[float, ...] = (),
 ) -> RelationParameters:
     """Table 2 row of a relation keeping ``per_object`` records of
     ``data`` bytes per object; a record larger than a page is a large
     tuple, its ``header`` directory on pages of their own."""
-    total = per_object * n_objects
-    if data > page_bytes - slot_bytes:
-        p = formulas.pages_per_large_tuple(header, data, page_bytes)
+    total, page = per_object * n_objects, EFFECTIVE_PAGE_SIZE
+    if data > page - SLOT_ENTRY_SIZE:
+        p = formulas.pages_per_large_tuple(header, data, page)
         return RelationParameters(
             name, per_object, total, header + data, is_large=True, k=None, p=p,
             m=float(total * p), header_bytes=header, data_bytes=data, section_bytes=sections,
         )
-    k = _small_k(page_bytes, slot_bytes, data)
+    k = formulas.tuples_per_page(page, data, SLOT_ENTRY_SIZE)
     m = float(formulas.pages_for_relation(total, k))
     return RelationParameters(
         name, per_object, total, data, is_large=False, k=k, p=None, m=m, section_bytes=sections
@@ -229,10 +221,9 @@ def derive_direct_parameters(
     config: BenchmarkConfig = DEFAULT_CONFIG,
     fmt: StorageFormat = DASDBS_FORMAT,
     counts: StructureCounts | None = None,
-    page_bytes: int = EFFECTIVE_PAGE_SIZE,
-    slot_bytes: int = SLOT_ENTRY_SIZE,
 ) -> ModelParameters:
-    """Table 2 rows of DSM / DASDBS-DSM under our storage format.
+    """Table 2 rows of a model without parts (DSM / DASDBS-DSM) under
+    our storage format.
 
     One record per object, cut as a long object is (``models.dsm``):
     section 0 is the root's flat part, then one section per sub-relation
@@ -252,11 +243,8 @@ def derive_direct_parameters(
         ),
     )
     header = float(fmt.directory_size(len(sections), round(counts.subtuples)))
-    rel = _row(
-        f"{model}_Station", 1.0, config.n_objects, sum(sections), header,
-        page_bytes, slot_bytes, sections,
-    )
-    return ModelParameters(model, page_bytes, slot_bytes, (rel,))
+    rel = _row(f"{model}_{root.name}", 1.0, config.n_objects, sum(sections), header, sections)
+    return ModelParameters(model, (rel,))
 
 
 def _derived_parameters(
@@ -265,8 +253,6 @@ def _derived_parameters(
     config: BenchmarkConfig,
     fmt: StorageFormat,
     counts: StructureCounts | None,
-    page_bytes: int,
-    slot_bytes: int,
 ) -> ModelParameters:
     """Table 2 rows of a layout derived by rule, one per part.
 
@@ -296,58 +282,25 @@ def _derived_parameters(
         subtuples = round(sum(map(counts.per_object, path[1:])))
         header = float(fmt.directory_size(1, subtuples))
         rows.append(
-            _row(
-                part.stored.name, counts.per_object(path[0]), config.n_objects, s_tuple, header,
-                page_bytes, slot_bytes,
-            )
+            _row(part.stored.name, counts.per_object(path[0]), config.n_objects, s_tuple, header)
         )
-    return ModelParameters(model, page_bytes, slot_bytes, tuple(rows))
-
-
-def derive_nsm_parameters(
-    config: BenchmarkConfig = DEFAULT_CONFIG,
-    fmt: StorageFormat = DASDBS_FORMAT,
-    counts: StructureCounts | None = None,
-    page_bytes: int = EFFECTIVE_PAGE_SIZE,
-    slot_bytes: int = SLOT_ENTRY_SIZE,
-) -> ModelParameters:
-    """Table 2 rows of NSM (also used by NSM+index): Figure 3's rows."""
-    return _derived_parameters("NSM", NSM_PARTS, config, fmt, counts, page_bytes, slot_bytes)
-
-
-def derive_dasdbs_nsm_parameters(
-    config: BenchmarkConfig = DEFAULT_CONFIG,
-    fmt: StorageFormat = DASDBS_FORMAT,
-    counts: StructureCounts | None = None,
-    page_bytes: int = EFFECTIVE_PAGE_SIZE,
-    slot_bytes: int = SLOT_ENTRY_SIZE,
-) -> ModelParameters:
-    """Table 2 rows of DASDBS-NSM: one nested tuple per relation per object."""
-    return _derived_parameters(
-        "DASDBS-NSM", DNSM_PARTS, config, fmt, counts, page_bytes, slot_bytes
-    )
+    return ModelParameters(model, tuple(rows))
 
 
 def derive_parameters(
     config: BenchmarkConfig = DEFAULT_CONFIG,
     fmt: StorageFormat = DASDBS_FORMAT,
     counts: StructureCounts | None = None,
-    page_bytes: int = EFFECTIVE_PAGE_SIZE,
-    slot_bytes: int = SLOT_ENTRY_SIZE,
 ) -> dict[str, ModelParameters]:
-    """Table 2 for all storage models under our storage format."""
+    """Table 2 for every registered storage model under our storage
+    format, read off its declarations: the rows of its parts by rule, or
+    the direct row of a model without parts."""
     counts = counts or StructureCounts.from_config(config)
-    nsm = derive_nsm_parameters(config, fmt, counts, page_bytes, slot_bytes)
     return {
-        "DSM": derive_direct_parameters("DSM", config, fmt, counts, page_bytes, slot_bytes),
-        "DASDBS-DSM": derive_direct_parameters(
-            "DASDBS-DSM", config, fmt, counts, page_bytes, slot_bytes
-        ),
-        "NSM": nsm,
-        "NSM+index": ModelParameters("NSM+index", page_bytes, slot_bytes, nsm.relations),
-        "DASDBS-NSM": derive_dasdbs_nsm_parameters(
-            config, fmt, counts, page_bytes, slot_bytes
-        ),
+        name: _derived_parameters(name, cls.parts, config, fmt, counts)
+        if cls.parts
+        else derive_direct_parameters(name, config, fmt, counts)
+        for name, cls in MODEL_CLASSES.items()
     }
 
 
@@ -426,11 +379,9 @@ def paper_parameters(n_objects: int = 1500) -> dict[str, ModelParameters]:
         # directory of an average object is a few hundred bytes.
         true_header_bytes=174.0,
     )
-    dsm = ModelParameters("DSM", page, 0, (dsm_station,))
+    dsm = ModelParameters("DSM", (dsm_station,))
     dasdbs_dsm = ModelParameters(
         "DASDBS-DSM",
-        page,
-        0,
         (dataclasses.replace(dsm_station, relation="DASDBS-DSM_Station"),),
     )
 
@@ -440,13 +391,11 @@ def paper_parameters(n_objects: int = 1500) -> dict[str, ModelParameters]:
         row("NSM_Connection", 4.096, 170.0, k=11),
         row("NSM_Sightseeing", 7.5, 456.0, k=4),
     )
-    nsm = ModelParameters("NSM", page, 0, nsm_relations)
-    nsm_index = ModelParameters("NSM+index", page, 0, nsm_relations)
+    nsm = ModelParameters("NSM", nsm_relations)
+    nsm_index = ModelParameters("NSM+index", nsm_relations)
 
     dasdbs_nsm = ModelParameters(
         "DASDBS-NSM",
-        page,
-        0,
         (
             row("DASDBS_NSM_Station", 1.0, 154.0, k=13),
             row("DASDBS_NSM_Platform", 1.0, 330.0, k=6),

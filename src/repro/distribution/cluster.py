@@ -24,8 +24,9 @@ from typing import Sequence
 
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.generator import child_oids, generate_stations
-from repro.benchmark.schema import CONNECTION_SCHEMA
 from repro.errors import BenchmarkError
+from repro.models.dasdbs_nsm import DNSM_LINKED, DNSM_PARTS
+from repro.nf2.codec import compiled_assembly
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage.constants import EFFECTIVE_PAGE_SIZE
@@ -138,7 +139,6 @@ def navigation_page_costs(
     stations: Sequence[NestedTuple],
     model: str,
     fmt: StorageFormat = DASDBS_FORMAT,
-    page_bytes: int = EFFECTIVE_PAGE_SIZE,
 ) -> list[float]:
     """Pages charged when navigating *through* each specific object.
 
@@ -148,20 +148,21 @@ def navigation_page_costs(
     * DSM reads the whole object: all its header + data pages;
     * DASDBS-DSM reads the header plus the pages of the root + Platform
       sections;
-    * DASDBS-NSM reads the object's (nested) Connection tuple.
+    * DASDBS-NSM reads the object's (nested) Connection tuple, the
+      record its layout stores in the linked relation.
     """
+    page, store = EFFECTIVE_PAGE_SIZE, compiled_assembly(fmt, DNSM_PARTS).store
     costs: list[float] = []
     for station in stations:
         total = fmt.nested_size(station)
         platforms = station.subtuples("Platform")
-        conns = sum(len(p.subtuples("Connection")) for p in platforms)
         if model == "DSM":
-            if total <= page_bytes:
+            if total <= page:
                 costs.append(1.0)
             else:
-                costs.append(1.0 + ceil(total / page_bytes))
+                costs.append(1.0 + ceil(total / page))
         elif model == "DASDBS-DSM":
-            if total <= page_bytes:
+            if total <= page:
                 costs.append(1.0)
             else:
                 nav_bytes = (
@@ -169,17 +170,11 @@ def navigation_page_costs(
                     + fmt.subrel_overhead
                     + sum(fmt.nested_size(p) for p in platforms)
                 )
-                costs.append(1.0 + max(1.0, ceil(nav_bytes / page_bytes)))
+                costs.append(1.0 + max(1.0, ceil(nav_bytes / page)))
         elif model == "DASDBS-NSM":
-            conn_tuple = (
-                fmt.tuple_header
-                + fmt.attr_overhead
-                + 4
-                + fmt.subrel_overhead
-                + len(platforms) * (fmt.tuple_header + fmt.attr_overhead + 4 + fmt.subrel_overhead)
-                + conns * fmt.flat_size(CONNECTION_SCHEMA)
-            )
-            costs.append(max(1.0, ceil(conn_tuple / page_bytes)))
+            records: dict[int, NestedTuple] = {}
+            store(station, records.setdefault)
+            costs.append(max(1.0, ceil(fmt.nested_size(records[DNSM_LINKED]) / page)))
         else:
             raise BenchmarkError(
                 f"unknown model {model!r}; choose from {DISTRIBUTED_MODELS}"

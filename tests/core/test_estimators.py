@@ -5,9 +5,15 @@ are clearly legible.  These are the ground truth the analytical model
 must reproduce when run on the paper's Table 2 parameters.
 """
 
+import ast
+import dataclasses
+import inspect
+import re
+
 import pytest
 
 from repro.benchmark.config import DEFAULT_CONFIG
+from repro.core import estimators, parameters
 from repro.core.estimators import QUERIES, AnalyticalEvaluator
 from repro.core.parameters import (
     StructureCounts,
@@ -17,6 +23,18 @@ from repro.core.parameters import (
 )
 from repro.errors import BenchmarkError
 from repro.experiments.table3 import PAPER_ANCHORS, PAPER_KNOWN_DEVIATIONS
+from repro.models.dasdbs_dsm import DASDBSDSMModel
+from repro.models.dasdbs_nsm import DASDBSNSMModel
+from repro.models.registry import MODEL_CLASSES
+from tests.core.test_estimates_golden import SET_NAMES, evaluator
+
+
+class _DNSMCopy(DASDBSNSMModel):
+    name = "DASDBS-NSM-copy"
+
+
+class _DDSMCopy(DASDBSDSMModel):
+    name = "DASDBS-DSM-copy"
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +90,14 @@ class TestStructuralProperties:
         with pytest.raises(BenchmarkError):
             paper_evaluator.estimate("DSM", "9z")
 
-    def test_primed_never_worse(self, paper_evaluator):
+    @pytest.mark.parametrize("name", SET_NAMES)
+    def test_primed_never_worse(self, name):
         """Removing wasted space can only reduce page transfers."""
+        ev = evaluator(name)
         for model in ("DSM", "DASDBS-DSM", "NSM", "NSM+index", "DASDBS-NSM"):
             for query in QUERIES:
-                base = paper_evaluator.estimate(model, query)
-                primed = paper_evaluator.estimate(model, query, primed=True)
+                base = ev.estimate(model, query)
+                primed = ev.estimate(model, query, primed=True)
                 if base is None:
                     assert primed is None
                 else:
@@ -97,9 +117,11 @@ class TestStructuralProperties:
             worst = paper_evaluator.estimate(model, "2b", worst=True)
             assert worst > best
 
-    def test_query3_dominates_query2(self, paper_evaluator):
+    @pytest.mark.parametrize("name", SET_NAMES)
+    def test_query3_dominates_query2(self, name):
+        ev = evaluator(name)
         for model in ("DSM", "DASDBS-DSM", "NSM", "DASDBS-NSM"):
-            assert paper_evaluator.estimate(model, "3a") >= paper_evaluator.estimate(model, "2a")
+            assert ev.estimate(model, "3a") >= ev.estimate(model, "2a")
 
     def test_paper_orderings(self, paper_evaluator):
         """Section 6: normalized models beat direct ones on navigation;
@@ -143,6 +165,78 @@ class TestDerivedModeConsistency:
     def test_estimate_all_shape(self, derived_evaluator):
         table = derived_evaluator.estimate_all("DSM")
         assert set(table) == set(QUERIES)
+
+
+#: A relation named in code: ``DSM_Station``, ``NSM_…``, ``DASDBS_…``.
+RELATION_NAME = re.compile(r"\w*_Station|NSM_\w*|DASDBS_\w*")
+
+
+def _literals(tree: ast.AST) -> list[str]:
+    """The string literals of ``tree``, docstrings excepted."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and ast.get_docstring(node) is not None
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    ]
+
+
+class TestCostsReadOffTheLayout:
+    """Tables 2 and 3 come from the models' declarations, never from
+    code that names a model or a relation."""
+
+    def test_no_model_or_relation_named(self):
+        trees = [ast.parse(inspect.getsource(estimators))] + [
+            ast.parse(inspect.getsource(function))
+            for function in (
+                parameters.derive_parameters,
+                parameters._derived_parameters,
+                parameters.derive_direct_parameters,
+            )
+        ]
+        for tree in trees:
+            for literal in _literals(tree):
+                assert literal not in MODEL_CLASSES, literal
+                assert not RELATION_NAME.fullmatch(literal), literal
+
+    def test_estimators_import_no_model_class(self):
+        tree = ast.parse(inspect.getsource(estimators))
+        imported = {
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("repro.models")
+            for alias in node.names
+        }
+        assert imported == {("repro.models.registry", "MODEL_CLASSES")}
+
+    @pytest.mark.parametrize("copy", [_DNSMCopy, _DDSMCopy], ids=lambda cls: cls.name)
+    def test_a_copied_declaration_costs_as_its_original(self, monkeypatch, copy):
+        """A model registered under a new name gets the Table 2 rows and
+        every Table 3 estimate of the model it copies."""
+        original = copy.__mro__[1].name
+        monkeypatch.setitem(MODEL_CLASSES, copy.name, copy)
+        for name in SET_NAMES:
+            ev = evaluator(name)
+            if name.startswith("paper-"):  # the published rows name no copy
+                ev.params[copy.name] = ev.params[original]
+            got, want = ev.params[copy.name].relations, ev.params[original].relations
+            assert len(got) == len(want)
+            for got_row, want_row in zip(got, want):
+                if not copy.parts and not name.startswith("paper-"):
+                    assert got_row.relation == f"{copy.name}_Station"
+                    got_row = dataclasses.replace(got_row, relation=want_row.relation)
+                assert got_row == want_row
+            for query in QUERIES:
+                for primed in (False, True):
+                    for worst in (False, True):
+                        args = (query, primed, worst)
+                        assert ev.estimate(copy.name, *args) == ev.estimate(original, *args)
 
 
 class TestStructureCounts:

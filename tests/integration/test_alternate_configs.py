@@ -67,6 +67,28 @@ class TestSmallObjectRegime:
         assert dsm < dnsm * 3  # within a small factor, not an order of magnitude
 
 
+class TestObjectsSharingPages:
+    """fanout=1, maxSightseeing=0: several direct objects per page."""
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        return make_runner(fanout=1, max_sightseeing=0)
+
+    def test_dasdbs_dsm_estimate_tracks_engine(self, runner):
+        """A section read of an object sharing its page reads that page,
+        as DSM does: value selection scans the relation's m pages, not
+        one page per object."""
+        params = derive_parameters(runner.config)
+        assert not params["DASDBS-DSM"].relations[0].is_large
+        assert params["DASDBS-DSM"].relations[0].k > 1
+        ev = AnalyticalEvaluator(params, WorkloadParameters.from_config(runner.config))
+        run = runner.run_model("DASDBS-DSM", queries=("1b", "1c", "2b"))
+        for query, tolerance in (("1b", 0.3), ("1c", 0.3), ("2b", 0.45)):
+            measured = run.metric(query, "io_pages")
+            estimated = ev.estimate("DASDBS-DSM", query)
+            assert measured == pytest.approx(estimated, rel=tolerance), query
+
+
 class TestOversizedRegime:
     """maxSightseeing=30: objects span several pages."""
 

@@ -1,11 +1,16 @@
 """Tests for the distribution extension (paper Section 5.5 forecast)."""
 
+import hashlib
+
 import pytest
 
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.generator import generate_stations
 from repro.distribution import ClusterLoad, NodePlacement, simulate_navigation_load
+from repro.distribution.cluster import DISTRIBUTED_MODELS, navigation_page_costs
 from repro.errors import BenchmarkError
+from repro.experiments import distribution
+from repro.experiments.measure import FAST_CONFIG
 
 UNIFORM = BenchmarkConfig(n_objects=400, seed=5)
 SKEWED = UNIFORM.with_changes(probability=0.2, fanout=8)
@@ -105,3 +110,27 @@ class TestSimulation:
             config=BenchmarkConfig(n_objects=50, seed=2), model="DASDBS-NSM", n_nodes=4
         )
         assert load.total > 0
+
+
+class TestPinnedCosts:
+    """The per-object page costs, and the ``distribution --fast`` render
+    built from them, stay exactly as captured."""
+
+    def test_fast_render(self):
+        rendered = distribution.render(FAST_CONFIG).encode()
+        assert hashlib.sha256(rendered).hexdigest() == (
+            "8fcabd08f7db48beba6ab47b4e7ce84d0840825b233e616db61e9cfb73357674"
+        )
+
+    @pytest.mark.parametrize(
+        "changes, totals",
+        [
+            ({}, (1084.0, 558.0, 300.0)),
+            ({"probability": 0.2, "fanout": 8}, (1075.0, 589.0, 318.0)),
+        ],
+        ids=["uniform", "skewed"],
+    )
+    def test_navigation_page_costs(self, changes, totals):
+        stations = generate_stations(FAST_CONFIG.with_changes(**changes))
+        got = tuple(sum(navigation_page_costs(stations, model)) for model in DISTRIBUTED_MODELS)
+        assert got == totals

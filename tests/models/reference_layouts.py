@@ -4,7 +4,7 @@ The specification the Section 3 rules (``nf2.schema.unnest`` /
 ``nest_by_root`` / ``links``) and ``core.parameters``' derived row
 sizes are held to: every storage schema of Figures 3 and 4 attribute by
 attribute, the ``Part`` declarations over them, the link projections
-navigation reads, and the ``derive_*_parameters`` bodies with their
+navigation reads, and the derivations of Table 2 rows with their
 key-column arithmetic (``6, width + 8``) and the direct models' three
 sections spelt out.
 """
@@ -24,7 +24,6 @@ from repro.core.parameters import (
     RelationParameters,
     StructureCounts,
     _row,
-    _small_k,
 )
 from repro.nf2.schema import Part, Projection, RelationSchema, int_attr, link_attr, str_attr
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
@@ -162,8 +161,6 @@ def nsm_parameters(
     config: BenchmarkConfig = DEFAULT_CONFIG,
     fmt: StorageFormat = DASDBS_FORMAT,
     counts: StructureCounts | None = None,
-    page_bytes: int = EFFECTIVE_PAGE_SIZE,
-    slot_bytes: int = SLOT_ENTRY_SIZE,
 ) -> ModelParameters:
     """Table 2 rows of NSM (also used by NSM+index)."""
     counts = counts or StructureCounts.from_config(config)
@@ -171,7 +168,7 @@ def nsm_parameters(
 
     def flat_row(name: str, per_object: float, n_attrs_extra: int, base_width: int) -> RelationParameters:
         s_tuple = float(fmt.tuple_header + fmt.attr_overhead * n_attrs_extra + base_width)
-        k = _small_k(page_bytes, slot_bytes, s_tuple)
+        k = formulas.tuples_per_page(EFFECTIVE_PAGE_SIZE, s_tuple, SLOT_ENTRY_SIZE)
         total = per_object * n
         return RelationParameters(
             relation=name,
@@ -197,27 +194,23 @@ def nsm_parameters(
     sightseeing = flat_row(
         "NSM_Sightseeing", counts.sightseeings, 6, SIGHTSEEING_SCHEMA.atomic_width + 4
     )
-    return ModelParameters(
-        "NSM", page_bytes, slot_bytes, (station, platform, connection, sightseeing)
-    )
+    return ModelParameters("NSM", (station, platform, connection, sightseeing))
 
 
 def dasdbs_nsm_parameters(
     config: BenchmarkConfig = DEFAULT_CONFIG,
     fmt: StorageFormat = DASDBS_FORMAT,
     counts: StructureCounts | None = None,
-    page_bytes: int = EFFECTIVE_PAGE_SIZE,
-    slot_bytes: int = SLOT_ENTRY_SIZE,
 ) -> ModelParameters:
     """Table 2 rows of DASDBS-NSM: one nested tuple per relation per object."""
     counts = counts or StructureCounts.from_config(config)
     n = config.n_objects
 
     def nested_row(name: str, s_tuple: float, n_subtuples: float) -> RelationParameters:
-        is_large = s_tuple > page_bytes - slot_bytes
+        is_large = s_tuple > EFFECTIVE_PAGE_SIZE - SLOT_ENTRY_SIZE
         if is_large:
             header = float(fmt.directory_size(1, round(n_subtuples)))
-            p = formulas.pages_per_large_tuple(header, s_tuple, page_bytes)
+            p = formulas.pages_per_large_tuple(header, s_tuple, EFFECTIVE_PAGE_SIZE)
             return RelationParameters(
                 relation=name,
                 tuples_per_object=1.0,
@@ -230,7 +223,7 @@ def dasdbs_nsm_parameters(
                 header_bytes=header,
                 data_bytes=s_tuple,
             )
-        k = _small_k(page_bytes, slot_bytes, s_tuple)
+        k = formulas.tuples_per_page(EFFECTIVE_PAGE_SIZE, s_tuple, SLOT_ENTRY_SIZE)
         return RelationParameters(
             relation=name,
             tuples_per_object=1.0,
@@ -265,9 +258,7 @@ def dasdbs_nsm_parameters(
         wrapper + fmt.subrel_overhead + counts.sightseeings * sight_item,
         counts.sightseeings,
     )
-    return ModelParameters(
-        "DASDBS-NSM", page_bytes, slot_bytes, (station, platform, connection, sightseeing)
-    )
+    return ModelParameters("DASDBS-NSM", (station, platform, connection, sightseeing))
 
 
 def _direct_sections(fmt: StorageFormat, counts: StructureCounts) -> tuple[float, float, float]:
@@ -286,8 +277,6 @@ def direct_parameters(
     config: BenchmarkConfig = DEFAULT_CONFIG,
     fmt: StorageFormat = DASDBS_FORMAT,
     counts: StructureCounts | None = None,
-    page_bytes: int = EFFECTIVE_PAGE_SIZE,
-    slot_bytes: int = SLOT_ENTRY_SIZE,
 ) -> ModelParameters:
     """Table 2 rows of DSM / DASDBS-DSM under our storage format."""
     counts = counts or StructureCounts.from_config(config)
@@ -297,6 +286,6 @@ def direct_parameters(
     header_bytes = float(fmt.directory_size(3, round(counts.subtuples)))
     rel = _row(
         f"{model}_Station", 1.0, config.n_objects, data_bytes, header_bytes,
-        page_bytes, slot_bytes, (root, platforms, sights),
+        (root, platforms, sights),
     )
-    return ModelParameters(model, page_bytes, slot_bytes, (rel,))
+    return ModelParameters(model, (rel,))
