@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.benchmark.config import BenchmarkConfig, DEFAULT_CONFIG
-from repro.benchmark.snapshots import DEFAULT_STORE
+from repro.benchmark.snapshots import DEFAULT_STORE, ExtensionSnapshot
 from repro.errors import BenchmarkError, ConfigError
 from repro.benchmark.generator import generate_stations
 from repro.benchmark.queries import QUERY_NAMES, QueryResult, QuerySuite
@@ -32,6 +32,7 @@ from repro.models.registry import MEASURED_MODELS, create_model
 from repro.nf2.serializer import DASDBS_FORMAT, StorageFormat
 from repro.nf2.values import NestedTuple
 from repro.storage import StorageEngine
+from repro.storage.buffer import ReferenceString
 
 
 @dataclass
@@ -93,7 +94,9 @@ class BenchmarkRunner:
     def statistics(self) -> DatabaseStatistics:
         return DatabaseStatistics.from_stations(self.stations)
 
-    def build_model(self, name: str) -> StorageModel:
+    def build_model(
+        self, name: str, references: ReferenceString | None = None
+    ) -> StorageModel:
         """A loaded model over its own engine, snapshot-cloned when possible.
 
         With ``config.snapshots`` (the default) the extension is built
@@ -105,13 +108,24 @@ class BenchmarkRunner:
         replayable.  Callers that do not run a full suite should
         ``model.engine.close()`` when done (run_model does this), so
         file-backed engines release their backing files.
+
+        With ``references`` the engine records its page-reference
+        string into it from the start: right after the snapshot restore,
+        or, when rebuilding, from the empty disk on, load included (see
+        :meth:`replay_trace`).
         """
         if self.config.shards > 1:
+            if references is not None:
+                raise BenchmarkError("a sharded model cannot record one reference string")
             return self._build_sharded(name)
-        return self._build_replica(name, self.config, name)
+        return self._build_replica(name, self.config, name, references)
 
     def _build_replica(
-        self, name: str, config: BenchmarkConfig, file_stem: str
+        self,
+        name: str,
+        config: BenchmarkConfig,
+        file_stem: str,
+        references: ReferenceString | None = None,
     ) -> StorageModel:
         """One loaded model over one fresh engine sized by ``config``.
 
@@ -127,9 +141,12 @@ class BenchmarkRunner:
             snapshot = DEFAULT_STORE.get(
                 self.config, name, lambda: self.stations, self.fmt
             )
-            return DEFAULT_STORE.clone(
+            model = DEFAULT_STORE.clone(
                 snapshot, config, fmt=self.fmt, backend_path=backend_path
             )
+            if references is not None:
+                references.record(model.engine)
+            return model
         backend: str | object = config.backend
         plan = None
         if config.faults != "none":
@@ -156,6 +173,8 @@ class BenchmarkRunner:
             backend_path=backend_path,
             io_scheduler=config.io_scheduler,
         )
+        if references is not None:
+            references.record(engine)
         try:
             if plan is not None:
                 engine.enable_journaling()
@@ -294,12 +313,21 @@ class BenchmarkRunner:
         """
         return self.run_trace(name, compile_trace(spec, self.config.n_objects))
 
-    def run_trace(self, name: str, trace: WorkloadTrace) -> WorkloadResult:
+    def run_trace(
+        self,
+        name: str,
+        trace: WorkloadTrace,
+        references: ReferenceString | None = None,
+    ) -> WorkloadResult:
         """Load one model and replay an already compiled trace.
 
         The sweep compiles each workload spec once and feeds the same
         trace to every grid cell; compilation is deterministic, so this
         is purely a cost saving over :meth:`run_workload`.
+
+        With ``references`` (an empty string) the run also records its
+        page-reference string into it, for :meth:`replay_trace` to run
+        the same trace under other buffers without executing the model.
 
         With an offline ``config.recluster`` policy the model is first
         reorganised for exactly this trace (training replay → placement
@@ -309,7 +337,7 @@ class BenchmarkRunner:
         :class:`~repro.clustering.online.OnlineRecluster` controller
         moves bounded page batches *during* the measured replay.
         """
-        model = self.build_model_for_trace(name, trace)
+        model = self.build_model_for_trace(name, trace, references)
         try:
             executor = WorkloadExecutor(
                 model,
@@ -321,6 +349,45 @@ class BenchmarkRunner:
                 return self._attach_sharding(model, executor.run())
         finally:
             model.engine.close()
+
+    def replay_trace(
+        self, name: str, trace: WorkloadTrace, references: ReferenceString
+    ) -> WorkloadResult:
+        """:meth:`run_trace`'s result under this runner's buffer, from the
+        page-reference string another configuration recorded.
+
+        The string must come from a run of the same model and trace under
+        a configuration equal to this one but for ``buffer_pages`` and
+        ``policy``.  A fresh engine — this configuration's buffer,
+        backend and I/O scheduler — is restored from the same snapshot
+        image the recording started from (the empty disk when
+        rebuilding: the string then holds the load), and the string is
+        driven through it.  No model is created and no model, nf2 or
+        heap code runs.  Fault injection, serving, shards, online
+        reclustering and engine files that outlive the run have no
+        replay (``experiments.sweep.direct_reason`` keeps them on
+        :meth:`run_trace`).
+        """
+        config = self.config
+        engine = StorageEngine(
+            page_size=config.page_size,
+            buffer_pages=config.buffer_pages,
+            policy=config.policy,
+            backend=config.backend,
+            io_scheduler=config.io_scheduler,
+        )
+        try:
+            if self.snapshots_active:
+                engine.disk.restore(self._snapshot_for_trace(name, trace).disk)
+            references.replay(engine)
+            return WorkloadResult(
+                spec=trace.spec,
+                model_name=name,
+                raw=engine.metrics.snapshot(),
+                op_counts=trace.op_counts(),
+            )
+        finally:
+            engine.close()
 
     def run_trace_serving(
         self,
@@ -418,7 +485,12 @@ class BenchmarkRunner:
             max_moves_per_trigger=self.config.online_move_pages,
         )
 
-    def build_model_for_trace(self, name: str, trace: WorkloadTrace) -> StorageModel:
+    def build_model_for_trace(
+        self,
+        name: str,
+        trace: WorkloadTrace,
+        references: ReferenceString | None = None,
+    ) -> StorageModel:
         """A loaded model, reclustered for ``trace`` when configured.
 
         ``recluster="none"`` is exactly :meth:`build_model` — and so is
@@ -431,30 +503,41 @@ class BenchmarkRunner:
         clones — the training replay and rewrite happen once per key,
         not once per sweep cell.  Without snapshots (or under the trace
         backend) the model is rebuilt and reorganised inline; both
-        paths yield bit-identical pages and counters.
+        paths yield bit-identical pages and counters.  ``references``
+        records as for :meth:`build_model` (the inline training replay
+        and rewrite included).
         """
         policy = self.config.recluster
         if policy in ("none", "online"):
-            return self.build_model(name)
+            return self.build_model(name, references)
         from repro.clustering.recluster import recluster_model
 
         if self.snapshots_active:
-            snapshot = DEFAULT_STORE.get_reclustered(
-                self.config, name, lambda: self.stations, self.fmt, trace, policy
-            )
-            return DEFAULT_STORE.clone(
-                snapshot,
+            model = DEFAULT_STORE.clone(
+                self._snapshot_for_trace(name, trace),
                 self.config,
                 fmt=self.fmt,
                 backend_path=self._backend_path_for(name),
             )
-        model = self.build_model(name)
+            if references is not None:
+                references.record(model.engine)
+            return model
+        model = self.build_model(name, references)
         try:
             recluster_model(model, trace, policy)
         except Exception:
             model.engine.close()
             raise
         return model
+
+    def _snapshot_for_trace(self, name: str, trace: WorkloadTrace) -> ExtensionSnapshot:
+        """The snapshot :meth:`build_model_for_trace` clones from."""
+        policy = self.config.recluster
+        if policy in ("none", "online"):
+            return DEFAULT_STORE.get(self.config, name, lambda: self.stations, self.fmt)
+        return DEFAULT_STORE.get_reclustered(
+            self.config, name, lambda: self.stations, self.fmt, trace, policy
+        )
 
     def run_models(
         self,

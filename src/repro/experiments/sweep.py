@@ -15,10 +15,20 @@ out as aligned text (:func:`render`) and as deterministic JSON
 (:meth:`SweepResult.to_json`): the same seed yields byte-identical
 output, which CI exploits.
 
-Cells run one after another in the calling process or, with
+The model runs once per *family* — the cells that differ only in
+buffer capacity and policy (:func:`plan_families`).  Its first cell
+executes the model and records the page-reference string its buffer
+was asked for (:class:`~repro.storage.buffer.ReferenceString`); every
+other cell of the family replays that string through a fresh buffer,
+disk accounting and backend of its own, which yields the counters
+direct execution would, with no model, serializer or heap code
+running.  Cells the buffer does not alone determine execute directly,
+each for the reason :func:`direct_reason` names.
+
+Families run one after another in the calling process or, with
 ``processes``, fanned out over worker processes.  Both go through the
-same cell function (:func:`run_cell`) and every cell builds its own
-engine (its own disk and buffer), so the two are observationally
+same family function (:func:`run_family`) and every cell builds its
+own engine (its own disk and buffer), so the two are observationally
 identical.  The optional axes beyond the four core ones — placement,
 concurrent sessions, shards — are declared once, in :data:`AXES`.
 """
@@ -51,6 +61,7 @@ from repro.models.registry import MEASURED_MODELS, resolve_models
 from repro.experiments.report import render_table
 from repro.serving.scheduler import SCHEDULER_NAMES
 from repro.serving.server import ServingStats
+from repro.storage.buffer import ReferenceString
 from repro.storage.disk import DiskGeometry
 
 #: Default grid of the sweep experiment: the paper's buffer (1200)
@@ -440,8 +451,52 @@ class CellInputs:
 _WORKER_INPUTS = CellInputs()
 
 
-def run_cell(cell: PlannedCell, inputs: CellInputs | None = None) -> SweepCell:
-    """Run one grid cell on a fresh engine — in-process or in a worker.
+def direct_reason(cell: PlannedCell) -> str | None:
+    """Why ``cell`` must execute the model itself, or None if it may replay.
+
+    A cell replays the page-reference string its family recorded (see
+    :func:`run_family`) unless something besides the buffer shapes what
+    the run asks of the buffer, or the replay could leave a trace
+    outside the counters.
+    """
+    config = cell.config
+    if config.faults != "none":
+        return "faults: retries depend on the injected I/O outcomes"
+    if cell.serving is not None:
+        return "serving: the sessions' interleaving is the scheduler's"
+    if config.shards != 1:
+        return "shards: one string per replica engine"
+    if config.recluster == "online":
+        return "online reclustering: not yet verified under replay"
+    if config.backend == "trace" or (
+        config.backend_path is not None and config.backend != "memory"
+    ):
+        return "engine files outlive the cell: a replayed image holds stale page bytes"
+    return None
+
+
+def plan_families(planned: Sequence[PlannedCell]) -> list[list[int]]:
+    """Group a grid's cells into families, as lists of grid indices.
+
+    A family is the cells whose configuration differs only in
+    ``buffer_pages`` and ``policy``: the same workload spec, model and
+    optional-axis coordinates.  They ask the identical page-reference
+    string of their buffers, so one of them executes the model and the
+    others replay it.  Families come in the grid order of their first
+    cell, and each lists its cells in grid order.  A cell with a
+    :func:`direct_reason` is a family of its own.
+    """
+    families: dict[object, list[int]] = {}
+    for index, cell in enumerate(planned):
+        key: object = (cell.spec, cell.model, tuple(cell.coordinates.items()))
+        if direct_reason(cell) is not None:
+            key = index
+        families.setdefault(key, []).append(index)
+    return list(families.values())
+
+
+def _prepare(cell: PlannedCell, inputs: CellInputs | None) -> tuple[BenchmarkRunner, WorkloadTrace]:
+    """The cell's runner and trace.
 
     With ``cell.snapshot_path`` the parent has spilled the cell's built
     (and, for a reclustered cell, reorganised) extension to disk; the
@@ -459,14 +514,12 @@ def run_cell(cell: PlannedCell, inputs: CellInputs | None = None) -> SweepCell:
         DEFAULT_STORE.preload(cell.snapshot_path)
     else:
         inputs.share_extension(runner)
-    trace = inputs.trace(cell.spec, cell.config.n_objects)
-    if cell.serving is not None:
-        served = runner.run_trace_serving(
-            cell.model, trace, cell.coordinates["clients"], scheduler=cell.serving
-        )
-        result, stats = served.result, served.stats
-    else:
-        result, stats = runner.run_trace(cell.model, trace), None
+    return runner, inputs.trace(cell.spec, cell.config.n_objects)
+
+
+def _sweep_cell(
+    cell: PlannedCell, result: WorkloadResult, serving: ServingStats | None = None
+) -> SweepCell:
     return SweepCell(
         workload=cell.spec.name,
         capacity=cell.config.buffer_pages,
@@ -474,8 +527,47 @@ def run_cell(cell: PlannedCell, inputs: CellInputs | None = None) -> SweepCell:
         model=cell.model,
         result=result,
         coordinates=cell.coordinates,
-        serving=stats,
+        serving=serving,
     )
+
+
+def run_cell(
+    cell: PlannedCell,
+    inputs: CellInputs | None = None,
+    references: ReferenceString | None = None,
+) -> SweepCell:
+    """Run one grid cell on a fresh engine, executing the model.
+
+    With ``references`` (single-stream cells only) the run also records
+    its page-reference string into it.
+    """
+    runner, trace = _prepare(cell, inputs)
+    if cell.serving is not None:
+        served = runner.run_trace_serving(
+            cell.model, trace, cell.coordinates["clients"], scheduler=cell.serving
+        )
+        return _sweep_cell(cell, served.result, served.stats)
+    return _sweep_cell(cell, runner.run_trace(cell.model, trace, references))
+
+
+def run_family(
+    family: Sequence[PlannedCell], inputs: CellInputs | None = None
+) -> list[SweepCell]:
+    """Run one family (see :func:`plan_families`), in-process or in a worker.
+
+    Its first cell executes the model and records the page-reference
+    string; every further cell replays that string through its own
+    fresh buffer, disk accounting and backend.
+    """
+    first, *others = family
+    if not others:
+        return [run_cell(first, inputs)]
+    references = ReferenceString()
+    cells = [run_cell(first, inputs, references)]
+    for cell in others:
+        runner, trace = _prepare(cell, inputs)
+        cells.append(_sweep_cell(cell, runner.replay_trace(cell.model, trace, references)))
+    return cells
 
 
 def plan_sweep(
@@ -608,6 +700,10 @@ def run_sweep(
 ) -> SweepResult:
     """Run the full grid; every cell gets a fresh engine.
 
+    The grid runs family by family (:func:`plan_families`): one model
+    execution per family, whose page-reference string every other cell
+    of the family replays under its own buffer.
+
     ``config`` supplies the data knobs (extension size, seeds, page
     size, disk backend); its ``buffer_pages`` and ``policy`` are
     overridden per cell by the grid axes.  ``options`` are the optional
@@ -618,28 +714,42 @@ def run_sweep(
     execution order) and ``shard_policy`` the OID-to-shard assignment
     of sharded ones.
 
-    ``processes`` > 1 fans cells out over a
+    ``processes`` > 1 fans families out over a
     :class:`~concurrent.futures.ProcessPoolExecutor`, which sidesteps
     the GIL for CPU-bound grids; results are identical to the
     sequential order.  Sequential stays the default because workers
     cost a fork and one snapshot spill or extension generation each —
-    they amortise on grids with many cells per worker (threads do not
-    pay at all under the GIL; docs/PERFORMANCE.md has the measurement).
+    they amortise on grids with many families per worker (threads do
+    not pay at all under the GIL; docs/PERFORMANCE.md has the
+    measurement).
     """
     result, planned = plan_sweep(config, workloads, capacities, policies, models, **options)
-    if processes is not None and processes > 1 and len(planned) > 1:
+    families = plan_families(planned)
+    if processes is not None and processes > 1 and len(families) > 1:
         with tempfile.TemporaryDirectory(
             prefix="repro-snapshots-", ignore_cleanup_errors=True
         ) as spill_dir:
             planned = _spill_snapshots(planned, spill_dir)
-            with ProcessPoolExecutor(max_workers=min(processes, len(planned))) as pool:
-                cells = tuple(pool.map(run_cell, planned))
+            with ProcessPoolExecutor(max_workers=min(processes, len(families))) as pool:
+                runs = list(
+                    pool.map(
+                        run_family,
+                        [[planned[index] for index in family] for family in families],
+                    )
+                )
     else:
         # Generate the extension and compile each spec's trace once;
-        # every cell replays the shared, immutable inputs.
+        # every family shares the immutable inputs.
         inputs = CellInputs()
-        cells = tuple(run_cell(cell, inputs) for cell in planned)
-    return replace(result, cells=cells)
+        runs = [
+            run_family([planned[index] for index in family], inputs)
+            for family in families
+        ]
+    cells: list[SweepCell | None] = [None] * len(planned)
+    for family, run in zip(families, runs):
+        for index, cell in zip(family, run):
+            cells[index] = cell
+    return replace(result, cells=tuple(cells))
 
 
 def render_result(result: SweepResult) -> str:

@@ -15,15 +15,21 @@ Models the DASDBS page buffer as used in the paper's measurements:
   (Section 5.2),
 * replacement policy is pluggable (LRU default; FIFO/CLOCK/random for
   the ablation experiments, LRU-K and 2Q for the buffer-sensitivity
-  sweeps).
+  sweeps),
+* what a run asks of the buffer can be recorded once as a
+  :class:`ReferenceString` and replayed through buffers of any
+  capacity and policy (the sweeps' buffer axes).
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import weakref
+from array import array
 from collections import OrderedDict, deque
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import (
     BufferError_,
@@ -117,8 +123,10 @@ class ReplacementPolicy:
         """Removal caused by replacement (vs. discard/clear).
 
         Policies that keep history about evicted pages (2Q's ghost
-        queue) hook this; the default treats evictions like any other
-        removal.
+        queue) hook this.  The default treats evictions like any other
+        removal; the built-in policies without such history alias
+        ``on_evict = on_remove`` instead, so an eviction costs one call,
+        not two.
         """
         self.on_remove(page_id)
 
@@ -162,6 +170,8 @@ class LRUPolicy(ReplacementPolicy):
     def on_remove(self, page_id: int) -> None:
         self._order.pop(page_id, None)
 
+    on_evict = on_remove
+
     def victims(self) -> Iterable[int]:
         # Lazy walk in recency order; no O(n) copy per eviction.
         return iter(self._order)
@@ -186,6 +196,8 @@ class FIFOPolicy(ReplacementPolicy):
     def on_remove(self, page_id: int) -> None:
         self._order.pop(page_id, None)
 
+    on_evict = on_remove
+
     def victims(self) -> Iterable[int]:
         return iter(self._order)
 
@@ -209,6 +221,8 @@ class ClockPolicy(ReplacementPolicy):
 
     def on_remove(self, page_id: int) -> None:
         self._ring.pop(page_id, None)
+
+    on_evict = on_remove
 
     def victims(self) -> Iterable[int]:
         # Sweep: clear reference bits until an unreferenced page is found.
@@ -260,6 +274,8 @@ class RandomPolicy(ReplacementPolicy):
             self._pages[slot] = last
             self._slots[last] = slot
 
+    on_evict = on_remove
+
     def victims(self) -> Iterable[int]:
         # Bounded random probing (skipped candidates are fixed pages),
         # then a deterministic pass over what is left so exhaustion —
@@ -310,6 +326,8 @@ class LRUKPolicy(ReplacementPolicy):
 
     def on_remove(self, page_id: int) -> None:
         self._history.pop(page_id, None)
+
+    on_evict = on_remove
 
     def _distance_key(self, page_id: int) -> tuple[int, int]:
         history = self._history[page_id]
@@ -791,6 +809,31 @@ class BufferManager:
             self.unfix_many(page_ids)
             raise
 
+    def read_views(self, page_ids: Sequence[int]) -> dict[int, SlottedPage]:
+        """Cached views of distinct ``page_ids``, fixed and released again.
+
+        The pages are fixed with :meth:`fix_views` and unfixed at once,
+        in chunks of at most ``capacity`` pages: a set larger than the
+        buffer cannot be pinned all at once, so it costs one I/O call per
+        chunk, the minimum a buffer that small can honestly do.  The
+        chunking is the buffer's to decide, because it depends on the
+        capacity and nothing else (a recorded reference string replays
+        it at every capacity, see :class:`ReferenceString`).  The views
+        may point into frames a later chunk evicted: frame buffers are
+        never pooled, so they stay valid.
+        """
+        views: dict[int, SlottedPage] = {}
+        for chunk in self.chunks(page_ids):
+            views.update(self.fix_views(chunk))
+            self.unfix_many(chunk)
+        return views
+
+    def chunks(self, page_ids: Sequence[int]) -> Iterator[Sequence[int]]:
+        """``page_ids`` cut into runs of at most ``capacity`` pages."""
+        capacity = self.capacity
+        for start in range(0, len(page_ids), capacity):
+            yield page_ids[start : start + capacity]
+
     def _view(self, frame: _Frame) -> SlottedPage:
         view = frame.view
         if view is None or frame.view_gen != frame.gen:
@@ -1080,3 +1123,257 @@ class BufferManager:
         self.disk.write_pages(items)
         for pid in page_ids:
             frames[pid].dirty = False
+
+
+# -- page-reference strings ------------------------------------------------------
+
+#: Event codes of a :class:`ReferenceString`, most frequent first.
+(
+    FIX,
+    UNFIX,
+    FIX_MANY,
+    UNFIX_MANY,
+    UNFIX_DIRTY,
+    UNFIX_MANY_DIRTY,
+    READ_VIEWS,
+    NEW_PAGE,
+    WRITE_THROUGH,
+    DISCARD,
+    FLUSH,
+    CLEAR,
+    ALLOCATE,
+    FREE,
+    RESET_METRICS,
+) = range(15)
+
+#: Events followed by a run of page ids; their argument is its length.
+_BATCH_EVENTS = frozenset({FIX_MANY, UNFIX_MANY, UNFIX_MANY_DIRTY, READ_VIEWS})
+
+_EVENT_BITS = 4
+_EVENT_MASK = (1 << _EVENT_BITS) - 1
+
+
+class ReferenceString:
+    """What one run asked of its engine's buffer, replayable on any buffer.
+
+    The paper's cost (Equation 1) is a function of the page-reference
+    string and the buffer alone, so one execution of the model code
+    per configuration is enough: :meth:`record` captures the string on
+    that run's engine, and :meth:`replay` drives it through a fresh
+    :class:`BufferManager` of any capacity and policy — the same
+    fixes, batch boundaries, dirty unfixes, write-backs and
+    allocations, hence the same counters — with no model, serializer
+    or heap code running.  This is the trace-driven evaluation of
+    storage hierarchies (Mattson, Gecsei, Slutz & Traiger, IBM Systems
+    Journal 1970).
+
+    Recorded: every fix with its batch boundaries (``fix``,
+    ``fix_many``, and ``read_views``, whose chunking the replaying
+    buffer re-decides from its own capacity), clean and dirty unfixes,
+    ``new_page``, ``write_through``, ``discard``, ``flush`` and
+    ``clear``; the disk's ``allocate_many`` and ``free``; and the
+    engine's ``reset_metrics``.  The recording buffer reports nothing
+    resident to :meth:`BufferManager.peek`, so a long-object read is
+    recorded in its two-call shape, which
+    :meth:`~repro.storage.longobj.LongObjectStore.read` proves
+    counter-identical to the one-call shortcut whenever the shortcut
+    applies.  Page *bytes* are not recorded: a replayed image holds
+    stale pages, so it may only ever feed counters.
+
+    The string is one flat integer array: an event is ``argument << 4 |
+    code`` (the page id, allocation count or batch length), and a batch
+    event is followed by its page ids.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self) -> None:
+        self.codes = array("q")
+
+    def record(self, engine) -> None:
+        """Append everything ``engine`` is asked from now on.
+
+        Installs recording hooks as instance attributes on the engine,
+        its buffer and its disk; the classes, and every other engine,
+        stay untouched.
+        """
+        _Recorder(self.codes, engine)
+
+    def events(self) -> Iterator[tuple[int, int | list[int]]]:
+        """The decoded string: ``(code, argument)`` pairs, where a batch
+        event's argument is its list of page ids."""
+        codes = iter(self.codes)
+        for code in codes:
+            event, argument = code & _EVENT_MASK, code >> _EVENT_BITS
+            if event in _BATCH_EVENTS:
+                yield event, list(islice(codes, argument))
+            else:
+                yield event, argument
+
+    def replay(self, engine) -> None:
+        """Drive the string through ``engine``'s buffer, disk and metrics.
+
+        ``engine`` must start where the recorded one did: its disk
+        restored from the same image, its buffer fresh.
+        """
+        buffer, disk = engine.buffer, engine.disk
+        fix, unfix = buffer.fix, buffer.unfix
+        fix_many, unfix_many = buffer.fix_many, buffer.unfix_many
+        codes = iter(self.codes)
+        for code in codes:
+            event = code & _EVENT_MASK
+            if event == FIX:
+                fix(code >> _EVENT_BITS)
+            elif event == UNFIX:
+                unfix(code >> _EVENT_BITS)
+            elif event == FIX_MANY:
+                fix_many(list(islice(codes, code >> _EVENT_BITS)))
+            elif event == UNFIX_MANY:
+                unfix_many(list(islice(codes, code >> _EVENT_BITS)))
+            elif event == UNFIX_DIRTY:
+                unfix(code >> _EVENT_BITS, True)
+            elif event == UNFIX_MANY_DIRTY:
+                unfix_many(list(islice(codes, code >> _EVENT_BITS)), True)
+            elif event == READ_VIEWS:
+                # read_views' fixes without its views, which only the
+                # records read through them need.
+                for chunk in buffer.chunks(list(islice(codes, code >> _EVENT_BITS))):
+                    fix_many(chunk)
+                    unfix_many(chunk)
+            elif event == NEW_PAGE:
+                buffer.new_page(code >> _EVENT_BITS)
+            elif event == WRITE_THROUGH:
+                buffer.write_through(code >> _EVENT_BITS)
+            elif event == DISCARD:
+                buffer.discard(code >> _EVENT_BITS)
+            elif event == FLUSH:
+                buffer.flush()
+            elif event == CLEAR:
+                buffer.clear()
+            elif event == ALLOCATE:
+                disk.allocate_many(code >> _EVENT_BITS)
+            elif event == FREE:
+                disk.free(code >> _EVENT_BITS)
+            else:
+                engine.reset_metrics()
+
+
+class _Recorder:
+    """The recording hooks of one engine (see :meth:`ReferenceString.record`).
+
+    Each hook appends its event, then calls the method it shadows,
+    looked up on the class at call time.  ``clear`` and ``read_views``
+    are recorded as themselves: what their inner calls appended is cut
+    off again, because the replaying buffer re-derives it.  The hooks
+    hold the engine's parts weakly: the parts hold the hooks, and a
+    cycle would keep a finished engine's frames alive until the next
+    garbage collection.
+    """
+
+    def __init__(self, codes: array, engine) -> None:
+        self._codes = codes
+        self._engine = weakref.ref(engine)
+        self._buffer = weakref.ref(engine.buffer)
+        self._disk = weakref.ref(engine.disk)
+        for name in (
+            "fix",
+            "fix_many",
+            "unfix",
+            "unfix_many",
+            "read_views",
+            "new_page",
+            "write_through",
+            "discard",
+            "flush",
+            "clear",
+            "peek",
+        ):
+            setattr(engine.buffer, name, getattr(self, name))
+        engine.disk.allocate_many = self.allocate_many
+        engine.disk.free = self.free
+        engine.reset_metrics = self.reset_metrics
+
+    def _event(self, event: int, argument: int = 0) -> None:
+        self._codes.append(argument << _EVENT_BITS | event)
+
+    def _batch(self, event: int, page_ids: Sequence[int]) -> None:
+        self._codes.append(len(page_ids) << _EVENT_BITS | event)
+        self._codes.extend(page_ids)
+
+    def fix(self, page_id: int):
+        self._event(FIX, page_id)
+        buffer = self._buffer()
+        return type(buffer).fix(buffer, page_id)
+
+    def fix_many(self, page_ids: Sequence[int]):
+        self._batch(FIX_MANY, page_ids)
+        buffer = self._buffer()
+        return type(buffer).fix_many(buffer, page_ids)
+
+    def unfix(self, page_id: int, dirty: bool = False) -> None:
+        self._event(UNFIX_DIRTY if dirty else UNFIX, page_id)
+        buffer = self._buffer()
+        type(buffer).unfix(buffer, page_id, dirty)
+
+    def unfix_many(self, page_ids: Sequence[int], dirty: bool = False) -> None:
+        self._batch(UNFIX_MANY_DIRTY if dirty else UNFIX_MANY, page_ids)
+        buffer = self._buffer()
+        type(buffer).unfix_many(buffer, page_ids, dirty)
+
+    def new_page(self, page_id: int):
+        self._event(NEW_PAGE, page_id)
+        buffer = self._buffer()
+        return type(buffer).new_page(buffer, page_id)
+
+    def write_through(self, page_id: int) -> None:
+        self._event(WRITE_THROUGH, page_id)
+        buffer = self._buffer()
+        type(buffer).write_through(buffer, page_id)
+
+    def discard(self, page_id: int) -> None:
+        self._event(DISCARD, page_id)
+        buffer = self._buffer()
+        type(buffer).discard(buffer, page_id)
+
+    def flush(self) -> None:
+        self._event(FLUSH)
+        buffer = self._buffer()
+        type(buffer).flush(buffer)
+
+    def read_views(self, page_ids: Sequence[int]):
+        mark = len(self._codes)
+        buffer = self._buffer()
+        try:
+            return type(buffer).read_views(buffer, page_ids)
+        finally:
+            del self._codes[mark:]
+            self._batch(READ_VIEWS, page_ids)
+
+    def clear(self) -> None:
+        mark = len(self._codes)
+        buffer = self._buffer()
+        try:
+            type(buffer).clear(buffer)
+        finally:
+            del self._codes[mark:]
+            self._event(CLEAR)
+
+    def peek(self, page_id: int) -> None:
+        # Nothing is resident to a recording: every long-object read
+        # takes (and records) its two-call path.
+        return None
+
+    def allocate_many(self, count: int) -> list[int]:
+        self._event(ALLOCATE, count)
+        disk = self._disk()
+        return type(disk).allocate_many(disk, count)
+
+    def free(self, page_id: int) -> None:
+        self._event(FREE, page_id)
+        disk = self._disk()
+        type(disk).free(disk, page_id)
+
+    def reset_metrics(self) -> None:
+        self._event(RESET_METRICS)
+        engine = self._engine()
+        type(engine).reset_metrics(engine)

@@ -400,8 +400,10 @@ class HeapFile:
 
         A record set spanning more distinct pages than the buffer has
         frames cannot be pinned all at once; it is served in page
-        chunks of the buffer's capacity instead — one I/O call per
-        chunk, the minimum a buffer that small can honestly do.
+        chunks of the buffer's capacity instead
+        (:meth:`~repro.storage.buffer.BufferManager.read_views`) — one
+        I/O call per chunk, the minimum a buffer that small can
+        honestly do.
 
         **Evicted-frame aliasing.**  Every fix is released before this
         returns, and on the chunked path the pages of an earlier chunk
@@ -416,12 +418,7 @@ class HeapFile:
         unique_pages = list(dict.fromkeys([rid.page_id for rid in rids]))
         for page_id in unique_pages:
             self._require_page(page_id)
-        buffer = self.buffer
-        views: dict[int, SlottedPage] = {}
-        for start in range(0, len(unique_pages), buffer.capacity):
-            chunk = unique_pages[start : start + buffer.capacity]
-            views.update(buffer.fix_views(chunk))
-            buffer.unfix_many(chunk)
+        views = self.buffer.read_views(unique_pages)
         return [views[rid.page_id].read_view(rid.slot) for rid in rids]
 
     def scan(self) -> Iterator[tuple[Rid, bytes]]:
