@@ -171,11 +171,17 @@ class Relation:
     ) -> list[tuple[Handle, bytes]]:
         """Value selection, the one scan by key: every record whose
         ``key_of(record, attr)`` is in ``keys``, with its handle, found
-        by a scan of every record — heap pages in order, then ``longs``
-        with ``sections`` fixed, a partly read match read again whole at
-        once — that does not stop at a match, as the paper's value
-        selection reads (Section 3.3)."""
-        matches = [(rid, blob) for rid, blob in self.heap.scan() if key_of(blob, attr) in keys]
+        by a scan of every record — heap pages in order, a page batch
+        at a time (``HeapFile.scan_pages``; a ``Rid`` is made only for a
+        match), then ``longs`` with ``sections`` fixed, a partly read
+        match read again whole at once — that does not stop at a match,
+        as the paper's value selection reads (Section 3.3)."""
+        matches = [
+            (Rid(page_id, slot), blob)
+            for page_id, slots, records in self.heap.scan_pages()
+            for slot, blob in zip(slots, records)
+            if key_of(blob, attr) in keys
+        ]
         for handle in longs:
             # The key sits in the first section: the root's flat part.
             read = self.long_store.read(handle, sections)
@@ -190,8 +196,8 @@ class Relation:
         """All records, each whole: heap pages in order (or only
         ``pages``), then the given long records (the address table
         lists them: ``long_handles``)."""
-        heap = self.heap.scan() if pages is None else self.heap.scan_pages(pages)
-        return chain(map(itemgetter(1), heap), map(self.read_record, longs))
+        heap = chain.from_iterable(map(itemgetter(2), self.heap.scan_pages(pages)))
+        return chain(heap, map(self.read_record, longs))
 
     def delete(self, handle: Handle) -> None:
         """Delete one record (private pages of a long record are freed)."""

@@ -30,6 +30,7 @@ much of an object a read transfers and its update protocol.
 
 from __future__ import annotations
 
+import gc
 from abc import ABC, abstractmethod
 from functools import partial
 from itertools import chain, islice
@@ -571,7 +572,20 @@ class AddressedModel(StorageModel):
     # -- the full scan ---------------------------------------------------------------
 
     def scan_all(self) -> int:
-        return sum(1 for _ in self._scan_objects())
+        """Query 1c.  The cyclic collector is paused while the scan
+        holds and joins the parts: they are many, so they trigger full
+        collections that re-walk the whole loaded database, yet every
+        value the scan builds is acyclic, so a pause defers no garbage
+        (``tests/models/test_scan_gc.py``).  Sound because an engine is
+        driven by one thread; the caller's collector state is restored,
+        also when the scan raises."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return sum(1 for _ in self._scan_objects())
+        finally:
+            if enabled:
+                gc.enable()
 
     def _scan_objects(self) -> Iterator[NestedTuple]:
         """Every object, joined in memory from one scan per relation

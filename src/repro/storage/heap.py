@@ -9,7 +9,7 @@ likely to be stored clustered together").
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import PageOverflowError, StorageError
 from repro.nf2.oid import Rid
@@ -110,20 +110,25 @@ class HeapFile:
         must run outside measured intervals — which the workload
         executor's cold-start-and-reset discipline guarantees.
         """
-        records = {rid: blob for rid, blob in self.scan()}
-        if len(rid_order) != len(records) or set(rid_order) != set(records):
+        pages = {
+            page_id: dict(zip(slots, records)) for page_id, slots, records in self.scan_pages()
+        }
+        live = sum(map(len, pages.values()))
+        if len(rid_order) != live or len(set(rid_order)) != live or any(
+            rid.slot not in pages.get(rid.page_id, ()) for rid in rid_order
+        ):
             raise StorageError(
                 f"recluster order must be a permutation of the live records "
                 f"of segment {self.segment.name!r} "
-                f"({len(rid_order)} given, {len(records)} live)"
+                f"({len(rid_order)} given, {live} live)"
             )
+        moves = [(rid, pages[rid.page_id][rid.slot]) for rid in rid_order]
         if self.segment.journal is not None:
-            return self._recluster_journaled(records, rid_order)
+            return self._recluster_journaled(moves)
         old_pages = self.segment.page_ids
         forwarding: dict[Rid, Rid] = {}
         page_id: int | None = None
-        for old_rid in rid_order:
-            record = records[old_rid]
+        for old_rid, record in moves:
             slot = -1
             if page_id is not None:
                 try:
@@ -237,17 +242,14 @@ class HeapFile:
     # record's writes and its frees, so replay after partial frees
     # cannot write an unallocated page.
 
-    def _recluster_journaled(
-        self, records: dict[Rid, bytes], rid_order: list[Rid]
-    ) -> dict[Rid, Rid]:
+    def _recluster_journaled(self, moves: list[tuple[Rid, bytes]]) -> dict[Rid, Rid]:
         segment = self.segment
         journal = segment.journal
         start = segment.disk.peek_next_page_id
         images: list[bytearray] = []
         page: SlottedPage | None = None
         forwarding: dict[Rid, Rid] = {}
-        for old_rid in rid_order:
-            record = records[old_rid]
+        for old_rid, record in moves:
             slot = -1
             if page is not None:
                 try:
@@ -421,35 +423,40 @@ class HeapFile:
         views = self.buffer.read_views(unique_pages)
         return [views[rid.page_id].read_view(rid.slot) for rid in rids]
 
-    def scan(self) -> Iterator[tuple[Rid, bytes]]:
-        """Full scan in page order; each page is fixed exactly once."""
-        for page_id in self.segment.page_ids:
-            page = self.buffer.fix_view(page_id)
-            try:
-                records = page.records()
-            finally:
-                self.buffer.unfix(page_id)
-            for slot, record in records:
-                yield Rid(page_id, slot), record
+    def scan_pages(
+        self, page_ids: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, Sequence[int], list[bytes]]]:
+        """Full scan a page at a time: ``(page_id, slots, records)`` per
+        page, the live slots and a copy of their records
+        (:meth:`SlottedPage.live`).
 
-    def scan_pages(self, page_ids: list[int]) -> Iterator[tuple[Rid, bytes]]:
-        """Scan only the given pages, each fixed exactly once.
-
-        The partial sibling of :meth:`scan`, built for sharded
-        scatter-gather scans: each shard walks the disjoint page subset
-        it owns, so the union of all shards' ``scan_pages`` calls fixes
-        exactly the pages one full :meth:`scan` would — the invariant
+        Pages go in segment order, or only ``page_ids`` (each checked to
+        belong to the segment as its turn comes) — the partial form is
+        built for sharded scatter-gather scans: each shard walks the
+        disjoint page subset it owns, so the union of all shards' scans
+        fixes exactly the pages one full scan would, the invariant
         behind the per-shard counter roll-up summing to the unsharded
-        totals.
+        totals.  Each page is fixed exactly once and unfixed before its
+        records are yielded.  Every full pass over the heap is this one;
+        only :meth:`scan` makes a ``Rid`` per record.
         """
-        for page_id in page_ids:
-            self._require_page(page_id)
-            page = self.buffer.fix_view(page_id)
+        given = page_ids is not None
+        buffer = self.buffer
+        for page_id in page_ids if given else self.segment.page_ids:
+            if given:
+                self._require_page(page_id)
+            page = buffer.fix_view(page_id)
             try:
-                records = page.records()
+                slots, records = page.live()
             finally:
-                self.buffer.unfix(page_id)
-            for slot, record in records:
+                buffer.unfix(page_id)
+            yield page_id, slots, records
+
+    def scan(self) -> Iterator[tuple[Rid, bytes]]:
+        """Full scan in page order, ``(rid, record)`` per record; each
+        page is fixed exactly once."""
+        for page_id, slots, records in self.scan_pages():
+            for slot, record in zip(slots, records):
                 yield Rid(page_id, slot), record
 
     # -- statistics -----------------------------------------------------------------
@@ -460,7 +467,7 @@ class HeapFile:
 
     def count_records(self) -> int:
         """Number of live records (costs a full scan's fixes)."""
-        return sum(1 for _ in self.scan())
+        return sum(len(records) for _, _, records in self.scan_pages())
 
     def _require_page(self, page_id: int) -> None:
         if page_id not in self.segment:

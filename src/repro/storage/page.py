@@ -26,7 +26,7 @@ Python-level work per touch minimal:
   re-unpacks the header;
 * all ``struct`` formats are precompiled :class:`struct.Struct`
   instances at module level;
-* :meth:`records` and :meth:`slots` decode the whole slot directory in
+* :meth:`live` and :meth:`slots` decode the whole slot directory in
   one ``unpack_from`` pass instead of one unpack per slot.
 
 The cache lives in the *view*, not the buffer.  Code that mutates the
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import Sequence
 
 from repro.errors import InvalidAddressError, PageOverflowError, StorageError
 from repro.storage.constants import PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE
@@ -364,23 +365,25 @@ class SlottedPage:
         """``(slot, offset, length)`` for every slot, one directory pass.
 
         Deleted slots are included (``offset == 0xFFFF``); callers that
-        want live records only should use :meth:`records`.
+        want live records only should use :meth:`live`.
         """
         offsets, lengths = self._directory()
         return list(zip(range(self._n_slots), offsets, lengths))
 
-    def records(self) -> list[tuple[int, bytes]]:
-        """``(slot, record)`` for every live record, in slot order.
+    def live(self) -> tuple[Sequence[int], list[bytes]]:
+        """``(slots, records)``: the live slot numbers, in slot order,
+        and beside them a copy of each live record.
 
         The slot directory is decoded in one batch pass.  The record
         area is snapshotted with a single page-sized ``memcpy`` and the
         payloads sliced out of it ``bytes``-to-``bytes`` — one copy per
         record instead of the bytearray-slice-then-bytes double copy,
-        which is what makes full scans cheap.
+        and no per-record tuple, which is what makes full scans cheap.
+        Without deleted slots ``slots`` is a ``range``.
         """
         n_slots = self._n_slots
         if not n_slots:
-            return []
+            return (), []
         # _directory(), inlined: this is the single hottest page method.
         raw = _dir_struct(n_slots).unpack_from(
             self.data, self.page_size - n_slots * SLOT_ENTRY_SIZE
@@ -388,17 +391,13 @@ class SlottedPage:
         offsets, lengths = raw[-2::-2], raw[-1::-2]
         blob = bytes(self.data)
         if _TOMBSTONE not in offsets:
-            return list(
-                zip(
-                    range(n_slots),
-                    [blob[o : o + l] for o, l in zip(offsets, lengths)],
-                )
-            )
-        return [
-            (slot, blob[offset : offset + length])
-            for slot, (offset, length) in enumerate(zip(offsets, lengths))
-            if offset != _TOMBSTONE
-        ]
+            return range(n_slots), [blob[o : o + l] for o, l in zip(offsets, lengths)]
+        slots = [slot for slot, offset in enumerate(offsets) if offset != _TOMBSTONE]
+        return slots, [blob[offsets[slot] : offsets[slot] + lengths[slot]] for slot in slots]
+
+    def records(self) -> list[tuple[int, bytes]]:
+        """``(slot, record)`` for every live record, in slot order."""
+        return list(zip(*self.live()))
 
     @property
     def live_records(self) -> int:
