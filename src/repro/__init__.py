@@ -50,7 +50,6 @@ from repro.benchmark import (
 from repro.clustering import (
     AccessStats,
     RECLUSTER_POLICIES,
-    collect_stats,
     placement_order,
     recluster_model,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "WorkloadParameters",
     "WorkloadResult",
     "WorkloadSpec",
-    "collect_stats",
     "compile_trace",
     "create_model",
     "derive_parameters",

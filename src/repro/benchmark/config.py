@@ -97,10 +97,11 @@ class BenchmarkConfig:
     #: Reclustering mode applied to workload replays: "none"
     #: (insertion-order placement, the default and the paper's regime),
     #: "affinity" (greedy co-access chaining) or "hotcold" (heat
-    #: segregation) — both offline: the model first replays the trace
-    #: unmeasured to collect access statistics, rewrites its shared
-    #: pages into the derived placement, and only then runs the measured
-    #: replay — or "online": no pre-training rewrite at all; an
+    #: segregation) — both offline: the model is first trained
+    #: unmeasured on the trace (a walk over the reference graph plus
+    #: the trace's root writes), rewrites its shared pages into the
+    #: derived placement, and only then runs the measured replay — or
+    #: "online": no pre-training rewrite at all; an
     #: :class:`~repro.clustering.online.OnlineRecluster` controller
     #: watches the measured replay and moves bounded page batches at
     #: deterministic trigger points (its I/O lands in the counters).

@@ -330,7 +330,7 @@ class BenchmarkRunner:
         the same trace under other buffers without executing the model.
 
         With an offline ``config.recluster`` policy the model is first
-        reorganised for exactly this trace (training replay → placement
+        reorganised for exactly this trace (training walk → placement
         → rewrite, see :meth:`build_model_for_trace`) and the measured
         replay runs over the adapted layout.  With ``"online"`` the
         model starts in insertion order and an
@@ -500,11 +500,14 @@ class BenchmarkRunner:
         For the offline policies, with snapshots active, the snapshot
         store caches the trained and reorganised extension per
         ``(model, data knobs, policy, trace)`` and serves restored
-        clones — the training replay and rewrite happen once per key,
-        not once per sweep cell.  Without snapshots (or under the trace
+        clones — the training and rewrite happen once per key, not once
+        per sweep cell.  Training executes no workload: it walks the
+        trace over :attr:`stations`' reference graph and applies the
+        trace's root writes (:func:`~repro.clustering.recluster.
+        recluster_model`).  Without snapshots (or under the trace
         backend) the model is rebuilt and reorganised inline; both
         paths yield bit-identical pages and counters.  ``references``
-        records as for :meth:`build_model` (the inline training replay
+        records as for :meth:`build_model` (the inline training writes
         and rewrite included).
         """
         policy = self.config.recluster
@@ -524,7 +527,7 @@ class BenchmarkRunner:
             return model
         model = self.build_model(name, references)
         try:
-            recluster_model(model, trace, policy)
+            recluster_model(model, trace, policy, self.stations)
         except Exception:
             model.engine.close()
             raise

@@ -162,18 +162,19 @@ class SnapshotStore:
         policy and the training trace's identity ``(spec, n_objects)``
         — exactly the inputs the reorganised layout depends on.  Like
         the base key it deliberately excludes buffer capacity and
-        replacement policy: the placement is computed from the trace's
-        object-touch pattern alone and the training replay's final page
-        bytes are buffer-independent (every dirty page is eventually
-        written with the same content), so one reclustered image serves
-        every cell of a sweep grid.
+        replacement policy: the placement is computed from the trace
+        and the extension's reference graph alone, and the training
+        writes' final page bytes are buffer-independent (every dirty
+        page is eventually written with the same content), so one
+        reclustered image serves every cell of a sweep grid.
 
-        Building clones the *base* snapshot (one bulk load, ever), runs
-        the training replay plus reorganisation over a plain memory
-        backend, and images the result; clones of that image are
-        bit-identical to an inline train-and-recluster on a rebuilt
-        model, which ``tests/benchmark/test_recluster_parity.py``
-        enforces.
+        Building clones the *base* snapshot (one bulk load, ever),
+        trains on a walk of the trace over ``stations()``, applies the
+        trace's root writes and the reorganisation over a plain memory
+        backend, and images the result; no workload executes.  Clones
+        of that image are bit-identical to an inline train-and-recluster
+        on a rebuilt model, which
+        ``tests/benchmark/test_recluster_parity.py`` enforces.
         """
         key = snapshot_key(config, model_name, fmt) + (
             "recluster",
@@ -183,14 +184,14 @@ class SnapshotStore:
         )
 
         def build() -> ExtensionSnapshot:
-            # Deferred import: repro.clustering replays workload traces,
+            # Deferred import: repro.clustering reads workload traces,
             # which imports the benchmark layer this module lives in.
             from repro.clustering.recluster import recluster_model
 
             base = self.get(config, model_name, stations, fmt)
             model = self.clone(base, config.with_changes(backend="memory"), fmt=fmt)
             try:
-                recluster_model(model, trace, policy)
+                recluster_model(model, trace, policy, stations())
                 snapshot = ExtensionSnapshot(
                     model_name=model_name,
                     key=key,

@@ -39,7 +39,6 @@ from repro.errors import BenchmarkError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.clustering.online import OnlineRecluster
-    from repro.clustering.stats import AccessStats
 from repro.models.base import StorageModel
 from repro.storage.metrics import MetricsSnapshot, ScaledMetrics
 
@@ -395,7 +394,6 @@ class WorkloadExecutor:
         self,
         model: StorageModel,
         trace: WorkloadTrace,
-        stats: "AccessStats | None" = None,
         online: "OnlineRecluster | None" = None,
         retry_limit: int = 0,
     ) -> None:
@@ -407,15 +405,8 @@ class WorkloadExecutor:
         self.model = model
         self.trace = trace
         self.engine = model.engine
-        #: Optional clustering statistics collector.  When present, the
-        #: executor reports every operation's touched OIDs to it and
-        #: registers it as a fix listener of the buffer manager for the
-        #: duration of the replay.  Collection is purely observational:
-        #: the metrics of a replay with and without a collector are
-        #: identical.
-        self.stats = stats
-        #: Optional online-recluster controller.  Fed the same touched
-        #: OIDs as ``stats``, after each operation completes — its
+        #: Optional online-recluster controller.  Fed every operation's
+        #: touched OIDs, after the operation completes — its
         #: deterministic triggers then run bounded page-move batches
         #: *inside* the measured interval (online reorganisation pays
         #: its I/O where the counters can see it).
@@ -460,59 +451,45 @@ class WorkloadExecutor:
         key_of = model.key_of
         oid_of = model.oid_of
         restart = engine.restart_buffer
-        stats = self.stats
         online = self.online
-        observed = stats is not None or online is not None
-        buffer = engine.buffer
         if self.retry_limit:
             point = self._resilient(point)
             navigate = self._resilient(navigate)
             scan_all = self._resilient(scan_all)
             update_roots = self._resilient(update_roots)
             fetch_by_key = self._resilient(fetch_by_key)
-        if stats is not None:
-            # Registered alongside (not instead of) any other hooks —
-            # the serving layer's latch bookkeeping may be listening on
-            # the same buffer.
-            buffer.add_fix_listener(stats.page_fixed)
-        try:
-            for index, op in enumerate(self.trace.ops):
-                if not warm and index > 0:
-                    restart()
-                kind = op.kind
-                if kind == "point":
-                    point(op.oid)
-                    if observed:
-                        observe(stats, online, (op.oid,))
-                elif kind == "navigate":
-                    children, grand = navigate(op.oid)
-                    if observed:
-                        touched = [op.oid, *map(oid_of, children), *map(oid_of, grand)]
-                        observe(stats, online, touched)
-                elif kind == "scan":
-                    scan_all()
-                    if observed:
-                        observe(stats, online, None)
-                elif kind == "update":
-                    update_roots([ref_of(op.oid)], {"Name": f"workload-{index}"})
-                    if observed:
-                        observe(stats, online, (op.oid,))
-                elif kind == "key":
-                    fetch_by_key(key_of(op.oid))
-                    if observed:
-                        observe(stats, online, (op.oid,))
-                elif kind == "navigate_update":
-                    children, grand = navigate(op.oid)
-                    if grand:
-                        update_roots(grand, {"Name": f"updated-{index}"})
-                    if observed:
-                        touched = [op.oid, *map(oid_of, children), *map(oid_of, grand)]
-                        observe(stats, online, touched)
-                else:  # pragma: no cover - traces cannot produce unknown kinds
-                    raise BenchmarkError(f"unknown operation kind {kind!r}")
-        finally:
-            if stats is not None:
-                buffer.remove_fix_listener(stats.page_fixed)
+        for index, op in enumerate(self.trace.ops):
+            if not warm and index > 0:
+                restart()
+            kind = op.kind
+            if kind == "point":
+                point(op.oid)
+                if online is not None:
+                    online.note_operation((op.oid,))
+            elif kind == "navigate":
+                children, grand = navigate(op.oid)
+                if online is not None:
+                    online.note_operation([op.oid, *map(oid_of, children), *map(oid_of, grand)])
+            elif kind == "scan":
+                scan_all()
+                if online is not None:
+                    online.note_scan()
+            elif kind == "update":
+                update_roots([ref_of(op.oid)], {"Name": f"workload-{index}"})
+                if online is not None:
+                    online.note_operation((op.oid,))
+            elif kind == "key":
+                fetch_by_key(key_of(op.oid))
+                if online is not None:
+                    online.note_operation((op.oid,))
+            elif kind == "navigate_update":
+                children, grand = navigate(op.oid)
+                if grand:
+                    update_roots(grand, {"Name": f"updated-{index}"})
+                if online is not None:
+                    online.note_operation([op.oid, *map(oid_of, children), *map(oid_of, grand)])
+            else:  # pragma: no cover - traces cannot produce unknown kinds
+                raise BenchmarkError(f"unknown operation kind {kind!r}")
         engine.flush()
         return WorkloadResult(
             spec=self.trace.spec,
@@ -528,20 +505,6 @@ class WorkloadExecutor:
 
     def _navigate(self, oid: int) -> tuple[list, list]:
         return navigate(self.model, oid)
-
-
-def observe(stats, online, touched) -> None:
-    """Report one operation's touched OIDs (None: a full scan) to the observers."""
-    if touched is None:
-        if stats is not None:
-            stats.record_scan()
-        if online is not None:
-            online.note_scan()
-        return
-    if stats is not None:
-        stats.record_operation(touched)
-    if online is not None:
-        online.note_operation(touched)
 
 
 def fetch_point(model: StorageModel, oid: int) -> None:

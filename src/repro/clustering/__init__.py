@@ -7,14 +7,14 @@ gives them.  This package adds the missing axis (following Darmont et
 al.'s clustering studies): observe a workload, derive a better object
 order, and rewrite the extension in place while preserving record ids.
 
-* :mod:`repro.clustering.stats` — heat / co-access affinity / page
-  touch collection, piggybacked on the workload executor and buffer
-  manager;
+* :mod:`repro.clustering.stats` — the heat / co-access affinity
+  counters both placements read;
 * :mod:`repro.clustering.placement` — the ``affinity`` (greedy DSTC-lite
   chaining) and ``hotcold`` (heat segregation) policies;
 * :mod:`repro.clustering.recluster` — the train-then-rewrite driver
   used by the benchmark runner, the sweep's ``--recluster`` axis and
-  the ``clustering`` experiment;
+  the ``clustering`` experiment: it trains by one walk of the trace
+  over the extension's reference graph, no replay;
 * :mod:`repro.clustering.online` — the incremental controller behind
   ``--recluster online``: windowed stats, deterministic triggers,
   bounded page-move batches under live (possibly drifting) traffic.
@@ -31,7 +31,7 @@ from repro.clustering.placement import (
     validate_mode,
     validate_policy,
 )
-from repro.clustering.recluster import collect_stats, recluster_model
+from repro.clustering.recluster import access_stats, recluster_model
 from repro.clustering.stats import AccessStats, TraceStats, trace_stats
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
     "RECLUSTER_MODES",
     "RECLUSTER_POLICIES",
     "TraceStats",
+    "access_stats",
     "affinity_order",
-    "collect_stats",
     "hotcold_order",
     "is_permutation",
     "placement_order",

@@ -98,10 +98,9 @@ class OnlineRecluster:
 
     # -- executor-side hooks --------------------------------------------------
     #
-    # Mirrors the AccessStats recording interface, so the executors feed
-    # a controller exactly where they feed a collector.  Each note_* is
-    # one operation; the trigger check runs after recording, so a
-    # trigger sees the window including the operation that tripped it.
+    # Mirrors the AccessStats recording interface.  Each note_* is one
+    # operation; the trigger check runs after recording, so a trigger
+    # sees the window including the operation that tripped it.
 
     def note_operation(self, oids: Iterable[int]) -> None:
         """Record one operation's touched objects, maybe trigger."""

@@ -9,19 +9,12 @@ observations about a workload before it can improve a layout:
   operation* (drives affinity chaining: objects that navigate together
   should share pages).
 
-:class:`AccessStats` collects both by piggybacking on the existing
-measurement machinery instead of adding a second instrumentation layer:
-
-* the :class:`~repro.benchmark.workload.WorkloadExecutor` reports the
-  OIDs each replayed operation touches (``stats=`` parameter), which
-  feeds heat and affinity;
-* the :class:`~repro.storage.buffer.BufferManager` reports every page
-  fix to its registered fix listeners, which feeds the page-level
-  touch counters — the physical-layout view of the same replay.
-
-Everything here is deterministic: the collector only counts, the trace
-is seeded, and no counter feeding the paper's metrics is touched —
-attaching a collector never changes a measured I/O.
+:class:`AccessStats` only counts; what feeds it decides what it sees.
+Offline training feeds it from a walk of the trace over the extension's
+reference graph (:func:`repro.clustering.recluster.access_stats`); the
+online controller (:mod:`repro.clustering.online`) feeds a windowed one
+from the live executor.  Neither touches a counter of the paper's
+metrics.
 """
 
 from __future__ import annotations
@@ -37,9 +30,9 @@ AFFINITY_PAIR_CAP = 64
 
 
 class AccessStats:
-    """Heat, affinity and page-touch counters of one workload replay."""
+    """Heat and affinity counters of one workload."""
 
-    __slots__ = ("n_objects", "heat", "affinity", "n_ops", "page_touches", "page_fixes")
+    __slots__ = ("n_objects", "heat", "affinity", "n_ops")
 
     def __init__(self, n_objects: int) -> None:
         self.n_objects = n_objects
@@ -49,12 +42,8 @@ class AccessStats:
         self.affinity: dict[tuple[int, int], int] = {}
         #: Operations recorded.
         self.n_ops = 0
-        #: Page id -> fixes observed through the buffer hook.
-        self.page_touches: dict[int, int] = {}
-        #: Total fixes observed through the buffer hook.
-        self.page_fixes = 0
 
-    # -- executor-side recording --------------------------------------------
+    # -- recording -----------------------------------------------------------
 
     def record_operation(self, oids: Iterable[int], pairs: bool = True) -> None:
         """Record one operation's touched objects.
@@ -81,13 +70,6 @@ class AccessStats:
     def record_scan(self) -> None:
         """Record a full scan: every object heated once, no pairs."""
         self.record_operation(range(self.n_objects), pairs=False)
-
-    # -- buffer-side recording ----------------------------------------------
-
-    def page_fixed(self, page_id: int) -> None:
-        """``BufferManager.add_fix_listener`` hook: one page fix observed."""
-        self.page_fixes += 1
-        self.page_touches[page_id] = self.page_touches.get(page_id, 0) + 1
 
     # -- queries -------------------------------------------------------------
 
@@ -125,8 +107,6 @@ class AccessStats:
             "max_heat": hot[0] if hot else 0,
             "top_decile_touch_share": (top_heat / total_heat) if total_heat else 0.0,
             "affinity_pairs": len(self.affinity),
-            "page_fixes_observed": self.page_fixes,
-            "pages_touched": len(self.page_touches),
         }
 
 

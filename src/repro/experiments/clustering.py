@@ -4,10 +4,10 @@ The paper's argument is that *placement* — which subobjects share pages
 — dominates the physical I/O of complex-object processing, but its
 measurements can only compare the placements the storage models produce
 at load time.  This experiment adds the axis the clustering literature
-(Darmont et al.) explores: replay a navigation workload, derive a
-better object order from the observed access pattern, rewrite the
-extension (:mod:`repro.clustering`), and measure the *same* workload
-again on the adapted layout.
+(Darmont et al.) explores: derive a better object order from a
+navigation workload's access pattern, rewrite the extension
+(:mod:`repro.clustering`), and measure the *same* workload on the
+adapted layout.
 
 Per skew level one table reports, for every storage model, the
 physical page reads of the measured replay under insertion-order
@@ -99,8 +99,10 @@ def run_comparison(
     Every (skew, model, policy) cell builds its model through the
     ordinary runner path, so reclustered extensions come from the
     process-wide snapshot store: one bulk load per model and one
-    training replay per (model, policy, skew), no matter how often the
-    experiment re-runs in a session.
+    training per (model, policy, skew), no matter how often the
+    experiment re-runs in a session.  Training executes no workload
+    (:func:`~repro.clustering.recluster.recluster_model`), so the
+    experiment's executions are its measured cells.
     """
     base = experiment_config(config)
     n_ops = operation_count(base)

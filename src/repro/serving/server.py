@@ -52,7 +52,6 @@ from repro.benchmark.workload import (
     compile_trace,
     fetch_point,
     navigate,
-    observe,
 )
 from repro.errors import RetryExhaustedError, ServingError
 from repro.fault.retry import (
@@ -67,7 +66,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.clustering.online import OnlineRecluster
-    from repro.clustering.stats import AccessStats
 from repro.serving.scheduler import RoundRobinScheduler, Scheduler
 from repro.serving.session import Session
 from repro.storage.disk import DiskGeometry
@@ -189,7 +187,6 @@ class ServingExecutor:
         scheduler: Scheduler | None = None,
         priorities: Sequence[int] | None = None,
         service_model: ServiceTimeModel | None = None,
-        stats: "AccessStats | None" = None,
         online: "OnlineRecluster | None" = None,
         retry_limit: int = DEFAULT_RETRY_LIMIT,
         backoff_base_ms: float = DEFAULT_BACKOFF_BASE_MS,
@@ -214,13 +211,6 @@ class ServingExecutor:
             Session(i, trace, priority=(priorities[i] if priorities else 1))
             for i, trace in enumerate(traces)
         ]
-        #: Optional clustering statistics collector.  Fed exactly like
-        #: the single-stream executor feeds it: its ``page_fixed`` hook
-        #: joins the buffer's fix listeners *alongside* the serving
-        #: layer's own ``_fix_observed`` (the multi-listener hook exists
-        #: precisely so neither displaces the other), and every granted
-        #: operation reports its touched OIDs, in grant order.
-        self.stats = stats
         #: Graceful degradation under injected faults: transient read
         #: errors are retried up to ``retry_limit``
         #: times with a deterministic exponential backoff charged to the
@@ -286,14 +276,10 @@ class ServingExecutor:
             session.ready_at_ms = 0.0
         plan = self._plan()
         engine.buffer.add_fix_listener(self._fix_observed)
-        if self.stats is not None:
-            engine.buffer.add_fix_listener(self.stats.page_fixed)
         try:
             for session in plan:
                 self._execute_granted(session)
         finally:
-            if self.stats is not None:
-                engine.buffer.remove_fix_listener(self.stats.page_fixed)
             engine.buffer.remove_fix_listener(self._fix_observed)
             self._active = None
         engine.flush()
@@ -356,20 +342,24 @@ class ServingExecutor:
         counters.service_ms += service_ms
         counters.latencies_ms.append(completion_ms - session.ready_at_ms)
         session.ready_at_ms = completion_ms
-        # Observers run after the operation's own accounting closed and
-        # with no active session, so a triggered move batch attributes
-        # its fixes to no session and no service time — the "background"
-        # half of online reclustering, at a fixed point of the grant
-        # order.
-        if not errored:  # an abandoned operation feeds no observers
-            observe(self.stats, self.online, touched)
+        # The controller runs after the operation's own accounting
+        # closed and with no active session, so a triggered move batch
+        # attributes its fixes to no session and no service time — the
+        # "background" half of online reclustering, at a fixed point of
+        # the grant order.
+        online = self.online
+        if online is not None and not errored:  # abandoned: feeds nothing
+            if touched is None:
+                online.note_scan()
+            else:
+                online.note_operation(touched)
 
     def _execute_op(self, op, index: int) -> list[int] | tuple[int, ...] | None:
         """One operation, with exactly the single-stream semantics.
 
         Returns the touched OIDs in the single-stream executor's
         reporting order (root, children, grand-children), or ``None``
-        for a full scan — the shape the stats/online observers consume.
+        for a full scan — the shape the online controller consumes.
         Kinds outside :data:`~repro.benchmark.workload.OP_KINDS` are refused.
         """
         model = self.model

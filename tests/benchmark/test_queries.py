@@ -6,10 +6,9 @@ from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.queries import QUERY_NAMES, QuerySuite, paper_trace
 from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.workload import WorkloadExecutor, navigate
-from repro.clustering.stats import AccessStats
 from repro.errors import BenchmarkError, UnsupportedOperationError
 from repro.models.registry import MODEL_CLASSES
-from tests.conftest import build_loaded_model
+from tests.conftest import TouchRecorder, build_loaded_model
 
 CFG = BenchmarkConfig(
     n_objects=40, loops=8, q1a_sample=8, q1b_sample=2, q2a_sample=4, buffer_pages=300, seed=21
@@ -58,17 +57,17 @@ class TestQueryResults:
 
     @pytest.mark.parametrize("query", ["2b", "3b"])
     def test_navigation_reaches_grandchildren(self, runner, dsm_results, query):
-        """Replayed with statistics, 2b/3b touch more objects than roots."""
+        """Observed through the executor, 2b/3b touch more objects than roots."""
         model = build_loaded_model("DSM", runner.stations, buffer_pages=300)
         trace = paper_trace(query, CFG, model)
         assert len(trace.ops) == CFG.effective_loops
         assert any(navigate(model, op.oid)[1] for op in trace.ops)
-        stats = AccessStats(model.n_objects)
-        raw = WorkloadExecutor(model, trace, stats=stats).run().raw
+        stats = TouchRecorder(model.n_objects)
+        raw = WorkloadExecutor(model, trace, online=stats).run().raw
         assert stats.n_ops == CFG.effective_loops
         assert sum(stats.heat) > CFG.effective_loops
         assert stats.affinity
-        # Collecting statistics is observational.
+        # Recording the touches is observational.
         assert raw == dsm_results.results[query].raw
 
     def test_query3a_not_cheaper_than_2a(self, dsm_results):
@@ -108,8 +107,8 @@ class TestQueryResults:
         for name in MODEL_CLASSES:
             model = runner.build_model(name)
             try:
-                stats = AccessStats(model.n_objects)
-                WorkloadExecutor(model, paper_trace("2b", CFG, model), stats=stats).run()
+                stats = TouchRecorder(model.n_objects)
+                WorkloadExecutor(model, paper_trace("2b", CFG, model), online=stats).run()
                 touched[name] = (stats.heat, stats.affinity)
             finally:
                 model.engine.close()

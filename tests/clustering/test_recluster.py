@@ -17,8 +17,7 @@ import random
 import pytest
 
 from repro.benchmark.workload import WorkloadExecutor, WorkloadSpec, compile_trace
-from repro.clustering.placement import placement_order
-from repro.clustering.recluster import collect_stats, recluster_model
+from repro.clustering.recluster import recluster_model
 from repro.errors import BenchmarkError, ModelError, StorageError
 from repro.storage import StorageEngine
 from tests.conftest import build_loaded_model
@@ -159,7 +158,7 @@ class TestModelRecluster:
             name="partial", navigate_weight=0.6, n_ops=40, seed=5
         )
         trace = compile_trace(spec, len(small_stations) // 2)
-        stats = recluster_model(model, trace, "affinity")
+        stats = recluster_model(model, trace, "affinity", small_stations)
         assert len(stats.heat) == model.n_objects
         assert model.scan_all() == len(small_stations)
 
@@ -167,7 +166,7 @@ class TestModelRecluster:
         model = build_loaded_model("NSM+index", small_stations)
         trace = compile_trace(WorkloadSpec(n_ops=5, seed=5), len(small_stations))
         with pytest.raises(BenchmarkError):
-            recluster_model(model, trace, "none")
+            recluster_model(model, trace, "none", small_stations)
 
     def test_snapshot_round_trip_after_recluster(self, small_stations):
         """capture/restore carries the reorganised layout faithfully."""
@@ -223,7 +222,7 @@ class TestPhysicalEffect:
             clustered_model = build_loaded_model(
                 model_name, pressured_stations, buffer_pages=16
             )
-            recluster_model(clustered_model, trace, "affinity")
+            recluster_model(clustered_model, trace, "affinity", pressured_stations)
             clustered = WorkloadExecutor(clustered_model, trace).run()
 
             assert clustered.raw.pages_read < 0.95 * baseline.raw.pages_read, (
@@ -241,8 +240,7 @@ class TestPhysicalEffect:
         baseline = WorkloadExecutor(baseline_model, trace).run()
 
         clustered_model = build_loaded_model("NSM", small_stations, buffer_pages=16)
-        stats = collect_stats(clustered_model, trace)
-        clustered_model.recluster(placement_order("hotcold", stats))
+        recluster_model(clustered_model, trace, "hotcold", small_stations)
         clustered = WorkloadExecutor(clustered_model, trace).run()
 
         drift = abs(clustered.raw.pages_read - baseline.raw.pages_read)

@@ -1,12 +1,10 @@
-"""Unit coverage for the access-statistics collector and trace digests."""
+"""Unit coverage for the access statistics, the training walk and trace digests."""
 
 from __future__ import annotations
 
 from repro.benchmark.workload import WorkloadSpec, compile_trace
 from repro.clustering.stats import AFFINITY_PAIR_CAP, AccessStats, trace_stats
-from repro.clustering.recluster import collect_stats
-from repro.storage import StorageEngine
-from tests.conftest import build_loaded_model
+from repro.clustering.recluster import access_stats
 
 
 class TestRecordOperation:
@@ -58,64 +56,29 @@ class TestRecordOperation:
     def test_summary_shape(self):
         stats = AccessStats(10)
         stats.record_operation([0, 1])
-        stats.page_fixed(7)
-        stats.page_fixed(7)
         summary = stats.summary()
         assert summary["n_ops"] == 1
         assert summary["objects_touched"] == 2
         assert summary["affinity_pairs"] == 1
-        assert summary["page_fixes_observed"] == 2
-        assert summary["pages_touched"] == 1
+        assert set(summary) == {
+            "n_objects",
+            "n_ops",
+            "objects_touched",
+            "total_object_touches",
+            "max_heat",
+            "top_decile_touch_share",
+            "affinity_pairs",
+        }
 
 
-class TestBufferPiggyback:
-    def test_fix_listener_sees_hits_and_misses(self):
-        engine = StorageEngine(buffer_pages=4)
-        stats = AccessStats(1)
-        segment = engine.new_segment("probe")
-        page_id = segment.allocate_page()
-        engine.buffer.unfix(page_id, dirty=True)
-        engine.flush()
-        engine.restart_buffer()
-        engine.buffer.add_fix_listener(stats.page_fixed)
-        engine.buffer.fix(page_id)  # miss
-        engine.buffer.fix(page_id)  # hit
-        engine.buffer.remove_fix_listener(stats.page_fixed)
-        engine.buffer.fix(page_id)  # unobserved
-        engine.buffer.unfix(page_id)
-        engine.buffer.unfix(page_id)
-        engine.buffer.unfix(page_id)
-        assert stats.page_fixes == 2
-        assert stats.page_touches == {page_id: 2}
-
-    def test_listener_does_not_change_metrics(self, small_stations):
-        trace = compile_trace(WorkloadSpec(n_ops=40, seed=5), len(small_stations))
-        plain = build_loaded_model("DASDBS-NSM", small_stations)
-        observed = build_loaded_model("DASDBS-NSM", small_stations)
-        from repro.benchmark.workload import WorkloadExecutor
-
-        want = WorkloadExecutor(plain, trace).run()
-        stats = AccessStats(trace.n_objects)
-        got = WorkloadExecutor(observed, trace, stats=stats).run()
-        assert got.raw == want.raw
-        assert stats.page_fixes == want.raw.page_fixes
-        assert stats.n_ops == len(trace.ops)
-
-    def test_listener_detached_after_replay(self, small_stations):
-        model = build_loaded_model("DSM", small_stations)
-        trace = compile_trace(WorkloadSpec(n_ops=5, seed=5), len(small_stations))
-        collect_stats(model, trace)
-        assert model.engine.buffer.fix_listeners == ()
-
-
-class TestCollectStats:
-    def test_deterministic_across_replays(self, small_stations):
+class TestTrainingWalk:
+    def test_deterministic(self, small_stations):
         spec = WorkloadSpec(
             name="mix", navigate_weight=0.6, skew="zipf", n_ops=60, seed=11
         )
         trace = compile_trace(spec, len(small_stations))
-        first = collect_stats(build_loaded_model("NSM+index", small_stations), trace)
-        second = collect_stats(build_loaded_model("NSM+index", small_stations), trace)
+        first = access_stats(trace, small_stations)
+        second = access_stats(trace, small_stations)
         assert first.heat == second.heat
         assert first.affinity == second.affinity
         assert first.summary() == second.summary()
@@ -133,24 +96,16 @@ class TestCollectStats:
             seed=2,
         )
         trace = compile_trace(spec, len(small_stations))
-        stats = collect_stats(build_loaded_model("DASDBS-NSM", small_stations), trace)
+        stats = access_stats(trace, small_stations)
         assert stats.affinity, "navigation must produce co-access pairs"
 
-    def test_key_refs_map_back_to_oids(self, small_stations):
-        """NSM-family refs are logical keys; heat must land on OIDs."""
-        spec = WorkloadSpec(
-            name="nav-only",
-            point_weight=0.0,
-            navigate_weight=1.0,
-            scan_weight=0.0,
-            update_weight=0.0,
-            n_ops=20,
-            seed=2,
-        )
-        trace = compile_trace(spec, len(small_stations))
-        stats = collect_stats(build_loaded_model("NSM+index", small_stations), trace)
+    def test_sized_by_the_extension(self, small_stations):
+        """Heat covers every object, also for a trace over a prefix."""
+        spec = WorkloadSpec(name="nav-only", navigate_weight=1.0, n_ops=20, seed=2)
+        trace = compile_trace(spec, len(small_stations) // 2)
+        stats = access_stats(trace, small_stations)
         assert len(stats.heat) == len(small_stations)
-        assert sum(stats.heat) > 0
+        assert any(stats.heat[len(small_stations) // 2 :])
 
 
 class TestTraceStats:

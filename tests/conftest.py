@@ -7,6 +7,7 @@ import pytest
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.generator import generate_stations
 from repro.benchmark.runner import BenchmarkRunner
+from repro.clustering.stats import AccessStats
 from repro.models.registry import create_model
 from repro.storage import StorageEngine
 
@@ -54,6 +55,18 @@ def build_loaded_model(name: str, stations, buffer_pages: int = 400):
     model.load(stations)
     engine.reset_metrics()
     return model
+
+
+class TouchRecorder(AccessStats):
+    """Heat and affinity of the objects an executor reports touching.
+
+    Passed as an executor's ``online=`` controller, it records every
+    operation's touched OIDs and never moves anything, so the run's
+    counters are those of a run without it.
+    """
+
+    note_operation = AccessStats.record_operation
+    note_scan = AccessStats.record_scan
 
 
 @pytest.fixture(params=["DSM", "DASDBS-DSM", "NSM", "NSM+index", "DASDBS-NSM"])

@@ -12,10 +12,9 @@ from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.queries import paper_trace
 from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.workload import WorkloadExecutor
-from repro.clustering.stats import AccessStats
 from repro.core.estimators import AnalyticalEvaluator
 from repro.core.parameters import WorkloadParameters, derive_parameters
-from tests.conftest import build_loaded_model
+from tests.conftest import TouchRecorder, build_loaded_model
 
 
 def make_runner(**kw) -> BenchmarkRunner:
@@ -180,8 +179,8 @@ class TestTinyDatabases:
             raw = {}
             for query in ("2b", "3b"):
                 trace = paper_trace(query, runner.config, model)
-                stats = AccessStats(model.n_objects)
-                raw[query] = WorkloadExecutor(model, trace, stats=stats).run().raw
+                stats = TouchRecorder(model.n_objects)
+                raw[query] = WorkloadExecutor(model, trace, online=stats).run().raw
                 assert stats.n_ops == len(trace.ops) == 5
                 assert sum(stats.heat) == len(trace.ops)
                 assert not stats.affinity

@@ -1,15 +1,13 @@
-"""AccessStats under the serving layer (the fix-listener regression).
+"""What the serving layer reports to an online controller.
 
-The serving executor installs its own fix-attribution listener;
-an attached :class:`AccessStats` joins it *alongside*, through the
-multi-listener hook — it must neither displace the serving listener nor
-be displaced by it.  The regression these tests pin: with one client
-and no online moves, serving a trace collects exactly the statistics a
-flat single-stream replay collects, hook observations included; with
-many clients, heat is the sum of the per-client replays.  And feeding
-an online controller through the serving layer stays deterministic
-from run to run — the property the CI concurrency gate byte-diffs at
-the sweep level, sequentially against ``--processes``.
+The serving executor reports every granted operation's touched objects
+to its ``online`` controller, in grant order, after the operation's own
+accounting closed.  With one client it reports exactly what the flat
+single-stream executor reports; with many, heat is the sum of the
+per-client replays.  And feeding an
+:class:`~repro.clustering.online.OnlineRecluster` that way stays
+deterministic from run to run — the property the CI concurrency gate
+byte-diffs at the sweep level, sequentially against ``--processes``.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.generator import generate_stations
 from repro.benchmark.workload import WorkloadExecutor, WorkloadSpec, compile_trace
 from repro.clustering.online import OnlineRecluster
-from repro.clustering.stats import AccessStats
 from repro.serving.server import ServingExecutor, make_client_traces
-from tests.conftest import build_loaded_model
+from tests.conftest import TouchRecorder, build_loaded_model
 
 CONFIG = BenchmarkConfig(n_objects=48, buffer_pages=32)
 
@@ -41,30 +38,24 @@ def _stations():
     return generate_stations(CONFIG)
 
 
-def _collected(stats: AccessStats):
-    return (
-        stats.heat,
-        stats.affinity,
-        stats.n_ops,
-        stats.page_touches,
-        stats.page_fixes,
-    )
+def _recorded(stats: TouchRecorder):
+    return (stats.heat, stats.affinity, stats.n_ops)
 
 
-def test_single_client_serving_stats_equal_flat_replay():
+def test_single_client_serving_reports_the_flat_replays_touches():
     stations = _stations()
     trace = compile_trace(SPEC, CONFIG.n_objects)
 
     flat_model = build_loaded_model("DASDBS-NSM", stations, CONFIG.buffer_pages)
-    flat_stats = AccessStats(flat_model.n_objects)
-    flat = WorkloadExecutor(flat_model, trace, stats=flat_stats).run()
+    flat_stats = TouchRecorder(flat_model.n_objects)
+    flat = WorkloadExecutor(flat_model, trace, online=flat_stats).run()
 
     served_model = build_loaded_model("DASDBS-NSM", stations, CONFIG.buffer_pages)
-    served_stats = AccessStats(served_model.n_objects)
-    served = ServingExecutor(served_model, [trace], stats=served_stats).run()
+    served_stats = TouchRecorder(served_model.n_objects)
+    served = ServingExecutor(served_model, [trace], online=served_stats).run()
     try:
         assert served.result.raw == flat.raw
-        assert _collected(served_stats) == _collected(flat_stats)
+        assert _recorded(served_stats) == _recorded(flat_stats)
     finally:
         flat_model.engine.close()
         served_model.engine.close()
@@ -78,15 +69,15 @@ def test_multi_client_heat_is_the_sum_of_per_client_replays():
     expected_ops = 0
     for trace in traces:
         model = build_loaded_model("DASDBS-NSM", stations, CONFIG.buffer_pages)
-        stats = AccessStats(model.n_objects)
-        WorkloadExecutor(model, trace, stats=stats).run()
+        stats = TouchRecorder(model.n_objects)
+        WorkloadExecutor(model, trace, online=stats).run()
         model.engine.close()
         expected_heat = [a + b for a, b in zip(expected_heat, stats.heat)]
         expected_ops += stats.n_ops
 
     served_model = build_loaded_model("DASDBS-NSM", stations, CONFIG.buffer_pages)
-    served_stats = AccessStats(served_model.n_objects)
-    ServingExecutor(served_model, traces, stats=served_stats).run()
+    served_stats = TouchRecorder(served_model.n_objects)
+    ServingExecutor(served_model, traces, online=served_stats).run()
     try:
         assert served_stats.heat == expected_heat
         assert served_stats.n_ops == expected_ops
