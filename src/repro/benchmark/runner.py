@@ -363,10 +363,11 @@ class BenchmarkRunner:
         image the recording started from (the empty disk when
         rebuilding: the string then holds the load), and the string is
         driven through it.  No model is created and no model, nf2 or
-        heap code runs.  Fault injection, serving, shards, online
-        reclustering and engine files that outlive the run have no
-        replay (``experiments.sweep.direct_reason`` keeps them on
-        :meth:`run_trace`).
+        heap code runs.  Fault injection, serving, shards and engine
+        files that outlive the run have no replay
+        (``experiments.sweep.direct_reason`` keeps them on
+        :meth:`run_trace`); online reclustering replays, its page moves
+        being part of the string.
         """
         config = self.config
         engine = StorageEngine(
@@ -412,7 +413,7 @@ class BenchmarkRunner:
         ``workers`` is a residue kept only because the frozen caller
         ``benchmarks/e2e/workloads.py`` passes ``workers=1``; any other
         value is refused.  It goes with the benchmark-tagged follow-up
-        of ROADMAP item 5.
+        of ROADMAP item 7.
         """
         if workers != 1:
             raise ConfigError(

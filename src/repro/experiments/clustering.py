@@ -38,6 +38,7 @@ from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.workload import WorkloadSpec, compile_trace
 from repro.clustering.stats import trace_stats
 from repro.experiments.report import render_table
+from repro.experiments.sweep import CellInputs
 from repro.models.registry import resolve_models
 
 #: Placement policies compared against the insertion-order baseline.
@@ -102,9 +103,12 @@ def run_comparison(
     training per (model, policy, skew), no matter how often the
     experiment re-runs in a session.  Training executes no workload
     (:func:`~repro.clustering.recluster.recluster_model`), so the
-    experiment's executions are its measured cells.
+    experiment's executions are its measured cells.  The cells differ
+    only in placement, so they share one extension, generated on first
+    use.
     """
     base = experiment_config(config)
+    inputs = CellInputs()
     n_ops = operation_count(base)
     model_names = resolve_models(models)
     out: dict[str, dict[str, dict[str, int]]] = {}
@@ -116,6 +120,7 @@ def run_comparison(
             per_policy: dict[str, int] = {}
             for policy in ("none", *policies):
                 runner = BenchmarkRunner(base.with_changes(recluster=policy))
+                inputs.share_extension(runner)
                 result = runner.run_trace(model, trace)
                 per_policy[policy] = result.raw.pages_read
             per_model[model] = per_policy

@@ -50,6 +50,7 @@ from repro.benchmark.config import BenchmarkConfig, DEFAULT_CONFIG
 from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.workload import WorkloadSpec, compile_trace, hot_window
 from repro.experiments.report import render_table
+from repro.experiments.sweep import CellInputs
 from repro.models.registry import resolve_models
 
 #: The offline policy the controller is raced against (hot/cold heat
@@ -145,9 +146,12 @@ def run_comparison(
     Modes are ``none`` / :data:`OFFLINE_POLICY` / ``online``.  Every
     cell builds its model through the ordinary runner path (offline
     cells come trained from the snapshot store; online cells start from
-    the shared base snapshot and adapt on the meter).
+    the shared base snapshot and adapt on the meter).  The cells differ
+    only in placement mode, so they share one extension, generated on
+    first use.
     """
     base = experiment_config(config)
+    inputs = CellInputs()
     n_ops = operation_count(base)
     model_names = resolve_models(models)
     out: dict[str, dict[str, dict[str, int]]] = {}
@@ -158,6 +162,7 @@ def run_comparison(
             per_mode: dict[str, int] = {}
             for mode in ("none", OFFLINE_POLICY, "online"):
                 runner = BenchmarkRunner(base.with_changes(recluster=mode))
+                inputs.share_extension(runner)
                 result = runner.run_trace(model, trace)
                 per_mode[mode] = result.raw.pages_read
             per_model[model] = per_mode

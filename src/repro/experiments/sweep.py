@@ -457,7 +457,9 @@ def direct_reason(cell: PlannedCell) -> str | None:
     A cell replays the page-reference string its family recorded (see
     :func:`run_family`) unless something besides the buffer shapes what
     the run asks of the buffer, or the replay could leave a trace
-    outside the counters.
+    outside the counters.  Offline placements and the online
+    controller replay: what they move is a function of the trace, and
+    the moves' page traffic is part of the recorded string.
     """
     config = cell.config
     if config.faults != "none":
@@ -466,8 +468,6 @@ def direct_reason(cell: PlannedCell) -> str | None:
         return "serving: the sessions' interleaving is the scheduler's"
     if config.shards != 1:
         return "shards: one string per replica engine"
-    if config.recluster == "online":
-        return "online reclustering: not yet verified under replay"
     if config.backend == "trace" or (
         config.backend_path is not None and config.backend != "memory"
     ):

@@ -18,9 +18,9 @@ StorageEngine`, the way a production object server faces its users:
   model whose inputs are the paper's own integer counters —
   byte-reproducible, like every other number this repository emits.
 
-A served run is single-threaded and attributes page fixes to the
-session whose operation is in progress through the buffer's fix
-listener.  The per-frame owner ledger behind
+A served run is single-threaded and charges each operation's page
+fixes, the engine counter's delta across it, to the session that
+granted it.  The per-frame owner ledger behind
 :meth:`repro.storage.buffer.BufferManager.session_fix` and friends is a
 checked protocol available to callers that hold fixes on a session's
 behalf; nothing in this package takes it, and the latch and session

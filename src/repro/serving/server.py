@@ -227,14 +227,6 @@ class ServingExecutor:
         # Replay state (reset per run).
         self._clock_ms = 0.0
         self._global_index = 0
-        self._active: Session | None = None
-
-    # -- per-session fix attribution ----------------------------------------
-
-    def _fix_observed(self, page_id: int) -> None:
-        active = self._active
-        if active is not None:
-            active.counters.page_fixes += 1
 
     # -- the grant plan ------------------------------------------------------
 
@@ -270,18 +262,11 @@ class ServingExecutor:
         engine.reset_metrics()
         self._clock_ms = 0.0
         self._global_index = 0
-        self._active = None
         for session in self.sessions:
             session.cursor = 0
             session.ready_at_ms = 0.0
-        plan = self._plan()
-        engine.buffer.add_fix_listener(self._fix_observed)
-        try:
-            for session in plan:
-                self._execute_granted(session)
-        finally:
-            engine.buffer.remove_fix_listener(self._fix_observed)
-            self._active = None
+        for session in self._plan():
+            self._execute_granted(session)
         engine.flush()
         return self._collect()
 
@@ -293,6 +278,7 @@ class ServingExecutor:
         ever touched by the operation in progress.
         """
         index, op = session.next_operation()
+        counters = session.counters
         engine = self.engine
         if not session.trace.spec.warm and self._global_index > 0:
             engine.restart_buffer()
@@ -310,7 +296,6 @@ class ServingExecutor:
             nonlocal backoff_ms
             backoff_ms += backoff_delay_ms(attempt, self.backoff_base_ms)
 
-        self._active = session
         try:
             touched, retries_used = call_with_retries(
                 lambda: self._execute_op(op, index),
@@ -322,14 +307,16 @@ class ServingExecutor:
             # (all attempts + backoff) still burdens this session.
             touched, retries_used = None, self.retry_limit
             errored = True
-            session.counters.errors += 1
-        finally:
-            self._active = None
-        session.counters.retries += retries_used
+            counters.errors += 1
+        counters.retries += retries_used
+        # Every fix since ``fixes_before`` is this operation's, all its
+        # attempts included: the session is charged the counter delta.
+        fixes = metrics.page_fixes - fixes_before
+        counters.page_fixes += fixes
         service_ms = backoff_ms + self.service_model.op_ms(
             metrics.read_calls + metrics.write_calls - calls_before,
             metrics.pages_read + metrics.pages_written - pages_before,
-            metrics.page_fixes - fixes_before,
+            fixes,
         )
         # Closed-loop queueing recurrence: the serial server picks the
         # grant up at max(submission, server-free); with work always
@@ -337,16 +324,14 @@ class ServingExecutor:
         start_ms = self._clock_ms if self._clock_ms > session.ready_at_ms else session.ready_at_ms
         completion_ms = start_ms + service_ms
         self._clock_ms = completion_ms
-        counters = session.counters
         counters.ops[op.kind] += 1
         counters.service_ms += service_ms
         counters.latencies_ms.append(completion_ms - session.ready_at_ms)
         session.ready_at_ms = completion_ms
-        # The controller runs after the operation's own accounting
-        # closed and with no active session, so a triggered move batch
-        # attributes its fixes to no session and no service time — the
-        # "background" half of online reclustering, at a fixed point of
-        # the grant order.
+        # The controller runs after the operation's counter deltas were
+        # taken, so a triggered move batch charges its fixes to no
+        # session and no service time — the "background" half of online
+        # reclustering, at a fixed point of the grant order.
         online = self.online
         if online is not None and not errored:  # abandoned: feeds nothing
             if touched is None:

@@ -5,9 +5,9 @@ everything client-visible — which operation comes next, how many of
 each kind have run, the simulated-time latency of every completed
 request — and nothing engine-visible: the shared
 :class:`~repro.storage.StorageEngine` and its metrics belong to the
-:class:`~repro.serving.server.ServingExecutor`, which attributes page
-fixes back to the active session through the buffer's fix-listener
-hook.  That split is the isolation contract: sessions can be added,
+:class:`~repro.serving.server.ServingExecutor`, which charges each
+granted operation's page fixes (the engine counter's delta across it)
+back to the session.  That split is the isolation contract: sessions can be added,
 reordered or interleaved without one session's state leaking into
 another's.
 """
@@ -26,7 +26,7 @@ class SessionCounters:
     def __init__(self) -> None:
         #: Completed operations by kind (trace-order keys).
         self.ops: dict[str, int] = {kind: 0 for kind in OP_KINDS}
-        #: Page fixes attributed to this session (buffer hook).
+        #: Page fixes of this session's operations (counter deltas).
         self.page_fixes = 0
         #: Total simulated service time of this session's operations.
         self.service_ms = 0.0

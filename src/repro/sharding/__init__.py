@@ -12,7 +12,7 @@ transfers along navigation paths.  :class:`ShardedEngine` rolls the
 per-shard counters up live, so the experiment tables render unchanged.
 """
 
-from repro.sharding.engine import AggregateMetrics, ShardedBuffer, ShardedEngine
+from repro.sharding.engine import AggregateMetrics, ShardedEngine
 from repro.sharding.model import ShardedModel, ShardingReport
 from repro.sharding.router import SHARD_POLICIES, ShardRouter, split_buffer_pages
 
@@ -20,7 +20,6 @@ __all__ = [
     "AggregateMetrics",
     "SHARD_POLICIES",
     "ShardRouter",
-    "ShardedBuffer",
     "ShardedEngine",
     "ShardedModel",
     "ShardingReport",

@@ -4,7 +4,7 @@ Each shard owns a complete :class:`~repro.storage.StorageEngine` — its
 own buffer pool, simulated disk, and metrics collector.  The facade
 presents the union to the benchmark executors with the exact surface
 they already consume from a single engine (live counter attributes,
-``metrics.snapshot()``, ``restart_buffer``, fix-listener broadcast),
+``metrics.snapshot()``, ``restart_buffer``, ``flush``),
 so the workload and serving layers run unchanged on sharded
 deployments.
 """
@@ -74,29 +74,6 @@ for _field in _COUNTER_FIELDS:
 del _field
 
 
-class ShardedBuffer:
-    """Broadcast facade over the per-shard buffer managers.
-
-    The executors hook fix listeners on ``engine.buffer``; a listener
-    applies uniformly to every shard.
-    """
-
-    def __init__(self, engines: Sequence[StorageEngine]) -> None:
-        self._buffers = tuple(engine.buffer for engine in engines)
-
-    @property
-    def capacity(self) -> int:
-        return sum(buffer.capacity for buffer in self._buffers)
-
-    def add_fix_listener(self, listener: Callable[[int], None]) -> None:
-        for buffer in self._buffers:
-            buffer.add_fix_listener(listener)
-
-    def remove_fix_listener(self, listener: Callable[[int], None]) -> None:
-        for buffer in self._buffers:
-            buffer.remove_fix_listener(listener)
-
-
 class ShardedEngine:
     """The union of N per-shard engines, with a single-engine surface."""
 
@@ -106,7 +83,6 @@ class ShardedEngine:
         self.engines = tuple(engines)
         self.page_size = self.engines[0].page_size
         self.metrics = AggregateMetrics(self.engines)
-        self.buffer = ShardedBuffer(self.engines)
         #: Hooks run on ``reset_metrics`` (the sharded model registers
         #: one to clear its cross-shard hop counter alongside the I/O
         #: counters, keeping measured windows aligned).
@@ -144,4 +120,4 @@ class ShardedEngine:
         return tuple(engine.metrics.snapshot() for engine in self.engines)
 
 
-__all__ = ["AggregateMetrics", "ShardedBuffer", "ShardedEngine"]
+__all__ = ["AggregateMetrics", "ShardedEngine"]

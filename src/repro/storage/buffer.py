@@ -29,7 +29,7 @@ import weakref
 from array import array
 from collections import OrderedDict, deque
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import (
     BufferError_,
@@ -488,16 +488,6 @@ class BufferManager:
         # materialises a private copy when it is first mutated
         # (SlottedPage copy-on-write, ``page_data``, or seal-on-write).
         self._zero_copy = disk.backend.zero_copy
-        # Observation hooks: callables invoked with the page id of
-        # **every** fix (hits, misses, batched fixes and fresh pages
-        # alike).  Listeners fire in registration order, must only
-        # observe, and never affect metrics or replacement state.  The
-        # clustering statistics collector and the serving layer's
-        # per-session accounting both attach here.  ``_notify_fix`` is
-        # the hot-path dispatcher: None with no listeners, the listener
-        # itself with exactly one, a fan-out closure otherwise.
-        self._fix_listeners: list[Callable[[int], None]] = []
-        self._notify_fix: Callable[[int], None] | None = None
         # Session latching (off by default): ``enable_latching`` arms a
         # re-entrant latch serialising the session_* entry points, so
         # multiple sessions can pin/unpin frames through one manager.
@@ -567,7 +557,7 @@ class BufferManager:
     def peek(self, page_id: int) -> bytearray | memoryview | None:
         """A resident page's bytes without fixing it, or None.
 
-        Touches no metric, policy or fix listener, and pins nothing: the
+        Touches no metric or policy, and pins nothing: the
         result is for reading *now*, before anything can evict the frame
         or mutate it (``LongObjectStore.read`` compares a directory memo
         against it, then fixes the page the ordinary way).
@@ -578,48 +568,6 @@ class BufferManager:
     def fixed_pages(self) -> list[int]:
         """Pages currently fixed (non-zero fix count)."""
         return [pid for pid, frame in self._frames.items() if frame.fix_count > 0]
-
-    # -- fix listeners ---------------------------------------------------------
-
-    def add_fix_listener(self, listener: Callable[[int], None]) -> None:
-        """Register an observation hook for every page fix.
-
-        Ordering contract: listeners fire in registration order, once
-        per fix, after the fix's metrics are recorded.  The same
-        callable may be registered only once.
-        """
-        if listener in self._fix_listeners:
-            raise BufferError_("fix listener is already registered")
-        self._fix_listeners.append(listener)
-        self._rebuild_fix_dispatch()
-
-    def remove_fix_listener(self, listener: Callable[[int], None]) -> None:
-        """Unregister a hook added with :meth:`add_fix_listener`."""
-        try:
-            self._fix_listeners.remove(listener)
-        except ValueError:
-            raise BufferError_("fix listener is not registered") from None
-        self._rebuild_fix_dispatch()
-
-    @property
-    def fix_listeners(self) -> tuple[Callable[[int], None], ...]:
-        """Registered listeners, in firing order."""
-        return tuple(self._fix_listeners)
-
-    def _rebuild_fix_dispatch(self) -> None:
-        listeners = self._fix_listeners
-        if not listeners:
-            self._notify_fix = None
-        elif len(listeners) == 1:
-            self._notify_fix = listeners[0]
-        else:
-            frozen = tuple(listeners)
-
-            def dispatch(page_id: int) -> None:
-                for fire in frozen:
-                    fire(page_id)
-
-            self._notify_fix = dispatch
 
     # -- fixing ------------------------------------------------------------------
 
@@ -634,9 +582,6 @@ class BufferManager:
             metrics.page_fixes += 1
             metrics.buffer_hits += 1
             frame.fix_count += 1
-            notify = self._notify_fix
-            if notify is not None:
-                notify(page_id)
             return frame.data
         if len(self._frames) >= self.capacity:
             self._evict_one()  # full, never over-full: one frame short
@@ -645,9 +590,6 @@ class BufferManager:
         metrics.page_fixes += 1
         metrics.buffer_misses += 1
         frame.fix_count += 1
-        notify = self._notify_fix
-        if notify is not None:
-            notify(page_id)
         return frame.data
 
     def fix_many(self, page_ids: Sequence[int]) -> dict[int, bytearray]:
@@ -663,7 +605,6 @@ class BufferManager:
         hits = [frames_get(pid) for pid in page_ids]
         on_access = self._on_access
         metrics = self.metrics
-        notify = self._notify_fix
         out: dict[int, bytearray] = {}
         if None not in hits:
             # All resident: nothing can be evicted, so nothing is pinned.
@@ -672,8 +613,6 @@ class BufferManager:
                 metrics.page_fixes += 1
                 metrics.buffer_hits += 1
                 frame.fix_count += 1
-                if notify is not None:
-                    notify(pid)
                 out[pid] = frame.data
             return out
         missing = [pid for pid, frame in zip(page_ids, hits) if frame is None]
@@ -706,8 +645,6 @@ class BufferManager:
                 metrics.page_fixes += 1
                 metrics.buffer_hits += 1
             frame.fix_count += 1
-            if notify is not None:
-                notify(pid)
             out[pid] = frame.data
         return out
 
@@ -746,9 +683,6 @@ class BufferManager:
         self._frames[page_id] = frame
         self.policy.on_insert(page_id)
         self.metrics.record_fix(hit=False)
-        notify = self._notify_fix
-        if notify is not None:
-            notify(page_id)
         return frame.data
 
     def page_data(self, page_id: int) -> bytearray:

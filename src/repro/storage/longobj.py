@@ -241,9 +241,8 @@ class LongObjectStore:
         When the memoised directory matches the resident root frame and
         every header and needed data page is resident, the two calls
         become one ``fix_many``/``unfix_many`` over the same pages in the
-        same order: nothing can miss or be evicted, so fixes, hits,
-        policy accesses and fix listeners see exactly the two-call
-        sequence.  Anything else — a miss, a memo mismatch, a bad section
+        same order: nothing can miss or be evicted, so fixes, hits and
+        policy accesses see exactly the two-call sequence.  Anything else — a miss, a memo mismatch, a bad section
         id — takes the two-call path and fails where it always did.
         """
         out = self._read_resident(address, section_ids, copy)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 
 from repro.benchmark.config import BenchmarkConfig
@@ -55,6 +57,39 @@ def build_loaded_model(name: str, stations, buffer_pages: int = 400):
     model.load(stations)
     engine.reset_metrics()
     return model
+
+
+def log_fixes(buffer, observe: Callable[[int], None]) -> None:
+    """Call ``observe(page_id)`` once per page ``buffer`` fixes.
+
+    Wraps the buffer's ``fix``, ``fix_many`` and ``new_page`` as
+    instance attributes (the class and every other buffer stay as they
+    are), on top of whatever those attributes already are, so install
+    it after a :class:`~repro.storage.buffer.ReferenceString` recorder.
+    Each call is observed after it returns, one entry per requested page
+    in request order, duplicates included; a call that raises is not
+    observed.  ``fix_view``, ``fix_views`` and ``read_views`` fix
+    through these attributes and are observed too.
+    """
+    fix, fix_many, new_page = buffer.fix, buffer.fix_many, buffer.new_page
+
+    def logged_fix(page_id):
+        data = fix(page_id)
+        observe(page_id)
+        return data
+
+    def logged_fix_many(page_ids):
+        frames = fix_many(page_ids)
+        for page_id in page_ids:
+            observe(page_id)
+        return frames
+
+    def logged_new_page(page_id):
+        data = new_page(page_id)
+        observe(page_id)
+        return data
+
+    buffer.fix, buffer.fix_many, buffer.new_page = logged_fix, logged_fix_many, logged_new_page
 
 
 class TouchRecorder(AccessStats):

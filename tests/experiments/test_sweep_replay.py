@@ -5,7 +5,8 @@
   :func:`~repro.experiments.sweep.direct_reason` names a reason.
 * **Replayed cells are direct cells**: every cell of a grid equals the
   same cell executed directly, across policies, snapshots on and off,
-  backends, the I/O scheduler and the offline placements.
+  backends, the I/O scheduler, the offline placements and online
+  reclustering.
 * **The recorded shape**: a family recorded at LRU/300, where long
   objects miss, replays at LRU-K/300 and 2Q/300 to the direct counters
   (recording the one-call resident shortcut as taken would not).
@@ -95,7 +96,6 @@ def test_the_benchmark_grid_executes_eighteen_families(executions):
         ({"faults": "seed=1"}, {}, "faults"),
         ({}, {"clients": (1, 2)}, "serving"),
         ({}, {"shards": (2,)}, "shards"),
-        ({}, {"reclusters": ("online",)}, "online"),
         ({"backend": "trace"}, {}, "engine files"),
         ({"backend": "file", "backend_path": True}, {}, "engine files"),
     ],
@@ -117,6 +117,23 @@ def test_direct_families_execute_every_cell(executions, tmp_path, changes, optio
     assert executions["runs"] == len(result.cells) == len(planned)
 
 
+#: Online cells whose controller triggers three times in 30 operations.
+ONLINE = SMALL.with_changes(online_trigger_ops=10)
+
+
+def test_online_cells_execute_once_per_family(executions):
+    result = sweep.run_sweep(
+        ONLINE,
+        ("uniform,ops=30", "update-heavy,ops=30"),
+        (8, 400),
+        ("lru", "2q"),
+        ("DSM", "DASDBS-NSM"),
+        reclusters=("none", "online"),
+    )
+    assert len(result.cells) == 32
+    assert executions["runs"] == 8
+
+
 PARITY = {
     "snapshots": (SMALL, {}),
     "rebuilt": (SMALL.with_changes(snapshots=False), {}),
@@ -126,6 +143,8 @@ PARITY = {
         SMALL.with_changes(snapshots=False),
         {"reclusters": ("affinity",)},
     ),
+    "online": (ONLINE, {"reclusters": ("none", "online")}),
+    "online-rebuilt": (ONLINE.with_changes(snapshots=False), {"reclusters": ("online",)}),
 }
 
 
@@ -144,6 +163,16 @@ def test_replayed_cells_equal_direct_execution(name):
     inputs = sweep.CellInputs()
     direct = [sweep.run_cell(cell, inputs) for cell in planned]
     assert [cell.to_dict() for cell in result.cells] == [cell.to_dict() for cell in direct]
+    if name == "online":
+        # The controller moved pages wherever a model moves any (plain
+        # NSM's ``move_objects`` is a no-op): every other online cell
+        # counts differently from its insertion-order twin.
+        by_mode = {"none": [], "online": []}
+        for cell in result.cells:
+            by_mode[cell.recluster].append(cell)
+        for plain, online in zip(by_mode["none"], by_mode["online"]):
+            moved = plain.result.raw != online.result.raw
+            assert moved == (plain.model != "NSM"), plain.model
 
 
 @pytest.mark.parametrize("model", ("DSM", "DASDBS-DSM", "DASDBS-NSM"))

@@ -90,9 +90,9 @@ def test_sharded_cells_roll_up_to_the_per_shard_sums():
 
 
 def test_served_sharded_run_attributes_fixes_on_every_shard():
-    """The serving layer hooks its fix listener on ``engine.buffer``;
-    ``ShardedBuffer`` must fan it out, or fixes on shards 1..N-1 would
-    be charged to no session."""
+    """Each session is charged the aggregate counter's delta across its
+    operations, so fixes on shards 1..N-1 reach a session's ledger as
+    surely as shard 0's."""
     from repro.benchmark.runner import BenchmarkRunner
     from repro.benchmark.workload import WorkloadSpec
     from repro.serving import ServingExecutor, make_client_traces

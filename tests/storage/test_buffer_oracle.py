@@ -7,7 +7,8 @@ buffer adoption, no shared write-back helper.  Seeded random streams of
 every entry point the rewritten page path serves are replayed on both,
 each over its own disk, and after **every** step the two must agree on
 the counters, the resident set, the fix counts, the eviction sequence
-and what each fix listener saw — and at the end on the disk image.
+and the pages each call fixed, in order — and at the end on the disk
+image.
 "Counters are sacred" as a machine-run check instead of resting on the
 goldens alone.
 """
@@ -27,6 +28,7 @@ from repro.storage.buffer import (
 )
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import SlottedPage
+from tests.conftest import log_fixes
 
 PAGE = 512
 CAPACITY = 6
@@ -83,7 +85,6 @@ class ReferenceBuffer:
         self.policy.bind_capacity(capacity)
         self.write_batch_max = write_batch_max
         self.frames: dict[int, _RefFrame] = {}
-        self.listener = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -98,8 +99,6 @@ class ReferenceBuffer:
     def _count(self, page_id, hit):
         self.metrics.record_fix(hit=hit)
         self.frames[page_id].fix_count += 1
-        if self.listener is not None:
-            self.listener(page_id)
 
     def _make_room(self, needed):
         if needed > self.capacity:
@@ -121,7 +120,8 @@ class ReferenceBuffer:
     # -- the entry points under test ------------------------------------------
 
     def fix(self, page_id):
-        return self.fix_many([page_id])[page_id]
+        # The class's own fix_many: the instance attribute is observed.
+        return type(self).fix_many(self, [page_id])[page_id]
 
     def fix_many(self, page_ids):
         missing = []
@@ -229,12 +229,11 @@ class Side:
             self.buffer = BufferManager(
                 self.disk, CAPACITY, self.policy, write_batch_max=BATCH_MAX
             )
-            self.buffer.add_fix_listener(self._saw)
             self.fix_counts = lambda: _real_fix_counts(self.buffer)
         else:
             self.buffer = ReferenceBuffer(self.disk, CAPACITY, self.policy, BATCH_MAX)
-            self.buffer.listener = self._saw
             self.fix_counts = self.buffer.fix_counts
+        log_fixes(self.buffer, self._saw)
         self.seen: list[tuple[int, int, int]] = []
         # Every page starts as a formatted slotted page with a record,
         # so the batch-views entry point has something honest to decode.

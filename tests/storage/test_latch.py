@@ -1,18 +1,15 @@
-"""Session latch protocol and the fix-listener list.
+"""Session latch protocol.
 
-The serving layer multiplexes sessions onto one buffer through the
+Callers that hold fixes on a session's behalf go through the
 ``session_*`` entry points; these tests pin the protocol down frame by
 frame: double-fix refcounting, unfix-by-non-holder rejection, eviction
 blocked while *any* session holds a frame, view-cache coherence across
-sessions, and disconnect cleanup.  The listener-list tests are the
-regression suite for the single-slot hook the list replaced — the
-statistics collector and the serving layer must be able to observe the
-same replay.
+sessions, and disconnect cleanup.
 """
 
 import pytest
 
-from repro.errors import BufferError_, BufferFullError, InvalidAddressError, LatchError
+from repro.errors import BufferFullError, InvalidAddressError, LatchError
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 
@@ -191,66 +188,3 @@ class TestLatchProtocol:
         buf2.fix(pid2)
         buf2.unfix(pid2)
         assert disk2.metrics.snapshot() == baseline
-
-
-class TestFixListenerList:
-    def test_both_listeners_fire_in_registration_order(self):
-        """The single-slot regression: two observers of one replay."""
-        disk, buf = make()
-        pid = disk.allocate()
-        fired = []
-        buf.add_fix_listener(lambda p: fired.append(("stats", p)))
-        buf.add_fix_listener(lambda p: fired.append(("serving", p)))
-        buf.fix(pid)
-        buf.unfix(pid)
-        assert fired == [("stats", pid), ("serving", pid)]
-
-    def test_listeners_fire_on_every_fix_path(self):
-        disk, buf = make()
-        a, b = disk.allocate(), disk.allocate()
-        fresh = 17
-        fired = []
-        buf.add_fix_listener(fired.append)
-        buf.fix(a)                      # miss
-        buf.fix(a)                      # hit
-        buf.fix_many([a, b])            # batched hit + miss
-        buf.new_page(fresh)             # fresh page
-        assert fired == [a, a, a, b, fresh]
-        for _ in range(3):
-            buf.unfix(a)
-        buf.unfix(b)
-        buf.unfix(fresh)
-
-    def test_duplicate_registration_rejected(self):
-        disk, buf = make()
-        listener = lambda p: None
-        buf.add_fix_listener(listener)
-        with pytest.raises(BufferError_):
-            buf.add_fix_listener(listener)
-
-    def test_remove_unregistered_rejected(self):
-        disk, buf = make()
-        with pytest.raises(BufferError_):
-            buf.remove_fix_listener(lambda p: None)
-
-    def test_remove_restores_single_dispatch(self):
-        disk, buf = make()
-        pid = disk.allocate()
-        fired = []
-        keep, drop = fired.append, lambda p: fired.append(-p)
-        buf.add_fix_listener(keep)
-        buf.add_fix_listener(drop)
-        buf.remove_fix_listener(drop)
-        assert buf.fix_listeners == (keep,)
-        buf.fix(pid)
-        buf.unfix(pid)
-        assert fired == [pid]
-
-    def test_no_listeners_means_no_dispatch(self):
-        disk, buf = make()
-        assert buf._notify_fix is None
-        listener = lambda p: None
-        buf.add_fix_listener(listener)
-        assert buf._notify_fix is listener  # zero-overhead single path
-        buf.remove_fix_listener(listener)
-        assert buf._notify_fix is None

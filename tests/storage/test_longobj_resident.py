@@ -7,8 +7,9 @@ the store: this suite runs the same script of stores, reads, deletes and
 snapshot restores on two twin engines — one reading through the store,
 one through :func:`reference_read`, today's two-call path with the
 directory decoded from the page bytes every time — and requires equal
-sections, an equal :class:`MetricsSnapshot`, and the same fix-listener,
-``policy.on_access`` and eviction sequences after every step.
+sections, an equal :class:`MetricsSnapshot`, and the same fixed-page
+(``tests.conftest.log_fixes``), ``policy.on_access`` and eviction
+sequences after every step.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.storage.backends import MemoryBackend
 from repro.storage.buffer import LRUPolicy
 from repro.storage.constants import PAGE_HEADER_SIZE
 from repro.storage.longobj import LongObjectAddress, LongObjectStore
+from tests.conftest import log_fixes
 
 PAGE = 512
 PAYLOAD = PAGE - PAGE_HEADER_SIZE
@@ -124,6 +126,8 @@ class Twin:
         if plan is not None:
             backend = FaultyBackend(MemoryBackend(PAGE), plan)
         self.events: list[tuple[str, int]] = []
+        #: Every page fixed, in request order (see ``log_fixes``).
+        self.fixes: list[int] = []
         self.engine = StorageEngine(
             page_size=PAGE,
             buffer_pages=capacity,
@@ -138,8 +142,7 @@ class Twin:
         self._observe(self.engine.buffer)
 
     def _observe(self, buffer):
-        events = self.events
-        buffer.add_fix_listener(lambda pid: events.append(("fix", pid)))
+        log_fixes(buffer, self.fixes.append)
         fix_many = buffer.fix_many
 
         def counted(page_ids):
@@ -158,7 +161,7 @@ class Twin:
             return type(exc)
 
     def state(self):
-        return self.engine.metrics.snapshot(), list(self.events)
+        return self.engine.metrics.snapshot(), list(self.events), list(self.fixes)
 
     def snapshot(self):
         return self.engine.snapshot(), self.store.capture_state()
@@ -169,6 +172,7 @@ class Twin:
         disk, state = snap
         self.engine.restore(disk)
         self.events.clear()
+        self.fixes.clear()
         self.clones += 1
         segment = self.engine.new_segment(f"clone-{self.clones}")
         self.store = LongObjectStore(segment, DASDBS_FORMAT)
@@ -382,10 +386,11 @@ class TestErrorPathsKeepTodaysCounters:
         for section_ids, copy in READS:
             if section_ids is None or SECTION_ROOT not in section_ids:
                 continue
-            del pair[0].events[:]
-            del pair[1].events[:]
+            for twin in pair:
+                twin.events.clear()
+                twin.fixes.clear()
             assert both(pair, lambda twin: twin.read(address, section_ids, copy)) is InvalidAddressError
-            fixed = {pid for kind, pid in pair[0].events if kind == "fix"}
+            fixed = set(pair[0].fixes)
             assert fixed == set(address.header_page_ids)
             assert not fixed & data_pages
 

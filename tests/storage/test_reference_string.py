@@ -33,6 +33,7 @@ from repro.storage.buffer import (
     make_policy,
 )
 from repro.storage.longobj import LongObjectStore
+from tests.conftest import log_fixes
 
 PAGE = 512
 CAPACITIES = (12, 20, 64)
@@ -189,16 +190,19 @@ def test_resident_read_asks_the_same_in_one_call_and_in_two(sections_read):
         store.read(address)  # everything resident, directory memoised
         if recording:
             ReferenceString().record(engine)
-        engine.buffer.add_fix_listener(lambda pid: log.append(("fix", pid)))
+        fixes: list[int] = []
+        log_fixes(engine.buffer, fixes.append)
         log.clear()
         engine.reset_metrics()
         fix_many_calls = []
         fix_many = engine.buffer.fix_many
         engine.buffer.fix_many = lambda ids: fix_many_calls.append(len(ids)) or fix_many(ids)
         data = store.read(address, sections_read)
-        runs.append((data, list(log), engine.metrics.snapshot(), len(fix_many_calls)))
-    (one_data, one_log, one_metrics, one_calls), (two_data, two_log, two_metrics, two_calls) = runs
+        runs.append((data, list(log), fixes, engine.metrics.snapshot(), len(fix_many_calls)))
+    (one_data, one_log, one_fixes, one_metrics, one_calls) = runs[0]
+    (two_data, two_log, two_fixes, two_metrics, two_calls) = runs[1]
     assert (one_calls, two_calls) == (1, 2)
     assert one_data == two_data
     assert one_log == two_log
+    assert one_fixes == two_fixes
     assert one_metrics == two_metrics
