@@ -33,6 +33,7 @@ trace, byte for byte.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import BenchmarkError
@@ -95,23 +96,33 @@ class TicketMachine:
         self.states = [AVAILABLE] * n_records
         self.held_since = [-1] * n_records
         self.transitions: list[Transition] = []
+        #: ``(held_since, record)`` per hold taken, oldest first; an
+        #: entry is stale once its record left that hold.
+        self._holds: deque[tuple[int, int]] = deque()
+        self._sold = 0
 
     def _move(self, index: int, record: int, target: str, cause: str) -> None:
-        self.transitions.append(
-            Transition(index, record, self.states[record], target, cause)
-        )
+        """Take one edge: the only writer of :attr:`states`."""
+        source = self.states[record]
+        self.transitions.append(Transition(index, record, source, target, cause))
         self.states[record] = target
-        self.held_since[record] = index if target == HELD else -1
+        self._sold += (target == SOLD) - (source == SOLD)
+        if target == HELD:
+            self.held_since[record] = index
+            self._holds.append((index, record))
+        else:
+            self.held_since[record] = -1
 
     def expire_holds(self, index: int) -> list[int]:
         """Records whose holds lapse at operation ``index`` (in record
-        order); each transitions back to AVAILABLE."""
-        lapsed = [
-            record
-            for record in range(self.n_records)
-            if self.states[record] == HELD
-            and index - self.held_since[record] >= self.hold_ops
-        ]
+        order); each transitions back to AVAILABLE.  Operation indices
+        never decrease, so the lapsed holds lead the queue."""
+        holds, lapsing = self._holds, set()
+        while holds and index - holds[0][0] >= self.hold_ops:
+            since, record = holds.popleft()
+            if self.states[record] == HELD and self.held_since[record] == since:
+                lapsing.add(record)
+        lapsed = sorted(lapsing)
         for record in lapsed:
             self._move(index, record, AVAILABLE, "expire")
         return lapsed
@@ -135,7 +146,7 @@ class TicketMachine:
             return "update"
         # SOLD: fans keep checking; a fully sold-out inventory restocks
         # (the next event goes on sale) so the machine never dead-ends.
-        if all(s == SOLD for s in self.states):
+        if self._sold == self.n_records:
             for rec in range(self.n_records):
                 self._move(index, rec, AVAILABLE, "restock")
             return "update"

@@ -9,8 +9,9 @@ through one ``exec`` and keeps the functions on a :class:`_LayoutPlan`:
 * **decode** — one *values-only* :class:`struct.Struct` per level: the
   tuple header, the offset array and every attribute a reader does not
   want are pad bytes (``x``), so the result of the unpack *is* the
-  values.  They go into a dict literal with the string fix-up inline and
-  the :class:`~repro.nf2.values.NestedTuple` is built in place.  A
+  values.  They go into a dict literal, each string looked up in the
+  table of decoded text (below), and the
+  :class:`~repro.nf2.values.NestedTuple` is built in place.  A
   sub-relation whose stored tuples are flat (fixed stride) is decoded by
   **one** ``iter_unpack`` over its whole instance instead of one call
   per child; because ``iter_unpack`` over a slice clamps silently, the
@@ -46,6 +47,27 @@ keeps its :attr:`~_LayoutPlan.source` and registers it with
 :mod:`linecache` under a pseudo-filename naming the relation
 (``<nf2 codec Station #3>``), so tracebacks show real lines and a
 profile keeps one row per relation.
+
+**Decoded text is kept.**  A stored string is a NUL-padded field
+(100 bytes in the benchmark schema), and turning it into a ``str`` —
+``rstrip(b"\\0")``, which walks the padding one byte at a time, then
+``decode("utf-8")`` — costs several times the unpack that produced it.
+Most fields repeat a value another record holds (``History``,
+``Remarks`` and ``DepartureTimes`` hold one value each across the
+extension), so one module-level table, ``_TEXT``, maps stored
+field bytes to their decoded ``str`` for every plan, every assembly
+and ``NF2Serializer.decode_atom``.  The key is the whole padded field,
+so equal keys decode to equal strings and every value, error and
+counter is what decoding afresh would give.  A miss strips and decodes
+*on the generated line* and only then enters the result, so a corrupt
+string raises from the line naming its attribute, exactly as without
+the table, and bytes that fail to decode are never kept.  The table is
+emptied when it reaches ``_TEXT_BOUND`` (2**14) entries — a bound, not
+an option: the benchmark's workloads hold about 4 000 distinct values.
+A workload of all-distinct text pays the lookup and the entry on top
+of the decode on every field.  Decoders in several threads need no lock:
+however they interleave, every entry holds its own key's decoding (the
+bound may be passed by one entry per racing thread until the next miss).
 
 Generated layout functions let ``struct.error`` (truncated buffer, count
 the buffer cannot hold) and ``UnicodeDecodeError`` (corrupt string)
@@ -96,8 +118,33 @@ _U32 = struct.Struct("<I")
 #: format, a projection, a fuzz schema) must not share a linecache entry.
 _serial = count(1)
 
-_STRING_FIXUP = '.rstrip(b"\\0").decode("utf-8")'
 _STRING_ENCODE = '.encode("utf-8")'
+
+#: Stored string field bytes -> their decoded ``str`` ("Decoded text is
+#: kept" above); emptied when it holds ``_TEXT_BOUND`` entries.
+_TEXT: dict[bytes, str] = {}
+_TEXT_BOUND = 1 << 14
+
+
+def _keep(raw: bytes, text: str) -> str:
+    """Enter ``text``, the decoding of ``raw``, in the table; return it."""
+    if len(_TEXT) >= _TEXT_BOUND:
+        _TEXT.clear()
+    _TEXT[raw] = text
+    return text
+
+
+def _atom(var: str, is_str: bool) -> str:
+    """The generated expression for the stored field unpacked into ``var``:
+    a string is looked up in ``_TEXT``, and decoded on the generated line
+    itself on a miss, so a corrupt string raises from the line naming
+    its attribute and is never kept."""
+    if not is_str:
+        return var
+    return (
+        f"(hit if (hit := text.get({var})) is not None "
+        f'else keep({var}, {var}.rstrip(b"\\0").decode("utf-8")))'
+    )
 
 
 def _undecodable(schema: RelationSchema, exc: Exception) -> SerializationError:
@@ -296,6 +343,8 @@ class _LayoutPlan:
         namespace: dict[str, object] = {
             "u32": _U32.unpack_from,
             "error": struct.error,
+            "text": _TEXT,
+            "keep": _keep,
             "new": NestedTuple.__new__,
             "NT": NestedTuple,
             "schema": self.schema,
@@ -335,7 +384,7 @@ class _LayoutPlan:
         return (
             "{"
             + ", ".join(
-                f"{name!r}: {stem}{index}{_STRING_FIXUP if is_str else ''}"
+                f"{name!r}: {_atom(f'{stem}{index}', is_str)}"
                 for index, (name, is_str) in enumerate(self.fields)
             )
             + "}"
@@ -694,8 +743,7 @@ class _PartCode:
     def _build(self, lines: list[str], pad: str) -> None:
         """Lines building ``child`` from the unpacked values."""
         atoms = ", ".join(
-            f"{attr.name!r}: v{index}"
-            + (_STRING_FIXUP if attr.type is AttributeType.STR else "")
+            f"{attr.name!r}: {_atom(f'v{index}', attr.type is AttributeType.STR)}"
             for index, attr in enumerate(self.target.attributes)
         )
         lines += [
@@ -873,6 +921,8 @@ class _AssemblyPlan:
             "u32": _U32.unpack_from,
             "error": struct.error,
             "undecodable": _undecodable,
+            "text": _TEXT,
+            "keep": _keep,
             "new": NestedTuple.__new__,
             "NT": NestedTuple,
             "first": itemgetter(0),

@@ -33,8 +33,9 @@ of every sweep cell passes through it.  It therefore does not interpret
 schemas at all: :mod:`repro.nf2.codec` *generates*, per
 ``(StorageFormat, RelationSchema)`` pair, the source of straight-line
 decode and encode functions (a values-only :class:`struct.Struct` whose
-unpack result is the attribute values, a dict literal with the string
-fix-ups inline, the tuple built in place, flat sub-relations decoded by
+unpack result is the attribute values, a dict literal with each string
+looked up in the codec's table of decoded text (decoded inline on a
+miss), the tuple built in place, flat sub-relations decoded by
 one ``iter_unpack`` per instance; ``pack_into`` with the atoms named in
 the call) and compiles it with one ``exec``.  The compiled
 :class:`~repro.nf2.codec._LayoutPlan` is cached **process-wide**
@@ -71,7 +72,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import SchemaError, SerializationError
-from repro.nf2.codec import _LayoutPlan, _undecodable, compiled_plan
+from repro.nf2.codec import _TEXT, _LayoutPlan, _keep, _undecodable, compiled_plan
 from repro.nf2.schema import AttributeType, Projection, RelationSchema
 from repro.nf2.values import NestedTuple, _check_atom
 
@@ -233,7 +234,10 @@ class NF2Serializer:
         unpack, is_str = slot
         try:
             (raw,) = unpack(data)
-            return raw.rstrip(b"\x00").decode("utf-8") if is_str else raw
+            if not is_str:
+                return raw
+            text = _TEXT.get(raw)
+            return text if text is not None else _keep(raw, raw.rstrip(b"\x00").decode("utf-8"))
         except (struct.error, UnicodeDecodeError) as exc:
             raise _undecodable(plan.schema, exc) from None
 

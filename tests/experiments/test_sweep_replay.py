@@ -25,7 +25,7 @@ from repro.benchmark.runner import BenchmarkRunner
 from repro.benchmark.workload import WorkloadExecutor, compile_trace, parse_workload
 from repro.experiments import sweep
 from repro.experiments.measure import FAST_CONFIG
-from repro.models.registry import MEASURED_MODELS
+from repro.models.registry import MEASURED_MODELS, MODEL_CLASSES
 from repro.serving.server import ServingExecutor
 from repro.storage.buffer import (
     CLEAR,
@@ -173,6 +173,36 @@ def test_replayed_cells_equal_direct_execution(name):
         for plain, online in zip(by_mode["none"], by_mode["online"]):
             moved = plain.result.raw != online.result.raw
             assert moved == (plain.model != "NSM"), plain.model
+
+
+#: CI's placement-family grid: ``sweep --fast --objects 60 --ops 60
+#: --capacities 24 48 --policies lru --workloads "zipf(1.0)" --models all``.
+CI_ONLINE_OPS = 60
+
+
+def test_the_ci_online_grid_moves_pages():
+    """At CI's operation count the online controller fires: every online
+    cell counts differently from its ``none`` twin, except plain NSM's
+    (its ``move_objects`` is a no-op).  Below ``online_trigger_ops`` the
+    online cells would equal their twins and the gate would test nothing."""
+    config = FAST_CONFIG.with_changes(n_objects=60)
+    assert CI_ONLINE_OPS >= config.online_trigger_ops
+    result = sweep.run_sweep(
+        config,
+        (parse_workload("zipf(1.0)").with_changes(n_ops=CI_ONLINE_OPS),),
+        (24, 48),
+        ("lru",),
+        tuple(MODEL_CLASSES),
+        reclusters=("none", "online"),
+    )
+    by_mode = {"none": [], "online": []}
+    for cell in result.cells:
+        by_mode[cell.recluster].append(cell)
+    assert len(by_mode["online"]) == 2 * len(MODEL_CLASSES)
+    for plain, online in zip(by_mode["none"], by_mode["online"]):
+        assert (plain.model, plain.capacity) == (online.model, online.capacity)
+        moved = plain.result.raw != online.result.raw
+        assert moved == (plain.model != "NSM"), (plain.model, plain.capacity)
 
 
 @pytest.mark.parametrize("model", ("DSM", "DASDBS-DSM", "DASDBS-NSM"))

@@ -462,7 +462,7 @@ class TestGeneratedSource:
     def test_source_is_kept_and_names_only_the_schema(self):
         plan = compiled_plan(DASDBS_FORMAT, STATION_SCHEMA)
         assert "def decode(data, pos):" in plan.source
-        assert "'Name': v3.rstrip" in plan.source
+        assert "'Name': (hit if (hit := text.get(v3)) is not None" in plan.source
         assert plan.filename.startswith("<nf2 codec Station #")
         compile(plan.source, plan.filename, "exec")  # stands on its own as Python
 
