@@ -274,8 +274,19 @@ def main(argv: list[str] | None = None) -> int:
         for name in config_flags
         if getattr(args, name) is not None
     }
+    selected = args.experiments or list(EXPERIMENTS)
+    unknown = [name for name in selected if name not in EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment(s): {', '.join(unknown)} "
+            f"(known: {', '.join(EXPERIMENTS)})"
+        )
     try:
         config = (FAST_CONFIG if args.fast else DEFAULT_CONFIG).with_changes(**overrides)
+        if {"sharding", "distribution"} & set(selected):
+            # Both build sharded models: a sharded config's refusals
+            # (faults, the trace backend) apply to the run.
+            config.with_changes(shards=sharding.N_SHARDS)
         workloads = [parse_workload(text) for text in args.workloads]
         if args.ops is not None:
             workloads = [spec.with_changes(n_ops=args.ops) for spec in workloads]
@@ -296,14 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     runners["sweep"] = lambda cfg: sweep.render(
         cfg, json_path=args.sweep_json, processes=args.processes, **grid
     )
-
-    selected = args.experiments or list(runners)
-    unknown = [name for name in selected if name not in runners]
-    if unknown:
-        parser.error(
-            f"unknown experiment(s): {', '.join(unknown)} "
-            f"(known: {', '.join(runners)})"
-        )
     for name in selected:
         started = time.time()
         try:

@@ -200,6 +200,39 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["table3", "--fast", "--backend", "trace"])
 
+    @pytest.mark.parametrize("experiment", ["sharding", "distribution"])
+    @pytest.mark.parametrize("flag", ["faults", "trace"])
+    def test_cli_refuses_sharded_experiment_up_front(
+        self, capsys, tmp_path, experiment, flag
+    ):
+        """Both experiments build sharded models: a flag a sharded
+        config refuses is a usage error before the first experiment
+        prints anything."""
+        flags = {
+            "faults": ["--faults", "seed=1,read=0.1"],
+            "trace": ["--backend", "trace", "--backend-path", str(tmp_path)],
+        }[flag]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", experiment, "--fast", "--objects", "60", *flags])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "shards cannot be combined" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distribution", "--faults", "none"],
+            ["table3", "--faults", "seed=1,read=0.1"],
+        ],
+        ids=["no-faults", "unsharded-experiment"],
+    )
+    def test_cli_sharded_refusal_is_scoped(self, capsys, argv):
+        """The refusal fires only for a fault plan that injects, and only
+        when a sharded experiment is selected."""
+        assert main([*argv, "--fast", "--objects", "60"]) == 0
+        assert "finished in" in capsys.readouterr().out
+
     def test_cli_rejects_nonpositive_objects(self):
         with pytest.raises(SystemExit):
             main(["table3", "--fast", "--objects", "0"])
